@@ -35,21 +35,21 @@ def level_histogram(core: ACTCore) -> Dict[int, Tuple[int, int]]:
     Levels reflect the post-denormalization placement (the node depth a
     lookup actually touches).
     """
-    histogram: Dict[int, Tuple[int, int]] = {}
-    for cell, entry in core.iter_cells():
-        level = cellid.level(cell)
-        true_slots, cand_slots = histogram.get(level, (0, 0))
-        tag = entry_codec.tag(entry)
-        if tag in (entry_codec.TAG_PAYLOAD_1, entry_codec.TAG_PAYLOAD_2):
-            refs = entry_codec.payload_refs(entry)
-            if any(entry_codec.ref_is_true_hit(r) for r in refs):
-                true_slots += 1
-            else:
-                cand_slots += 1
-        else:
-            cand_slots += 1  # offset entries are mixed; count conservatively
-        histogram[level] = (true_slots, cand_slots)
-    return histogram
+    cells, entries = core.cell_arrays()
+    levels = cellid.level_batch(cells)
+    tags = entries & np.uint64(3)
+    # an inline payload counts as a true-hit slot when any of its refs
+    # is one (the flag is a ref's bit 0; a 2-payload's second ref sits
+    # 31 bits above its first); offset entries are mixed, so they count
+    # conservatively, as candidates
+    first = ((entries >> np.uint64(2)) & np.uint64(1)) == 1
+    second = ((entries >> np.uint64(33)) & np.uint64(1)) == 1
+    is_true = (((tags == entry_codec.TAG_PAYLOAD_1) & first)
+               | ((tags == entry_codec.TAG_PAYLOAD_2) & (first | second)))
+    true_slots = np.bincount(levels[is_true], minlength=cellid.MAX_LEVEL + 1)
+    cand_slots = np.bincount(levels[~is_true], minlength=cellid.MAX_LEVEL + 1)
+    return {int(level): (int(true_slots[level]), int(cand_slots[level]))
+            for level in np.flatnonzero(true_slots + cand_slots)}
 
 
 def node_occupancy(core: ACTCore) -> Dict[str, float]:

@@ -423,29 +423,98 @@ class ACTCore:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _slot_tags(self) -> np.ndarray:
+        """The 2-bit tag of every pool slot, flat, as ``uint8`` (so a
+        scan of the pool never allocates a pool-sized temporary)."""
+        flat = self.nodes.reshape(-1)
+        tags = np.empty(flat.shape, dtype=np.uint8)
+        np.bitwise_and(flat, np.uint64(3), out=tags, casting="unsafe")
+        return tags
+
+    def node_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cells, parent, slot)`` per pool row: the tree's skeleton.
+
+        ``cells[n]`` is the cell node ``n`` roots — slot ``s`` of the
+        node is that cell's descendant ``s``, ``levels_per_step`` down.
+        The pointer to ``n`` sits in slot ``slot[n]`` of node
+        ``parent[n]``, or is face root ``slot[n]`` when ``parent[n]``
+        is -1. One tag scan finds the pointer slots; the walk over them
+        is level-synchronous and touches each edge once. A row no
+        pointer reaches (the empty pool's zero row) keeps cell 0.
+        """
+        flat = self.nodes.reshape(-1)
+        num = self.nodes.shape[0]
+        # ascending flat positions, so edges group by parent row: the
+        # edges out of row n are first[n]:first[n + 1]
+        edges = np.flatnonzero((self._slot_tags() == 0) & (flat != 0))
+        first = np.searchsorted(edges, np.arange(num + 1) * self.fanout)
+        child = (flat[edges] >> np.uint64(2)).astype(np.int64) - 1
+        parent = np.full(num, -1, dtype=np.int64)
+        slot = np.zeros(num, dtype=np.int64)
+        cells = np.zeros(num, dtype=np.uint64)
+        parent[child] = edges // self.fanout
+        slot[child] = edges % self.fanout
+        faces = np.flatnonzero(((self.roots & np.uint64(3)) == 0)
+                               & (self.roots != 0))
+        frontier = (self.roots[faces] >> np.uint64(2)).astype(np.int64) - 1
+        slot[frontier] = faces
+        cells[frontier] = cellid.from_face_batch(faces)
+        for _ in range(self.max_steps):
+            frontier = _csr_gather(frontier, first, child)
+            if frontier.size == 0:
+                break
+            cells[frontier] = cellid.descendant_batch(
+                cells[parent[frontier]], slot[frontier],
+                self.levels_per_step)
+        return cells, parent, slot
+
+    def cell_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, entries)`` of every indexed cell, as arrays.
+
+        The one enumeration of the index: one row per non-empty,
+        non-pointer slot (the post-denormalization disjoint cells) and
+        per face root that is itself an entry, in no particular order.
+        Every pool row is taken to be reachable from the roots, as it
+        is in every pool the builder, the loader and the slicer make.
+        """
+        pos = np.flatnonzero(self._slot_tags())
+        entries = self.nodes.reshape(-1)[pos]
+        # cellid.descendant_batch(node cell, slot), spelled out: the
+        # per-node terms come from the (small) node arrays and the
+        # per-entry ones are combined in place, so no more than four
+        # entry-sized arrays are ever alive
+        node_cells = self.node_arrays()[0]
+        low = cellid.lsb_batch(node_cells)
+        base = node_cells - low
+        low >>= np.uint64(self.bits_per_step)
+        odd = pos.view(np.uint64) & self._chunk_mask
+        odd *= np.uint64(2)
+        odd += np.uint64(1)
+        pos >>= self.bits_per_step  # now the node index
+        cells = low[pos]
+        cells *= odd
+        cells += base[pos]
+        faces = np.flatnonzero(self.roots & np.uint64(3))
+        if faces.size:
+            cells = np.concatenate((cellid.from_face_batch(faces), cells))
+            entries = np.concatenate((self.roots[faces], entries))
+        return cells, entries
+
     def iter_cells(self) -> Iterator[Tuple[int, int]]:
         """Yield every indexed ``(cell, entry)`` pair (tests/analysis)."""
-        for face, root in enumerate(self._roots_list):
-            if root == entry_codec.SENTINEL:
-                continue
-            if root & 0b11:
-                yield cellid.from_face(face), root
-                continue
-            stack = [((root >> 2) - 1, face, 0, 0)]
-            while stack:
-                node_idx, face_val, path, level = stack.pop()
-                row = self.nodes[node_idx].tolist()
-                for chunk, entry in enumerate(row):
-                    if entry == entry_codec.SENTINEL:
-                        continue
-                    child_path = (path << self.bits_per_step) | chunk
-                    child_level = level + self.levels_per_step
-                    if entry & 0b11:
-                        yield (cellid.from_face_path(
-                            face_val, child_path, child_level), entry)
-                    else:
-                        stack.append(((entry >> 2) - 1, face_val,
-                                      child_path, child_level))
+        return zip(*(column.tolist() for column in self.cell_arrays()))
+
+    def subset_table(self, offsets: np.ndarray,
+                     ) -> Tuple[LookupTable, np.ndarray]:
+        """``(table, new_offsets)``: a lookup table holding only the
+        reference sets at ``offsets`` (ascending, unique) — their word
+        ranges gathered in that order — and where each now starts."""
+        words = self.lookup_table.as_array()
+        indptr = np.append(self._set_starts, len(words))
+        rows = np.searchsorted(self._set_starts, offsets)
+        lengths = indptr[rows + 1] - indptr[rows]
+        table = LookupTable.from_array(_csr_gather(rows, indptr, words))
+        return table, np.cumsum(lengths) - lengths
 
     # ------------------------------------------------------------------
     # Internals

@@ -278,21 +278,52 @@ def from_face_ij_batch(faces: np.ndarray, i: np.ndarray, j: np.ndarray,
     return n * np.uint64(2) + np.uint64(1)
 
 
+def from_face_batch(faces: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`from_face` (no range check: a trie may be
+    built with more root slots than the cube has faces)."""
+    return ((np.asarray(faces).astype(np.uint64) << np.uint64(POS_BITS))
+            | np.uint64(1 << (POS_BITS - 1)))
+
+
 def level_batch(cells: np.ndarray) -> np.ndarray:
     """Vectorized :func:`level`."""
-    cells = cells.astype(np.uint64)
-    low = cells & (~cells + np.uint64(1))
     # log2 of the isolated lsb via float conversion is exact for powers of 2
-    trailing = np.log2(low.astype(np.float64)).astype(np.int64)
+    trailing = np.log2(lsb_batch(cells).astype(np.float64)).astype(np.int64)
     return MAX_LEVEL - (trailing >> 1)
 
 
 def parent_batch(cells: np.ndarray, parent_level: int) -> np.ndarray:
     """Vectorized :func:`parent` at a fixed level."""
-    cells = cells.astype(np.uint64)
     new_lsb = np.uint64(1 << (2 * (MAX_LEVEL - parent_level)))
     mask = ~((new_lsb << np.uint64(1)) - np.uint64(1))
-    return (cells & mask) | new_lsb
+    out = cells.astype(np.uint64, copy=False) & mask
+    out |= new_lsb
+    return out
+
+
+def lsb_batch(cells: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`lsb` (one allocation: on millions of cells a
+    fresh temporary costs more in page faults than the arithmetic)."""
+    low = ~cells.astype(np.uint64, copy=False)
+    low += np.uint64(1)
+    low &= cells
+    return low
+
+
+def descendant_batch(cells: np.ndarray, positions: np.ndarray,
+                     levels: int) -> np.ndarray:
+    """Vectorized :func:`child`, ``levels`` levels down at once: the
+    descendant at Hilbert offset ``positions`` (``< 4**levels``) of each
+    cell — the ``k``-th cell of :func:`denormalize`. Broadcasts."""
+    low = lsb_batch(cells)
+    base = cells - low
+    low >>= np.uint64(2 * levels)
+    odd = np.asarray(positions).astype(np.uint64)
+    odd *= np.uint64(2)
+    odd += np.uint64(1)
+    out = odd * low
+    out += base
+    return out
 
 
 def expand_to_level(cells: List[int], target_level: int) -> List[int]:

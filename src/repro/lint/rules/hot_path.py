@@ -4,7 +4,9 @@ Origin: the paper's headline number is per-lookup latency measured in
 hundreds of nanoseconds; PR 5's perf work showed a single stray
 f-string or ``json.dumps`` in ``query_batch`` is visible on the
 histogram. The configured hot functions (the query entry points, the
-refinement kernels, and the binary frame handlers) must not:
+refinement kernels, the binary frame handlers, and — since a per-cell
+Python loop made a sharded cold start 16 s — the index enumeration and
+the shard planner/slicer built on it) must not:
 
 * call ``logging``/``logger`` methods,
 * call ``json.*``,
@@ -12,8 +14,9 @@ refinement kernels, and the binary frame handlers) must not:
   ``raise`` statement or an ``except`` handler body, where the
   formatting only ever runs on the cold error path,
 * loop element-wise over an array parameter (``for x in lngs`` /
-  ``range(len(lngs))`` / ``enumerate`` / ``zip`` of parameters) — the
-  vectorised path exists, use it,
+  ``range(len(lngs))`` / ``enumerate`` / ``zip`` of parameters), or
+  cell by cell over ``<core>.iter_cells()`` — the vectorised path
+  (``cell_arrays``) exists, use it,
 * call ``time.time()`` — flagged as a *warning* in favour of
   ``time.perf_counter()``.
 
@@ -31,10 +34,14 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
                    iter_functions, param_names)
 
 #: Functions on the measured path. ``_handle``/``_process``/
-#: ``data_received`` are the binary frame handlers in serve/aserver.py.
+#: ``data_received`` are the binary frame handlers in serve/aserver.py;
+#: the last row is what every fleet start, rebalance and re-slice runs
+#: over millions of cells (act/core.py, serve/shard.py).
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "_handle", "_process", "data_received",
+    "node_arrays", "cell_arrays", "plan_shard_map", "_plan_one",
+    "slice_index",
 })
 
 _LOGGING_ROOTS = frozenset({"logging", "logger", "log"})
@@ -45,11 +52,12 @@ class HotPathRule(Rule):
     name = "hot-path-hygiene"
     description = (
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
-        "binary frame handlers) must not log, touch json, format "
-        "strings eagerly (raise sites exempt), or loop element-wise "
-        "over array parameters; time.time() is a warning "
+        "binary frame handlers/index enumeration/shard planner and "
+        "slicer) must not log, touch json, format strings eagerly "
+        "(raise sites exempt), or loop element-wise over array "
+        "parameters or over iter_cells(); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 1
+    version = 2
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):
@@ -97,6 +105,13 @@ class HotPathRule(Rule):
                         f"element-wise loop over array parameter "
                         f"`{param}` in hot function `{name}`; use the "
                         f"vectorised path")
+                elif (isinstance(node.iter, ast.Call)
+                        and isinstance(node.iter.func, ast.Attribute)
+                        and node.iter.func.attr == "iter_cells"):
+                    yield self.finding(
+                        ctx, node,
+                        f"per-cell loop over iter_cells() in hot "
+                        f"function `{name}`; use cell_arrays()")
 
     def _check_call(self, ctx: FileContext, func: ast.AST, name: str,
                     call: ast.Call, raise_exempt: Set[int],

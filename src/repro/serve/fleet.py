@@ -591,7 +591,15 @@ class ServingFleet:
                   (self.shard_addresses
                    if self.config.shards else None)),
         )
-        process.start()
+        # the child is born with SIGTERM blocked and unblocks it once
+        # its drain handler is installed: a shutdown() racing worker
+        # start-up then still ends in a clean exit 0, never in the
+        # default disposition killing a half-started worker
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with self._lock:
             self._processes[slot] = process
             self._spawn_times[slot] = time.monotonic()
@@ -863,6 +871,9 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
 
     signal.signal(signal.SIGTERM, on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns Ctrl-C
+    # blocked since the fork (see ServingFleet._spawn); one that arrived
+    # meanwhile is delivered now, to the handler
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
     def publisher() -> None:
         publish()

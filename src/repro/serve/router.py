@@ -37,9 +37,10 @@ slice) and forwards everything else shard-wise over the
 * **rebalancing** — :meth:`adopt_shard_map` swaps in a
   higher-generation :class:`~repro.serve.shard.ShardMap` (published on
   the lifecycle control dict under
-  :data:`~repro.serve.shard.SHARD_KEY`) and re-slices the registry
-  from the retained full-generation records; lower generations are
-  ignored, mirroring reload idempotency. :meth:`reload_index`
+  :data:`~repro.serve.shard.SHARD_KEY`) and re-slices, from the
+  retained full-generation records, the names whose spans for this
+  slot it changed; lower generations are ignored, mirroring reload
+  idempotency. :meth:`reload_index`
   materializes the full new generation, re-slices it, and adopts the
   slice, so a fleet-wide reload barrier leaves every slot serving its
   shard of the new data.
@@ -129,17 +130,23 @@ class ShardedACTService(ACTService):
     def shard_map(self) -> ShardMap:
         return self._map
 
-    def _slice_all(self) -> None:
-        """Re-pin every mapped, materialized record to this slot's slice."""
+    def _slice_all(self, previous: Optional[ShardMap] = None) -> None:
+        """Re-pin every mapped, materialized record to this slot's
+        slice — except the names already sliced under ``previous``
+        whose spans for this slot it leaves as they were."""
         for name in self.registry.names():
             record = self._full_records.get(name)
             if record is None:
                 record = self.registry.materialized.get(name)
             if record is None or name not in self._map.ranges:
                 continue
+            spans = self._map.ranges_for_slot(name, self.slot)
+            if (previous is not None and name in self._full_records
+                    and name in previous.ranges
+                    and previous.ranges_for_slot(name, self.slot) == spans):
+                continue
             self._full_records[name] = record
-            sliced = slice_record(
-                record, self._map.ranges_for_slot(name, self.slot))
+            sliced = slice_record(record, spans)
             self.registry.restore(sliced)
             self._adopt_record(sliced)
 
@@ -147,8 +154,8 @@ class ShardedACTService(ACTService):
         """Swap in a rebalanced map; ignore non-advancing generations."""
         if shard_map.generation <= self._map.generation:
             return False
-        self._map = shard_map
-        self._slice_all()
+        previous, self._map = self._map, shard_map
+        self._slice_all(previous)
         return True
 
     def reload_index(self, name: str, *,

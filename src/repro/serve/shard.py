@@ -26,32 +26,31 @@ Three layers live here:
   control channel under :data:`SHARD_KEY`, so rebalancing is just
   another generation swap: publish a higher-generation map, workers
   adopt it on their next poll tick and re-slice.
-* the **planner and slicer** — :func:`plan_shard_map` weighs each
-  indexed cell by the number of boundary-level cells it covers and
-  cuts the sorted, disjoint intervals into contiguous equal-weight
-  parts (never splitting a cell, so each indexed cell has exactly one
-  owner); :func:`slice_index` rebuilds a genuine sub-index — fresh
-  trie, fresh lookup table with only the referenced sets re-interned —
-  so per-worker resident bytes shrink with the shard count instead of
-  every worker holding every node.
+* the **planner and slicer** — both work on the index's flat arrays,
+  never on a trie. :func:`plan_shard_map` weighs each indexed cell by
+  the number of boundary-level cells it covers and cuts the sorted,
+  disjoint intervals into contiguous equal-weight parts (never
+  splitting a cell, so each indexed cell has exactly one owner);
+  :func:`slice_index` masks and compacts — the owned entries, the
+  nodes on a path to one, the lookup-table sets they reference — into
+  a genuine sub-index, so per-worker resident bytes shrink with the
+  shard count instead of every worker holding every node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..act import entry as entry_codec
 from ..act.core import ACTCore
 from ..act.index import ACTIndex
-from ..act.lookup_table import LookupTable
-from ..act.trie import AdaptiveCellTrie
 from ..errors import InvalidRequestError, ServeError, UnknownIndexError
 from ..grid import cellid
 from ..grid.base import HierarchicalGrid
-from .registry import IndexGeneration, IndexRegistry
+from .registry import IndexGeneration
 
 __all__ = [
     "SHARD_KEY", "KEY_MAX", "ShardRange", "ShardMap", "shard_keys",
@@ -223,55 +222,45 @@ class ShardMap:
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
-def _cell_interval(cell: int, boundary_level: int) -> Tuple[int, int, int]:
-    """``(lo, hi, weight)`` of one indexed cell in the shard keyspace.
-
-    ``lo``/``hi`` are the boundary-level cell ids of the cell's first
-    and last leaf; ``weight`` approximates load by the number of
-    boundary-level cells covered. Disjoint cells produce disjoint
-    intervals (cell-id ranges nest), except that several cells *deeper*
-    than the boundary level under one boundary cell collapse to the
-    same single-key interval — the planner merges those.
-    """
-    level = cellid.level(cell)
-    lo = cellid.parent(cellid.range_min(cell), boundary_level)
-    hi = cellid.parent(cellid.range_max(cell), boundary_level)
-    weight = 4 ** (boundary_level - level) if level <= boundary_level else 1
-    return lo, hi, weight
-
-
 def _plan_one(index: ACTIndex, parts: int) -> List[Tuple[int, int]]:
     """Cut one index's keyspace into ``<= parts`` contiguous spans.
 
     Spans are split points only — callers attach slots. Always covers
     ``[0, KEY_MAX]``; never splits an indexed cell's interval.
     """
-    bl = index.boundary_level
-    intervals: Dict[int, Tuple[int, int]] = {}
-    for cell, _entry in index.core.iter_cells():
-        lo, hi, weight = _cell_interval(cell, bl)
-        prev = intervals.get(lo)
-        intervals[lo] = (hi, weight + (prev[1] if prev else 0))
-    ordered = sorted(
-        (lo, hi, weight) for lo, (hi, weight) in intervals.items())
-    if not ordered or parts <= 1:
+    cells = index.core.cell_arrays()[0]
+    if parts <= 1 or cells.size == 0:
         return [(0, KEY_MAX)]
-
-    total = sum(weight for _, _, weight in ordered)
-    cuts: List[int] = []  # first lo of parts 1..k
-    acc = 0
-    for lo, _hi, weight in ordered:
-        # cut *before* this interval once the previous parts hold
-        # their fair share; an interval is never split
-        target = (len(cuts) + 1) * total / parts
-        if acc >= target and len(cuts) < parts - 1:
-            cuts.append(lo)
-        acc += weight
+    # per cell: lo = the boundary-level id of its first leaf, weight =
+    # boundary-level cells covered = lsb(cell) // lsb(boundary cell),
+    # at least 1. uint64 throughout: the total can pass 2**63
+    bl = index.boundary_level
+    weight = cellid.lsb_batch(cells)
+    cells -= weight
+    lo = cellid.parent_batch(cells, bl)
+    del cells
+    weight >>= np.uint64(2 * (cellid.MAX_LEVEL - bl))
+    np.maximum(weight, np.uint64(1), out=weight)
+    # cells deeper than the boundary level share their boundary cell's
+    # key: merge them, then accumulate in key order
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] != lo[:-1])))
+    lo = lo[first]
+    weight = np.add.reduceat(weight[order], first)
+    before = np.cumsum(weight) - weight
+    total = int(before[-1]) + int(weight[-1])
     spans: List[Tuple[int, int]] = []
-    start = 0
-    for cut in cuts:
-        spans.append((start, cut - 1))
-        start = cut
+    start, after = 0, 1
+    for k in range(1, parts):
+        # cut *before* the first interval that finds the earlier parts
+        # holding their fair share, and past the previous cut
+        at = max(after, int(np.searchsorted(
+            before, np.uint64(math.ceil(k * total / parts)))))
+        if at >= lo.size:
+            break
+        spans.append((start, int(lo[at]) - 1))
+        start, after = int(lo[at]), at + 1
     spans.append((start, KEY_MAX))
     return spans
 
@@ -302,52 +291,103 @@ def plan_shard_map(indexes: Mapping[str, ACTIndex], num_slots: int,
 # ----------------------------------------------------------------------
 # Slicing
 # ----------------------------------------------------------------------
-def _spans_intersect(spans: Sequence[Tuple[int, int]], lo: int,
-                     hi: int) -> bool:
-    """Whether ``[lo, hi]`` overlaps any owned ``(lo, hi)`` span."""
-    for span_lo, span_hi in spans:
-        if lo <= span_hi and hi >= span_lo:
-            return True
-    return False
+def _span_masks(cells: np.ndarray, boundary_level: int,
+                owned: Sequence[Tuple[int, int]],
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(meets, inside)`` per cell: whether its key interval — the
+    boundary-level ids of its first and last leaf — overlaps any owned
+    span, and whether it lies wholly within one."""
+    low = cellid.lsb_batch(cells)
+    lo = cellid.parent_batch(cells - low, boundary_level)
+    low -= np.uint64(1)
+    low += cells
+    hi = cellid.parent_batch(low, boundary_level)
+    meets = np.zeros(lo.shape, dtype=bool)
+    inside = np.zeros(lo.shape, dtype=bool)
+    for span in owned:
+        span_lo, span_hi = np.uint64(span[0]), np.uint64(span[1])
+        meets |= (lo <= span_hi) & (hi >= span_lo)
+        inside |= (lo >= span_lo) & (hi <= span_hi)
+    return meets, inside
 
 
 def slice_index(index: ACTIndex,
                 spans: Iterable[Tuple[int, int]]) -> ACTIndex:
-    """Rebuild the sub-index owning the given keyspace spans.
+    """The sub-index owning the given keyspace spans, by mask-and-compact.
 
-    Walks every indexed cell, keeps the ones whose boundary-level key
-    interval intersects ``spans``, and re-inserts them into a fresh
-    trie with a fresh lookup table (``TAG_OFFSET`` entries re-interned
-    so only referenced polygon sets survive; inline payload entries
-    copied verbatim). Polygons and stats are shared with the parent
-    index — the polygon list is read-only at serve time and refinement
-    needs all of it for the ids a slice can still emit.
+    An entry is owned when its key interval intersects ``spans``; a
+    node is kept when it is on a path to an owned entry. That is
+    decided a node at a time: one whose own interval lies inside a
+    span keeps every slot, one that meets no span is dropped, and only
+    the few straddling a span edge are masked slot by slot. The kept
+    rows are gathered once (~1/N of the pool), pointers renumbered,
+    and the lookup table regathered from the sets still referenced.
+    Polygons are shared with the parent (read-only when serving, and
+    refinement needs them all); ``stats`` is a copy for the slice.
 
-    Because :meth:`~repro.act.core.ACTCore.iter_cells` yields the
-    post-denormalization disjoint cells and the planner never splits a
-    cell's interval, slices over a partition of the keyspace partition
-    the entries exactly: ``sum(slice.num_entries) == full.num_entries``.
+    The indexed cells are disjoint and the planner never splits a
+    cell's interval, so slices over a partition of the keyspace
+    partition the entries: ``sum(slice.num_entries) == full.num_entries``.
     """
     owned = sorted((int(lo), int(hi)) for lo, hi in spans)
-    core = index.core
-    bl = index.boundary_level
-    trie = AdaptiveCellTrie(fanout=core.fanout,
-                            num_faces=len(core.roots))
-    table = LookupTable()
-    tag = entry_codec.tag
-    for cell, entry in core.iter_cells():
-        lo, hi, _weight = _cell_interval(cell, bl)
-        if not _spans_intersect(owned, lo, hi):
-            continue
-        if tag(entry) == entry_codec.TAG_OFFSET:
-            true_ids, cand_ids = core.lookup_table.get(
-                entry_codec.offset_value(entry))
-            entry = entry_codec.make_offset(
-                table.intern(true_ids, cand_ids))
-        trie.insert(cell, entry)
-    sliced_core = ACTCore.from_trie(trie, table)
-    return ACTIndex(index.grid, sliced_core, index.polygons,
-                    index.stats, index.boundary_level)
+    core, bl = index.core, index.boundary_level
+    node_cells, parent, parent_slot = core.node_arrays()
+    meets, inside = _span_masks(node_cells, bl, owned)
+    meets &= node_cells != 0  # rows no pointer reaches
+    rows = np.flatnonzero(meets)
+    pool = core.nodes[rows]
+    roots = core.roots.copy()
+    roots[~_span_masks(cellid.from_face_batch(np.arange(roots.size)),
+                       bl, owned)[0]] = 0
+    # rows straddling a span edge: mask slot by slot. A pointer slot's
+    # cell is its child's, so the one interval test serves both kinds
+    part = np.flatnonzero(~inside[rows])
+    block = pool[part]
+    block[~_span_masks(cellid.descendant_batch(
+        node_cells[rows[part], None], np.arange(core.fanout),
+        core.levels_per_step), bl, owned)[0]] = 0
+    pool[part] = block
+    # a straddling row left empty is on no path to an owned entry:
+    # drop it and the pointer to it, which may in turn empty its parent
+    new_row = np.cumsum(meets) - 1
+    alive = np.ones(rows.size, dtype=bool)
+    for _ in range(core.max_steps):
+        dead = part[alive[part] & ~pool[part].any(axis=1)]
+        if dead.size == 0:
+            break
+        alive[dead] = False
+        dead = rows[dead][parent[rows[dead]] >= 0]  # below a pool row
+        pool[new_row[parent[dead]], parent_slot[dead]] = 0
+    if not alive.all():
+        pool, rows = pool[alive], rows[alive]
+    if rows.size == 0:
+        pool = np.zeros((1, core.fanout), dtype=np.uint64)
+    # renumber pointers in pool rows and face roots (dropped row -> 0)
+    remap = np.zeros(core.nodes.shape[0], dtype=np.uint64)
+    remap[rows] = np.arange(1, rows.size + 1, dtype=np.uint64)
+    flats, three = (pool.reshape(-1), roots), np.uint64(3)
+    offset_at, entries = [], 0
+    for flat in flats:
+        tags = flat & three
+        ptr = np.flatnonzero((tags == 0) & (flat != 0))
+        flat[ptr] = remap[(flat[ptr] >> np.uint64(2)).astype(np.int64)
+                          - 1] << np.uint64(2)
+        offset_at.append(np.flatnonzero(tags == three))
+        entries += int(np.count_nonzero(tags))
+    # regather the lookup-table sets still referenced; repoint at them
+    old = np.concatenate([flat[at] for flat, at in zip(flats, offset_at)])
+    used, inverse = np.unique(old >> np.uint64(2), return_inverse=True)
+    table, starts = core.subset_table(used.astype(np.int64))
+    moved = (starts.astype(np.uint64)[inverse] << np.uint64(2)) | three
+    flats[0][offset_at[0]], flats[1][offset_at[1]] = np.split(
+        moved, offset_at[0].shape)
+    sliced = ACTCore(pool, roots, table, core.fanout, num_entries=entries)
+    stats = replace(index.stats, indexed_cells=entries, trie_entries=entries,
+                    trie_nodes=sliced.num_nodes, trie_bytes=sliced.size_bytes,
+                    lookup_table_bytes=table.size_bytes,
+                    lookup_table_sets=int(used.size))
+    return ACTIndex(index.grid, sliced, index.polygons, stats,
+                    index.boundary_level)
 
 
 def slice_record(record: IndexGeneration,
@@ -361,26 +401,6 @@ def slice_record(record: IndexGeneration,
     index.
     """
     return replace(record, index=slice_index(record.index, spans))
-
-
-def slice_registry(registry: IndexRegistry, shard_map: ShardMap,
-                   slot: int) -> List[str]:
-    """Re-pin every materialized record to this slot's slice.
-
-    Returns the names sliced. Called in a freshly forked worker (and
-    again on shard-map adoption): the full-index pages the child
-    inherited copy-on-write stay untouched in the parent; the child's
-    working set becomes its slice.
-    """
-    sliced: List[str] = []
-    for name in registry.names():
-        record = registry.materialized.get(name)
-        if record is None:
-            continue
-        spans = shard_map.ranges_for_slot(name, slot)
-        registry.restore(slice_record(record, spans))
-        sliced.append(name)
-    return sliced
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.act import entry as codec
+from repro.act.core import ACTCore
 
 
 class TestScalarLookup:
@@ -158,6 +159,42 @@ class TestOffsetEntries:
         for e in entries.tolist():
             core.decode_entry(int(e))
         assert len(core._offset_cache) == cache_size
+
+
+class TestEnumeration:
+    """The array enumeration's structure (its agreement with the Python
+    DFS it replaced is in ``tests/serve/test_shard_differential.py``,
+    next to the oracle)."""
+
+    def test_node_arrays_are_the_tree_skeleton(self, nyc_index):
+        from repro.act import entry as entry_codec
+        from repro.grid import cellid
+
+        core = nyc_index.core
+        cells, parent, slot = core.node_arrays()
+        assert len(cells) == len(parent) == len(slot) == core.num_nodes
+        assert cells.all()  # every row is reached
+        for node in range(0, core.num_nodes, 97):
+            holder = (core.roots if parent[node] < 0
+                      else core.nodes[parent[node]])
+            assert (entry_codec.pointer_index(int(holder[slot[node]]))
+                    == node)
+            if parent[node] >= 0:
+                assert cellid.contains(int(cells[parent[node]]),
+                                       int(cells[node]))
+                assert (cellid.level(int(cells[node]))
+                        == cellid.level(int(cells[parent[node]]))
+                        + core.levels_per_step)
+
+    def test_empty_core(self):
+        from repro.act.lookup_table import LookupTable
+        from repro.act.trie import AdaptiveCellTrie
+
+        core = ACTCore.from_trie(AdaptiveCellTrie(), LookupTable())
+        cells, entries = core.cell_arrays()
+        assert cells.size == entries.size == 0
+        assert list(core.iter_cells()) == []
+        assert not core.node_arrays()[0].any()
 
 
 class TestIterCells:

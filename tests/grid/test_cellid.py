@@ -202,3 +202,34 @@ class TestBatchOps:
         parents = cellid.parent_batch(leaves, 12)
         for k in range(0, 300, 13):
             assert int(parents[k]) == cellid.parent(int(leaves[k]), 12)
+
+    def test_parent_batch_leaves_its_input_alone(self, rng):
+        cells = cellid.from_face_ij_batch(
+            rng.integers(0, 6, 50), rng.integers(0, 1 << 30, 50),
+            rng.integers(0, 1 << 30, 50))
+        before = cells.copy()
+        cellid.parent_batch(cells, 7)
+        cellid.lsb_batch(cells)
+        assert np.array_equal(cells, before)
+
+    def test_lsb_and_from_face_batch_match_scalar(self, rng):
+        leaves = cellid.from_face_ij_batch(
+            rng.integers(0, 6, 200), rng.integers(0, 1 << 30, 200),
+            rng.integers(0, 1 << 30, 200))
+        cells = cellid.parent_batch(leaves, 9)
+        assert (cellid.lsb_batch(cells).tolist()
+                == [cellid.lsb(c) for c in cells.tolist()])
+        assert (cellid.from_face_batch(np.arange(6)).tolist()
+                == [cellid.from_face(f) for f in range(6)])
+
+    @pytest.mark.parametrize("levels", [1, 2, 4])
+    def test_descendant_batch_is_denormalize(self, levels):
+        for cell in (cellid.from_face(5),
+                     cellid.from_face_path(3, 0b1101, 2),
+                     cellid.from_face_path(0, 4**26 - 1, 26)):
+            want = cellid.denormalize(cell, cellid.level(cell) + levels)
+            got = cellid.descendant_batch(
+                np.array([[cell]], dtype=np.uint64),
+                np.arange(4**levels), levels)
+            assert got.shape == (1, 4**levels)
+            assert got[0].tolist() == want

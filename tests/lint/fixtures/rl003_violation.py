@@ -21,3 +21,10 @@ def helper(lngs):
     for lng in lngs:
         logging.info("point %s", lng)
     return label
+
+
+def slice_index(index, spans):
+    kept = []
+    for cell, entry in index.core.iter_cells():   # line 28: per-cell loop
+        kept.append((cell, entry))
+    return kept, spans

@@ -26,7 +26,7 @@ VIOLATIONS = {
                15: "error"}),
     "RL003": ("rl003_violation.py",
               {8: "error", 9: "error", 10: "error", 12: "error",
-               14: "warning"}),
+               14: "warning", 28: "error"}),
     "RL004": ("rl004_violation.py", {5: "error", 6: "error"}),
     "RL005": ("src/repro/serve/rl005_violation.py",
               {8: "error", 10: "error", 16: "error"}),

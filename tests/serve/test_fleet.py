@@ -171,6 +171,16 @@ class TestFleetServing:
             # baseline: fleet totals never go backwards across restarts
             assert fleet.stats()["counters"]["queries.total"] >= before
 
+    def test_shutdown_racing_startup_still_drains(self, fleet_registry):
+        """SIGTERM sent while a worker is still starting (no drain
+        handler yet) must wait for the handler, not kill the worker."""
+        for _ in range(3):
+            with _fleet(fleet_registry) as fleet:
+                fleet.start()
+                fleet.shutdown()
+                assert [p.exitcode for p in fleet._processes
+                        if p is not None] == [0, 0]
+
     def test_parked_keepalive_connection_does_not_block_drain(
             self, fleet_registry):
         import http.client

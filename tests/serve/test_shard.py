@@ -112,6 +112,27 @@ class TestSlicing:
         for sliced in slices:
             assert sliced.core.total_bytes < 0.6 * full
 
+    def test_slice_describes_itself(self, nyc_index, shard_map4):
+        """A slice's stats, memory report and repr are its own, not
+        the full index's — and the parent's stats are left alone."""
+        full_cells = nyc_index.stats.indexed_cells
+        sliced = slice_index(nyc_index,
+                             shard_map4.ranges_for_slot("nyc", 1))
+        entries = sliced.core.num_entries
+        assert 0 < entries < full_cells
+        assert sliced.stats is not nyc_index.stats
+        assert nyc_index.stats.indexed_cells == full_cells
+        assert sliced.stats.indexed_cells == entries
+        assert sliced.stats.trie_entries == entries
+        assert sliced.stats.trie_nodes == sliced.core.num_nodes
+        assert sliced.stats.trie_bytes == sliced.core.size_bytes
+        assert sliced.stats.total_bytes == sliced.core.total_bytes
+        assert sliced.memory_report()["indexed_cells"] == entries
+        assert f"cells={entries:,}" in repr(sliced)
+        # what describes the build, not the slice, carries over
+        assert sliced.stats.num_polygons == nyc_index.stats.num_polygons
+        assert sliced.precision_meters == nyc_index.precision_meters
+
     def test_owned_points_answer_identically(self, nyc_index, shard_map4,
                                              query_points, point_keys):
         lngs, lats = query_points
@@ -255,5 +276,41 @@ class TestShardedServiceInProcess:
             assert np.array_equal(got, truth)
             assert (record.index.core.total_bytes
                     < nyc_index.core.total_bytes)
+        finally:
+            service.close()
+
+    def test_rebalance_that_moves_nothing_slices_nothing(
+            self, nyc_index, monkeypatch):
+        """Adopting a map re-slices only the names whose spans for this
+        slot changed: an identical plan costs zero slices, a moved cut
+        costs one."""
+        from repro.serve import router
+
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        map1 = plan_shard_map({"nyc": nyc_index}, 2)
+        service = ShardedACTService(registry=registry, shard_map=map1,
+                                    slot=0)
+        sliced = []
+        real = router.slice_record
+
+        def counting(record, spans):
+            sliced.append(tuple(spans))
+            return real(record, spans)
+
+        monkeypatch.setattr(router, "slice_record", counting)
+        try:
+            before = registry.materialized["nyc"]
+            same = plan_shard_map({"nyc": nyc_index}, 2, generation=2)
+            assert service.adopt_shard_map(same) is True
+            assert sliced == []
+            assert registry.materialized["nyc"] is before
+            assert service.shard_info()["map_generation"] == 2
+            # move the cut: slot 0 now owns the whole keyspace
+            moved = ShardMap(3, {"nyc": [ShardRange(0, KEY_MAX, 0)]}, 2)
+            assert service.adopt_shard_map(moved) is True
+            assert sliced == [((0, KEY_MAX),)]
+            assert (registry.materialized["nyc"].index.core.num_entries
+                    == nyc_index.core.num_entries)
         finally:
             service.close()
