@@ -84,8 +84,7 @@ def _one_pass(service, pairs, telemetry: str, exact: bool) -> list:
     identical starting state: a short warmup slice (the first trickle
     of production traffic) seeds the cache, then the timed chunks
     cover the instrumented hit *and* miss paths in their natural
-    ratio. Single-threaded, so misses stay inline and the batcher
-    never engages.
+    ratio.
     """
     service.set_telemetry(telemetry)
     query = service.query

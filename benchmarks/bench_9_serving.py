@@ -1,4 +1,4 @@
-"""Serving benchmark — micro-batching + cell cache vs the naive loop.
+"""Serving benchmark — the service and its cell cache vs the naive loop.
 
 Simulates sustained point-query traffic against one pinned index: a hot
 request stream (distinct taxi-like locations, each queried several times,
@@ -9,8 +9,9 @@ four ways:
   the pre-serve status quo of every entry point;
 * **served, cache off** — concurrent clients through
   :class:`~repro.serve.service.ACTService` with the cell cache disabled
-  (isolates adaptive micro-batching under miss pressure);
-* **served, batch+cache** — the full stack, at 1 client and at 8.
+  (every request is a scalar miss: one descent on the client's own
+  thread plus the service's per-request overhead);
+* **served, cache on** — the full stack, at 1 client and at 8.
 
 Reports sustained qps and p50/p99 per-request latency for each
 configuration, plus the cache hit rate; the full stack must beat the
@@ -29,7 +30,7 @@ from repro.bench.reporting import record_row, record_text
 from repro.datasets import points
 from repro.serve import ACTService, ServeConfig
 
-_TABLE = "Serving: micro-batching + cell cache vs naive per-call loop"
+_TABLE = "Serving: service + cell cache vs naive per-call loop"
 _COLUMNS = ["configuration", "qps", "p50 us", "p99 us", "cache hit rate"]
 
 _NUM_DISTINCT = 2_000
@@ -112,18 +113,19 @@ def _run_served(index, lngs, lats, cache_capacity, num_clients):
     return lngs.size / wall, p50, p99, hit_rate
 
 
-def test_served_batching_only(benchmark, cache):
+def test_served_concurrent_misses(benchmark, cache):
     index = cache.get("neighborhoods", 15.0)
     lngs, lats = _request_stream()
 
     def run():
-        _STATE["batch_only"] = _run_served(
+        _STATE["misses_only"] = _run_served(
             index, lngs, lats, cache_capacity=0, num_clients=_NUM_CLIENTS)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    qps, p50, p99, _ = _STATE["batch_only"]
+    qps, p50, p99, _ = _STATE["misses_only"]
     record_row(_TABLE, _COLUMNS,
-               [f"served, cache off ({_NUM_CLIENTS} clients)",
+               [f"served, cache off: concurrent scalar misses "
+                f"({_NUM_CLIENTS} clients)",
                 round(qps), p50, p99, "0.00"])
 
 
@@ -139,11 +141,11 @@ def test_served_one_client(benchmark, cache):
     qps, p50, p99, hit_rate = _STATE["one_client"]
     _STATE.setdefault("served_qps", []).append(qps)
     record_row(_TABLE, _COLUMNS,
-               ["served, batch+cache (1 client)",
+               ["served, cache on (1 client)",
                 round(qps), p50, p99, f"{hit_rate:.2f}"])
 
 
-def test_served_batching_and_cache(benchmark, cache):
+def test_served_cache_on_concurrent(benchmark, cache):
     index = cache.get("neighborhoods", 15.0)
     lngs, lats = _request_stream()
 
@@ -156,7 +158,7 @@ def test_served_batching_and_cache(benchmark, cache):
     qps, p50, p99, hit_rate = _STATE["full"]
     _STATE.setdefault("served_qps", []).append(qps)
     record_row(_TABLE, _COLUMNS,
-               [f"served, batch+cache ({_NUM_CLIENTS} clients)",
+               [f"served, cache on ({_NUM_CLIENTS} clients)",
                 round(qps), p50, p99, f"{hit_rate:.2f}"])
     naive_qps = _STATE.get("naive_qps")
     if naive_qps is not None:

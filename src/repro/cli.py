@@ -188,11 +188,8 @@ def cmd_serve(args) -> int:
     from .serve import ACTService, ServeConfig, create_server
 
     serve_config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_capacity=args.cache_capacity,
         default_budget_ms=args.budget_ms,
-        inline_miss_threshold=args.inline_miss_threshold,
         telemetry=args.telemetry,
         trace_sample_interval=args.trace_sample_interval,
         slow_query_ms=args.slow_query_ms,
@@ -450,15 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "over the binary protocol (implies a "
                               "binary data plane; see docs/"
                               "ARCHITECTURE.md)")
-    p_serve.add_argument("--max-batch", type=int, default=512,
-                         help="micro-batch size cap (default 512)")
-    p_serve.add_argument("--max-wait-ms", type=float, default=0.0,
-                         help="extra wait for fuller batches in ms "
-                              "(default 0 = adaptive greedy batching)")
-    p_serve.add_argument("--inline-miss-threshold", type=int, default=2,
-                         help="cache misses at or below this many in "
-                              "flight answer inline; above it they are "
-                              "micro-batched (default 2)")
     p_serve.add_argument("--cache-capacity", type=int, default=65536,
                          help="cell result cache entries (0 disables)")
     p_serve.add_argument("--budget-ms", type=float, default=None,

@@ -1,9 +1,9 @@
 """Request IDs, per-stage span recording, and the slow-query log.
 
 The serving pipeline spans several hops (admission → cache probe →
-batch wait → descent → refine → serialize) across at least two threads
-(the request handler and the micro-batcher worker). A :class:`Trace` is
-the request-scoped record of where that time went:
+descent → refine → serialize), all on the thread that handles the
+request. A :class:`Trace` is the request-scoped record of where that
+time went:
 
 * **Request IDs** are minted at admission for *every* request (cheap: a
   per-process prefix plus an incrementing counter, no randomness on the
@@ -14,10 +14,6 @@ the request-scoped record of where that time went:
   since the previous mark under that name. Stages therefore tile the
   request wall-clock — their sum tracks end-to-end latency by
   construction, which is what makes per-stage breakdowns trustworthy.
-  Cross-thread stages (batch wait, shared batch descent) are deposited
-  with :meth:`Trace.add` by whichever thread measured them, and the
-  depositor's wall-clock interval is excluded from the requester's next
-  stamp via :meth:`Trace.mark`.
 * **Sampling** is deterministic (every Nth admission per process), so
   the unsampled hot path pays a single integer increment and the
   sampled rate is exact rather than probabilistic.
@@ -64,10 +60,8 @@ def mint_request_id() -> str:
 class Trace:
     """Per-request stage recorder (created only for sampled requests).
 
-    Not thread-safe by design: the handler thread and the batcher
-    worker touch it sequentially with a future resolution between them
-    (a happens-before edge), which is the only cross-thread pattern the
-    serving stack uses.
+    Not thread-safe by design: only the thread handling the request
+    touches it.
     """
 
     __slots__ = ("request_id", "kind", "started", "_last", "stages",
@@ -79,8 +73,7 @@ class Trace:
         self.started = time.perf_counter()
         self._last = self.started
         #: ``(stage name, seconds)`` in arrival order; names repeat
-        #: across retries and merged cross-thread deposits are kept
-        #: distinct from handler stamps.
+        #: across retries.
         self.stages: List[Tuple[str, float]] = []
         #: ``(hop name, budget remaining in seconds)`` checkpoints.
         self.budget_marks: List[Tuple[str, float]] = []
@@ -90,15 +83,6 @@ class Trace:
         now = time.perf_counter()
         self.stages.append((name, now - self._last))
         self._last = now
-
-    def mark(self) -> None:
-        """Reset the stage clock without recording (the elapsed
-        interval was deposited by another thread via :meth:`add`)."""
-        self._last = time.perf_counter()
-
-    def add(self, name: str, seconds: float) -> None:
-        """Deposit an externally measured stage duration."""
-        self.stages.append((name, seconds))
 
     def note_budget(self, hop: str, remaining: float) -> None:
         self.budget_marks.append((hop, remaining))

@@ -1,10 +1,10 @@
 """repro.serve — long-lived query serving over ACT indexes.
 
 Turns the build-then-benchmark library into a service: named indexes are
-built or loaded once and pinned (:class:`IndexRegistry`), concurrent
-point queries are micro-batched through the vectorized engine
-(:class:`MicroBatcher`), hot cells are answered from an LRU cache keyed
-by boundary-level cell (:class:`CellResultCache`), requests carry
+built or loaded once and pinned (:class:`IndexRegistry`), hot cells
+are answered from an LRU cache keyed by boundary-level cell
+(:class:`CellResultCache`) and misses by one descent on the calling
+thread (scalar per point, vectorized per batch), requests carry
 latency budgets with deadline propagation (:class:`Budget`), and the
 whole stack is observable — counters/gauges/mergeable histograms
 (:class:`MetricsRegistry`), sampled per-request tracing and a
@@ -45,7 +45,6 @@ Quickstart::
 
 from . import binproto, chaos
 from .aserver import BinaryFrontend, create_binary_frontend
-from .batcher import MicroBatcher
 from .budget import Budget
 from .cache import CellResultCache
 from .fleet import FleetConfig, ServingFleet, fleet_available
@@ -80,7 +79,6 @@ __all__ = [
     "IndexGeneration",
     "IndexRegistry",
     "MetricsRegistry",
-    "MicroBatcher",
     "ServeConfig",
     "ServingFleet",
     "ShardMap",

@@ -21,9 +21,9 @@ from one ``asyncio`` event loop per process instead:
   JSON — the two fronts are views of one service.
 
 Batches execute inline on the event loop: ``query_batch`` is pure
-vectorized compute (it never blocks on the micro-batcher), and each
-fleet worker runs its own loop in its own process, so cross-connection
-fairness degrades only as far as the GIL already degrades it.
+vectorized compute that never blocks, and each fleet worker runs its
+own loop in its own process, so cross-connection fairness degrades
+only as far as the GIL already degrades it.
 
 :class:`BinaryFrontend` wraps the loop in a daemon thread so the front
 runs next to the threaded JSON server inside one process (single
@@ -251,26 +251,19 @@ class _BinaryProtocol(asyncio.Protocol):
         thread-safe for the HTTP front's thread-per-request model.
         """
         try:
+            # forwarded frames answer from the local shard slice (never
+            # re-routed — routing loops are structurally impossible)
+            service = self.service
             if op in (binproto.OP_QUERY, binproto.OP_FORWARD_QUERY):
-                # forwarded frames answer from the local shard slice
-                # (never re-routed — routing loops are structurally
-                # impossible); plain services have no local_* methods
-                # and serve forwards like any other query
-                if op == binproto.OP_FORWARD_QUERY:
-                    query = getattr(self.service, "local_query_batch",
-                                    self.service.query_batch)
-                else:
-                    query = self.service.query_batch
+                query = (service.query_batch if op == binproto.OP_QUERY
+                         else service.local_query_batch)
                 results = query(
                     name, lngs, lats, exact=exact, budget=budget,
                     request_id=service_id)
                 frame = binproto.encode_results(results, request_id)
             else:
-                if op == binproto.OP_FORWARD_JOIN:
-                    join = getattr(self.service, "local_join",
-                                   self.service.join)
-                else:
-                    join = self.service.join
+                join = (service.join if op == binproto.OP_JOIN
+                        else service.local_join)
                 counts = join(
                     name, lngs, lats, exact=exact, budget=budget,
                     request_id=service_id)
@@ -372,7 +365,7 @@ class BinaryFrontend:
         if self._thread is not None or self._loop is not None:
             raise ServeError("binary frontend already started "
                              "(frontends are single-use)")
-        if hasattr(self.service, "local_query_batch"):
+        if self.service.shard_info() is not None:
             self._scatter_pool = ThreadPoolExecutor(
                 max_workers=16, thread_name_prefix="binary-scatter")
         self._thread = threading.Thread(

@@ -1,17 +1,12 @@
 """Per-request latency budgets with deadline propagation.
 
 A serving layer should know its remaining latency budget at every hop —
-admission, cache lookup, batch dispatch — instead of discovering SLO
+admission, cache lookup, descent dispatch — instead of discovering SLO
 overruns after the fact. :class:`Budget` is a thin monotonic-clock
-deadline that requests carry through the stack:
-
-* the service sheds a request whose budget is already spent
-  (:meth:`Budget.require` raises :class:`~repro.errors.BudgetExceededError`);
-* the micro-batcher never holds a request past its deadline — the batch
-  flush time is the minimum of the batching window and every member's
-  deadline;
-* a nearly-spent budget (less than the batching window remaining) takes
-  the fast path: a direct scalar lookup that skips queueing entirely.
+deadline that requests carry through the stack: at each hop the
+service sheds a request whose budget is already spent
+(:meth:`Budget.require` raises
+:class:`~repro.errors.BudgetExceededError`).
 
 Budgets also carry the request's trace when one exists (the SLO budget
 propagation contract): every :meth:`Budget.require` checkpoint records

@@ -59,7 +59,7 @@ killed worker's forwards queue in its backlog until the supervisor
 respawns the slot (the router's reconnect-and-replay rides this).
 Any worker answers any request: non-owned keys forward shard-wise over
 ``OP_FORWARD_QUERY``/``OP_FORWARD_JOIN`` and gather back. Workers
-publish ``admission: {inflight, ts}`` next to their stats snapshots;
+publish ``admission: {inflight, ts}`` inside their stats snapshots;
 the router sheds at admission only when every owning slot reports a
 fresh saturated snapshot. Rebalancing (:meth:`ServingFleet.rebalance`)
 republishes a higher-generation map; workers adopt and re-slice on
@@ -825,11 +825,6 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
         snap = dict(snap)
         snap["worker"] = slot
         snap["pid"] = os.getpid()
-        admission_info = getattr(service, "admission_info", None)
-        if admission_info is not None:
-            # the router on every slot reads sibling inflight depths
-            # from these snapshots for fleet-aware admission control
-            snap["admission"] = admission_info()
         try:
             snapshots[slot] = snap
         except (OSError, EOFError, BrokenPipeError):

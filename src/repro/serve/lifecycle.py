@@ -80,7 +80,7 @@ from typing import Callable, Dict, Optional
 from ..act import serialize
 from ..errors import (ArtifactCorruptError, InvalidRequestError, ServeError,
                       UnknownIndexError)
-from .registry import _UNSET, IndexRegistry
+from .registry import _UNSET, IndexGeneration, IndexRegistry
 from .service import ACTService
 
 #: The admin operation kinds (the wire vocabulary).
@@ -159,8 +159,8 @@ def apply_admin_op(op: AdminOp, service: Optional[ACTService] = None,
                    strict: bool = True) -> dict:
     """Apply one operation to this process.
 
-    Workers pass their ``service`` (so cache/batcher/hot-view adoption
-    happens too); the fleet parent passes its bare ``registry``.
+    Workers pass their ``service`` (so cache/hot-view adoption happens
+    too); the fleet parent passes its bare ``registry``.
     ``strict=False`` is the follower mode: re-applying an operation the
     process has already absorbed — a respawned worker whose registry
     was forked post-apply — is a no-op that still reports success.
@@ -389,6 +389,15 @@ class FleetLifecycle:
         """The ``/readyz`` view of this process's lifecycle state."""
         return {"converged": self.converged, "last_error": self.last_error}
 
+    def _full_record(self, name: str) -> Optional[IndexGeneration]:
+        """The live *full* generation of ``name``: the rollback target
+        and what the fleet-wide side artifact is written from. On a
+        sharded worker the registry pins only this slot's slice, so
+        the service answers; the parent holds a bare registry."""
+        if self._service is not None:
+            return self._service.full_record(name)
+        return self._registry.materialized.get(name)
+
     def _count(self, name: str, n: int = 1) -> None:
         """Increment a fault counter when this process has a service."""
         if self._service is not None:
@@ -478,12 +487,7 @@ class FleetLifecycle:
             # with source_path repoints it before materializing)
             previous = prev_desc = None
             if op.kind == OP_RELOAD and self._registry is not None:
-                previous = self._registry.materialized.get(op.name)
-                # sharded worker: the pinned record is this slot's
-                # slice; roll back from the full generation instead
-                full_record = getattr(self._service, "full_record", None)
-                if full_record is not None:
-                    previous = full_record(op.name) or previous
+                previous = self._full_record(op.name)
                 try:
                     prev_desc = self._registry.describe(op.name)
                 except UnknownIndexError:
@@ -562,19 +566,11 @@ class FleetLifecycle:
         publish (reload ops are rewritten to point siblings at the side
         artifact) and the local ack payload."""
         if op.kind == OP_RELOAD:
-            # on a sharded worker the registry pins only this slot's
-            # slice; the fleet-wide artifact (and the rollback target)
-            # must be the full generation the router keeps on the side
-            full_record = getattr(self._service, "full_record", None)
-            previous = self._registry.materialized.get(op.name)
-            if full_record is not None:
-                previous = full_record(op.name) or previous
+            previous = self._full_record(op.name)
             local = apply_admin_op(
                 op, service=self._service, registry=self._registry)
             generation = local["generation"]
-            record = self._registry.pin(op.name)
-            if full_record is not None:
-                record = full_record(op.name) or record
+            record = self._full_record(op.name)
             # one materialization fleet-wide: siblings mmap the side
             # artifact (atomic write-temp + rename; generation-suffixed
             # so workers still mapping an older file are untouched)

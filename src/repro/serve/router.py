@@ -15,10 +15,14 @@ slice) and forwards everything else shard-wise over the
   ``/query``, the JSON batch, and plain binary ``OP_QUERY`` frames all
   hit the overridden entry points, so a client may talk to *any*
   worker.
-* **scatter/gather** — remote sub-batches go out first as pipelined
+* **scatter/gather** — one routine, :meth:`_scatter`, behind all
+  three entry points (a remotely-owned scalar ``query`` is the
+  one-point batch): remote sub-batches go out first as pipelined
   ``OP_FORWARD_QUERY``/``OP_FORWARD_JOIN`` frames (one per owner
-  slot), the local sub-batch computes while they fly, then responses
-  gather back into request order. Forwarded frames dispatch to
+  slot), the local sub-batch computes while they fly, then replies
+  gather in owner order and merge by request position. A shed on any
+  leg abandons the fan-out and re-raises; only other typed failures
+  count as ``shard.forward_errors``. Forwarded frames dispatch to
   :meth:`local_query_batch`/:meth:`local_join` on the receiving
   worker — never re-routed, so routing loops are structurally
   impossible. Connections come from a per-slot pool (a blocking
@@ -50,17 +54,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..act.core import QueryResult
-from ..errors import (
-    BudgetExceededError,
-    ConnectionLostError,
-    InvalidRequestError,
-    ServeError,
-)
+from ..errors import BudgetExceededError, ConnectionLostError, ServeError
 from ..obs import Trace
 from . import binproto, chaos
 from .budget import Budget
@@ -193,47 +192,35 @@ class ShardedACTService(ACTService):
             self._full_records[record.name] = record
             record = slice_record(
                 record, self._map.ranges_for_slot(record.name, self.slot))
-        return ACTService.restore_index(self, record)
+        return super().restore_index(record)
 
     def full_record(self, name: str) -> Optional[IndexGeneration]:
-        """The latest full (unsliced) generation behind a mapped name.
+        """The latest full (unsliced) generation behind ``name``.
 
         The reload coordinator writes the fleet-wide side artifact from
         this — the registry's pinned record is only this slot's slice,
         and shipping a slice as the next generation would starve every
         other shard of its keys.
         """
-        return self._full_records.get(name)
+        return self._full_records.get(name) or super().full_record(name)
 
     # ------------------------------------------------------------------
     # Local execution (forwarded frames land here; never re-routed)
     # ------------------------------------------------------------------
-    def local_query_batch(self, index_name: str, lngs: Sequence[float],
-                          lats: Sequence[float], exact: bool = False,
-                          budget: Optional[Budget] = None,
-                          trace: Optional[Trace] = None,
-                          request_id: Optional[str] = None,
-                          ) -> List[QueryResult]:
+    def _counted(self, run: Callable[..., Any], *args, **kwargs) -> Any:
+        """Run a local entry point inside this slot's in-flight depth
+        (what sibling routers read for admission control)."""
         self._inflight += 1
         try:
-            return ACTService.query_batch(
-                self, index_name, lngs, lats, exact=exact, budget=budget,
-                trace=trace, request_id=request_id)
+            return run(*args, **kwargs)
         finally:
             self._inflight -= 1
 
-    def local_join(self, index_name: str, lngs: Sequence[float],
-                   lats: Sequence[float], exact: bool = False,
-                   budget: Optional[Budget] = None,
-                   trace: Optional[Trace] = None,
-                   request_id: Optional[str] = None) -> np.ndarray:
-        self._inflight += 1
-        try:
-            return ACTService.join(
-                self, index_name, lngs, lats, exact=exact, budget=budget,
-                trace=trace, request_id=request_id)
-        finally:
-            self._inflight -= 1
+    def local_query_batch(self, *args, **kwargs) -> List[QueryResult]:
+        return self._counted(super().query_batch, *args, **kwargs)
+
+    def local_join(self, *args, **kwargs) -> np.ndarray:
+        return self._counted(super().join, *args, **kwargs)
 
     # ------------------------------------------------------------------
     # Routed entry points
@@ -242,29 +229,19 @@ class ShardedACTService(ACTService):
               exact: bool = False, budget: Optional[Budget] = None,
               trace: Optional[Trace] = None,
               request_id: Optional[str] = None) -> QueryResult:
-        if index_name not in self._map.ranges:
-            return ACTService.query(self, index_name, lng, lat,
-                                    exact=exact, budget=budget,
-                                    trace=trace, request_id=request_id)
-        record, boundary_level = self._hot_view(index_name)
-        key = shard_keys(record.index.grid, (lng,), (lat,),
-                         boundary_level)
-        owner = int(self._map.route(index_name, key)[0])
-        if owner == self.slot:
+        if index_name in self._map.ranges:
+            record, boundary_level = self._hot_view(index_name)
+            key = shard_keys(record.index.grid, (lng,), (lat,),
+                             boundary_level)
+            if int(self._map.route(index_name, key)[0]) != self.slot:
+                # a remotely-owned point is the one-point batch
+                return self.query_batch(
+                    index_name, (lng,), (lat,), exact=exact, budget=budget,
+                    trace=trace, request_id=request_id)[0]
             self._shard_local.inc()
-            return ACTService.query(self, index_name, lng, lat,
-                                    exact=exact, budget=budget,
-                                    trace=trace, request_id=request_id)
-        if self._fleet_saturated((owner,)):
-            self._shard_shed.inc()
-            self._queries_shed.inc()
-            raise BudgetExceededError(
-                "owning shard saturated; shedding at admission")
-        lng_arr = np.asarray((lng,), dtype=np.float64)
-        lat_arr = np.asarray((lat,), dtype=np.float64)
-        results = self._forward_query(owner, index_name, lng_arr,
-                                      lat_arr, exact)
-        return results[0]
+        return super().query(index_name, lng, lat, exact=exact,
+                             budget=budget, trace=trace,
+                             request_id=request_id)
 
     def query_batch(self, index_name: str, lngs: Sequence[float],
                     lats: Sequence[float], exact: bool = False,
@@ -272,17 +249,77 @@ class ShardedACTService(ACTService):
                     trace: Optional[Trace] = None,
                     request_id: Optional[str] = None,
                     ) -> List[QueryResult]:
+        lngs, lats = self._point_columns(lngs, lats)
+        out: List[Optional[QueryResult]] = [None] * int(lngs.shape[0])
+
+        def merge(pos: np.ndarray, part: List[QueryResult]) -> None:
+            for k, result in zip(pos.tolist(), part):
+                out[k] = result
+
+        whole = self._scatter(
+            index_name, lngs, lats,
+            send=lambda client, x, y: client.send_forward_query(
+                index_name, x, y, exact=exact),
+            recv=lambda client: client.recv_results()[1],
+            local=lambda x, y: self.local_query_batch(
+                index_name, x, y, exact=exact, budget=budget, trace=trace,
+                request_id=request_id),
+            merge=merge)
+        return out if whole is None else whole  # type: ignore[return-value]
+
+    def join(self, index_name: str, lngs: Sequence[float],
+             lats: Sequence[float], exact: bool = False,
+             budget: Optional[Budget] = None,
+             trace: Optional[Trace] = None,
+             request_id: Optional[str] = None) -> np.ndarray:
+        lngs, lats = self._point_columns(lngs, lats)
+        record, _ = self._hot_view(index_name)
+        counts = np.zeros(record.index.num_polygons, dtype=np.int64)
+
+        def recv(client: binproto.Client) -> np.ndarray:
+            # a forward's reply is sparse {polygon id: count}
+            sparse = client.recv_counts()[1]
+            part = np.zeros_like(counts)
+            part[list(sparse)] = list(sparse.values())
+            return part
+
+        def merge(_pos: np.ndarray, part: np.ndarray) -> None:
+            counts[:part.shape[0]] += part
+
+        whole = self._scatter(
+            index_name, lngs, lats,
+            send=lambda client, x, y: client.send_forward_join(
+                index_name, x, y, exact=exact),
+            recv=recv,
+            local=lambda x, y: self.local_join(
+                index_name, x, y, exact=exact, budget=budget, trace=trace,
+                request_id=request_id),
+            merge=merge)
+        return counts if whole is None else whole
+
+    # ------------------------------------------------------------------
+    # Scatter/gather
+    # ------------------------------------------------------------------
+    def _scatter(self, index_name: str, lngs: np.ndarray, lats: np.ndarray,
+                 send: Callable[[binproto.Client, np.ndarray, np.ndarray],
+                                object],
+                 recv: Callable[[binproto.Client], Any],
+                 local: Callable[[np.ndarray, np.ndarray], Any],
+                 merge: Callable[[np.ndarray, Any], None]) -> Any:
+        """Route one request's points and run its legs — the only place
+        that acquires forward clients, sends ``OP_FORWARD_*`` frames
+        and gathers their replies (the module docstring has the order).
+
+        ``send(client, lngs, lats)`` writes one owner's forward frame,
+        ``recv(client)`` reads its reply, ``local(lngs, lats)`` answers
+        the points this slot owns, and ``merge(pos, part)`` folds one
+        leg's answer — for the points at request positions ``pos`` —
+        into the caller's result. Returns ``local``'s answer as it is
+        when nothing needs forwarding (the name is unmapped, or this
+        slot owns every point), ``None`` once every leg is merged.
+        """
         if index_name not in self._map.ranges:
-            return ACTService.query_batch(
-                self, index_name, lngs, lats, exact=exact, budget=budget,
-                trace=trace, request_id=request_id)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        lats = np.asarray(lats, dtype=np.float64)
-        if lngs.shape != lats.shape or lngs.ndim != 1:
-            self.metrics.counter("queries.invalid").inc()
-            raise InvalidRequestError(
-                f"query_batch needs matching 1-D lngs/lats, got shapes "
-                f"{lngs.shape} and {lats.shape}")
+            return local(lngs, lats)
         n = int(lngs.shape[0])
         record, boundary_level = self._hot_view(index_name)
         keys = shard_keys(record.index.grid, lngs, lats, boundary_level)
@@ -290,20 +327,16 @@ class ShardedACTService(ACTService):
         owners = np.unique(slots).tolist()
         if owners == [self.slot]:
             self._shard_local.inc(n)
-            return self.local_query_batch(
-                index_name, lngs, lats, exact=exact, budget=budget,
-                trace=trace, request_id=request_id)
+            return local(lngs, lats)
         if self._fleet_saturated(owners):
             self._shard_shed.inc(n)
             self._queries_shed.inc(n)
             raise BudgetExceededError(
                 "all owning shards saturated; shedding at admission")
         start = time.perf_counter()
-        out: List[Optional[QueryResult]] = [None] * n
         pending: List[Tuple[int, binproto.Client, np.ndarray]] = []
         local_pos: Optional[np.ndarray] = None
         try:
-            # phase 1: pipelined fan-out to every remote owner
             for owner in owners:
                 pos = np.nonzero(slots == owner)[0]
                 if owner == self.slot:
@@ -311,132 +344,26 @@ class ShardedACTService(ACTService):
                     continue
                 chaos.fault("shard.forward", self.metrics)
                 client = self._acquire_client(owner)
-                try:
-                    client.send_forward_query(
-                        index_name, lngs[pos], lats[pos], exact=exact)
-                except ServeError:
-                    self._release_client(owner, client)
-                    raise
                 pending.append((owner, client, pos))
+                send(client, lngs[pos], lats[pos])
                 self._shard_forwarded.inc(int(pos.shape[0]))
-            # phase 2: the local sub-batch computes while frames fly
-            if local_pos is not None and local_pos.shape[0]:
-                local_results = self.local_query_batch(
-                    index_name, lngs[local_pos], lats[local_pos],
-                    exact=exact, budget=budget, trace=trace,
-                    request_id=request_id)
-                for k, result in zip(local_pos.tolist(), local_results):
-                    out[k] = result
+            if local_pos is not None:
+                merge(local_pos, local(lngs[local_pos], lats[local_pos]))
                 self._shard_local.inc(int(local_pos.shape[0]))
-            # phase 3: gather into request order
-            while pending:
-                owner, client, pos = pending.pop(0)
-                _rid, sub = client.recv_results()
-                self._release_client(owner, client)
-                for k, result in zip(pos.tolist(), sub):
-                    out[k] = result
-        except BudgetExceededError:
-            # already counted where it shed (locally by the superclass,
-            # remotely by the owning worker) — just abandon the fan-out
-            self._drop_pending(pending)
+            for _owner, client, pos in pending:
+                merge(pos, recv(client))
+        except Exception as exc:
+            # a shed — the local leg's budget, or an owner answering
+            # STATUS_SHED — is counted (queries.shed) by the service
+            # that ran the leg; it is not a forward that failed
+            if (isinstance(exc, ServeError)
+                    and not isinstance(exc, BudgetExceededError)):
+                self._shard_forward_errors.inc()
             raise
-        except ServeError:
-            self._drop_pending(pending)
-            self._shard_forward_errors.inc()
-            self._queries_errors.inc(n)
-            raise
-        except Exception:
-            self._drop_pending(pending)
-            self._queries_errors.inc(n)
-            raise
+        finally:
+            self._settle(pending)
         self._shard_forward_seconds.observe(time.perf_counter() - start)
-        return out  # type: ignore[return-value]
-
-    def join(self, index_name: str, lngs: Sequence[float],
-             lats: Sequence[float], exact: bool = False,
-             budget: Optional[Budget] = None,
-             trace: Optional[Trace] = None,
-             request_id: Optional[str] = None) -> np.ndarray:
-        if index_name not in self._map.ranges:
-            return ACTService.join(self, index_name, lngs, lats,
-                                   exact=exact, budget=budget,
-                                   trace=trace, request_id=request_id)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        lats = np.asarray(lats, dtype=np.float64)
-        record, boundary_level = self._hot_view(index_name)
-        keys = shard_keys(record.index.grid, lngs, lats, boundary_level)
-        slots = self._map.route(index_name, keys)
-        owners = np.unique(slots).tolist()
-        if owners == [self.slot]:
-            self._shard_local.inc(int(lngs.shape[0]))
-            return self.local_join(index_name, lngs, lats, exact=exact,
-                                   budget=budget, trace=trace,
-                                   request_id=request_id)
-        if self._fleet_saturated(owners):
-            self._shard_shed.inc(int(lngs.shape[0]))
-            self._queries_shed.inc(int(lngs.shape[0]))
-            raise BudgetExceededError(
-                "all owning shards saturated; shedding at admission")
-        counts = np.zeros(record.index.num_polygons, dtype=np.int64)
-        pending: List[Tuple[int, binproto.Client]] = []
-        try:
-            local_pos: Optional[np.ndarray] = None
-            for owner in owners:
-                pos = np.nonzero(slots == owner)[0]
-                if owner == self.slot:
-                    local_pos = pos
-                    continue
-                chaos.fault("shard.forward", self.metrics)
-                client = self._acquire_client(owner)
-                try:
-                    client.send_forward_join(
-                        index_name, lngs[pos], lats[pos], exact=exact)
-                except ServeError:
-                    self._release_client(owner, client)
-                    raise
-                pending.append((owner, client))
-                self._shard_forwarded.inc(int(pos.shape[0]))
-            if local_pos is not None and local_pos.shape[0]:
-                local = self.local_join(
-                    index_name, lngs[local_pos], lats[local_pos],
-                    exact=exact, budget=budget, trace=trace,
-                    request_id=request_id)
-                counts[:local.shape[0]] += local
-                self._shard_local.inc(int(local_pos.shape[0]))
-            while pending:
-                owner, client = pending.pop(0)
-                _rid, sub = client.recv_counts()
-                self._release_client(owner, client)
-                for pid, count in sub.items():
-                    counts[pid] += count
-        except ServeError:
-            self._drop_pending(pending)
-            self._shard_forward_errors.inc()
-            raise
-        except Exception:
-            self._drop_pending(pending)
-            raise
-        return counts
-
-    # ------------------------------------------------------------------
-    # Forward plumbing
-    # ------------------------------------------------------------------
-    def _forward_query(self, owner: int, index_name: str,
-                       lngs: np.ndarray, lats: np.ndarray,
-                       exact: bool) -> List[QueryResult]:
-        chaos.fault("shard.forward", self.metrics)
-        client = self._acquire_client(owner)
-        try:
-            client.send_forward_query(index_name, lngs, lats,
-                                      exact=exact)
-            _rid, results = client.recv_results()
-        except ServeError:
-            self._shard_forward_errors.inc()
-            self._discard_client(client)
-            raise
-        self._release_client(owner, client)
-        self._shard_forwarded.inc(int(lngs.shape[0]))
-        return results
+        return None
 
     def _acquire_client(self, slot: int) -> binproto.Client:
         with self._pool_lock:
@@ -457,32 +384,23 @@ class ShardedACTService(ACTService):
                 f"cannot reach shard slot {slot} at "
                 f"{address[0]}:{address[1]}: {exc}") from exc
 
-    def _release_client(self, slot: int,
-                        client: binproto.Client) -> None:
-        with self._pool_lock:
-            self._pool.setdefault(slot, []).append(client)
-
-    @staticmethod
-    def _discard_client(client: binproto.Client) -> None:
-        try:
-            client.close()
-        except ServeError:  # pragma: no cover - close never raises
-            pass
-
-    def _drop_pending(self, pending: List) -> None:
-        """Close clients whose in-flight forwards we abandoned (their
-        streams owe responses a future borrower must not receive)."""
-        for item in pending:
-            self._discard_client(item[1])
-        pending.clear()
+    def _settle(self, pending: List[Tuple[int, binproto.Client,
+                                          np.ndarray]]) -> None:
+        """Give back the clients of a finished or abandoned fan-out. One
+        that still owes a reply (its frame is unacknowledged: the
+        stream would hand the answer, or a replay's, to a future
+        borrower) is closed; one whose stream is in sync — replied,
+        error frames included, or never sent — returns to the pool."""
+        for owner, client, _pos in pending:
+            if client._pending:
+                client.close()
+            else:
+                with self._pool_lock:
+                    self._pool.setdefault(owner, []).append(client)
 
     # ------------------------------------------------------------------
     # Fleet-aware admission control
     # ------------------------------------------------------------------
-    def admission_info(self) -> dict:
-        """What this worker publishes into the shared stats channel."""
-        return {"inflight": int(self._inflight), "ts": time.time()}
-
     def shard_info(self) -> dict:
         """Per-shard snapshot block for fleet aggregation/metrics."""
         resident = 0
@@ -558,6 +476,10 @@ class ShardedACTService(ACTService):
     def stats(self) -> dict:
         out = super().stats()
         out["shard"] = self.shard_info()
+        # the fleet publishes stats() into the shared channel; every
+        # slot's router reads sibling depths from this block
+        out["admission"] = {"inflight": int(self._inflight),
+                            "ts": time.time()}
         return out
 
     def close(self) -> None:
@@ -565,5 +487,4 @@ class ShardedACTService(ACTService):
             clients = [c for free in self._pool.values() for c in free]
             self._pool.clear()
         for client in clients:
-            self._discard_client(client)
-        super().close()
+            client.close()

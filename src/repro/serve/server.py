@@ -9,7 +9,7 @@ reproduction environment):
   materialized and the last lifecycle operation converged (503
   otherwise, so load balancers gate on the status code);
 * ``GET  /query?index=NAME&lng=X&lat=Y[&exact=1][&budget_ms=N]`` —
-  one point lookup through cache + batcher;
+  one point lookup through the cell cache, a scalar descent on a miss;
 * ``POST /query`` — body ``{"index": NAME, "points": [[lng, lat], ...],
   "exact": false}`` — classified lookups for a whole batch, answered by
   one vectorized descent so network clients amortize the same way
@@ -186,15 +186,15 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
                     })
             elif parsed.path == "/admin/shards":
                 if self._admin_allowed():
-                    shard_info = getattr(self.service, "shard_info", None)
-                    if shard_info is None:
+                    shard = self.service.shard_info()
+                    if shard is None:
                         self._send(404, {
                             "error": "this worker is not sharded "
                                      "(start the fleet with --shards)",
                         })
                     else:
                         self._send(200, {
-                            "shard": shard_info(),
+                            "shard": shard,
                             "pid": os.getpid(),
                             "worker": getattr(self.server, "worker_id",
                                               None),

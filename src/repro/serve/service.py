@@ -1,4 +1,4 @@
-"""The query service: admission, cache, batching, and aggregation.
+"""The query service: admission, cache, descent, and aggregation.
 
 :class:`ACTService` is the long-lived object behind every serving entry
 point (HTTP server, CLI, benchmarks). Per point query it:
@@ -11,12 +11,9 @@ point (HTTP server, CLI, benchmarks). Per point query it:
    boundary-level cell — a hit answers with one dict lookup and no trie
    descent, which is why the hot path is cheaper than a bare
    ``ACTIndex.query`` call;
-4. on a miss, routes adaptively: a lone miss is answered inline with one
-   scalar lookup (no queueing latency), while concurrent misses above
-   ``inline_miss_threshold`` in-flight are funneled through the
-   :class:`~repro.serve.batcher.MicroBatcher` so bursts are served by
-   vectorized batch lookups; a nearly-spent budget always takes the
-   inline path;
+4. on a miss, answers inline with one scalar descent on the calling
+   thread (a ~10 µs lookup is cheaper than any queue hand-off that
+   could amortize it) and caches the cell's result;
 5. refines candidates per point for ``exact`` mode (cached cell results
    are classified, so exactness survives caching) and records latency.
 
@@ -26,16 +23,13 @@ from one vectorized ``point_keys`` pass, all misses resolve with a
 single batch descent against the core, and exact-mode refinement runs
 through the index's packed-edge engine in one vectorized pass.
 
-Bulk joins go straight to the vectorized ``count_points`` engine — they
-arrive pre-batched, so micro-batching would only add latency.
+Bulk joins go straight to the vectorized ``count_points`` engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +40,6 @@ from ..errors import BudgetExceededError, InvalidRequestError, ServeError
 from ..grid.base import INVALID_KEY
 from ..obs import PrometheusRenderer, SlowQueryLog, Trace, Tracer
 from . import chaos
-from .batcher import MicroBatcher
 from .budget import Budget
 from .cache import CellResultCache
 from .metrics import MetricsRegistry
@@ -65,13 +58,8 @@ TELEMETRY_MODES = ("full", "counters", "off")
 class ServeConfig:
     """Tuning knobs for one service instance."""
 
-    max_batch: int = 512
-    max_wait_ms: float = 0.0  # 0 = adaptive greedy batching (recommended)
     cache_capacity: int = 65536
     default_budget_ms: Optional[float] = None
-    #: Misses at or below this many in flight answer inline (scalar);
-    #: above it they micro-batch through the vectorized engine.
-    inline_miss_threshold: int = 2
     #: One of :data:`TELEMETRY_MODES`.
     telemetry: str = "full"
     #: Trace every Nth admission (0 disables sampling; forced traces —
@@ -80,10 +68,6 @@ class ServeConfig:
     #: Requests slower than this land in the slow-query log.
     slow_query_ms: float = 250.0
     slowlog_capacity: int = 128
-
-    @property
-    def max_wait_seconds(self) -> float:
-        return self.max_wait_ms / 1000.0
 
 
 class ACTService:
@@ -96,17 +80,11 @@ class ACTService:
         self.metrics = MetricsRegistry()
         self.set_telemetry(self.config.telemetry)
         self.cache = CellResultCache(self.config.cache_capacity)
-        # batchers are keyed by (name, generation): a reload retires the
-        # old generation's batcher, and a racing request that pinned the
-        # old record can never resurrect it under the new generation
-        self._batchers: Dict[Tuple[str, int], MicroBatcher] = {}
         # per-index hot-path state: (generation record, boundary_level);
         # plain dict reads are GIL-atomic so requests skip all locks
         # once warmed, and pinning the record at admission keeps one
         # coherent generation for the whole request
         self._hot: Dict[str, Tuple[IndexGeneration, int]] = {}
-        self._miss_lock = threading.Lock()
-        self._misses_in_flight = 0
         self._started = time.monotonic()
 
     def set_telemetry(self, telemetry: str) -> None:
@@ -148,7 +126,6 @@ class ACTService:
         self._queries_shed = self.metrics.counter("queries.shed")
         self._queries_ood = self.metrics.counter("queries.out_of_domain")
         self._cache_hits = self.metrics.counter("queries.cache_hits")
-        self._fast_path = self.metrics.counter("queries.fast_path")
         self._inline_miss = self.metrics.counter("queries.inline_miss")
         self._latency = self.metrics.histogram("queries.latency_seconds")
         # the remaining service-adjacent families are used lazily on
@@ -218,8 +195,14 @@ class ACTService:
                 if result is not None:
                     self._cache_hits.inc()
                 else:
-                    result = self._miss(record, lng, lat, key, budget,
-                                        trace)
+                    # a miss is one scalar descent on this thread
+                    if budget is not None:
+                        budget.require("dispatch")
+                    self._inline_miss.inc()
+                    result = index.query(lng, lat)
+                    if trace is not None:
+                        trace.stamp("descent")
+                    self.cache.put(key, result)
             if exact:
                 result = self._refine_scalar(index, result, lng, lat)
                 if trace is not None:
@@ -288,11 +271,10 @@ class ACTService:
         """Swap the hot view to ``record``, retiring the old generation.
 
         Re-warming after the registry swapped the record (evict/reload)
-        retires the stale generation's batcher and reclaims its cache
-        entries so point queries, joins, and the cache all agree on one
-        generation. The cache sweep is memory hygiene, not correctness:
-        old-generation entries live under old-generation keys that new
-        requests never read.
+        reclaims the stale generation's cache entries so point queries,
+        joins, and the cache all agree on one generation. The sweep is
+        memory hygiene, not correctness: old-generation entries live
+        under old-generation keys that new requests never read.
         """
         name = record.name
         stale = self._hot.get(name)
@@ -300,67 +282,7 @@ class ACTService:
         if stale is not None and stale[0] is not record:
             self.cache.invalidate_index(
                 name, keep_generation=record.generation)
-            # sweep every generation's batcher but the new one — not
-            # just the immediately previous: a request pinned to an old
-            # record can (re)create that generation's batcher after its
-            # reload swept it, and this name-wide sweep on the *next*
-            # swap is what reclaims such stragglers
-            for key in [k for k in list(self._batchers)
-                        if k[0] == name and k[1] != record.generation]:
-                batcher = self._batchers.pop(key, None)
-                if batcher is not None:
-                    batcher.stop()
         return hot
-
-    def _miss(self, record: IndexGeneration, lng: float, lat: float,
-              key, budget: Optional[Budget],
-              trace: Optional[Trace] = None) -> QueryResult:
-        index = record.index
-        batch = False
-        if budget is not None:
-            budget.require("dispatch")
-            if budget.remaining() <= self.config.max_wait_seconds:
-                # not enough budget left to sit in a batching window:
-                # answer inline, skipping queueing entirely
-                self._fast_path.inc()
-                result = index.query(lng, lat)
-                if trace is not None:
-                    trace.stamp("descent")
-                self.cache.put(key, result)
-                return result
-        with self._miss_lock:
-            self._misses_in_flight += 1
-            batch = self._misses_in_flight > self.config.inline_miss_threshold
-        try:
-            if batch:
-                timeout = None
-                if budget is not None and not budget.is_unlimited:
-                    timeout = budget.remaining()
-                future = self._batcher(record).submit(
-                    lng, lat, budget, trace=trace)
-                try:
-                    result = future.result(timeout=timeout)
-                except FuturesTimeoutError:
-                    # queue time ate the budget before dispatch could
-                    # shed it; surface the same contract either way
-                    raise BudgetExceededError(
-                        "latency budget exhausted while queued for batch "
-                        "dispatch"
-                    ) from None
-                if trace is not None:
-                    # the batcher deposited batch_wait + descent; reset
-                    # the stage clock so the next stamp excludes them
-                    trace.mark()
-            else:
-                self._inline_miss.inc()
-                result = index.query(lng, lat)
-                if trace is not None:
-                    trace.stamp("descent")
-        finally:
-            with self._miss_lock:
-                self._misses_in_flight -= 1
-        self.cache.put(key, result)
-        return result
 
     # ------------------------------------------------------------------
     # Batched point queries
@@ -381,18 +303,7 @@ class ACTService:
         :class:`~repro.errors.BudgetExceededError`.
         """
         start = time.perf_counter()
-        lngs = np.asarray(lngs, dtype=np.float64)
-        lats = np.asarray(lats, dtype=np.float64)
-        if lngs.shape != lats.shape or lngs.ndim != 1:
-            # catch the mismatch at admission: deep inside
-            # leaf_cells_batch it surfaces as an opaque broadcast error.
-            # Counted under its own metric (the point count is not
-            # trustworthy, so neither total nor errors fit)
-            self.metrics.counter("queries.invalid").inc()
-            raise InvalidRequestError(
-                f"query_batch needs matching 1-D lngs/lats, got shapes "
-                f"{lngs.shape} and {lats.shape}"
-            )
+        lngs, lats = self._point_columns(lngs, lats)
         n = int(lngs.shape[0])
         # chaos seam: armed tests kill/stall workers mid-request here
         chaos.fault("query", self.metrics)
@@ -479,6 +390,25 @@ class ACTService:
                                       extra={"num_points": n})
         return results
 
+    def _point_columns(self, lngs: Sequence[float], lats: Sequence[float],
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """A request's point columns as matching 1-D float64 arrays.
+
+        Catches the mismatch at admission: deep inside
+        ``leaf_cells_batch`` it surfaces as an opaque broadcast error.
+        Counted under its own metric (the point count is not
+        trustworthy, so neither total nor errors fit).
+        """
+        lngs = np.asarray(lngs, dtype=np.float64)
+        lats = np.asarray(lats, dtype=np.float64)
+        if lngs.shape != lats.shape or lngs.ndim != 1:
+            self.metrics.counter("queries.invalid").inc()
+            raise InvalidRequestError(
+                f"need matching 1-D lngs/lats, got shapes "
+                f"{lngs.shape} and {lats.shape}"
+            )
+        return lngs, lats
+
     def _refine_batch(self, index: ACTIndex, results: List[QueryResult],
                       lngs: np.ndarray, lats: np.ndarray,
                       ) -> List[QueryResult]:
@@ -543,6 +473,23 @@ class ACTService:
         return counts
 
     # ------------------------------------------------------------------
+    # The unsharded answers (ShardedACTService overrides all four)
+    # ------------------------------------------------------------------
+    #: What a front runs for ``OP_FORWARD_*`` frames: the local entry
+    #: points, never re-routed.
+    local_query_batch = query_batch
+    local_join = join
+
+    def shard_info(self) -> Optional[dict]:
+        """This worker's shard block, or ``None``: not sharded."""
+        return None
+
+    def full_record(self, name: str) -> Optional[IndexGeneration]:
+        """The live full generation of ``name`` (``None`` until
+        materialized) — what a reload rolls back to and ships."""
+        return self.registry.materialized.get(name)
+
+    # ------------------------------------------------------------------
     # Index lifecycle (the admin surface)
     # ------------------------------------------------------------------
     def reload_index(self, name: str, *,
@@ -553,8 +500,8 @@ class ACTService:
         """Materialize a fresh generation and adopt it atomically.
 
         Thin wrapper over :meth:`~repro.serve.registry.IndexRegistry.
-        reload` that also swaps this service's hot view, retires the old
-        generation's batcher, and reclaims its cache entries. In-flight
+        reload` that also swaps this service's hot view and reclaims the
+        old generation's cache entries. In-flight
         requests that pinned the old record finish on it; requests
         admitted after the swap see only the new generation, so no
         request ever observes a mix or an error during a reload.
@@ -590,16 +537,12 @@ class ACTService:
         return record
 
     def unregister_index(self, name: str) -> dict:
-        """Retire ``name``: drop the registration, hot view, batcher,
-        and cache entries. In-flight requests on the pinned record
-        finish normally; new requests 404."""
+        """Retire ``name``: drop the registration, hot view, and cache
+        entries. In-flight requests on the pinned record finish
+        normally; new requests 404."""
         out = self.registry.unregister(name)
         self._hot.pop(name, None)
         out["cache_entries_dropped"] = self.cache.invalidate_index(name)
-        for key in [k for k in list(self._batchers) if k[0] == name]:
-            batcher = self._batchers.pop(key, None)
-            if batcher is not None:
-                batcher.stop()
         self.metrics.counter("admin.unregisters").inc()
         return out
 
@@ -624,11 +567,8 @@ class ACTService:
             "metrics": snapshot,
             "slow_queries": self.slowlog.stats(),
             "config": {
-                "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
                 "cache_capacity": self.config.cache_capacity,
                 "default_budget_ms": self.config.default_budget_ms,
-                "inline_miss_threshold": self.config.inline_miss_threshold,
                 "telemetry": self.config.telemetry,
                 "trace_sample_interval": self.config.trace_sample_interval,
                 "slow_query_ms": self.config.slow_query_ms,
@@ -738,28 +678,11 @@ class ACTService:
                                      labels=dict(labels))
 
     def close(self) -> None:
-        """Stop all batcher workers (idempotent)."""
-        for batcher in list(self._batchers.values()):
-            batcher.stop()
-        self._batchers.clear()
+        """Release what the service holds open (idempotent). The base
+        service holds nothing; the sharded router closes its pool."""
 
     def __enter__(self) -> "ACTService":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _batcher(self, record: IndexGeneration) -> MicroBatcher:
-        key = (record.name, record.generation)
-        batcher = self._batchers.get(key)
-        if batcher is None:
-            # setdefault keeps exactly one batcher per generation under
-            # races
-            batcher = self._batchers.setdefault(key, MicroBatcher(
-                record.index,
-                max_batch=self.config.max_batch,
-                max_wait=self.config.max_wait_seconds,
-                metrics=self.metrics,
-                name=record.name,
-            ))
-        return batcher

@@ -34,21 +34,6 @@ class TestTrace:
             ["admission", "descent"]
         assert out["stages"][1]["ms"] > out["stages"][0]["ms"]
 
-    def test_add_deposits_cross_thread_stage(self):
-        trace = Trace("r-1", kind="query")
-        trace.add("batch_wait", 0.005)
-        trace.stamp("refine")
-        names = [s["stage"] for s in trace.to_dict()["stages"]]
-        assert names == ["batch_wait", "refine"]
-
-    def test_mark_excludes_deposited_interval(self):
-        trace = Trace("r-2")
-        time.sleep(0.01)
-        trace.mark()  # another thread accounted for this interval
-        trace.stamp("serialize")
-        (stage,) = trace.to_dict()["stages"]
-        assert stage["ms"] < 5.0
-
     def test_budget_marks_in_dict(self):
         trace = Trace("r-3")
         trace.note_budget("admission", 0.2)

@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ServeError, UnknownIndexError
 from repro.serve import (
     ACTService,
-    ServeConfig,
     binproto,
     create_binary_frontend,
     create_server,
@@ -23,7 +22,7 @@ from repro.serve import (
 @pytest.fixture(scope="module")
 def binary_stack(nyc_index):
     """One service behind both fronts: JSON HTTP and the binary plane."""
-    service = ACTService(config=ServeConfig(max_wait_ms=1.0))
+    service = ACTService()
     service.registry.register_index("nyc", nyc_index)
     server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -11,8 +11,7 @@ import threading
 import pytest
 
 from repro.errors import InvalidRequestError
-from repro.serve import ACTService, ServeConfig, create_server
-from repro.serve.batcher import MicroBatcher
+from repro.serve import ACTService, create_server
 from repro.serve.lifecycle import FleetLifecycle
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.server import ACTRequestHandler
@@ -33,15 +32,6 @@ class TestFamiliesExistPreTraffic:
         for name in ("queries.latency_seconds", "joins.latency_seconds"):
             assert name in snap["histograms"], name
         svc.close()
-
-    def test_batcher_registers_families_at_construction(self, nyc_index):
-        metrics = MetricsRegistry()
-        MicroBatcher(nyc_index, metrics=metrics)  # never started
-        snap = metrics.snapshot()
-        for name in ("batcher.shed", "batcher.batches",
-                     "batcher.queries"):
-            assert snap["counters"].get(name) == 0, name
-        assert "batcher.batch_size" in snap["histograms"]
 
     def test_http_server_registers_families_at_bind(self):
         svc = ACTService()
@@ -100,7 +90,7 @@ class TestLifecycleConvergenceUnderLock:
         assert not hasattr(FleetLifecycle, "_abort_corrupt")
 
     def test_status_reflects_submit_outcome(self, nyc_index, tmp_path):
-        svc = ACTService(config=ServeConfig(max_wait_ms=1.0))
+        svc = ACTService()
         svc.registry.register_index("nyc", nyc_index)
         # identity "parent", workers=0: the coordinator's own ack is
         # the whole barrier, so submit converges without a fleet

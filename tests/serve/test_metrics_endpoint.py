@@ -8,12 +8,12 @@ import urllib.request
 import pytest
 
 from repro.obs import parse_exposition, validate_exposition
-from repro.serve import ACTService, ServeConfig, create_server
+from repro.serve import ACTService, create_server
 
 
 @pytest.fixture(scope="module")
 def metrics_server(nyc_index):
-    service = ACTService(config=ServeConfig(max_wait_ms=1.0))
+    service = ACTService()
     # register via builder (not register_index) so reload_index can
     # re-materialize and bump the generation
     service.registry.register("nyc", lambda: nyc_index)

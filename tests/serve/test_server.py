@@ -8,12 +8,12 @@ import urllib.request
 
 import pytest
 
-from repro.serve import ACTService, ServeConfig, create_server
+from repro.serve import ACTService, create_server
 
 
 @pytest.fixture(scope="module")
 def http_server(nyc_index):
-    service = ACTService(config=ServeConfig(max_wait_ms=1.0))
+    service = ACTService()
     service.registry.register_index("nyc", nyc_index)
     server = create_server(service, port=0)  # free port
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -1,4 +1,4 @@
-"""Tests for the full serving stack (cache + batcher + budget)."""
+"""Tests for the full serving stack (cache + descent + budget)."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.serve import ACTService, Budget, ServeConfig
 
 @pytest.fixture()
 def service(nyc_index):
-    svc = ACTService(config=ServeConfig(max_wait_ms=1.0))
+    svc = ACTService()
     svc.registry.register_index("nyc", nyc_index)
     with svc:
         yield svc
@@ -136,15 +136,6 @@ class TestBudgets:
         assert service.metrics.counter("queries.shed").value == 2
         assert service.metrics.counter("queries.errors").value == 0
 
-    def test_tight_budget_takes_fast_path(self, nyc_index):
-        svc = ACTService(config=ServeConfig(max_wait_ms=50.0))
-        svc.registry.register_index("nyc", nyc_index)
-        with svc:
-            # remaining budget < batching window -> direct scalar lookup
-            result = svc.query("nyc", -73.97, 40.75, budget=Budget(0.020))
-            assert result == nyc_index.query(-73.97, 40.75)
-            assert svc.metrics.counter("queries.fast_path").value == 1
-
     def test_default_budget_from_config(self, nyc_index):
         svc = ACTService(config=ServeConfig(default_budget_ms=-1.0))
         svc.registry.register_index("nyc", nyc_index)
@@ -154,25 +145,31 @@ class TestBudgets:
 
 
 class TestMissRouting:
-    def test_lone_misses_answer_inline(self, nyc_index, query_points):
+    def test_every_scalar_miss_answers_inline(self, nyc_index,
+                                              query_points):
         svc = ACTService()
         svc.registry.register_index("nyc", nyc_index)
         lngs, lats = query_points
         with svc:
             for lng, lat in zip(lngs[:50], lats[:50]):
                 svc.query("nyc", lng, lat)
-            # single-threaded traffic never exceeds the inline threshold
-            assert svc.metrics.counter("batcher.queries").value == 0
-            assert svc.metrics.counter("queries.inline_miss").value > 0
+            # a tight (unspent) budget takes the same path as no budget
+            result = svc.query("nyc", -73.97, 40.75, budget=Budget(0.020))
+            assert result == nyc_index.query(-73.97, 40.75)
+            counters = svc.stats()["metrics"]["counters"]
+            # queries.inline_miss counts every scalar cache miss
+            assert counters["queries.inline_miss"] > 0
+            assert (counters["queries.inline_miss"]
+                    + counters["queries.cache_hits"]
+                    + counters["queries.out_of_domain"]) == 51
 
-    def test_forced_batch_path_matches_serial(self, nyc_index, query_points,
-                                              serial_results):
+    def test_concurrent_scalar_misses_match_serial(self, nyc_index,
+                                                   query_points,
+                                                   serial_results):
         import threading
 
-        # threshold 0 + no cache: every concurrent miss goes through the
-        # micro-batcher
-        svc = ACTService(config=ServeConfig(
-            inline_miss_threshold=0, cache_capacity=0))
+        # no cache: every one of the 4 threads' queries is a miss
+        svc = ACTService(config=ServeConfig(cache_capacity=0))
         svc.registry.register_index("nyc", nyc_index)
         lngs, lats = query_points
         requests = list(zip(lngs, lats, serial_results))
@@ -188,6 +185,7 @@ class TestMissRouting:
                     errors.append(exc)
 
         with svc:
+            before = set(threading.enumerate())
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(4)]
             for t in threads:
@@ -196,7 +194,9 @@ class TestMissRouting:
                 t.join()
             assert not errors
             assert not mismatches
-            assert svc.metrics.counter("batcher.queries").value > 0
+            # misses were served on the callers' own threads: the
+            # service started none
+            assert set(threading.enumerate()) <= before
 
 
 class TestJoin:
@@ -232,7 +232,9 @@ class TestStats:
         assert stats["metrics"]["histograms"][
             "queries.latency_seconds"]["count"] == 20
         assert 0.0 <= (stats["cache_hit_rate"] or 0.0) <= 1.0
-        assert stats["config"]["max_wait_ms"] == 1.0
+        assert set(stats["config"]) == {
+            "cache_capacity", "default_budget_ms", "telemetry",
+            "trace_sample_interval", "slow_query_ms"}
 
     def test_close_is_idempotent(self, nyc_index):
         svc = ACTService()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import (BudgetExceededError, ServeError,
                           UnknownIndexError)
-from repro.serve import ACTService, IndexRegistry
+from repro.serve import ACTService, Budget, IndexRegistry
 from repro.serve.aserver import BinaryFrontend
 from repro.serve.router import ShardedACTService
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
@@ -151,12 +151,12 @@ class TestSlicing:
         assert seen == len(lngs)
 
 
-@pytest.fixture()
-def sharded_pair(nyc_index):
-    """Two cross-wired sharded services over real binary frontends."""
-    shard_map = plan_shard_map({"nyc": nyc_index}, 2)
+def _cross_wired(nyc_index, slots):
+    """``slots`` cross-wired sharded services over real binary
+    frontends."""
+    shard_map = plan_shard_map({"nyc": nyc_index}, slots)
     socks = []
-    for _ in range(2):
+    for _ in range(slots):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.bind(("127.0.0.1", 0))
         sock.listen(8)
@@ -166,7 +166,7 @@ def sharded_pair(nyc_index):
                  for slot, sock in enumerate(socks)}
     services, frontends = [], []
     try:
-        for slot in range(2):
+        for slot in range(slots):
             registry = IndexRegistry()
             registry.register_index("nyc", nyc_index)
             service = ShardedACTService(
@@ -189,16 +189,176 @@ def sharded_pair(nyc_index):
                 pass
 
 
+@pytest.fixture()
+def sharded_pair(nyc_index):
+    yield from _cross_wired(nyc_index, 2)
+
+
+@pytest.fixture()
+def sharded_trio(nyc_index):
+    yield from _cross_wired(nyc_index, 3)
+
+
+@pytest.fixture(scope="module")
+def plain(nyc_index):
+    """The unsharded service every sharded answer must equal."""
+    registry = IndexRegistry()
+    registry.register_index("nyc", nyc_index)
+    service = ACTService(registry=registry)
+    yield service
+    service.close()
+
+
+#: The three routed entry points; all run the one ``_scatter``.
+ENTRY_POINTS = ("query", "query_batch", "join")
+
+
+def _call(service, entry, lngs, lats, **kwargs):
+    """``entry`` on ``service``; the scalar op takes the first point."""
+    if entry == "query":
+        return service.query("nyc", lngs[0], lats[0], **kwargs)
+    return getattr(service, entry)("nyc", lngs, lats, **kwargs)
+
+
+def _same(got, want):
+    return (np.array_equal(got, want) if isinstance(want, np.ndarray)
+            else got == want)
+
+
+def _spanning_from_slot0(service, query_points):
+    """The workload reordered so its first point is owned remotely: a
+    request slot 0 must forward for every entry point."""
+    lngs, lats = query_points
+    index = service.registry.get("nyc")
+    keys = shard_keys(index.grid, lngs, lats, index.boundary_level)
+    slots = service.shard_map.route("nyc", keys)
+    assert set(slots.tolist()) >= {0, 1}
+    order = np.argsort(slots != 1, kind="stable")
+    return lngs[order], lats[order]
+
+
+def _counter(service, name):
+    return service.metrics.counter(name).value
+
+
+def _owing(service):
+    """Pooled forward clients that still owe a reply."""
+    return [client for free in service._pool.values() for client in free
+            if client._pending]
+
+
+class TestScatter:
+    """The one scatter/gather routine behind all three entry points."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_each_op_matches_unsharded_and_is_timed(
+            self, sharded_pair, plain, query_points, entry, exact):
+        front = sharded_pair[0]
+        lngs, lats = _spanning_from_slot0(front, query_points)
+        want = _call(plain, entry, lngs, lats, exact=exact)
+        timed = front.metrics.histogram("shard.forward_seconds")
+        for round_ in range(1, 3):
+            got = _call(front, entry, lngs, lats, exact=exact)
+            assert _same(got, want)
+            # one observation per spanning request, whatever the op
+            assert timed.count == round_
+        assert _counter(front, "shard.forward_errors") == 0
+        # the second round reused the first round's pooled connection
+        assert [len(free) for free in front._pool.values()] == [1]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_remote_shed_is_not_a_forward_error(
+            self, sharded_pair, plain, query_points, entry, monkeypatch):
+        front, owner = sharded_pair
+        lngs, lats = _spanning_from_slot0(front, query_points)
+
+        def shed(*args, **kwargs):
+            raise BudgetExceededError("owner out of budget")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, "local_query_batch", shed)
+            patched.setattr(owner, "local_join", shed)
+            with pytest.raises(BudgetExceededError):
+                _call(front, entry, lngs, lats)
+        assert _counter(front, "shard.forward_errors") == 0
+        assert front.metrics.histogram("shard.forward_seconds").count == 0
+        # the reply was an error *frame*: the stream is in sync, so the
+        # connection went back to the pool instead of being torn down
+        (pooled,) = front._pool[1]
+        assert not pooled._pending and pooled.reconnects == 0
+        assert _same(_call(front, entry, lngs, lats),
+                     _call(plain, entry, lngs, lats))
+        assert front._pool[1] == [pooled]
+
+    @pytest.mark.parametrize("entry", ["query_batch", "join"])
+    def test_local_leg_shed_is_not_a_forward_error(
+            self, sharded_pair, plain, query_points, entry):
+        front = sharded_pair[0]
+        lngs, lats = _spanning_from_slot0(front, query_points)
+        with pytest.raises(BudgetExceededError):
+            _call(front, entry, lngs, lats, budget=Budget(-1.0))
+        assert _counter(front, "shard.forward_errors") == 0
+        # the forward was already out: its client owed a reply, so it
+        # was closed, never pooled for the next borrower
+        assert not any(front._pool.values())
+        assert _same(_call(front, entry, lngs, lats),
+                     _call(plain, entry, lngs, lats))
+
+    @pytest.mark.parametrize("entry", ["query_batch", "join"])
+    def test_fault_mid_fanout_pools_no_owing_client(
+            self, sharded_trio, plain, query_points, entry, monkeypatch):
+        """A ``shard.forward`` chaos fault on the *second* remote owner
+        abandons a fan-out whose first forward is already in flight."""
+        from repro.serve import router
+
+        front = sharded_trio[0]
+        lngs, lats = query_points
+        fired = []
+
+        def second_forward_fails(point, metrics=None):
+            fired.append(point)
+            if fired.count("shard.forward") == 2:
+                raise OSError("chaos: injected I/O failure")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(router.chaos, "fault", second_forward_fails)
+            with pytest.raises(OSError):
+                _call(front, entry, lngs, lats)
+        assert fired.count("shard.forward") == 2
+        assert _owing(front) == []
+        # an I/O fault is not a typed forward failure either
+        assert _counter(front, "shard.forward_errors") == 0
+        # nothing stale is left for the next request to receive
+        assert _same(_call(front, entry, lngs, lats),
+                     _call(plain, entry, lngs, lats))
+        assert _owing(front) == []
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_unreachable_owner_counts_one_forward_error(
+            self, nyc_index, query_points, entry):
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        # no address book: every forward fails before a frame is sent
+        front = ShardedACTService(
+            registry=registry, slot=0,
+            shard_map=plan_shard_map({"nyc": nyc_index}, 2))
+        try:
+            lngs, lats = _spanning_from_slot0(front, query_points)
+            with pytest.raises(ServeError):
+                _call(front, entry, lngs, lats)
+            assert _counter(front, "shard.forward_errors") == 1
+            assert not any(front._pool.values())
+        finally:
+            front.close()
+
+
 class TestShardedServiceInProcess:
     def test_batch_spanning_all_shards(self, sharded_pair, nyc_index,
-                                       query_points):
+                                       query_points, plain):
         lngs, lats = query_points
-        plain_registry = IndexRegistry()
-        plain_registry.register_index("nyc", nyc_index)
-        plain = ACTService(registry=plain_registry)
         truth = plain.query_batch("nyc", lngs, lats)
         truth_counts = plain.join("nyc", lngs, lats, exact=True)
-        plain.close()
         for service in sharded_pair:
             assert service.query_batch("nyc", lngs, lats) == truth
             assert np.array_equal(service.join("nyc", lngs, lats,

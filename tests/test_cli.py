@@ -34,9 +34,6 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.dataset == "neighborhoods"
         assert args.port == 8080
-        assert args.max_batch == 512
-        assert args.max_wait_ms == 0.0
-        assert args.inline_miss_threshold == 2
         assert args.cache_capacity == 65536
         assert args.budget_ms is None
         assert args.func.__name__ == "cmd_serve"
