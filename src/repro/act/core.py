@@ -25,7 +25,9 @@ sets stay off the Python interpreter.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 from typing import Dict, Iterator, Tuple
 
@@ -65,6 +67,154 @@ class QueryResult:
 
 #: Empty result shared by every miss decode.
 _MISS = QueryResult((), ())
+
+
+class ResultBatch(Sequence):
+    """The classified results of a point batch, held as columns.
+
+    Exactly the four columns an ``OP_RESULTS`` frame carries: per point
+    the number of true hits and of candidates (``true_counts``,
+    ``cand_counts``, ``<u4``) and the two flat id columns those counts
+    slice (``true_ids``, ``cand_ids``, ``<i8``), each point's ids in
+    its own order. Immutable: the columns are read-only views, and
+    every method returns a new batch. The columns may *borrow* the
+    arrays (or the byte buffer) they were made from — whoever keeps
+    writing to those writes to the batch.
+
+    As a ``Sequence`` it reads as the :class:`QueryResult` per point it
+    stands for — ``len``, index, slice, iterate, ``==`` against a list
+    of results — materialized lazily, for the scalar, JSON and test
+    callers; the serving path itself only moves columns.
+    """
+
+    __slots__ = ("true_counts", "cand_counts", "true_ids", "cand_ids")
+    true_counts: np.ndarray
+    cand_counts: np.ndarray
+    true_ids: np.ndarray
+    cand_ids: np.ndarray
+
+    def __init__(self, true_counts: np.ndarray, cand_counts: np.ndarray,
+                 true_ids: np.ndarray, cand_ids: np.ndarray) -> None:
+        for name, column, dtype in (("true_counts", true_counts, "<u4"),
+                                    ("cand_counts", cand_counts, "<u4"),
+                                    ("true_ids", true_ids, "<i8"),
+                                    ("cand_ids", cand_ids, "<i8")):
+            view = np.asarray(column, dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ResultBatch is immutable")
+
+    @classmethod
+    def from_results(cls, results: Sequence[QueryResult]) -> "ResultBatch":
+        """The batch a sequence of per-point results stands for (a
+        batch is returned as it is)."""
+        if isinstance(results, cls):
+            return results
+        true_hits = [r.true_hits for r in results]
+        candidates = [r.candidates for r in results]
+        n = len(true_hits)
+        true_counts = np.fromiter(map(len, true_hits), "<u4", n)
+        cand_counts = np.fromiter(map(len, candidates), "<u4", n)
+        return cls(
+            true_counts, cand_counts,
+            np.fromiter(chain.from_iterable(true_hits), "<i8",
+                        int(true_counts.sum())),
+            np.fromiter(chain.from_iterable(candidates), "<i8",
+                        int(cand_counts.sum())))
+
+    @classmethod
+    def concat(cls, parts: Sequence["ResultBatch"]) -> "ResultBatch":
+        """``parts`` one after another, as one batch."""
+        if not parts:
+            return cls.from_results(())
+        return cls(*(np.concatenate([getattr(part, name) for part in parts])
+                     for name in cls.__slots__))
+
+    def take(self, positions: np.ndarray) -> "ResultBatch":
+        """The points at ``positions`` (any order, repeats allowed)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        return ResultBatch(
+            self.true_counts[positions], self.cand_counts[positions],
+            _csr_gather(positions, _indptr(self.true_counts), self.true_ids),
+            _csr_gather(positions, _indptr(self.cand_counts), self.cand_ids))
+
+    def candidate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(point_indices, polygon_ids)`` of every candidate reference
+        in point order — the pairs an exact query must refine."""
+        point_idx = np.repeat(
+            np.arange(len(self), dtype=np.int64), self.cand_counts)
+        return point_idx, self.cand_ids
+
+    def refined(self, inside: np.ndarray) -> "ResultBatch":
+        """The exact batch: each point keeps its true hits, followed by
+        the candidates ``inside`` (a mask over :meth:`candidate_pairs`)
+        says passed point-in-polygon, in candidate order; no candidates
+        remain."""
+        n = len(self)
+        owner = self.candidate_pairs()[0][inside]
+        kept = np.bincount(owner, minlength=n)
+        kept_before = np.cumsum(kept) - kept
+        true_end = np.cumsum(self.true_counts, dtype=np.int64)
+        num_true = self.true_ids.shape[0]
+        ids = np.empty(num_true + owner.shape[0], dtype=np.int64)
+        # a point's ids land after everything kept for the points before
+        # it; its survivors land after its own true hits
+        ids[np.arange(num_true) + np.repeat(kept_before, self.true_counts)] \
+            = self.true_ids
+        ids[np.arange(owner.shape[0]) + true_end[owner]] \
+            = self.cand_ids[inside]
+        return ResultBatch(self.true_counts + kept.astype("<u4"),
+                           np.zeros(n, dtype="<u4"), ids,
+                           np.empty(0, dtype=np.int64))
+
+    # -- the lazy per-point view ---------------------------------------
+    def __len__(self) -> int:
+        return int(self.true_counts.shape[0])
+
+    def __iter__(self) -> Iterator[QueryResult]:
+        true_ids = self.true_ids.tolist()
+        cand_ids = self.cand_ids.tolist()
+        t_at = c_at = 0
+        for t_n, c_n in zip(self.true_counts.tolist(),
+                            self.cand_counts.tolist()):
+            yield QueryResult(tuple(true_ids[t_at:t_at + t_n]),
+                              tuple(cand_ids[c_at:c_at + c_n]))
+            t_at += t_n
+            c_at += c_n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self.take(np.arange(len(self))[k]))
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("ResultBatch index out of range")
+        return next(iter(self.take([k % n])))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ResultBatch):
+            return all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in self.__slots__)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ResultBatch({len(self)} points, "
+                f"{self.true_ids.shape[0]} true hits, "
+                f"{self.cand_ids.shape[0]} candidates)")
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers (int64, length ``n + 1``) for per-row counts."""
+    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
 class ACTCore:

@@ -4,9 +4,11 @@ Origin: the paper's headline number is per-lookup latency measured in
 hundreds of nanoseconds; PR 5's perf work showed a single stray
 f-string or ``json.dumps`` in ``query_batch`` is visible on the
 histogram. The configured hot functions (the query entry points, the
-refinement kernels, the binary frame handlers, and — since a per-cell
-Python loop made a sharded cold start 16 s — the index enumeration and
-the shard planner/slicer built on it) must not:
+refinement kernels, the binary frame handlers; since a per-cell Python
+loop made a sharded cold start 16 s, the index enumeration and the
+shard planner/slicer built on it; and since per-result loops were a
+third of a cold exact request, the result codec, batch refinement and
+the router's gather) must not:
 
 * call ``logging``/``logger`` methods,
 * call ``json.*``,
@@ -35,13 +37,18 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 
 #: Functions on the measured path. ``_handle``/``_process``/
 #: ``data_received`` are the binary frame handlers in serve/aserver.py;
-#: the last row is what every fleet start, rebalance and re-slice runs
-#: over millions of cells (act/core.py, serve/shard.py).
+#: the third row is what every fleet start, rebalance and re-slice runs
+#: over millions of cells (act/core.py, serve/shard.py); the last is
+#: what a batch's results pass through after ``query_batch`` — the
+#: result codec and exact refinement (the router's gather is the body
+#: of its ``query_batch``) — which move ``ResultBatch`` columns, not
+#: one result at a time.
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "_handle", "_process", "data_received",
     "node_arrays", "cell_arrays", "plan_shard_map", "_plan_one",
     "slice_index",
+    "encode_results", "decode_results", "_refine_batch",
 })
 
 _LOGGING_ROOTS = frozenset({"logging", "logger", "log"})
@@ -53,11 +60,12 @@ class HotPathRule(Rule):
     description = (
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
         "binary frame handlers/index enumeration/shard planner and "
-        "slicer) must not log, touch json, format strings eagerly "
+        "slicer/result codec, refinement and gather) must not log, "
+        "touch json, format strings eagerly "
         "(raise sites exempt), or loop element-wise over array "
         "parameters or over iter_cells(); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 2
+    version = 3
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):

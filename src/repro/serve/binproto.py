@@ -55,11 +55,11 @@ import random
 import socket
 import struct
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..act.core import QueryResult
+from ..act.core import QueryResult, ResultBatch
 from ..errors import (
     BudgetExceededError,
     ConnectionLostError,
@@ -246,34 +246,29 @@ def decode_points_request(payload: Buffer,
 # ----------------------------------------------------------------------
 def encode_results(results: Sequence[QueryResult],
                    request_id: int = 0) -> bytes:
-    """An ``OP_RESULTS`` frame: per-point hit counts + flat id columns."""
-    n = len(results)
-    true_counts = np.empty(n, dtype="<u4")
-    cand_counts = np.empty(n, dtype="<u4")
-    true_parts: List[int] = []
-    cand_parts: List[int] = []
-    for i, result in enumerate(results):
-        true_counts[i] = len(result.true_hits)
-        cand_counts[i] = len(result.candidates)
-        true_parts.extend(result.true_hits)
-        cand_parts.extend(result.candidates)
-    true_ids = np.asarray(true_parts, dtype="<i8")
-    cand_ids = np.asarray(cand_parts, dtype="<i8")
-    payload_len = (_RES.size + 8 * n
-                   + 8 * (true_ids.shape[0] + cand_ids.shape[0]))
+    """An ``OP_RESULTS`` frame: per-point hit counts + flat id columns
+    — the four columns of a :class:`ResultBatch`, which any other
+    sequence of results is turned into first."""
+    batch = ResultBatch.from_results(results)
+    n, num_true, num_cand = (len(batch), batch.true_ids.shape[0],
+                             batch.cand_ids.shape[0])
     return b"".join((
-        encode_header(OP_RESULTS, 0, request_id, payload_len),
-        _RES.pack(n, true_ids.shape[0], cand_ids.shape[0], 0),
-        true_counts.tobytes(),
-        cand_counts.tobytes(),
-        true_ids.tobytes(),
-        cand_ids.tobytes(),
+        encode_header(OP_RESULTS, 0, request_id,
+                      _RES.size + 8 * (n + num_true + num_cand)),
+        _RES.pack(n, num_true, num_cand, 0),
+        batch.true_counts.tobytes(),
+        batch.cand_counts.tobytes(),
+        batch.true_ids.tobytes(),
+        batch.cand_ids.tobytes(),
     ))
 
 
-def decode_results(payload: Buffer) -> List[QueryResult]:
-    """Reassemble :class:`QueryResult` per point from an ``OP_RESULTS``
-    payload (strict: every count is checked against the byte budget)."""
+def decode_results(payload: Buffer) -> ResultBatch:
+    """The :class:`ResultBatch` an ``OP_RESULTS`` payload carries
+    (strict: every count is checked against the byte budget). Its
+    columns are ``frombuffer`` views that borrow ``payload``: hand it
+    immutable ``bytes``, as :class:`Client` does, or leave the buffer
+    alone while the batch is in use."""
     if len(payload) < _RES.size:
         raise FrameError("truncated results payload")
     n, total_true, total_cand, _ = _RES.unpack_from(payload, 0)
@@ -290,22 +285,12 @@ def decode_results(payload: Buffer) -> List[QueryResult]:
     if (int(true_counts.sum()) != total_true
             or int(cand_counts.sum()) != total_cand):
         raise FrameError("results payload counts disagree with totals")
-    true_ids = np.frombuffer(payload, dtype="<i8", count=total_true,
-                             offset=ids_at)
-    cand_ids = np.frombuffer(payload, dtype="<i8", count=total_cand,
-                             offset=ids_at + 8 * total_true)
-    out: List[QueryResult] = []
-    t_at = c_at = 0
-    true_list = true_ids.tolist()
-    cand_list = cand_ids.tolist()
-    for i in range(n):
-        t_n = int(true_counts[i])
-        c_n = int(cand_counts[i])
-        out.append(QueryResult(tuple(true_list[t_at:t_at + t_n]),
-                               tuple(cand_list[c_at:c_at + c_n])))
-        t_at += t_n
-        c_at += c_n
-    return out
+    return ResultBatch(
+        true_counts, cand_counts,
+        np.frombuffer(payload, dtype="<i8", count=total_true,
+                      offset=ids_at),
+        np.frombuffer(payload, dtype="<i8", count=total_cand,
+                      offset=ids_at + 8 * total_true))
 
 
 def encode_counts(polygon_ids: np.ndarray, counts: np.ndarray,
@@ -440,6 +425,13 @@ class Client:
         return sock
 
     # -- connection state ---------------------------------------------
+    @property
+    def owes_reply(self) -> bool:
+        """Whether a request sent on this connection is still
+        unanswered — its reply, or a replay's, is what the next
+        ``recv`` on this stream returns."""
+        return bool(self._pending)
+
     def _mark_dead(self, reason: str) -> None:
         """The stream cannot be trusted past this point: drop the
         receive buffer (it may hold a partial frame) and the socket."""
@@ -643,7 +635,7 @@ class Client:
             request_id)
         return request_id
 
-    def recv_results(self) -> Tuple[int, List[QueryResult]]:
+    def recv_results(self) -> Tuple[int, ResultBatch]:
         op, request_id, payload = self.recv()
         if op != OP_RESULTS:
             raise ServeError(f"expected OP_RESULTS, got op 0x{op:02x}")
@@ -665,7 +657,7 @@ class Client:
     def query_batch(self, index: str, lngs: PointArray, lats: PointArray,
                     exact: bool = False,
                     budget_ms: Optional[float] = None,
-                    ) -> List[QueryResult]:
+                    ) -> ResultBatch:
         sent = self.send_query(index, lngs, lats, exact=exact,
                                budget_ms=budget_ms)
         request_id, results = self.recv_results()

@@ -20,7 +20,9 @@ slice) and forwards everything else shard-wise over the
   one-point batch): remote sub-batches go out first as pipelined
   ``OP_FORWARD_QUERY``/``OP_FORWARD_JOIN`` frames (one per owner
   slot), the local sub-batch computes while they fly, then replies
-  gather in owner order and merge by request position. A shed on any
+  gather in owner order and merge by request position (a batch's
+  legs are ``ResultBatch`` columns: concatenated, then one ``take``
+  with the inverse permutation). A shed on any
   leg abandons the fan-out and re-raises; only other typed failures
   count as ``shard.forward_errors``. Forwarded frames dispatch to
   :meth:`local_query_batch`/:meth:`local_join` on the receiving
@@ -58,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..act.core import QueryResult
+from ..act.core import QueryResult, ResultBatch
 from ..errors import BudgetExceededError, ConnectionLostError, ServeError
 from ..obs import Trace
 from . import binproto, chaos
@@ -216,7 +218,7 @@ class ShardedACTService(ACTService):
         finally:
             self._inflight -= 1
 
-    def local_query_batch(self, *args, **kwargs) -> List[QueryResult]:
+    def local_query_batch(self, *args, **kwargs) -> ResultBatch:
         return self._counted(super().query_batch, *args, **kwargs)
 
     def local_join(self, *args, **kwargs) -> np.ndarray:
@@ -247,15 +249,9 @@ class ShardedACTService(ACTService):
                     lats: Sequence[float], exact: bool = False,
                     budget: Optional[Budget] = None,
                     trace: Optional[Trace] = None,
-                    request_id: Optional[str] = None,
-                    ) -> List[QueryResult]:
+                    request_id: Optional[str] = None) -> ResultBatch:
         lngs, lats = self._point_columns(lngs, lats)
-        out: List[Optional[QueryResult]] = [None] * int(lngs.shape[0])
-
-        def merge(pos: np.ndarray, part: List[QueryResult]) -> None:
-            for k, result in zip(pos.tolist(), part):
-                out[k] = result
-
+        legs: List[Tuple[np.ndarray, ResultBatch]] = []
         whole = self._scatter(
             index_name, lngs, lats,
             send=lambda client, x, y: client.send_forward_query(
@@ -264,8 +260,17 @@ class ShardedACTService(ACTService):
             local=lambda x, y: self.local_query_batch(
                 index_name, x, y, exact=exact, budget=budget, trace=trace,
                 request_id=request_id),
-            merge=merge)
-        return out if whole is None else whole  # type: ignore[return-value]
+            merge=lambda pos, part: legs.append((pos, part)))
+        if whole is not None:
+            return whole
+        # gather = the legs end to end, then the permutation that puts
+        # every point back at its request position
+        back = np.empty(lngs.shape[0], dtype=np.int64)
+        at = 0
+        for pos, _ in legs:
+            back[pos] = np.arange(at, at + pos.shape[0])
+            at += pos.shape[0]
+        return ResultBatch.concat([part for _, part in legs]).take(back)
 
     def join(self, index_name: str, lngs: Sequence[float],
              lats: Sequence[float], exact: bool = False,
@@ -392,7 +397,7 @@ class ShardedACTService(ACTService):
         borrower) is closed; one whose stream is in sync — replied,
         error frames included, or never sent — returns to the pool."""
         for owner, client, _pos in pending:
-            if client._pending:
+            if client.owes_reply:
                 client.close()
             else:
                 with self._pool_lock:

@@ -63,6 +63,7 @@ from __future__ import annotations
 import json
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import accumulate
 from typing import Callable, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -295,6 +296,12 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         except (UnknownIndexError, BudgetExceededError, ServeError) as exc:
             self._send_error_for(exc)
             return
+        # rows straight off the batch's columns: one tolist() per
+        # column, then slices — no QueryResult per point
+        true_ids = results.true_ids.tolist()
+        cand_ids = results.cand_ids.tolist()
+        true_end = list(accumulate(results.true_counts.tolist()))
+        cand_end = list(accumulate(results.cand_counts.tolist()))
         payload = {
             "index": index_name,
             "num_points": len(lngs),
@@ -302,12 +309,14 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
             "request_id": self.request_id,
             "results": [
                 {
-                    "true_hits": list(r.true_hits),
-                    "candidates": list(r.candidates),
-                    "polygon_ids": list(r.all_ids),
-                    "is_hit": r.is_hit,
+                    "true_hits": true_ids[t_at:t_end],
+                    "candidates": cand_ids[c_at:c_end],
+                    "polygon_ids": (true_ids[t_at:t_end]
+                                    + cand_ids[c_at:c_end]),
+                    "is_hit": t_end > t_at or c_end > c_at,
                 }
-                for r in results
+                for t_at, t_end, c_at, c_end in zip(
+                    [0] + true_end, true_end, [0] + cand_end, cand_end)
             ],
         }
         if trace is not None:

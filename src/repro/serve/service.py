@@ -21,7 +21,11 @@ point (HTTP server, CLI, benchmarks). Per point query it:
 already hold a batch (the ``POST /query`` endpoint): cache keys come
 from one vectorized ``point_keys`` pass, all misses resolve with a
 single batch descent against the core, and exact-mode refinement runs
-through the index's packed-edge engine in one vectorized pass.
+through the index's packed-edge engine in one vectorized pass. The
+answer is assembled once, into a :class:`~repro.act.core.ResultBatch`
+(four flat columns); everything downstream — refinement, the binary and
+JSON fronts, the router's gather, the client — moves those columns and
+never a ``QueryResult`` per point.
 
 Bulk joins go straight to the vectorized ``count_points`` engine.
 """
@@ -35,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..act.core import ResultBatch
 from ..act.index import ACTIndex, QueryResult
 from ..errors import BudgetExceededError, InvalidRequestError, ServeError
 from ..grid.base import INVALID_KEY
@@ -236,7 +241,7 @@ class ACTService:
         if not result.candidates:
             return QueryResult(result.true_hits, ())
         return self._refine_batch(
-            index, [result],
+            index, ResultBatch.from_results((result,)),
             np.asarray([lng], dtype=np.float64),
             np.asarray([lat], dtype=np.float64),
         )[0]
@@ -291,7 +296,7 @@ class ACTService:
                     lats: Sequence[float], exact: bool = False,
                     budget: Optional[Budget] = None,
                     trace: Optional[Trace] = None,
-                    request_id: Optional[str] = None) -> List[QueryResult]:
+                    request_id: Optional[str] = None) -> ResultBatch:
         """Classified lookups for a whole point batch, cache included.
 
         Network clients amortize the same way in-process callers do:
@@ -299,7 +304,9 @@ class ACTService:
         cache misses are answered by a single batch descent against the
         core (results are cached for the scalar path too — the keyspace
         is shared), and ``exact`` refinement is grouped by polygon over
-        the batch. A spent budget sheds the whole batch with
+        the batch. Returns the batch's columns; they read as one
+        ``QueryResult`` per point for callers that index or iterate. A
+        spent budget sheds the whole batch with
         :class:`~repro.errors.BudgetExceededError`.
         """
         start = time.perf_counter()
@@ -368,8 +375,9 @@ class ACTService:
                     len(miss_pos))
                 if trace is not None:
                     trace.stamp("descent")
+            batch = ResultBatch.from_results(results)
             if exact:
-                results = self._refine_batch(index, results, lngs, lats)
+                batch = self._refine_batch(index, batch, lngs, lats)
                 if trace is not None:
                     trace.stamp("refine")
         except BudgetExceededError:
@@ -388,7 +396,7 @@ class ACTService:
             self.slowlog.maybe_record(elapsed, "query_batch",
                                       request_id=request_id, trace=trace,
                                       extra={"num_points": n})
-        return results
+        return batch
 
     def _point_columns(self, lngs: Sequence[float], lats: Sequence[float],
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -409,29 +417,14 @@ class ACTService:
             )
         return lngs, lats
 
-    def _refine_batch(self, index: ACTIndex, results: List[QueryResult],
-                      lngs: np.ndarray, lats: np.ndarray,
-                      ) -> List[QueryResult]:
+    def _refine_batch(self, index: ACTIndex, results: ResultBatch,
+                      lngs: np.ndarray, lats: np.ndarray) -> ResultBatch:
         """Exact-mode refinement via the index's packed-edge engine."""
-        point_parts: List[int] = []
-        id_parts: List[int] = []
-        for k, result in enumerate(results):
-            for pid in result.candidates:
-                point_parts.append(k)
-                id_parts.append(pid)
-        surviving: Dict[int, List[int]] = {}
-        if point_parts:
-            point_idx = np.asarray(point_parts, dtype=np.int64)
-            polygon_ids = np.asarray(id_parts, dtype=np.int64)
-            inside = index.executor.refine_pairs(point_idx, polygon_ids,
-                                                 lngs, lats)
-            for k, pid in zip(point_idx[inside].tolist(),
-                              polygon_ids[inside].tolist()):
-                surviving.setdefault(k, []).append(pid)
-        return [
-            QueryResult(r.true_hits + tuple(surviving.get(k, ())), ())
-            for k, r in enumerate(results)
-        ]
+        point_idx, polygon_ids = results.candidate_pairs()
+        if not point_idx.shape[0]:
+            return results
+        return results.refined(index.executor.refine_pairs(
+            point_idx, polygon_ids, lngs, lats))
 
     # ------------------------------------------------------------------
     # Bulk joins

@@ -371,9 +371,14 @@ class TestClientResilience:
             client = binproto.Client("127.0.0.1", server.port,
                                      timeout=10.0, retries=3,
                                      backoff_s=0.01)
+            assert not client.owes_reply
             sent = [client.send_query("idx", lngs, lats)
                     for _ in range(3)]
-            got = [client.recv_results() for _ in range(3)]
+            got = []
+            for _ in range(3):
+                assert client.owes_reply  # until the last answer is in
+                got.append(client.recv_results())
+            assert not client.owes_reply
             client.close()
         # the dead connection owed responses 2 and 3; replay produced
         # exactly those, in pipeline order, each with its own answer

@@ -54,6 +54,19 @@ def _get(port, path):
         return resp.status, json.loads(resp.read())
 
 
+def test_serving_never_imports_scipy():
+    """Only the Voronoi dataset generator needs scipy; a process that
+    serves an index file must not pay its import (~0.3 s, ~30 MiB)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.serve; "
+         "assert 'scipy' not in sys.modules, "
+         "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]"],
+        env=env, check=True, timeout=60.0)
+
+
 @pytest.fixture(scope="module")
 def fleet_process():
     """The real ``repro-act serve --workers 2`` fleet."""

@@ -3,14 +3,19 @@
 Each test pins the *behavioral* fix, independent of the lint gate that
 now guards its shape: telemetry families exist pre-traffic (RL004),
 malformed budgets raise taxonomy errors (RL005), and the lifecycle's
-convergence flags stay coherent under the apply lock (RL001).
+convergence flags stay coherent under the apply lock (RL001). The last
+one pins the gate itself: the per-result loop the result codec shed
+does not come back unnoticed (RL003).
 """
 
+import inspect
 import threading
 
 import pytest
 
+import _legacy_results
 from repro.errors import InvalidRequestError
+from repro.lint.engine import run
 from repro.serve import ACTService, create_server
 from repro.serve.lifecycle import FleetLifecycle
 from repro.serve.metrics import MetricsRegistry
@@ -103,3 +108,19 @@ class TestLifecycleConvergenceUnderLock:
         assert status["converged"] is True
         assert status["last_error"] is None
         svc.close()
+
+
+class TestResultLoopsStayOut:
+    """RL003: results leave ``query_batch`` as columns; a loop over
+    them one result at a time, put back into the codec, is flagged."""
+
+    def test_old_encode_results_loop_is_flagged(self, tmp_path):
+        source = inspect.getsource(_legacy_results.encode_results)
+        target = tmp_path / "binproto.py"
+        target.write_text(source)
+        findings = run([target], root=tmp_path).findings
+        assert [(f.rule, f.line) for f in findings] == [
+            ("RL003", source.splitlines().index(
+                "    for i, result in enumerate(results):") + 1)]
+        assert "`results`" in findings[0].message
+        assert "`encode_results`" in findings[0].message

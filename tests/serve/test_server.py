@@ -8,6 +8,8 @@ import urllib.request
 
 import pytest
 
+from _legacy_results import json_rows
+from repro.act.core import QueryResult, ResultBatch
 from repro.serve import ACTService, create_server
 
 
@@ -90,6 +92,32 @@ class TestRoutes:
             assert sorted(result["true_hits"]) == sorted(
                 nyc_index.query_exact(lng, lat))
             assert result["candidates"] == []
+
+    def test_batch_body_is_the_list_based_one(self, http_server,
+                                              monkeypatch):
+        """The rows are read off the batch's columns; the body is, byte
+        for byte, what one ``QueryResult`` per point serialized to."""
+        # misses, true-only, candidate-only, both (a partition like the
+        # nyc fixture never answers "both", so the batch is handed in)
+        mixed = [QueryResult((), ()), QueryResult((1, 2), ()),
+                 QueryResult((), (7,)), QueryResult((5,), (0, 3, 9)),
+                 QueryResult((), ()), QueryResult((2, 1), (1,))]
+        monkeypatch.setattr(
+            http_server.service, "query_batch",
+            lambda *args, **kwargs: ResultBatch.from_results(mixed))
+        port = http_server.server_address[1]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/query",
+            data=json.dumps({"index": "nyc",
+                             "points": [[0.0, 0.0]] * len(mixed)}).encode(),
+            headers={"Content-Type": "application/json",
+                     "X-Request-Id": "rows-1"})
+        with urllib.request.urlopen(request, timeout=10.0) as resp:
+            body = resp.read()
+        assert body == json.dumps({
+            "index": "nyc", "num_points": len(mixed), "exact": False,
+            "request_id": "rows-1", "results": json_rows(mixed),
+        }).encode("utf-8")
 
     def test_join(self, http_server, nyc_index):
         points = [[-73.97, 40.75], [-74.0, 40.7], [0.0, 0.0]]

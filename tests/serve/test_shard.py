@@ -244,7 +244,7 @@ def _counter(service, name):
 def _owing(service):
     """Pooled forward clients that still owe a reply."""
     return [client for free in service._pool.values() for client in free
-            if client._pending]
+            if client.owes_reply]
 
 
 class TestScatter:
@@ -286,7 +286,7 @@ class TestScatter:
         # the reply was an error *frame*: the stream is in sync, so the
         # connection went back to the pool instead of being torn down
         (pooled,) = front._pool[1]
-        assert not pooled._pending and pooled.reconnects == 0
+        assert not pooled.owes_reply and pooled.reconnects == 0
         assert _same(_call(front, entry, lngs, lats),
                      _call(plain, entry, lngs, lats))
         assert front._pool[1] == [pooled]
@@ -361,6 +361,7 @@ class TestShardedServiceInProcess:
         truth_counts = plain.join("nyc", lngs, lats, exact=True)
         for service in sharded_pair:
             assert service.query_batch("nyc", lngs, lats) == truth
+            assert service.query_batch("nyc", [], []) == []  # no leg at all
             assert np.array_equal(service.join("nyc", lngs, lats,
                                                exact=True), truth_counts)
         infos = [service.shard_info() for service in sharded_pair]
