@@ -34,7 +34,7 @@ from repro.act.serialize import load_index, save_index
 from repro.bench import throughput_mpts, write_bench_json
 from repro.bench.reporting import record_row, record_text
 from repro.datasets import nyc, points
-from repro.join.executor import dedupe_pairs, refine_pairs
+from repro.join.executor import refine_pairs
 
 _TABLE = "Refinement engine: grouped vs packed on candidate-heavy joins"
 _COLUMNS = ["variant", "pairs", "seconds", "M pairs/s"]
@@ -131,38 +131,6 @@ def test_cold_load_mmap(benchmark, workload, tmp_path_factory):
             variant, round(load_s, 4), round(join_s, 4),
             round(load_s + join_s, 4),
         ])
-
-
-def test_dedup_never_changes_results(workload):
-    """Micro-assert: candidate-pair dedup is invisible in the verdicts.
-
-    A skewed batch (every point repeated several times, as when taxi
-    pickups pile onto one terminal) is refined twice — through the
-    executor's deduplicating path and through the raw packed kernel on
-    the full duplicated pair set — and the verdict vectors must be
-    bit-identical. Also pins down the dedup arithmetic itself: the
-    unique set must shrink by exactly the duplication factor.
-    """
-    index, polygons, lngs, lats, point_idx, polygon_ids = workload
-    executor = index.executor
-    take = min(20_000, point_idx.shape[0])
-    repeat = 4
-    skew_pts = np.tile(point_idx[:take], repeat)
-    skew_ids = np.tile(polygon_ids[:take], repeat)
-    unique = dedupe_pairs(skew_pts, skew_ids, lngs, lats)
-    assert unique is not None, "tiled pairs must contain duplicates"
-    first, inverse = unique
-    base = dedupe_pairs(point_idx[:take], polygon_ids[:take], lngs, lats)
-    base_unique = take if base is None else base[0].shape[0]
-    assert first.shape[0] == base_unique, (
-        f"tiling x{repeat} must not invent unique pairs: "
-        f"{first.shape[0]} vs {base_unique}")
-    deduped = executor.refine_pairs(skew_pts, skew_ids, lngs, lats)
-    raw = executor.edge_table.refine(skew_pts, skew_ids, lngs, lats)
-    assert deduped.shape == raw.shape
-    assert np.array_equal(deduped, raw), \
-        "dedup must never change refinement verdicts"
-    assert inverse.shape[0] == skew_pts.shape[0]
 
 
 def test_refinement_speedup_asserted(workload):

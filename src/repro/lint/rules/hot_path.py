@@ -8,7 +8,9 @@ refinement kernels, the binary frame handlers; since a per-cell Python
 loop made a sharded cold start 16 s, the index enumeration and the
 shard planner/slicer built on it; and since per-result loops were a
 third of a cold exact request, the result codec, batch refinement and
-the router's gather) must not:
+the router's gather; and since two sorts were more than half of the
+headline joins, the point -> cell -> entry kernels and the join
+executor's steps) must not:
 
 * call ``logging``/``logger`` methods,
 * call ``json.*``,
@@ -19,6 +21,9 @@ the router's gather) must not:
   ``range(len(lngs))`` / ``enumerate`` / ``zip`` of parameters), or
   cell by cell over ``<core>.iter_cells()`` — the vectorised path
   (``cell_arrays``) exists, use it,
+* call ``np.unique(..., axis=...)`` — the row-wise form sorts whole
+  rows (~500 ns/row measured, 6x the refinement it once tried to
+  save); pack the row into one integer key or do not deduplicate,
 * call ``time.time()`` — flagged as a *warning* in favour of
   ``time.perf_counter()``.
 
@@ -42,13 +47,17 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 #: what a batch's results pass through after ``query_batch`` — the
 #: result codec and exact refinement (the router's gather is the body
 #: of its ``query_batch``) — which move ``ResultBatch`` columns, not
-#: one result at a time.
+#: one result at a time; the last two rows are the in-process join, top
+#: to bottom: point -> cell (grid/), cell -> entry and entry -> counts
+#: or pairs (act/core.py), and the executor steps that chain them.
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "_handle", "_process", "data_received",
     "node_arrays", "cell_arrays", "plan_shard_map", "_plan_one",
     "slice_index",
     "encode_results", "decode_results", "_refine_batch",
+    "from_face_ij_batch", "leaf_cells_batch", "point_keys", "_descend",
+    "hit_counts", "candidate_pairs", "entries", "count_points",
 })
 
 _LOGGING_ROOTS = frozenset({"logging", "logger", "log"})
@@ -60,12 +69,14 @@ class HotPathRule(Rule):
     description = (
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
         "binary frame handlers/index enumeration/shard planner and "
-        "slicer/result codec, refinement and gather) must not log, "
+        "slicer/result codec, refinement and gather/point-to-entry "
+        "kernels and join executor steps) must not log, "
         "touch json, format strings eagerly "
-        "(raise sites exempt), or loop element-wise over array "
-        "parameters or over iter_cells(); time.time() is a warning "
+        "(raise sites exempt), loop element-wise over array "
+        "parameters or over iter_cells(), or call row-wise "
+        "np.unique(axis=...); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 3
+    version = 4
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):
@@ -138,6 +149,14 @@ class HotPathRule(Rule):
                     ctx, call,
                     f"json call `{dn}` in hot function `{name}`; "
                     f"serialise outside the measured path")
+                return
+            if (dn in ("np.unique", "numpy.unique")
+                    and any(kw.arg == "axis" for kw in call.keywords)):
+                yield self.finding(
+                    ctx, call,
+                    f"row-wise `{dn}(axis=...)` in hot function "
+                    f"`{name}`; it sorts whole rows — pack each row "
+                    f"into one integer key, or do not deduplicate")
                 return
             if dn == "time.time":
                 yield self.finding(

@@ -8,8 +8,10 @@ import zipfile
 import numpy as np
 import pytest
 
+import _legacy_descend as legacy
 from repro import ACTIndex
-from repro.act.serialize import (load_index, quarantine_artifact, save_index,
+from repro.act.serialize import (MEMBER_ALIGN, load_index,
+                                 quarantine_artifact, save_index,
                                  verify_artifact)
 from repro.errors import ACTError, ArtifactCorruptError
 from repro.geometry import regular_polygon
@@ -139,6 +141,75 @@ class TestMmapLoad:
             "in-memory copy"
         )
         assert np.array_equal(np.asarray(nodes), original.core.nodes)
+        # ... and mapped where numpy can use it as it is: an unaligned
+        # pool is gathered from slowly and copied whole by `take`
+        assert nodes.flags.aligned
+        assert nodes.ctypes.data % MEMBER_ALIGN == 0
+        assert np.shares_memory(nodes.reshape(-1), nodes)
+
+    def test_dropped_index_unmaps_without_the_collector(self, saved,
+                                                        taxi_batch):
+        """No reference cycle holds the pool: a process that replaces
+        its index (a reload, a benchmark's cold starts) gives the old
+        mapping back with the last reference, not at some later
+        generation-2 collection."""
+        import gc
+        import weakref
+
+        _, path = saved
+        gc.collect()
+        gc.disable()
+        try:
+            mapped = load_index(path, mmap_mode="r").prewarm()
+            mapped.count_points(*taxi_batch, exact=True)
+            index_ref = weakref.ref(mapped)
+            pool_ref = weakref.ref(mapped.core.nodes.base)
+            del mapped
+            assert index_ref() is None and pool_ref() is None
+        finally:
+            gc.enable()
+
+    def test_unpadded_archive_loads_and_answers_identically(
+            self, saved, tmp_path, taxi_batch):
+        """Archives written before the node pool was aligned: same
+        members and manifest, the pool just sits where it falls."""
+        original, path = saved
+        old = tmp_path / "unpadded.npz"
+        legacy.write_unpadded(path, old)
+        with zipfile.ZipFile(old) as archive:
+            assert archive.getinfo("nodes.npy").extra == b""
+        lngs, lats = taxi_batch
+        want = original.lookup_batch(lngs, lats)
+        for mmap_mode in (None, "r"):
+            loaded = load_index(old, mmap_mode=mmap_mode, verify="full")
+            assert np.array_equal(loaded.lookup_batch(lngs, lats), want)
+            assert loaded.count_points(lngs, lats, exact=True).tolist() \
+                == original.count_points(lngs, lats, exact=True).tolist()
+        assert not load_index(old, mmap_mode="r").core.nodes.flags.aligned
+        assert verify_artifact(old, full=True) == verify_artifact(
+            path, full=True)
+
+    def test_padded_archive_is_still_a_plain_npz(self, saved):
+        """The padding is one well-formed zip extra record: the zip
+        layer and plain ``np.load`` read the archive as before."""
+        original, path = saved
+        with zipfile.ZipFile(path) as archive:
+            assert archive.testzip() is None
+            info = archive.getinfo("nodes.npy")
+            header_id, size = struct.unpack("<HH", info.extra[:4])
+            assert len(info.extra) == 4 + size
+            assert not any(info.extra[4:])
+            with open(path, "rb") as fp:
+                fp.seek(info.header_offset + 26)
+                name_len, extra_len = struct.unpack("<HH", fp.read(4))
+            assert extra_len == len(info.extra)
+            stream_at = info.header_offset + 30 + name_len + extra_len
+            assert stream_at % MEMBER_ALIGN == 0
+            # only the mapped member pays for padding
+            assert all(other.extra == b"" for other in archive.infolist()
+                       if other is not info)
+        with np.load(path) as data:
+            assert np.array_equal(data["nodes"], original.core.nodes)
 
     def test_mmap_load_never_constructs_a_trie(self, saved, monkeypatch):
         from repro.act.trie import AdaptiveCellTrie
@@ -354,6 +425,8 @@ class TestIntegrity:
             load_index(copy, mmap_mode="r", verify="header")
 
     def test_truncated_archive_rejected(self, copy):
+        with zipfile.ZipFile(copy) as archive:  # a padded archive
+            assert archive.getinfo("nodes.npy").extra
         size = copy.stat().st_size
         with open(copy, "r+b") as fp:
             fp.truncate(int(size * 0.6))
@@ -378,22 +451,13 @@ class TestIntegrity:
     def test_pre_manifest_archive(self, copy, tmp_path):
         # archives written before the manifest existed: tolerated in
         # header mode, refused under verify="full" and verify_artifact
-        legacy = tmp_path / "legacy.npz"
-        with zipfile.ZipFile(copy) as src, \
-                zipfile.ZipFile(legacy, "w", allowZip64=True) as dst:
-            for info in src.infolist():
-                if info.filename == "manifest.npy":
-                    continue
-                out = zipfile.ZipInfo(info.filename,
-                                      date_time=(1980, 1, 1, 0, 0, 0))
-                out.compress_type = info.compress_type
-                with dst.open(out, "w") as fp:
-                    fp.write(src.read(info.filename))
-        load_index(legacy, mmap_mode="r", verify="header")
+        old = tmp_path / "legacy.npz"
+        legacy.write_unpadded(copy, old, skip=("manifest.npy",))
+        load_index(old, mmap_mode="r", verify="header")
         with pytest.raises(ArtifactCorruptError, match="pre-manifest"):
-            load_index(legacy, verify="full")
+            load_index(old, verify="full")
         with pytest.raises(ArtifactCorruptError, match="pre-manifest"):
-            verify_artifact(legacy)
+            verify_artifact(old)
 
     def test_verify_artifact_returns_manifest_and_raises(self, copy):
         manifest = verify_artifact(copy, full=True)

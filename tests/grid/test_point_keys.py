@@ -1,11 +1,13 @@
 """Batch point_keys must partition exactly like scalar point_key."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.datasets import taxi_points
 from repro.geometry.bbox import Rect
-from repro.grid import INVALID_KEY
+from repro.grid import INVALID_CELL, INVALID_KEY
 from repro.grid.planar import PlanarGrid
 from repro.grid.s2like import S2LikeGrid
 
@@ -67,3 +69,41 @@ class TestS2Like:
         for key in keys[:50].tolist():
             assert cellid.is_valid(key)
             assert cellid.level(key) == 8
+
+
+class TestHostileCoordinates:
+    """NaN, +-inf and 1e300 arrive in binary frames as easily as real
+    coordinates: they get no cell and no key, and numpy stays quiet —
+    under ``-W error`` (CI runs this directory that way) an unguarded
+    multiply or float -> integer cast would raise instead."""
+
+    NAN, INF = float("nan"), float("inf")
+    LNGS = np.array([NAN, INF, -INF, 1e300, -1e300, -74.0, -74.0, -74.0])
+    LATS = np.array([40.7, 40.7, 40.7, 40.7, 40.7, NAN, -INF, 40.7])
+
+    def test_planar_answers_invalid_without_warnings(self, planar_grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = planar_grid.leaf_cells_batch(self.LNGS, self.LATS)
+            keys = planar_grid.point_keys(self.LNGS, self.LATS, 14)
+        assert (cells[:-1] == INVALID_CELL).all()
+        assert (keys[:-1] == INVALID_KEY).all()
+        assert int(cells[-1]) == planar_grid.leaf_cell(-74.0, 40.7)
+        assert int(keys[-1]) == planar_grid.point_key(-74.0, 40.7, 14)
+
+    def test_s2like_answers_invalid_without_warnings(self):
+        grid = S2LikeGrid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = grid.leaf_cells_batch(self.LNGS, self.LATS)
+            keys = grid.point_keys(self.LNGS, self.LATS, 14)
+        # the sphere has no bounds: anything finite has a cell
+        finite = np.isfinite(self.LNGS) & np.isfinite(self.LATS)
+        assert finite.tolist() == [False] * 3 + [True] * 2 + [False] * 2 \
+            + [True]
+        assert (cells[~finite] == INVALID_CELL).all()
+        assert (keys[~finite] == INVALID_KEY).all()
+        for k in np.flatnonzero(finite).tolist():
+            lng, lat = float(self.LNGS[k]), float(self.LATS[k])
+            assert int(cells[k]) == grid.leaf_cell(lng, lat)
+            assert int(keys[k]) == grid.point_key(lng, lat, 14)

@@ -4,11 +4,7 @@ import numpy as np
 
 from repro.baselines.scan import ScanJoin
 from repro.geometry.edge_table import PackedEdgeTable
-from repro.join.executor import (
-    JoinExecutor,
-    refine_pairs,
-    refine_pairs_packed,
-)
+from repro.join.executor import refine_pairs, refine_pairs_packed
 
 
 class TestCountPoints:
@@ -164,14 +160,3 @@ class TestSortedDescent:
         plain = nyc_index.core.lookup_entries(cells)
         sorted_ = nyc_index.core.lookup_entries(cells, sort_by_cell=True)
         assert np.array_equal(plain, sorted_)
-
-    def test_executor_flag_changes_nothing_observable(self, nyc_index,
-                                                      taxi_batch):
-        lngs, lats = taxi_batch
-        fast = JoinExecutor(nyc_index, sorted_descent=True)
-        slow = JoinExecutor(nyc_index, sorted_descent=False)
-        assert np.array_equal(fast.count_points(lngs, lats),
-                              slow.count_points(lngs, lats))
-        assert np.array_equal(
-            fast.count_points(lngs, lats, exact=True),
-            slow.count_points(lngs, lats, exact=True))

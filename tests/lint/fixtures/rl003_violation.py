@@ -3,15 +3,17 @@ import json
 import logging
 import time
 
+import numpy as np
+
 
 def query(name, lngs, lats):
-    logging.info("query for %s", name)      # line 8: logging
-    payload = json.dumps({"name": name})    # line 9: json
-    label = f"query:{name}"                 # line 10: eager f-string
+    logging.info("query for %s", name)      # line 10: logging
+    payload = json.dumps({"name": name})    # line 11: json
+    label = f"query:{name}"                 # line 12: eager f-string
     out = []
-    for lng in lngs:                        # line 12: loop over param
+    for lng in lngs:                        # line 14: loop over param
         out.append(lng)
-    started = time.time()                   # line 14: warning
+    started = time.time()                   # line 16: warning
     return payload, label, out, started
 
 
@@ -25,6 +27,11 @@ def helper(lngs):
 
 def slice_index(index, spans):
     kept = []
-    for cell, entry in index.core.iter_cells():   # line 28: per-cell loop
+    for cell, entry in index.core.iter_cells():   # line 30: per-cell loop
         kept.append((cell, entry))
     return kept, spans
+
+
+def refine_pairs(keys, lngs):
+    _, first = np.unique(keys, axis=0, return_index=True)  # line 36: rows
+    return np.unique(lngs), first     # 1-D unique is fine
