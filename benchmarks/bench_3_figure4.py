@@ -8,7 +8,7 @@ by memory latency.
 Python substitution (DESIGN.md): fork-based ``multiprocessing`` workers
 over point slices, sharing the built index copy-on-write. The sweep runs
 1/2/4/... workers up to twice the visible CPU count; on a single-core
-machine the series is expectedly flat, which EXPERIMENTS.md discusses.
+machine the series is expectedly flat.
 """
 
 import multiprocessing

@@ -10,7 +10,7 @@ and measures exactly that trade-off.
 import pytest
 
 from repro import ACTIndex
-from repro.act.trie import SUPPORTED_FANOUTS
+from repro.act.core import SUPPORTED_FANOUTS
 from repro.bench import dataset_polygons, throughput_mpts
 from repro.bench.reporting import record_row
 

@@ -42,7 +42,7 @@ def test_ablation_precision(benchmark, precision):
     worst = 0.0
     entries = index.lookup_batch(lngs[:6000], lats[:6000])
     for k, entry in enumerate(entries.tolist()):
-        result = index._decode(int(entry))
+        result = index.decode_entry(int(entry))
         if not result.candidates:
             continue
         x = float(lngs[k])

@@ -55,7 +55,7 @@ def main() -> None:
     result = builder.build(group, precision_meters=120.0)
     features = [geojson.feature(p, {"kind": "polygon", "id": pid})
                 for pid, p in enumerate(group)]
-    for cell, refs in result.super_covering.cells.items():
+    for cell, refs in result.super_covering.items():
         interior = all(r & 1 for r in refs)
         features.append(cell_feature(
             grid, cell, "interior" if interior else "covering"

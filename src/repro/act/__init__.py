@@ -2,13 +2,13 @@
 
 Submodules mirror the paper's Section II structure: per-polygon coverings
 (:mod:`repro.grid.coverer`), the merged super covering
-(:mod:`~repro.act.supercovering`), the build-time radix tree
-(:mod:`~repro.act.trie`) with tagged entries (:mod:`~repro.act.entry`)
-and the deduplicated lookup table (:mod:`~repro.act.lookup_table`). The
-canonical query-time representation is the columnar
-:class:`~repro.act.core.ACTCore` — the flat-array form every scalar and
-batch lookup runs against — plus the memory-budgeted adaptive variant
-(:mod:`~repro.act.adaptive`).
+(:mod:`~repro.act.supercovering`), the radix tree with tagged entries
+(:mod:`~repro.act.core`, :mod:`~repro.act.entry`) and the deduplicated
+lookup table (:mod:`~repro.act.lookup_table`). The tree has one
+representation from build to serve: the columnar
+:class:`~repro.act.core.ACTCore` — the flat arrays the build emits, the
+archive stores and every scalar and batch lookup runs against — plus
+the memory-budgeted adaptive variant (:mod:`~repro.act.adaptive`).
 """
 
 from .adaptive import AdaptiveACTIndex
@@ -18,7 +18,6 @@ from .index import ACTIndex, QueryResult
 from .lookup_table import LookupTable
 from .stats import IndexStats
 from .supercovering import SuperCovering
-from .trie import AdaptiveCellTrie
 
 __all__ = [
     "AdaptiveACTIndex",
@@ -30,5 +29,4 @@ __all__ = [
     "LookupTable",
     "IndexStats",
     "SuperCovering",
-    "AdaptiveCellTrie",
 ]

@@ -13,7 +13,7 @@ without exceeding the budget.
 2. serve exact queries by refining candidate matches with PIP tests;
 3. :meth:`adapt` — feed a sample of the query distribution; boundary
    cells are charged per candidate hit, the hottest are split into child
-   cells re-classified against their polygons, and the trie is rebuilt,
+   cells re-classified against their polygons, and the core is rebuilt,
    while the total cell count stays under the budget.
 
 Repeated ``adapt`` rounds migrate precision toward the workload. The
@@ -24,6 +24,7 @@ lookups that bypass refinement.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,10 +36,8 @@ from ..grid import cellid
 from ..grid.base import HierarchicalGrid
 from ..grid.coverer import RegionCoverer
 from ..grid.planar import PlanarGrid
-from . import entry as entry_codec
-from .core import ACTCore
-from .lookup_table import LookupTable
-from .trie import AdaptiveCellTrie
+from .core import ACTCore, _indptr, radix_geometry
+from .lookup_table import encode_refs
 
 #: packed ref layout shared with the rest of the act package
 _TRUE = 1
@@ -63,7 +62,7 @@ class AdaptiveACTIndex:
         self.max_cells = max_cells
         self.target_level = min(
             self.grid.level_for_precision(target_precision_meters),
-            AdaptiveCellTrie(fanout).max_cell_level,
+            radix_geometry(fanout)[3],
         )
         self._classifiers = [EdgeClassifier(p) for p in self.polygons]
 
@@ -112,25 +111,17 @@ class AdaptiveACTIndex:
                     merged.extend(refs)
 
     def _rebuild(self) -> None:
-        trie = AdaptiveCellTrie(self.fanout)
-        table = LookupTable()
-        for cell, packed in self._cells.items():
-            refs = sorted(set(packed))
-            # true-hit dominance
-            true_versions = {r & ~1 for r in refs if r & 1}
-            refs = [r for r in refs if r & 1 or r not in true_versions]
-            if len(refs) == 1:
-                trie.insert(cell, entry_codec.make_payload_1(refs[0]))
-            elif len(refs) == 2:
-                trie.insert(cell, entry_codec.make_payload_2(refs[0], refs[1]))
-            else:
-                trie.insert(cell, entry_codec.make_offset(
-                    table.intern_refs(refs)))
-        # the trie is rebuild scaffolding; the columnar core is what serves
-        self.core = ACTCore.from_trie(trie, table)
-        self.lookup_table = table
+        cells = sorted(self._cells)
+        rows = [self._cells[cell] for cell in cells]
+        indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
+        entries, lookup_words = encode_refs(
+            indptr, np.fromiter(chain.from_iterable(rows), np.int64,
+                                int(indptr[-1])))
+        self.core = ACTCore.from_cells(
+            np.asarray(cells, dtype=np.uint64), entries, lookup_words,
+            self.fanout)
         # sorted boundary-cell directory for hit attribution
-        self._sorted_cells = sorted(self._cells)
+        self._sorted_cells = cells
 
     @property
     def num_cells(self) -> int:
@@ -148,10 +139,10 @@ class AdaptiveACTIndex:
         leaf = self.grid.leaf_cell(lng, lat)
         if leaf is None:
             return ()
-        entry = self.core.lookup_entry(leaf)
-        true_ids, cand_ids = self._decode(entry)
-        return tuple(true_ids) + tuple(
-            pid for pid in cand_ids if self.polygons[pid].contains(lng, lat)
+        result = self.core.decode_entry(self.core.lookup_entry(leaf))
+        return result.true_hits + tuple(
+            pid for pid in result.candidates
+            if self.polygons[pid].contains(lng, lat)
         )
 
     def refinement_rate(self, lngs: np.ndarray, lats: np.ndarray) -> float:
@@ -252,18 +243,3 @@ class AdaptiveACTIndex:
                 self._cells[child] = child_refs
                 added += 1
         return added
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _decode(self, entry: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        tag = entry_codec.tag(entry)
-        if tag == entry_codec.TAG_POINTER:
-            return (), ()
-        if tag == entry_codec.TAG_OFFSET:
-            return self.lookup_table.get(entry_codec.offset_value(entry))
-        refs = entry_codec.payload_refs(entry)
-        return (
-            tuple(r >> 1 for r in refs if r & 1),
-            tuple(r >> 1 for r in refs if not r & 1),
-        )

@@ -1,4 +1,4 @@
-"""ACT index construction: polygons -> coverings -> super covering -> trie.
+"""ACT index construction: polygons -> coverings -> super covering -> core.
 
 The build pipeline follows the paper's Section II end to end:
 
@@ -6,9 +6,14 @@ The build pipeline follows the paper's Section II end to end:
    cells refined to the grid level whose diagonal is below the requested
    precision (parallelizable per polygon, like the paper's build);
 2. merge them into a prefix-free super covering (dedup + conflict
-   push-down + denormalization to the trie granularity);
+   push-down);
 3. encode reference sets (inline one or two, lookup table for three or
-   more) and insert them into the Adaptive Cell Trie.
+   more) and lay the cells out as the radix tree's node pool,
+   denormalizing the ones off the node granularity.
+
+Steps 2 and 3 run on sorted columns end to end: no per-cell Python
+object is made between the coverings and the finished
+:class:`~repro.act.core.ACTCore`.
 
 Each phase is timed separately because Table I of the paper reports the
 covering and super-covering build times as separate rows.
@@ -18,25 +23,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import BuildError
 from ..geometry.polygon import Polygon
 from ..grid.base import HierarchicalGrid
 from ..grid.coverer import Covering, RegionCoverer
 from . import entry as entry_codec
-from .lookup_table import LookupTable
+from .core import ACTCore, radix_geometry
+from .lookup_table import encode_refs
 from .stats import IndexStats
 from .supercovering import SuperCovering
-from .trie import AdaptiveCellTrie
 
 
 @dataclass
 class BuildResult:
     """Everything the facade needs from a finished build."""
 
-    trie: AdaptiveCellTrie
-    lookup_table: LookupTable
+    core: ACTCore
     stats: IndexStats
     boundary_level: int
     coverings: List[Covering]
@@ -51,7 +55,7 @@ class ACTBuilder:
     grid:
         The hierarchical grid to approximate polygons on.
     fanout:
-        Trie fanout (paper default 256 = 8 key bits per node).
+        Node fanout (paper default 256 = 8 key bits per node).
     use_interior:
         When ``False``, interior cells are indexed as *candidate* hits
         instead of true hits — the ablation knob that quantifies the value
@@ -72,22 +76,21 @@ class ACTBuilder:
         self.max_cells_per_polygon = max_cells_per_polygon
         self._coverer = RegionCoverer(grid)
 
-    def boundary_level_for(self, precision_meters: float,
-                           trie: Optional[AdaptiveCellTrie] = None) -> int:
+    def boundary_level_for(self, precision_meters: float) -> int:
         """Grid level for the precision bound.
 
-        Boundary cells are refined to this level; the trie denormalizes
-        unaligned cells internally on insertion, so no granularity
+        Boundary cells are refined to this level; cells off the node
+        granularity are denormalized when the pool is laid out, so no
         rounding is needed here. Raises when the precision requires a
-        level deeper than the trie can index.
+        level deeper than the fanout can index.
         """
-        reference = trie or AdaptiveCellTrie(self.fanout)
+        max_cell_level = radix_geometry(self.fanout)[3]
         level = self.grid.level_for_precision(precision_meters)
-        if level > reference.max_cell_level:
+        if level > max_cell_level:
             raise BuildError(
                 f"precision {precision_meters} m needs grid level {level}, "
-                f"deeper than a fanout-{self.fanout} trie can index "
-                f"({reference.max_cell_level})"
+                f"deeper than fanout {self.fanout} can index "
+                f"({max_cell_level})"
             )
         return level
 
@@ -100,8 +103,8 @@ class ACTBuilder:
             raise BuildError(
                 f"{len(polygons)} polygons exceed the 30-bit id space"
             )
-        trie = AdaptiveCellTrie(self.fanout)
-        boundary_level = self.boundary_level_for(precision_meters, trie)
+        _, levels_per_step, _, max_cell_level = radix_geometry(self.fanout)
+        boundary_level = self.boundary_level_for(precision_meters)
 
         start = time.perf_counter()
         coverings = [self._cover(polygon, boundary_level)
@@ -110,15 +113,14 @@ class ACTBuilder:
 
         start = time.perf_counter()
         super_covering = SuperCovering.merge(
-            ((pid, cov) for pid, cov in enumerate(coverings)),
-            trie.levels_per_step,
-            trie.max_cell_level,
-        )
+            enumerate(coverings), levels_per_step, max_cell_level)
         super_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        lookup_table = LookupTable()
-        self._insert_cells(trie, lookup_table, super_covering.cells)
+        entries, lookup_words = encode_refs(
+            super_covering.indptr, super_covering.refs, self.use_interior)
+        core = ACTCore.from_cells(super_covering.cells, entries,
+                                  lookup_words, self.fanout)
         trie_seconds = time.perf_counter() - start
 
         stats = IndexStats(
@@ -129,22 +131,22 @@ class ACTBuilder:
             grid_name=self.grid.name,
             raw_boundary_cells=sum(len(c.boundary) for c in coverings),
             raw_interior_cells=sum(len(c.interior) for c in coverings),
-            # post-denormalization count (trie slots), matching the
+            # post-denormalization count (node slots), matching the
             # paper's "indexed cells"; the pre-denormalization covering
             # cell count is stats.raw_cells / super_covering.num_cells
-            indexed_cells=trie.num_entries,
+            indexed_cells=core.num_entries,
             conflict_cells=super_covering.num_conflict_cells,
-            trie_nodes=trie.num_nodes,
-            trie_bytes=trie.size_bytes,
-            trie_entries=trie.num_entries,
-            lookup_table_bytes=lookup_table.size_bytes,
-            lookup_table_sets=lookup_table.num_unique_sets,
+            trie_nodes=core.num_nodes,
+            trie_bytes=core.size_bytes,
+            trie_entries=core.num_entries,
+            lookup_table_bytes=core.lookup_table.size_bytes,
+            lookup_table_sets=core.lookup_table.num_unique_sets,
             build_coverings_seconds=coverings_seconds,
             build_super_seconds=super_seconds,
             build_trie_seconds=trie_seconds,
         )
-        return BuildResult(trie, lookup_table, stats, boundary_level,
-                           coverings, super_covering)
+        return BuildResult(core, stats, boundary_level, coverings,
+                           super_covering)
 
     # ------------------------------------------------------------------
     # Pipeline pieces
@@ -155,35 +157,3 @@ class ACTBuilder:
                 polygon, self.max_cells_per_polygon, boundary_level
             )
         return self._coverer.cover(polygon, boundary_level)
-
-    def _insert_cells(self, trie: AdaptiveCellTrie, lookup_table: LookupTable,
-                      cells: Dict[int, List[int]]) -> None:
-        """Encode packed reference lists and insert them into the trie.
-
-        Reference lists come from the super covering as packed 31-bit ints
-        (``polygon_id << 1 | is_true``). A polygon appearing with both
-        flags collapses to its true-hit reference (the stronger claim);
-        with ``use_interior=False`` every reference is demoted to a
-        candidate (the no-true-hit-filtering ablation).
-        """
-        use_interior = self.use_interior
-        insert = trie.insert
-        for cell, packed in cells.items():
-            if len(packed) == 1:
-                ref = packed[0] if use_interior else packed[0] & ~1
-                insert(cell, entry_codec.make_payload_1(ref))
-                continue
-            unique = set(packed)
-            if not use_interior:
-                unique = {ref & ~1 for ref in unique}
-            else:
-                # true hit dominates a duplicate candidate reference
-                unique -= {ref & ~1 for ref in unique if ref & 1}
-            refs = sorted(unique)
-            if len(refs) == 1:
-                insert(cell, entry_codec.make_payload_1(refs[0]))
-            elif len(refs) == 2:
-                insert(cell, entry_codec.make_payload_2(refs[0], refs[1]))
-            else:
-                insert(cell, entry_codec.make_offset(
-                    lookup_table.intern_refs(refs)))

@@ -2,19 +2,28 @@
 
 The paper credits ACT's speed to lookups costing "a few basic integer
 arithmetics and bitwise operations". :class:`ACTCore` is the form in
-which that promise is kept: the trie is a ``(num_nodes, fanout)`` uint64
-node pool plus six face-root entries, the lookup table a uint32 array
-with a CSR (indptr/ids) decode built once at construction. Every query
-path — scalar point lookups, vectorized batch descents, per-polygon hit
-counting, candidate-pair extraction — runs against these arrays; there
-is exactly one lookup engine.
+which that promise is kept: the radix tree is a ``(num_nodes, fanout)``
+uint64 node pool plus six face-root entries, the lookup table a uint32
+array with a CSR (indptr/ids) decode built once at construction. Every
+query path — scalar point lookups, vectorized batch descents,
+per-polygon hit counting, candidate-pair extraction — runs against
+these arrays; there is exactly one lookup engine.
 
-:class:`~repro.act.trie.AdaptiveCellTrie` still exists, but only as
-build-time scaffolding: :meth:`ACTIndex.build <repro.act.index.ACTIndex
-.build>` inserts cells into a trie, exports it into an ``ACTCore``, and
-discards it. Persistence (:mod:`repro.act.serialize`) round-trips the
-core's arrays directly, so cold loads never reconstruct a Python object
-trie.
+The arrays are also the only representation: a build lays the pool out
+directly from the sorted super covering (:meth:`ACTCore.from_cells`,
+the inverse of :meth:`ACTCore.cell_arrays`), and persistence
+(:mod:`repro.act.serialize`) round-trips them verbatim. There is no
+pointer structure of Python objects at any stage.
+
+Keys are the Hilbert-path bit sequences of cell ids (the 3 face bits are
+dispatched through per-face root slots, so path chunks stay aligned).
+With the default fanout of 256, each tree level consumes 8 key bits ≙ 4
+grid levels, capping lookups at ``floor(60 / 8) = 7`` node accesses
+after the face dispatch. Lookups are **comparison-free** in the
+radix-tree sense: no key is ever compared against stored keys; each step
+extracts the next chunk of the query cell's path and jumps to that slot.
+Only the 2-bit entry tags are inspected to distinguish pointers from
+inlined payloads, exactly as the paper describes.
 
 Batch descents are level-synchronous: at each step the still-active
 points gather their next entries with one fancy-indexing operation.
@@ -37,13 +46,34 @@ from ..errors import BuildError
 from ..grid import cellid
 from . import entry as entry_codec
 from .lookup_table import LookupTable
-from .trie import KEY_BITS, SUPPORTED_FANOUTS, AdaptiveCellTrie
+
+#: Fanouts supported: 4 ** k keeps chunks aligned to whole grid levels.
+SUPPORTED_FANOUTS = (4, 16, 64, 256)
+
+#: Total path bits of a leaf cell (level 30, 2 bits per level).
+KEY_BITS = 2 * cellid.MAX_LEVEL
 
 _MASK31 = np.uint64((1 << 31) - 1)
 _ZERO = np.uint64(0)
 _TAG_MASK = np.uint64(3)
 _FIRST_POINTER = np.uint64(4)  # the pointer entry of pool row 0
 _KEY_MASK = (1 << KEY_BITS) - 1
+
+
+def radix_geometry(fanout: int) -> Tuple[int, int, int, int]:
+    """``(bits_per_step, levels_per_step, max_steps, max_cell_level)``
+    of a tree whose nodes hold ``fanout`` slots: every step consumes
+    ``bits_per_step`` key bits ≙ ``levels_per_step`` grid levels, at
+    most ``max_steps`` times, so ``max_cell_level`` (28 for fanout 256)
+    is the deepest level at which a cell can be indexed."""
+    if fanout not in SUPPORTED_FANOUTS:
+        raise BuildError(
+            f"fanout must be one of {SUPPORTED_FANOUTS}, got {fanout}"
+        )
+    bits = fanout.bit_length() - 1  # log2(fanout)
+    levels = bits // 2
+    steps = KEY_BITS // bits
+    return bits, levels, steps, steps * levels
 
 
 @dataclass(frozen=True)
@@ -226,15 +256,13 @@ class ACTCore:
     ----------
     nodes:
         ``(num_nodes, fanout)`` uint64 node pool (one zero row stands in
-        for an empty trie, matching
-        :meth:`~repro.act.trie.AdaptiveCellTrie.export_arrays`).
+        for an empty pool).
     roots:
         Per-face root entries (uint64, length = number of faces).
     lookup_table:
         The deduplicated reference sets for >= 3-reference cells.
     fanout:
-        Slots per node (must be in
-        :data:`~repro.act.trie.SUPPORTED_FANOUTS`).
+        Slots per node (must be in :data:`SUPPORTED_FANOUTS`).
     num_entries:
         Number of indexed (post-denormalization) slots, for stats.
     """
@@ -251,10 +279,8 @@ class ACTCore:
     def __init__(self, nodes: np.ndarray, roots: np.ndarray,
                  lookup_table: LookupTable, fanout: int,
                  num_entries: int = 0):
-        if fanout not in SUPPORTED_FANOUTS:
-            raise BuildError(
-                f"fanout must be one of {SUPPORTED_FANOUTS}, got {fanout}"
-            )
+        (self.bits_per_step, self.levels_per_step, self.max_steps,
+         self.max_cell_level) = radix_geometry(fanout)
         self.nodes = np.ascontiguousarray(nodes, dtype=np.uint64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != fanout:
             raise BuildError(
@@ -265,10 +291,6 @@ class ACTCore:
         self.lookup_table = lookup_table
         self.fanout = fanout
         self.num_entries = num_entries
-        self.bits_per_step = fanout.bit_length() - 1  # log2(fanout)
-        self.levels_per_step = self.bits_per_step // 2
-        self.max_steps = KEY_BITS // self.bits_per_step
-        self.max_cell_level = self.max_steps * self.levels_per_step
         self._chunk_mask = np.uint64(fanout - 1)
         # scalar descents index plain ints; keep the roots as a list
         self._roots_list = [int(r) for r in self.roots]
@@ -290,12 +312,109 @@ class ACTCore:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_trie(cls, trie: AdaptiveCellTrie,
-                  lookup_table: LookupTable) -> "ACTCore":
-        """Export a built trie into its canonical flat-array form."""
-        nodes, roots = trie.export_arrays()
-        return cls(nodes, roots, lookup_table, trie.fanout,
-                   num_entries=trie.num_entries)
+    def from_cells(cls, cells: np.ndarray, entries: np.ndarray,
+                   lookup_words: np.ndarray, fanout: int,
+                   num_faces: int = cellid.NUM_FACES) -> "ACTCore":
+        """Lay out the node pool for a prefix-free ``(cell, entry)`` set:
+        the inverse of :meth:`cell_arrays` / :meth:`node_arrays`.
+
+        Cells may sit at any level up to ``max_cell_level``. One whose
+        level is not a multiple of the granularity is **denormalized**
+        (paper, Section II): its entry is replicated across the
+        contiguous slot range its descendants occupy at the next
+        indexable level. Descendants within one granularity step always
+        share a single node, so denormalization is a slice fill, never
+        extra nodes. Nodes are numbered in preorder, so equal cell sets
+        give bit-identical pools.
+
+        Raises :class:`~repro.errors.BuildError` on over-deep levels,
+        pointer-tagged entries, and on a cell set that is not
+        prefix-free (a duplicate, or a cell inside another) — the super
+        covering is responsible for resolving those.
+        """
+        _, step, _, max_cell_level = radix_geometry(fanout)
+        cells = np.asarray(cells, dtype=np.uint64)
+        entries = np.asarray(entries, dtype=np.uint64)
+        if cells.shape != entries.shape or cells.ndim != 1:
+            raise BuildError(
+                f"cells {cells.shape} and entries {entries.shape} must "
+                f"be equal-length columns")
+        order = np.argsort(cells, kind="stable")
+        cells, entries = cells[order], entries[order]
+        if cells.size and (cells[0] == _ZERO or int(
+                cells[-1] >> np.uint64(cellid.POS_BITS)) >= num_faces):
+            raise BuildError(
+                f"cell ids must be nonzero and on one of {num_faces} faces")
+        levels = cellid.level_batch(cells)
+        if (levels > max_cell_level).any():
+            raise BuildError(
+                f"cell level {int(levels.max())} exceeds the deepest "
+                f"indexable level {max_cell_level} of fanout {fanout}")
+        if ((entries & _TAG_MASK) == _ZERO).any():
+            raise BuildError("cannot index a pointer entry")
+        clash = cellid.overlaps_batch(cells)
+        if clash.size:
+            raise BuildError(
+                f"cell set not prefix-free: "
+                f"{cellid.to_token(int(cells[clash[0]]))} overlaps "
+                f"{cellid.to_token(int(cells[clash[0] + 1]))}")
+
+        # every step boundary strictly above a cell roots a node on the
+        # way down to it; sorted cells keep each step's ancestors in runs
+        node_cells, node_levels = [cells[:0]], [levels[:0]]
+        for at in range(0, int(levels.max(initial=0)), step):
+            above = cellid.parent_batch(cells[levels > at], at)
+            above = above[np.append(True, above[1:] != above[:-1])]
+            node_cells.append(above)
+            node_levels.append(np.full(above.shape[0], at))
+        node_cells = np.concatenate(node_cells)
+        node_levels = np.concatenate(node_levels)
+        # preorder: by first leaf, an ancestor before what it contains
+        preorder = np.lexsort(
+            (node_levels, node_cells - cellid.lsb_batch(node_cells)))
+        node_cells, node_levels = node_cells[preorder], node_levels[preorder]
+        by_id = np.argsort(node_cells)
+        num_nodes = node_cells.shape[0]
+        pointers = (np.arange(1, num_nodes + 1, dtype=np.uint64)
+                    << np.uint64(2))
+
+        # what the slots hold: a cell's entry, or the pointer to a node
+        # (which sits where a cell of the node's own level would)
+        cells = np.concatenate((cells, node_cells))
+        levels = np.concatenate((levels, node_levels))
+        values = np.concatenate((entries, pointers))
+        # an item lives in the node rooted on the last step boundary
+        # strictly above it (a face item in the roots), and fills the
+        # slots of its descendants one step below that, from its first
+        # leaf's chunk onward
+        home = (levels - 1) // step * step
+        span = np.int64(1) << (2 * (home + step - levels))
+        num_entries = int(span[:entries.shape[0]].sum())
+        roots = np.zeros(num_faces, dtype=np.uint64)
+        top = levels == 0
+        roots[(cells[top] >> np.uint64(cellid.POS_BITS)).astype(np.intp)] \
+            = values[top]
+        cells, home, span, values = (
+            cells[~top], home[~top], span[~top], values[~top])
+        holder = by_id[np.searchsorted(node_cells, _ancestors(cells, home),
+                                       sorter=by_id)]
+        chunk = (cells - cellid.lsb_batch(cells)) >> (
+            2 * (cellid.MAX_LEVEL - home - step) + 1).astype(np.uint64)
+        start = holder * fanout + (chunk & np.uint64(fanout - 1)).astype(
+            np.int64)
+        # one fill: the spans in slot order, zeros in the gaps between
+        # (np.repeat writes the pool itself; nothing else is pool-sized)
+        in_order = np.argsort(start)
+        start, span = start[in_order], span[in_order]
+        runs = np.zeros(2 * start.shape[0] + 1, dtype=np.uint64)
+        runs[1::2] = values[in_order]
+        lengths = np.empty(runs.shape[0], dtype=np.int64)
+        lengths[1::2] = span
+        lengths[0:-1:2] = np.diff(start + span, prepend=0) - span
+        lengths[-1] = max(1, num_nodes) * fanout - lengths[:-1].sum()
+        nodes = np.repeat(runs, lengths).reshape(-1, fanout)
+        return cls(nodes, roots, LookupTable(lookup_words), fanout,
+                   num_entries=num_entries)
 
     def _build_set_index(self) -> None:
         """CSR decode of the lookup table, built once.
@@ -305,22 +424,22 @@ class ACTCore:
         hit / candidate polygon ids. Entries map offset -> row with one
         ``searchsorted``.
         """
-        starts = []
-        true_indptr = [0]
-        cand_indptr = [0]
-        true_ids: list = []
-        cand_ids: list = []
-        for offset, t_ids, c_ids in self.lookup_table.iter_sets():
-            starts.append(offset)
-            true_ids.extend(t_ids)
-            cand_ids.extend(c_ids)
-            true_indptr.append(len(true_ids))
-            cand_indptr.append(len(cand_ids))
-        self._set_starts = np.asarray(starts, dtype=np.int64)
-        self._true_indptr = np.asarray(true_indptr, dtype=np.int64)
-        self._true_ids = np.asarray(true_ids, dtype=np.int64)
-        self._cand_indptr = np.asarray(cand_indptr, dtype=np.int64)
-        self._cand_ids = np.asarray(cand_ids, dtype=np.int64)
+        words = self.lookup_table.words
+        starts = self.lookup_table.set_starts
+        num_true = words[starts].astype(np.int64)
+        cand_at = starts + 1 + num_true
+        # per set, the word range of its true ids, then of its candidates
+        bounds = np.stack((starts + 1, cand_at, cand_at + 1,
+                           np.append(starts, len(words))[1:]),
+                          axis=1).reshape(-1)
+        true_range = 4 * np.arange(starts.shape[0])
+        self._set_starts = starts
+        self._true_indptr = _indptr(num_true)
+        self._true_ids = _csr_gather(true_range, bounds, words) \
+            .astype(np.int64)
+        self._cand_indptr = _indptr(words[cand_at])
+        self._cand_ids = _csr_gather(true_range + 2, bounds, words) \
+            .astype(np.int64)
 
     # ------------------------------------------------------------------
     # Structure metrics
@@ -673,11 +792,11 @@ class ACTCore:
         """``(table, new_offsets)``: a lookup table holding only the
         reference sets at ``offsets`` (ascending, unique) — their word
         ranges gathered in that order — and where each now starts."""
-        words = self.lookup_table.as_array()
+        words = self.lookup_table.words
         indptr = np.append(self._set_starts, len(words))
         rows = np.searchsorted(self._set_starts, offsets)
         lengths = indptr[rows + 1] - indptr[rows]
-        table = LookupTable.from_array(_csr_gather(rows, indptr, words))
+        table = LookupTable(_csr_gather(rows, indptr, words))
         return table, np.cumsum(lengths) - lengths
 
     # ------------------------------------------------------------------
@@ -697,6 +816,12 @@ class ACTCore:
             f"{self.num_entries:,} entries, "
             f"{self.size_bytes / 1e6:.2f} MB)"
         )
+
+
+def _ancestors(cells: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """:func:`cellid.parent_batch` with a level per cell."""
+    low = np.uint64(1) << (2 * (cellid.MAX_LEVEL - levels)).astype(np.uint64)
+    return (cells & ~((low << np.uint64(1)) - np.uint64(1))) | low
 
 
 def _is_pointer(entries: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ C++ reference implementation bit for bit so the memory accounting in
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import CapacityError
 
@@ -118,25 +118,3 @@ def payload_refs(entry: int) -> Tuple[int, ...]:
 
 def offset_value(entry: int) -> int:
     return entry >> 2
-
-
-def encode_refs(refs: List[int], table_offset_for: "OffsetAllocator") -> int:
-    """Choose the densest encoding for a reference set.
-
-    One or two references are inlined; three or more go through the lookup
-    table, with ``table_offset_for`` mapping the set to its offset.
-    """
-    if not refs:
-        return SENTINEL
-    if len(refs) == 1:
-        return make_payload_1(refs[0])
-    if len(refs) == 2:
-        return make_payload_2(refs[0], refs[1])
-    return make_offset(table_offset_for(refs))
-
-
-class OffsetAllocator:
-    """Protocol stand-in: callable mapping a ref list to a table offset."""
-
-    def __call__(self, refs: List[int]) -> int:  # pragma: no cover - protocol
-        raise NotImplementedError

@@ -5,8 +5,7 @@ ACTCore`, and the original polygons behind the interface a downstream
 user needs:
 
 * :meth:`ACTIndex.build` — index a set of polygons at a precision bound
-  (the object trie used during construction is exported into the core
-  and discarded; queries never touch it);
+  (the build emits the core's flat arrays directly);
 * :meth:`query` / :meth:`query_approx` / :meth:`query_exact` — per-point
   lookups returning polygon ids;
 * :meth:`lookup_batch` / :meth:`count_points` — vectorized joins and the
@@ -77,10 +76,7 @@ class ACTIndex:
             max_cells_per_polygon=max_cells_per_polygon,
         )
         result: BuildResult = builder.build(polygons, precision_meters)
-        # export the build-time trie into the canonical flat arrays and
-        # let the object trie go out of scope here
-        core = ACTCore.from_trie(result.trie, result.lookup_table)
-        return cls(grid, core, polygons, result.stats,
+        return cls(grid, result.core, polygons, result.stats,
                    result.boundary_level)
 
     # ------------------------------------------------------------------
@@ -199,9 +195,6 @@ class ACTIndex:
         """Decode one encoded entry (as produced by :meth:`lookup_batch`)
         into a classified :class:`QueryResult`."""
         return self.core.decode_entry(entry)
-
-    #: Backwards-compatible private alias for :meth:`decode_entry`.
-    _decode = decode_entry
 
     def memory_report(self) -> dict:
         """Size breakdown in bytes (C++-layout accounting, like Table I)."""

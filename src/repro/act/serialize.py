@@ -12,9 +12,9 @@ is a single compressed ``.npz``:
 
 The stored arrays *are* the canonical :class:`~repro.act.core.ACTCore`
 representation, so :func:`load_index` materializes the core directly
-from the ``.npz`` buffers — no :class:`~repro.act.trie.AdaptiveCellTrie`
-is ever reconstructed, which keeps cold loads (e.g. the serve registry
-pinning an index on first request) at array-copy speed. Loading returns
+from the ``.npz`` buffers — nothing is rebuilt or re-laid-out, which
+keeps cold loads (e.g. the serve registry pinning an index on first
+request) at array-copy speed. Loading returns
 an :class:`~repro.act.index.ACTIndex` that answers identically to the
 original (tests assert bit-equal lookups).
 
@@ -60,7 +60,8 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from ..errors import ACTError, ArtifactCorruptError, ReproError
+from ..errors import (ACTError, ArtifactCorruptError, CapacityError,
+                      ReproError)
 from ..geometry import geojson
 from ..geometry.bbox import Rect
 from ..grid.planar import PlanarGrid
@@ -135,7 +136,7 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
     members = {
         "nodes": core.nodes,
         "roots": core.roots,
-        "lookup": core.lookup_table.as_array(),
+        "lookup": core.lookup_table.words,
         "grid_params": np.asarray(grid_params, dtype=np.float64),
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"),
                               dtype=np.uint8),
@@ -317,8 +318,8 @@ def load_index(path: Union[str, Path],
                verify: str = "header") -> ACTIndex:
     """Load an index written by :func:`save_index`.
 
-    The node pool and roots feed :class:`~repro.act.core.ACTCore`
-    directly; nothing rebuilds a Python object trie.
+    The node pool, roots and lookup-table words feed
+    :class:`~repro.act.core.ACTCore` directly, as the arrays they are.
 
     ``mmap_mode`` (``"r"`` read-only or ``"c"`` copy-on-write) maps the
     node pool straight from the archive instead of reading it: the
@@ -381,6 +382,11 @@ def load_index(path: Union[str, Path],
                 _check_member(path, members, "grid_params", grid_params)
                 _check_member(path, members, "nodes", nodes,
                               data=(verify == "full"))
+            # walks the set headers: words that do not parse are damage
+            lookup_table = LookupTable(lookup_array)
+    except CapacityError as exc:
+        raise ArtifactCorruptError(
+            f"index artifact {path} is corrupt: {exc}") from exc
     except ReproError:
         raise
     except _CORRUPTION_ERRORS as exc:
@@ -399,7 +405,7 @@ def load_index(path: Union[str, Path],
         raise ACTError(f"unknown grid kind {meta['grid_kind']!r}")
 
     core = ACTCore(
-        nodes, roots, LookupTable.from_array(lookup_array),
+        nodes, roots, lookup_table,
         fanout=meta["fanout"], num_entries=meta["num_trie_entries"],
     )
     polygons = []
@@ -491,6 +497,9 @@ def verify_artifact(path: Union[str, Path], full: bool = False) -> dict:
                     _check_member(path, members, name, array, data=False)
                 else:
                     _check_member(path, members, name, data[name])
+    except CapacityError as exc:
+        raise ArtifactCorruptError(
+            f"index artifact {path} is corrupt: {exc}") from exc
     except ReproError:
         raise
     except _CORRUPTION_ERRORS as exc:

@@ -9,8 +9,6 @@ cells."*
 
 Concretely:
 
-* every covering cell is **denormalized** to the trie's level granularity
-  (its payload replicated over descendants at the next indexable level);
 * cells shared by several polygons are **deduplicated** into one cell with
   a merged reference set;
 * ancestor/descendant **conflicts** (one polygon's coarse cell containing
@@ -19,23 +17,33 @@ Concretely:
   aligned sub-cells, merging into existing descendants and materializing
   the sibling cells that tile the remainder.
 
-The result is a **prefix-free** cell map: no cell is an ancestor of
+The result is a **prefix-free** cell set: no cell is an ancestor of
 another, so an ACT lookup returns at most one cell — exactly the paper's
-lookup contract.
+lookup contract. (Cells keep their covering level here; the ones off
+the node granularity are denormalized when
+:meth:`~repro.act.core.ACTCore.from_cells` lays the pool out.)
 
-References are carried as packed 31-bit ints (``polygon_id << 1 | is_true``,
-the same layout :mod:`repro.act.entry` inlines into trie slots) to keep the
-merge allocation-light at millions of cells.
+The merge runs on columns: the coverings are concatenated into one cell
+column and one reference column, sorted once, and equal cells grouped.
+The sort also lays every containment chain out as a consecutive run, so
+only those (rare) runs go through the per-cell push-down. References are
+carried as packed 31-bit ints (``polygon_id << 1 | is_true``, the same
+layout :mod:`repro.act.entry` inlines into node slots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import chain
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Sequence,
+                    Set, Tuple)
+
+import numpy as np
 
 from ..errors import BuildError
 from ..grid import cellid
 from ..grid.coverer import Covering
+from .core import _csr_gather, _indptr
 
 #: Packed reference: ``polygon_id << 1 | is_true_hit``.
 PackedRef = int
@@ -51,112 +59,140 @@ class _LaminarNode:
 
 
 class SuperCovering:
-    """The merged, prefix-free cell map for a set of polygons.
+    """The merged, prefix-free cell set for a set of polygons.
 
-    :attr:`cells` maps each indexed cell to its packed reference list
-    (possibly containing duplicates only across true/candidate flags —
-    the builder normalizes at encode time).
+    Held as CSR columns: :attr:`cells` (``uint64``, ascending — for
+    disjoint cells that is also the order of their ranges) and, for cell
+    ``k``, its packed references ``refs[indptr[k]:indptr[k + 1]]``
+    (possibly repeating a polygon across true/candidate flags — the
+    encoder normalizes).
     """
 
-    __slots__ = ("cells", "levels_per_step", "max_cell_level",
-                 "num_conflict_cells")
+    __slots__ = ("cells", "indptr", "refs", "levels_per_step",
+                 "max_cell_level", "num_conflict_cells")
 
-    def __init__(self, cells: Dict[int, List[PackedRef]],
-                 levels_per_step: int, max_cell_level: int,
-                 num_conflict_cells: int):
+    def __init__(self, cells: np.ndarray, indptr: np.ndarray,
+                 refs: np.ndarray, levels_per_step: int,
+                 max_cell_level: int, num_conflict_cells: int):
         self.cells = cells
+        self.indptr = indptr
+        self.refs = refs
         self.levels_per_step = levels_per_step
         self.max_cell_level = max_cell_level
         self.num_conflict_cells = num_conflict_cells
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return int(self.cells.shape[0])
+
+    def items(self) -> Iterator[Tuple[int, List[PackedRef]]]:
+        """Yield ``(cell, packed references)`` per cell (tests, demos)."""
+        refs = self.refs.tolist()
+        bounds = self.indptr.tolist()
+        for k, cell in enumerate(self.cells.tolist()):
+            yield cell, refs[bounds[k]:bounds[k + 1]]
 
     @classmethod
     def merge(cls, coverings: Iterable[Tuple[int, Covering]],
               levels_per_step: int, max_cell_level: int) -> "SuperCovering":
         """Merge ``(polygon_id, covering)`` pairs into a super covering.
 
-        ``levels_per_step`` is the trie granularity ``g`` (4 for fanout
-        256); cells are denormalized so ``level % g == 0`` holds for every
-        indexed cell, as required for insertion.
+        ``levels_per_step`` is the node granularity ``g`` (4 for fanout
+        256). Cells keep their covering level; the ones off the
+        granularity are denormalized when the node pool is laid out.
         """
-        refs_by_cell: Dict[int, List[PackedRef]] = {}
+        cells = [np.empty(0, dtype=np.uint64)]
+        refs = [np.empty(0, dtype=np.int64)]
         for polygon_id, covering in coverings:
-            for cell, is_interior in covering.all_cells():
-                if cellid.level(cell) > max_cell_level:
-                    raise BuildError(
-                        f"covering cell at level {cellid.level(cell)} "
-                        f"exceeds max indexable level {max_cell_level}"
-                    )
-                packed = (polygon_id << 1) | (1 if is_interior else 0)
-                refs = refs_by_cell.get(cell)
-                if refs is None:
-                    refs_by_cell[cell] = [packed]
-                else:
-                    refs.append(packed)
-
-        resolved, conflict_cells = _resolve_conflicts(
-            refs_by_cell, levels_per_step
-        )
-        return cls(resolved, levels_per_step, max_cell_level, conflict_cells)
+            for is_interior, part in enumerate((covering.boundary,
+                                                covering.interior)):
+                cells.append(np.asarray(part, dtype=np.uint64))
+                refs.append(np.full(len(part),
+                                    (polygon_id << 1) | is_interior))
+        cells, indptr, refs, conflict_cells = merge_columns(
+            np.concatenate(cells), np.concatenate(refs), max_cell_level)
+        return cls(cells, indptr, refs, levels_per_step, max_cell_level,
+                   conflict_cells)
 
     def validate_prefix_free(self) -> None:
         """Assert no indexed cell contains another (tests call this)."""
-        ordered = sorted(self.cells, key=cellid.range_min)
-        for prev, curr in zip(ordered, ordered[1:]):
-            if cellid.range_max(prev) >= cellid.range_min(curr):
-                raise BuildError(
-                    f"super covering not prefix-free: "
-                    f"{cellid.to_token(prev)} overlaps {cellid.to_token(curr)}"
-                )
+        cells = np.sort(self.cells)
+        clash = cellid.overlaps_batch(cells)
+        if clash.size:
+            prev, curr = cells[clash[0]:clash[0] + 2].tolist()
+            raise BuildError(
+                f"super covering not prefix-free: "
+                f"{cellid.to_token(prev)} overlaps {cellid.to_token(curr)}"
+            )
 
 
-def _resolve_conflicts(refs_by_cell: Dict[int, List[PackedRef]],
-                       levels_per_step: int,
-                       ) -> Tuple[Dict[int, List[PackedRef]], int]:
-    """Split ancestor cells around their conflicting descendants.
+def merge_columns(cells: np.ndarray, refs: np.ndarray, max_cell_level: int,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(cells, indptr, refs, conflict_cells)`` of the prefix-free cell
+    set covering what the ``(cell, packed reference)`` rows cover.
 
     Cells are laminar (any two are nested or disjoint), so sorting by
-    ``range_min`` with coarser cells first turns containment chains into
-    consecutive runs, which are resolved group by group. Conflict-free
-    cells — the overwhelmingly common case — pass through untouched.
+    first leaf with coarser cells first puts equal cells side by side
+    and turns containment chains into consecutive runs. Equal cells
+    become one row; conflict-free cells — the overwhelmingly common case
+    — are then already final, and each conflict run is re-tiled by
+    :func:`_resolve_group`.
     """
-    order = sorted(
-        refs_by_cell,
-        key=lambda c: ((c - (c & -c)) << 6) | cellid.level(c),
-    )
-    out: Dict[int, List[PackedRef]] = {}
-    conflict_cells = 0
-    i = 0
-    n = len(order)
-    while i < n:
-        cell = order[i]
-        group_end = i + 1
-        max_range = cellid.range_max(cell)
-        while group_end < n and \
-                cellid.range_min(order[group_end]) <= max_range:
-            next_max = cellid.range_max(order[group_end])
-            if next_max > max_range:
-                max_range = next_max
-            group_end += 1
-        if group_end == i + 1:
-            out[cell] = refs_by_cell[cell]
-        else:
-            before = len(out)
-            _resolve_group(
-                [(c, refs_by_cell[c]) for c in order[i:group_end]],
-                out, levels_per_step,
-            )
-            conflict_cells += len(out) - before - (group_end - i)
-        i = group_end
-    return out, max(0, conflict_cells)
+    if cells.size == 0:
+        return cells, np.zeros(1, dtype=np.int64), refs, 0
+    low = cellid.lsb_batch(cells)
+    if int(low.min()) < 1 << 2 * (cellid.MAX_LEVEL - max_cell_level):
+        raise BuildError(
+            f"covering cell at level "
+            f"{int(cellid.level_batch(cells).max())} exceeds max "
+            f"indexable level {max_cell_level}"
+        )
+    order = np.lexsort((~low, cells - low))
+    cells, low, refs = cells[order], low[order], refs[order]
+    first = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
+    cells, low = cells[first], low[first]
+    indptr = np.append(first, order.shape[0])
+
+    # a run continues while the next cell starts inside the range the
+    # run has covered so far
+    reach = np.maximum.accumulate(cells + (low - np.uint64(1)))
+    run_start = np.flatnonzero(
+        np.append(True, cells[1:] - low[1:] >= reach[:-1]))
+    run_size = np.diff(np.append(run_start, cells.shape[0]))
+    conflicted = np.flatnonzero(run_size > 1)
+    if conflicted.size == 0:
+        return cells, indptr, refs, 0
+
+    resolved: Dict[int, List[PackedRef]] = {}
+    grown = 0
+    cell_list, ref_list, bounds = (cells.tolist(), refs.tolist(),
+                                   indptr.tolist())
+    for start, size in zip(run_start[conflicted].tolist(),
+                           run_size[conflicted].tolist()):
+        before = len(resolved)
+        _resolve_group(
+            [(cell_list[k], ref_list[bounds[k]:bounds[k + 1]])
+             for k in range(start, start + size)], resolved)
+        grown += len(resolved) - before - size
+
+    # splice: the untouched rows plus the re-tiled ones, back in order
+    keep = np.repeat(run_size == 1, run_size)
+    new_counts = np.fromiter(map(len, resolved.values()), np.int64,
+                             len(resolved))
+    counts = np.concatenate((np.diff(indptr)[keep], new_counts))
+    cells = np.concatenate((
+        cells[keep], np.fromiter(resolved.keys(), np.uint64, len(resolved))))
+    refs = np.concatenate((
+        refs[np.repeat(keep, np.diff(indptr))],
+        np.fromiter(chain.from_iterable(resolved.values()), np.int64,
+                    int(new_counts.sum()))))
+    order = np.argsort(cells, kind="stable")
+    return (cells[order], _indptr(counts[order]),
+            _csr_gather(order, _indptr(counts), refs), max(0, grown))
 
 
 def _resolve_group(group: Sequence[Tuple[int, List[PackedRef]]],
-                   out: Dict[int, List[PackedRef]],
-                   levels_per_step: int) -> None:
+                   out: Dict[int, List[PackedRef]]) -> None:
     """Push ancestor references down through one laminar conflict group."""
     root_cell, root_refs = group[0]
     root = _LaminarNode(root_cell, set(root_refs))
@@ -167,13 +203,12 @@ def _resolve_group(group: Sequence[Tuple[int, List[PackedRef]]],
         node = _LaminarNode(cell, set(refs))
         stack[-1].children.append(node)
         stack.append(node)
-    _emit(root.cell, frozenset(root.refs), root.children,
-          out, levels_per_step)
+    _emit(root.cell, frozenset(root.refs), root.children, out)
 
 
 def _emit(cell: int, refs: FrozenSet[PackedRef],
-          children: List[_LaminarNode], out: Dict[int, List[PackedRef]],
-          levels_per_step: int) -> None:
+          children: List[_LaminarNode],
+          out: Dict[int, List[PackedRef]]) -> None:
     """Tile ``cell`` with its conflicting descendants pushed-down into it.
 
     ``refs`` are the references inherited from ``cell`` and all of its
@@ -187,12 +222,11 @@ def _emit(cell: int, refs: FrozenSet[PackedRef],
     if not refs:
         # nothing to push down: descendants resolve independently
         for child in children:
-            _emit(child.cell, frozenset(child.refs), child.children,
-                  out, levels_per_step)
+            _emit(child.cell, frozenset(child.refs), child.children, out)
         return
 
     # split the cell one level and distribute (cells may sit at any level
-    # since denormalization happens inside the trie insert)
+    # since denormalization happens when the node pool is laid out)
     target_level = cellid.level(cell) + 1
     for slot in cellid.denormalize(cell, target_level):
         slot_min = cellid.range_min(slot)
@@ -203,12 +237,11 @@ def _emit(cell: int, refs: FrozenSet[PackedRef],
             _merge_out(out, slot, refs)
         elif len(sub) == 1 and sub[0].cell == slot:
             node = sub[0]
-            _emit(slot, refs | node.refs, node.children, out,
-                  levels_per_step)
+            _emit(slot, refs | node.refs, node.children, out)
         else:
             # the slot itself is not a recorded cell: recurse with the
             # inherited refs (non-empty here) over the surviving nodes
-            _emit(slot, refs, sub, out, levels_per_step)
+            _emit(slot, refs, sub, out)
 
 
 def _merge_out(out: Dict[int, List[PackedRef]], cell: int,

@@ -2,8 +2,7 @@
 
 The benchmark harness prints the same rows/columns the paper reports
 (Table I metrics, Figure 3 throughput bars, Figure 4 scaling series) so a
-run's output can be placed side by side with the paper's numbers — that
-comparison lives in EXPERIMENTS.md.
+run's output can be placed side by side with the paper's numbers.
 
 :func:`write_bench_json` additionally persists machine-readable
 ``BENCH_<name>.json`` snapshots so the perf trajectory is trackable

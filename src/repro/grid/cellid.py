@@ -338,6 +338,17 @@ def lsb_batch(cells: np.ndarray) -> np.ndarray:
     return low
 
 
+def overlaps_batch(cells: np.ndarray) -> np.ndarray:
+    """Positions ``k`` at which ``cells[k]`` and ``cells[k + 1]`` overlap
+    (one contains, or is, the other), for cells in ascending id order.
+    Cells nest or are disjoint, so sorted ids of disjoint cells are
+    sorted ranges and anything else puts an overlapping pair side by
+    side: the set is prefix-free exactly when this is empty."""
+    low = lsb_batch(cells)
+    return np.flatnonzero(cells[:-1] + (low[:-1] - np.uint64(1))
+                          >= cells[1:] - low[1:])
+
+
 def descendant_batch(cells: np.ndarray, positions: np.ndarray,
                      levels: int) -> np.ndarray:
     """Vectorized :func:`child`, ``levels`` levels down at once: the

@@ -1,38 +1,32 @@
-"""The Adaptive Cell Trie: a radix tree over hierarchical grid cells.
+"""The build as it ran before ISSUE 19, kept as a test-only oracle.
 
-Keys are the Hilbert-path bit sequences of cell ids (the 3 face bits are
-dispatched through per-face root slots, so path chunks stay aligned). With
-the default fanout of 256, each trie level consumes 8 key bits ≙ 4 grid
-levels, capping lookups at ``floor(60 / 8) = 7`` node accesses after the
-face dispatch — the "few basic integer operations" the paper credits for
-its speed.
-
-Lookups are **comparison-free** in the radix-tree sense: no key is ever
-compared against stored keys; each step extracts the next chunk of the
-query cell's path and jumps to that slot. Only the 2-bit entry tags are
-inspected to distinguish pointers from inlined payloads, exactly as the
-paper describes.
-
-Cells may only be inserted at levels aligned to the fanout granularity
-(``level % levels_per_step == 0``); the builder denormalizes coverings
-accordingly (paper: "we need to denormalize cells upon insertion and
-replicate their payloads").
-
-This class is **build-time scaffolding**: it exists so insertion (node
-allocation, denormalization, conflict detection) has a convenient
-pointer structure to mutate. Once a build finishes, the trie is exported
-(:meth:`AdaptiveCellTrie.export_arrays`) into the canonical columnar
-:class:`~repro.act.core.ACTCore` and discarded; no query path descends
-Python node objects.
+Until then every build went polygons -> dict-of-lists super covering ->
+``AdaptiveCellTrie`` (one ``insert`` per cell into Python lists) ->
+``export_arrays`` -> ``ACTCore``, with reference sets interned one at a
+time into a mutable ``LookupTable``. The build now emits the core's
+arrays directly (``merge_columns`` -> ``encode_refs`` ->
+``ACTCore.from_cells``); what it replaced lives on here, verbatim —
+the trie, the table, ``entry.encode_refs``, ``ACTBuilder._insert_cells``
+(as :func:`insert_cells`), ``SuperCovering.merge`` with its run scan (as
+:func:`merge`; the per-run push-down ``_resolve_group`` is still the
+shipped one) and ``ACTCore.from_trie`` (as :func:`core_from_trie`) —
+slow, and obviously right. ``tests/act/test_build_differential.py``
+holds the array build to it bit for bit; ``tests/serve/_legacy_shard.py``
+builds its slices with it. It sits in ``tests/`` itself so both
+``tests/act`` and ``tests/serve`` import it.
 """
 
-from __future__ import annotations
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from typing import Iterator, List, Tuple
+import numpy as np
 
-from ..errors import BuildError
-from ..grid import cellid
-from . import entry as entry_codec
+from repro.act import entry as entry_codec
+from repro.act.core import ACTCore
+from repro.act.lookup_table import LookupTable as WordTable
+from repro.act.supercovering import _resolve_group
+from repro.errors import BuildError, CapacityError
+from repro.grid import cellid
+from repro.grid.coverer import Covering
 
 #: Fanouts supported: 4 ** k keeps chunks aligned to whole grid levels.
 SUPPORTED_FANOUTS = (4, 16, 64, 256)
@@ -72,20 +66,6 @@ class AdaptiveCellTrie:
         self._roots: List[int] = [entry_codec.SENTINEL] * num_faces
         self._nodes: List[List[int]] = []
         self.num_entries = 0
-
-    @classmethod
-    def from_arrays(cls, nodes, roots, fanout: int,
-                    num_entries: int) -> "AdaptiveCellTrie":
-        """Rebuild a trie from :meth:`export_arrays` output (persistence)."""
-        trie = cls(fanout=fanout, num_faces=len(roots))
-        trie._roots = [int(r) for r in roots]
-        pool = [[int(v) for v in row] for row in nodes]
-        # export_arrays emits one zero row for an empty trie; drop it
-        if num_entries == 0 and len(pool) == 1 and not any(pool[0]):
-            pool = []
-        trie._nodes = pool
-        trie.num_entries = num_entries
-        return trie
 
     # ------------------------------------------------------------------
     # Structure metrics
@@ -294,11 +274,204 @@ class AdaptiveCellTrie:
     def export_arrays(self):
         """Node pool as a ``(num_nodes, fanout)`` uint64 array plus the
         root entries — the input to :class:`repro.act.core.ACTCore`."""
-        import numpy as np
-
         table = np.zeros((max(1, len(self._nodes)), self.fanout),
                          dtype=np.uint64)
         for idx, node in enumerate(self._nodes):
             table[idx, :] = node
         roots = np.asarray(self._roots, dtype=np.uint64)
         return table, roots
+
+
+class LookupTable:
+    """Deduplicated, uint32-encoded polygon reference sets."""
+
+    __slots__ = ("_data", "_offsets")
+
+    def __init__(self) -> None:
+        self._data: List[int] = []
+        self._offsets: Dict[
+            Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+
+    def iter_sets(self) -> Iterator[
+            Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+        """Yield ``(offset, true_ids, candidate_ids)`` for every encoded
+        set, in storage order — the one walk of the encoding shared by
+        the dedup map and the core's CSR decode."""
+        offset = 0
+        n = len(self._data)
+        while offset < n:
+            true_ids, cand_ids = self.get(offset)
+            yield offset, true_ids, cand_ids
+            offset += 2 + len(true_ids) + len(cand_ids)
+
+    def __len__(self) -> int:
+        """Number of uint32 words in the encoded array."""
+        return len(self._data)
+
+    @property
+    def num_unique_sets(self) -> int:
+        return len(self._offsets)
+
+    @property
+    def size_bytes(self) -> int:
+        return 4 * len(self._data)
+
+    def intern(self, true_ids: Iterable[int], candidate_ids: Iterable[int]) -> int:
+        """Offset of the (deduplicated) reference set, appending if new."""
+        offsets = self._offsets
+        true_key = tuple(sorted(true_ids))
+        cand_key = tuple(sorted(candidate_ids))
+        key = (true_key, cand_key)
+        offset = offsets.get(key)
+        if offset is not None:
+            return offset
+        offset = len(self._data)
+        if offset > entry_codec.MAX_OFFSET:
+            raise CapacityError(
+                f"lookup table exceeded the 31-bit offset space at {offset}"
+            )
+        self._data.append(len(true_key))
+        self._data.extend(true_key)
+        self._data.append(len(cand_key))
+        self._data.extend(cand_key)
+        offsets[key] = offset
+        return offset
+
+    def intern_refs(self, refs: Sequence[int]) -> int:
+        """Offset for packed 31-bit references (splits true/candidate)."""
+        true_ids = [entry_codec.ref_polygon_id(r) for r in refs
+                    if entry_codec.ref_is_true_hit(r)]
+        cand_ids = [entry_codec.ref_polygon_id(r) for r in refs
+                    if not entry_codec.ref_is_true_hit(r)]
+        return self.intern(true_ids, cand_ids)
+
+    def get(self, offset: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Decode ``(true_hit_ids, candidate_ids)`` at ``offset``."""
+        data = self._data
+        if not 0 <= offset < len(data):
+            raise CapacityError(f"lookup-table offset {offset} out of range")
+        n_true = data[offset]
+        true_ids = tuple(data[offset + 1:offset + 1 + n_true])
+        cand_pos = offset + 1 + n_true
+        n_cand = data[cand_pos]
+        cand_ids = tuple(data[cand_pos + 1:cand_pos + 1 + n_cand])
+        return true_ids, cand_ids
+
+    def as_array(self) -> np.ndarray:
+        """The encoded table as a ``uint32`` numpy array."""
+        return np.asarray(self._data, dtype=np.uint32)
+
+
+def encode_refs(refs: List[int], table_offset_for) -> int:
+    """Choose the densest encoding for a reference set.
+
+    One or two references are inlined; three or more go through the lookup
+    table, with ``table_offset_for`` mapping the set to its offset.
+    """
+    if not refs:
+        return entry_codec.SENTINEL
+    if len(refs) == 1:
+        return entry_codec.make_payload_1(refs[0])
+    if len(refs) == 2:
+        return entry_codec.make_payload_2(refs[0], refs[1])
+    return entry_codec.make_offset(table_offset_for(refs))
+
+
+def insert_cells(trie: AdaptiveCellTrie, lookup_table: LookupTable,
+                 cells: Dict[int, List[int]], use_interior: bool) -> None:
+    """Encode packed reference lists and insert them into the trie.
+
+    Reference lists come from the super covering as packed 31-bit ints
+    (``polygon_id << 1 | is_true``). A polygon appearing with both
+    flags collapses to its true-hit reference (the stronger claim);
+    with ``use_interior=False`` every reference is demoted to a
+    candidate (the no-true-hit-filtering ablation).
+    """
+    insert = trie.insert
+    for cell, packed in cells.items():
+        if len(packed) == 1:
+            ref = packed[0] if use_interior else packed[0] & ~1
+            insert(cell, entry_codec.make_payload_1(ref))
+            continue
+        unique = set(packed)
+        if not use_interior:
+            unique = {ref & ~1 for ref in unique}
+        else:
+            # true hit dominates a duplicate candidate reference
+            unique -= {ref & ~1 for ref in unique if ref & 1}
+        refs = sorted(unique)
+        if len(refs) == 1:
+            insert(cell, entry_codec.make_payload_1(refs[0]))
+        elif len(refs) == 2:
+            insert(cell, entry_codec.make_payload_2(refs[0], refs[1]))
+        else:
+            insert(cell, entry_codec.make_offset(
+                lookup_table.intern_refs(refs)))
+
+
+def merge(coverings: Iterable[Tuple[int, Covering]], max_cell_level: int,
+          ) -> Tuple[Dict[int, List[int]], int]:
+    """``(cell -> packed references, conflict cells)``: the dict-of-lists
+    super covering, its cells in ascending order."""
+    refs_by_cell: Dict[int, List[int]] = {}
+    for polygon_id, covering in coverings:
+        for cell, is_interior in covering.all_cells():
+            if cellid.level(cell) > max_cell_level:
+                raise BuildError(
+                    f"covering cell at level {cellid.level(cell)} "
+                    f"exceeds max indexable level {max_cell_level}"
+                )
+            packed = (polygon_id << 1) | (1 if is_interior else 0)
+            refs = refs_by_cell.get(cell)
+            if refs is None:
+                refs_by_cell[cell] = [packed]
+            else:
+                refs.append(packed)
+
+    order = sorted(
+        refs_by_cell,
+        key=lambda c: ((c - (c & -c)) << 6) | cellid.level(c),
+    )
+    out: Dict[int, List[int]] = {}
+    conflict_cells = 0
+    i = 0
+    n = len(order)
+    while i < n:
+        cell = order[i]
+        group_end = i + 1
+        max_range = cellid.range_max(cell)
+        while group_end < n and \
+                cellid.range_min(order[group_end]) <= max_range:
+            next_max = cellid.range_max(order[group_end])
+            if next_max > max_range:
+                max_range = next_max
+            group_end += 1
+        if group_end == i + 1:
+            out[cell] = refs_by_cell[cell]
+        else:
+            before = len(out)
+            _resolve_group(
+                [(c, refs_by_cell[c]) for c in order[i:group_end]], out)
+            conflict_cells += len(out) - before - (group_end - i)
+        i = group_end
+    return out, max(0, conflict_cells)
+
+
+def core_from_trie(trie: AdaptiveCellTrie,
+                   lookup_table: LookupTable) -> ACTCore:
+    """Export a built trie into its canonical flat-array form."""
+    nodes, roots = trie.export_arrays()
+    return ACTCore(nodes, roots, WordTable(lookup_table.as_array()),
+                   trie.fanout, num_entries=trie.num_entries)
+
+
+def build(coverings: Sequence[Covering], fanout: int = 256,
+          use_interior: bool = True) -> Tuple[ACTCore, LookupTable, int]:
+    """``(core, table, conflict cells)``: the build's back half as it
+    ran, from the per-polygon coverings on."""
+    trie = AdaptiveCellTrie(fanout)
+    cells, conflict_cells = merge(enumerate(coverings),
+                                  trie.max_cell_level)
+    table = LookupTable()
+    insert_cells(trie, table, cells, use_interior)
+    return core_from_trie(trie, table), table, conflict_cells

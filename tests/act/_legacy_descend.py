@@ -16,7 +16,7 @@ import zipfile
 
 import numpy as np
 
-from repro.act.trie import KEY_BITS
+from repro.act.core import KEY_BITS
 from repro.grid import cellid
 from repro.join.executor import refine_pairs_packed
 

@@ -24,7 +24,7 @@ class TestConstruction:
 
     def test_size_accounting(self, adaptive):
         assert adaptive.size_bytes == (
-            adaptive.core.size_bytes + adaptive.lookup_table.size_bytes
+            adaptive.core.size_bytes + adaptive.core.lookup_table.size_bytes
         )
 
 

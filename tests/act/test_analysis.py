@@ -8,13 +8,11 @@ from repro.act.analysis import (
     summarize,
 )
 from repro.act.core import ACTCore
-from repro.act.lookup_table import LookupTable
-from repro.act.trie import AdaptiveCellTrie
 from repro.grid.coverer import RegionCoverer
 
 
 def _empty_core() -> ACTCore:
-    return ACTCore.from_trie(AdaptiveCellTrie(), LookupTable())
+    return ACTCore.from_cells((), (), (), 256)
 
 
 class TestLevelHistogram:

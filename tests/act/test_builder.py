@@ -68,11 +68,11 @@ class TestLookupTableUsage:
         """Disjoint partitions mostly inline 1-2 refs (paper: 'In most
         cases, cells reference one or two polygons')."""
         result = builder.build(nyc_polygons, precision_meters=300.0)
-        assert result.lookup_table.size_bytes <= \
-            0.05 * result.trie.size_bytes
+        assert result.core.lookup_table.size_bytes <= \
+            0.05 * result.core.size_bytes
 
     def test_overlaps_populate_table(self, overlap_polygons):
         grid = PlanarGrid.for_polygons(overlap_polygons)
         result = ACTBuilder(grid).build(overlap_polygons,
                                         precision_meters=300.0)
-        assert result.lookup_table.num_unique_sets > 0
+        assert result.core.lookup_table.num_unique_sets > 0

@@ -50,7 +50,7 @@ class TestCountHits:
         # brute-force decode per entry
         want = np.zeros(nyc_index.num_polygons, dtype=np.int64)
         for e in entries.tolist():
-            result = nyc_index._decode(int(e))
+            result = nyc_index.decode_entry(int(e))
             for pid in result.all_ids:
                 want[pid] += 1
         assert counts.tolist() == want.tolist()
@@ -67,7 +67,7 @@ class TestCountHits:
         assert (true_counts <= all_counts).all()
         want = np.zeros(nyc_index.num_polygons, dtype=np.int64)
         for e in entries.tolist():
-            for pid in nyc_index._decode(int(e)).true_hits:
+            for pid in nyc_index.decode_entry(int(e)).true_hits:
                 want[pid] += 1
         assert true_counts.tolist() == want.tolist()
 
@@ -98,7 +98,7 @@ class TestPairs:
             got = sorted(zip(pts.tolist(), pids.tolist()))
             want = []
             for k, e in enumerate(entries.tolist()):
-                result = overlap_index._decode(int(e))
+                result = overlap_index.decode_entry(int(e))
                 ids = result.true_hits if want_true else result.candidates
                 want.extend((k, pid) for pid in ids)
             assert got == sorted(want)
@@ -187,10 +187,7 @@ class TestEnumeration:
                         + core.levels_per_step)
 
     def test_empty_core(self):
-        from repro.act.lookup_table import LookupTable
-        from repro.act.trie import AdaptiveCellTrie
-
-        core = ACTCore.from_trie(AdaptiveCellTrie(), LookupTable())
+        core = ACTCore.from_cells((), (), (), 256)
         cells, entries = core.cell_arrays()
         assert cells.size == entries.size == 0
         assert list(core.iter_cells()) == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import ACTIndex
-from repro.act.trie import KEY_BITS, SUPPORTED_FANOUTS
+from repro.act.core import KEY_BITS, SUPPORTED_FANOUTS
 
 
 class TestAccessBounds:

@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 
 import _legacy_descend as legacy
 from repro.act import entry as codec
-from repro.act.core import ACTCore
+from repro.act.core import SUPPORTED_FANOUTS, ACTCore, radix_geometry
 from repro.act.lookup_table import LookupTable
 from repro.act.serialize import load_index, save_index
-from repro.act.trie import SUPPORTED_FANOUTS, AdaptiveCellTrie
-from repro.errors import BuildError
 from repro.grid import cellid
 from repro.lint.engine import run as lint
 
@@ -54,18 +52,19 @@ def cores(draw):
     """A core over a random prefix-free cell set, at any fanout, its
     pool either as built or an unaligned copy (what mapping an unpadded
     archive yields)."""
-    trie = AdaptiveCellTrie(fanout=draw(st.sampled_from(SUPPORTED_FANOUTS)))
-    inserted = []
+    fanout = draw(st.sampled_from(SUPPORTED_FANOUTS))
+    indexed = {}
     for (face, i, j), level, ref in draw(st.lists(
-            st.tuples(face_ij, st.integers(0, trie.max_cell_level),
+            st.tuples(face_ij, st.integers(0, radix_geometry(fanout)[3]),
                       st.integers(0, (1 << 31) - 1)), max_size=24)):
         cell = cellid.parent(cellid.from_face_ij(face, i, j), level)
-        try:
-            trie.insert(cell, codec.make_payload_1(ref))
-        except BuildError:  # overlaps an earlier cell: not prefix-free
-            continue
-        inserted.append(cell)
-    core = ACTCore.from_trie(trie, LookupTable())
+        # one overlapping an earlier cell would not be prefix-free
+        if not any(cellid.intersects(cell, other) for other in indexed):
+            indexed[cell] = codec.make_payload_1(ref)
+    inserted = list(indexed)
+    core = ACTCore.from_cells(
+        np.asarray(inserted, dtype=np.uint64),
+        np.asarray(list(indexed.values()), dtype=np.uint64), (), fanout)
     if draw(st.booleans()):
         raw = np.empty(core.nodes.nbytes + 8, dtype=np.uint8)
         pool = raw[1:1 + core.nodes.nbytes].view(np.uint64)
@@ -155,7 +154,7 @@ def test_pointer_chain_past_max_steps_is_a_miss():
     """A malformed pool whose pointers never end: both walks give up
     after ``max_steps`` and answer 0."""
     fanout = 256
-    steps = AdaptiveCellTrie(fanout=fanout).max_steps
+    steps = radix_geometry(fanout)[2]
     nodes = np.empty((steps, fanout), dtype=np.uint64)
     for row in range(steps):
         nodes[row] = codec.make_pointer(min(row + 1, steps - 1))

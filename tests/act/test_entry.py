@@ -1,10 +1,12 @@
 """Unit tests for the tagged 8-byte entry codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.act import entry as codec
+from repro.act.lookup_table import encode_refs
 from repro.errors import CapacityError
 
 polygon_ids = st.integers(0, codec.MAX_POLYGON_ID)
@@ -74,28 +76,31 @@ class TestEntries:
 
 
 class TestEncodeRefs:
+    """The densest encoding per reference count (the table side of
+    ``encode_refs`` is in ``test_lookup_table.py``)."""
+
+    @staticmethod
+    def encode(refs):
+        entries, words = encode_refs(
+            np.asarray([0, len(refs)]), np.asarray(refs, dtype=np.int64))
+        return int(entries[0]), words.tolist()
+
     def test_empty_is_sentinel(self):
-        assert codec.encode_refs([], lambda refs: 0) == codec.SENTINEL
+        assert self.encode([]) == (codec.SENTINEL, [])
 
     def test_one_inlined(self):
         ref = codec.make_ref(7, True)
-        entry = codec.encode_refs([ref], lambda refs: 0)
-        assert codec.tag(entry) == codec.TAG_PAYLOAD_1
+        entry, words = self.encode([ref])
+        assert entry == codec.make_payload_1(ref) and not words
 
     def test_two_inlined(self):
-        refs = [codec.make_ref(7, True), codec.make_ref(9, False)]
-        entry = codec.encode_refs(refs, lambda r: 0)
-        assert codec.tag(entry) == codec.TAG_PAYLOAD_2
+        refs = [codec.make_ref(9, False), codec.make_ref(7, True)]
+        entry, words = self.encode(refs)
+        assert entry == codec.make_payload_2(*sorted(refs)) and not words
 
     def test_three_use_table(self):
         refs = [codec.make_ref(p, False) for p in (1, 2, 3)]
-        calls = []
-
-        def alloc(r):
-            calls.append(list(r))
-            return 42
-
-        entry = codec.encode_refs(refs, alloc)
+        entry, words = self.encode(refs)
         assert codec.tag(entry) == codec.TAG_OFFSET
-        assert codec.offset_value(entry) == 42
-        assert calls == [refs]
+        assert codec.offset_value(entry) == 0
+        assert words == [0, 3, 1, 2, 3]

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ACTIndex
-from repro.act.trie import SUPPORTED_FANOUTS
+from repro.act.core import SUPPORTED_FANOUTS
 from repro.geometry import point_polygon_distance_meters, regular_polygon
 from repro.grid.s2like import S2LikeGrid
 

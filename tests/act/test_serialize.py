@@ -10,6 +10,7 @@ import pytest
 
 import _legacy_descend as legacy
 from repro import ACTIndex
+from repro.act.core import ACTCore
 from repro.act.serialize import (MEMBER_ALIGN, load_index,
                                  quarantine_artifact, save_index,
                                  verify_artifact)
@@ -68,34 +69,49 @@ class TestRoundtrip:
         for a, b in zip(loaded.polygons, original.polygons):
             assert a.area == pytest.approx(b.area)
 
-    def test_lookup_table_still_interns(self, saved):
-        """The dedup map must survive so post-load interning works."""
-        original, path = saved
-        loaded = load_index(path)
-        if loaded.lookup_table.num_unique_sets:
-            true_ids, cand_ids = loaded.lookup_table.get(0)
-            offset = loaded.lookup_table.intern(true_ids, cand_ids)
-            assert offset == 0
+
+def _forbidden_layout(*args, **kwargs):
+    raise AssertionError("load_index laid the node pool out again")
 
 
 class TestColumnarLoad:
+    def test_lookup_table_is_held_as_the_loaded_words(
+            self, overlap_index, tmp_path):
+        """One ``uint32`` array from the archive to the core: no list
+        copy, nothing re-interned."""
+        path = tmp_path / "overlap.npz"
+        save_index(overlap_index, path)
+        for mmap_mode in (None, "r"):
+            table = load_index(path, mmap_mode=mmap_mode).core.lookup_table
+            assert table.num_unique_sets > 0
+            assert isinstance(table.words, np.ndarray)
+            assert table.words.dtype == np.uint32 and table.words.ndim == 1
+            assert np.array_equal(table.words,
+                                  overlap_index.core.lookup_table.words)
+            held = [getattr(table, slot) for slot in table.__slots__]
+            assert all(isinstance(value, np.ndarray) for value in held)
+            assert table.set_starts.tolist() == \
+                overlap_index.core.lookup_table.set_starts.tolist()
+
+    def test_lookup_words_that_do_not_parse_fail_typed(
+            self, overlap_index, tmp_path):
+        """A table whose set headers overrun it — every checksum right,
+        the content wrong — is a corrupt artifact, not an IndexError."""
+        path = tmp_path / "overlap.npz"
+        save_index(overlap_index, path)
+        damaged = load_index(path)
+        damaged.core.lookup_table.words = np.append(
+            damaged.core.lookup_table.words, np.uint32(9))
+        save_index(damaged, path)
+        for verify in ("off", "header", "full"):
+            with pytest.raises(ArtifactCorruptError, match="overruns"):
+                load_index(path, verify=verify)
+
     def test_load_never_constructs_a_trie(self, saved, monkeypatch):
-        """Cold loads materialize the ACTCore straight from the .npz
-        arrays; instantiating build scaffolding is a regression."""
-        from repro.act.trie import AdaptiveCellTrie
-
+        """Cold loads hand the .npz arrays to the ACTCore as they are;
+        laying the pool out again is a regression."""
         _, path = saved
-
-        def _forbidden(self, *args, **kwargs):
-            raise AssertionError(
-                "load_index constructed an AdaptiveCellTrie"
-            )
-
-        monkeypatch.setattr(AdaptiveCellTrie, "__init__", _forbidden)
-        monkeypatch.setattr(
-            AdaptiveCellTrie, "from_arrays",
-            classmethod(lambda cls, *a, **k: _forbidden(None)),
-        )
+        monkeypatch.setattr(ACTCore, "from_cells", _forbidden_layout)
         loaded = load_index(path)
         assert loaded.core.num_nodes > 0
 
@@ -212,20 +228,8 @@ class TestMmapLoad:
             assert np.array_equal(data["nodes"], original.core.nodes)
 
     def test_mmap_load_never_constructs_a_trie(self, saved, monkeypatch):
-        from repro.act.trie import AdaptiveCellTrie
-
         _, path = saved
-
-        def _forbidden(self, *args, **kwargs):
-            raise AssertionError(
-                "load_index constructed an AdaptiveCellTrie"
-            )
-
-        monkeypatch.setattr(AdaptiveCellTrie, "__init__", _forbidden)
-        monkeypatch.setattr(
-            AdaptiveCellTrie, "from_arrays",
-            classmethod(lambda cls, *a, **k: _forbidden(None)),
-        )
+        monkeypatch.setattr(ACTCore, "from_cells", _forbidden_layout)
         mapped = load_index(path, mmap_mode="r")
         assert mapped.core.num_nodes > 0
 

@@ -1,5 +1,6 @@
 """Tests for super covering merge and conflict resolution."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ def merge(pairs, g=4, max_level=28):
 
 
 def refs_of(sc, cell):
-    return sorted(set(sc.cells[cell]))
+    return sorted(set(dict(sc.items())[cell]))
 
 
 class TestDedup:
@@ -51,8 +52,7 @@ class TestConflicts:
         sc = merge([(0, [], [parent]), (1, [child], [])])
         sc.validate_prefix_free()
         # the child cell must carry both refs
-        assert (0 << 1) | 1 in sc.cells[child]
-        assert (1 << 1) in sc.cells[child]
+        assert refs_of(sc, child) == [(0 << 1) | 1, 1 << 1]
         # the other three siblings carry only the parent's ref
         for sibling in cellid.children(parent):
             if sibling == child:
@@ -68,7 +68,7 @@ class TestConflicts:
         sc.validate_prefix_free()
         # every emitted cell is within the top cell and refs are complete:
         total_leaves = 0
-        for cell, refs in sc.cells.items():
+        for cell, refs in sc.items():
             assert cellid.contains(top, cell)
             assert (0 << 1) | 1 in refs
             total_leaves += 1 << (2 * (cellid.MAX_LEVEL - cellid.level(cell)))
@@ -82,12 +82,14 @@ class TestConflicts:
         c = make_cell(0, 0, 0, 12)
         sc = merge([(0, [], [a]), (1, [], [b]), (2, [c], [])])
         sc.validate_prefix_free()
-        assert sorted(set(sc.cells[c])) == [0 << 1 | 1, 1 << 1 | 1, 2 << 1]
+        assert refs_of(sc, c) == [0 << 1 | 1, 1 << 1 | 1, 2 << 1]
 
     def test_validate_detects_overlap(self):
         parent = make_cell(0, 64, 64, 10)
         child = cellid.children(parent)[0]
-        sc = SuperCovering({parent: [0], child: [2]}, 4, 28, 0)
+        sc = SuperCovering(np.asarray([child, parent], dtype=np.uint64),
+                           np.asarray([0, 1, 2]), np.asarray([2, 0]),
+                           4, 28, 0)
         with pytest.raises(BuildError):
             sc.validate_prefix_free()
 
@@ -137,14 +139,15 @@ class TestMassConservation:
             probes.add(cellid.range_max(cell))
             probes.add(((cellid.range_min(cell)
                          + cellid.range_max(cell)) // 2) | 1)
-        out_cells = sorted(sc.cells, key=cellid.range_min)
+        out = dict(sc.items())
+        assert sorted(out, key=cellid.range_min) == sc.cells.tolist()
         for leaf in probes:
             want = set()
             for pid, cell, interior in cells_in:
                 if cellid.contains(cell, leaf):
                     want.add((pid << 1) | (1 if interior else 0))
             got = set()
-            for cell in out_cells:
+            for cell, refs in out.items():
                 if cellid.contains(cell, leaf):
-                    got.update(sc.cells[cell])
+                    got.update(refs)
             assert got == want, f"leaf {leaf:#x}"

@@ -1,11 +1,15 @@
-"""Unit and property tests for the Adaptive Cell Trie structure."""
+"""Unit and property tests for the radix tree ``ACTCore.from_cells``
+lays out (they predate it: the object trie these were written against
+is gone, the behaviours are not)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.act import entry as codec
-from repro.act.trie import KEY_BITS, SUPPORTED_FANOUTS, AdaptiveCellTrie
+from repro.act.core import (KEY_BITS, SUPPORTED_FANOUTS, ACTCore,
+                            radix_geometry)
 from repro.errors import BuildError
 from repro.grid import cellid
 
@@ -21,133 +25,149 @@ def entry_for(pid):
     return codec.make_payload_1(codec.make_ref(pid, True))
 
 
+def tree(pairs=(), fanout=256):
+    """The core over ``(cell, entry)`` pairs, in the order given."""
+    pairs = list(pairs)
+    return ACTCore.from_cells(
+        np.asarray([cell for cell, _ in pairs], dtype=np.uint64),
+        np.asarray([entry for _, entry in pairs], dtype=np.uint64),
+        (), fanout)
+
+
 class TestConstruction:
     def test_unsupported_fanout(self):
         with pytest.raises(BuildError):
-            AdaptiveCellTrie(fanout=8)
+            tree(fanout=8)
         with pytest.raises(BuildError):
-            AdaptiveCellTrie(fanout=512)
+            radix_geometry(512)
 
     @pytest.mark.parametrize("fanout", SUPPORTED_FANOUTS)
     def test_geometry_parameters(self, fanout):
-        trie = AdaptiveCellTrie(fanout)
-        assert trie.fanout == fanout
-        assert 2 ** trie.bits_per_step == fanout
-        assert trie.max_steps == KEY_BITS // trie.bits_per_step
-        assert trie.max_cell_level == trie.max_steps * trie.levels_per_step
+        core = tree(fanout=fanout)
+        assert core.fanout == fanout
+        assert 2 ** core.bits_per_step == fanout
+        assert core.max_steps == KEY_BITS // core.bits_per_step
+        assert core.max_cell_level == core.max_steps * core.levels_per_step
+        assert radix_geometry(fanout) == (
+            core.bits_per_step, core.levels_per_step, core.max_steps,
+            core.max_cell_level)
 
     def test_paper_default_parameters(self):
         """Fanout 256: 8 bits per node, ceil(60/8)=8 accesses incl. face."""
-        trie = AdaptiveCellTrie(256)
-        assert trie.levels_per_step == 4
-        assert trie.max_steps == 7
-        assert trie.max_cell_level == 28
+        core = tree(fanout=256)
+        assert core.levels_per_step == 4
+        assert core.max_steps == 7
+        assert core.max_cell_level == 28
 
     def test_empty_trie_metrics(self):
-        trie = AdaptiveCellTrie()
-        assert trie.num_nodes == 0
-        assert trie.size_bytes == 0
-        assert trie.num_entries == 0
+        core = tree()
+        assert core.num_nodes == 0
+        assert core.size_bytes == 0
+        assert core.num_entries == 0
+        assert core.nodes.shape == (1, 256) and not core.nodes.any()
 
 
 class TestInsertLookup:
     def test_single_cell(self):
-        trie = AdaptiveCellTrie()
         cell = make_cell(1, 1000, 2000, 12)
-        trie.insert(cell, entry_for(5))
+        core = tree([(cell, entry_for(5))])
         leaf = cellid.range_min(cell)
-        assert trie.lookup_entry(leaf) == entry_for(5)
-        assert trie.lookup_entry(cellid.range_max(cell)) == entry_for(5)
+        assert core.lookup_entry(leaf) == entry_for(5)
+        assert core.lookup_entry(cellid.range_max(cell)) == entry_for(5)
 
     def test_miss_outside_cell(self):
-        trie = AdaptiveCellTrie()
         cell = make_cell(1, 1000, 2000, 12)
-        trie.insert(cell, entry_for(5))
+        core = tree([(cell, entry_for(5))])
         outside = cellid.range_max(cell) + 2
-        assert trie.lookup_entry(outside) == codec.SENTINEL
-        assert trie.lookup_entry(cellid.from_face_ij(4, 0, 0)) == codec.SENTINEL
+        assert core.lookup_entry(outside) == codec.SENTINEL
+        assert core.lookup_entry(cellid.from_face_ij(4, 0, 0)) == codec.SENTINEL
 
     def test_face_root_cell(self):
-        trie = AdaptiveCellTrie()
-        trie.insert(cellid.from_face(3), entry_for(9))
+        core = tree([(cellid.from_face(3), entry_for(9))])
         leaf = cellid.from_face_ij(3, 123, 456)
-        assert trie.lookup_entry(leaf) == entry_for(9)
-        assert trie.lookup_entry(cellid.from_face_ij(2, 0, 0)) == 0
+        assert core.lookup_entry(leaf) == entry_for(9)
+        assert core.lookup_entry(cellid.from_face_ij(2, 0, 0)) == 0
+        assert core.num_nodes == 0 and core.num_entries == 1
 
     def test_duplicate_insert_raises(self):
-        trie = AdaptiveCellTrie()
         cell = make_cell(0, 5, 5, 8)
-        trie.insert(cell, entry_for(1))
         with pytest.raises(BuildError):
-            trie.insert(cell, entry_for(2))
+            tree([(cell, entry_for(1)), (cell, entry_for(2))])
 
     def test_ancestor_conflict_raises(self):
-        trie = AdaptiveCellTrie()
         cell = make_cell(0, 5, 5, 8)
-        trie.insert(cell, entry_for(1))
         with pytest.raises(BuildError):
-            trie.insert(cellid.children(cell)[0], entry_for(2))
+            tree([(cell, entry_for(1)),
+                  (cellid.children(cell)[0], entry_for(2))])
 
     def test_descendant_conflict_raises(self):
-        trie = AdaptiveCellTrie()
         cell = make_cell(0, 5, 5, 8)
-        trie.insert(cellid.children(cell)[0], entry_for(1))
         with pytest.raises(BuildError):
-            trie.insert(cell, entry_for(2))
+            tree([(cellid.children(cell)[0], entry_for(1)),
+                  (cell, entry_for(2))])
+
+    def test_distant_descendant_conflict_raises(self):
+        """The overlapping pair need not be neighbours in the input, nor
+        share a node: a face root over a level-20 cell."""
+        with pytest.raises(BuildError):
+            tree([(make_cell(2, 9, 9, 20), entry_for(1)),
+                  (make_cell(3, 1, 1, 8), entry_for(2)),
+                  (cellid.from_face(2), entry_for(3))])
 
     def test_pointer_entry_rejected(self):
-        trie = AdaptiveCellTrie()
         with pytest.raises(BuildError):
-            trie.insert(make_cell(0, 1, 1, 8), codec.make_pointer(3))
+            tree([(make_cell(0, 1, 1, 8), codec.make_pointer(3))])
+        with pytest.raises(BuildError):
+            tree([(make_cell(0, 1, 1, 8), codec.SENTINEL)])
 
     def test_too_deep_cell_rejected(self):
-        trie = AdaptiveCellTrie(256)
         with pytest.raises(BuildError):
-            trie.insert(make_cell(0, 1, 1, 29), entry_for(1))
+            tree([(make_cell(0, 1, 1, 29), entry_for(1))], fanout=256)
+
+    def test_invalid_cells_rejected(self):
+        with pytest.raises(BuildError):
+            tree([(0, entry_for(1))])  # not a cell id
+        with pytest.raises(BuildError):
+            tree([(7 << cellid.POS_BITS | 1, entry_for(1))])  # face 7 of 6
 
     def test_siblings_do_not_conflict(self):
-        trie = AdaptiveCellTrie()
         parent = make_cell(0, 77, 77, 10)
-        for k, child in enumerate(cellid.children(parent)):
-            trie.insert(child, entry_for(k))
-        for k, child in enumerate(cellid.children(parent)):
-            assert trie.lookup_entry(cellid.range_min(child)) == entry_for(k)
+        children = cellid.children(parent)
+        core = tree((child, entry_for(k))
+                    for k, child in enumerate(children))
+        for k, child in enumerate(children):
+            assert core.lookup_entry(cellid.range_min(child)) == entry_for(k)
 
 
 class TestDenormalization:
     def test_unaligned_cell_entry_count(self):
-        """A level-9 cell in a fanout-256 trie denormalizes to 4^3 slots."""
-        trie = AdaptiveCellTrie(256)
-        trie.insert(make_cell(0, 50, 60, 9), entry_for(3))
-        assert trie.num_entries == 4 ** 3
+        """A level-9 cell at fanout 256 denormalizes to 4^3 slots."""
+        core = tree([(make_cell(0, 50, 60, 9), entry_for(3))])
+        assert core.num_entries == 4 ** 3
 
     def test_unaligned_lookup_hits_everywhere(self, rng):
-        trie = AdaptiveCellTrie(256)
         cell = make_cell(2, 123456, 654321, 13)
-        trie.insert(cell, entry_for(7))
+        core = tree([(cell, entry_for(7))])
         lo = cellid.range_min(cell)
         hi = cellid.range_max(cell)
         for _ in range(50):
             leaf = (int(rng.integers(lo, hi + 1)) | 1)
-            assert trie.lookup_entry(leaf) == entry_for(7)
-        assert trie.lookup_entry(hi + 2) == codec.SENTINEL
-        assert trie.lookup_entry(lo - 2) == codec.SENTINEL
+            assert core.lookup_entry(leaf) == entry_for(7)
+        assert core.lookup_entry(hi + 2) == codec.SENTINEL
+        assert core.lookup_entry(lo - 2) == codec.SENTINEL
 
     def test_denormalized_range_conflict_detected(self):
-        trie = AdaptiveCellTrie(256)
         cell = make_cell(0, 99, 99, 9)
-        trie.insert(cellid.children(cell)[1], entry_for(1))  # level 10
         with pytest.raises(BuildError):
-            trie.insert(cell, entry_for(2))
+            tree([(cellid.children(cell)[1], entry_for(1)),  # level 10
+                  (cell, entry_for(2))])
 
     def test_denormalization_adds_no_nodes(self):
         """The paper trade-off: denormalization replicates payloads but the
         descendants share one node."""
-        trie_aligned = AdaptiveCellTrie(256)
-        trie_aligned.insert(make_cell(0, 4096, 4096, 12), entry_for(1))
-        trie_unaligned = AdaptiveCellTrie(256)
-        trie_unaligned.insert(make_cell(0, 4096, 4096, 13), entry_for(1))
-        assert trie_unaligned.num_nodes == trie_aligned.num_nodes + 1
+        aligned = tree([(make_cell(0, 4096, 4096, 12), entry_for(1))])
+        unaligned = tree([(make_cell(0, 4096, 4096, 13), entry_for(1))])
+        assert unaligned.num_nodes == aligned.num_nodes + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,11 +175,11 @@ class TestDenormalization:
                 min_size=1, max_size=40),
        st.sampled_from(SUPPORTED_FANOUTS))
 def test_trie_equals_bruteforce_cell_map(specs, fanout):
-    """ACT lookup == brute-force 'which inserted cell contains this leaf'.
+    """ACT lookup == brute-force 'which indexed cell contains this leaf'.
 
-    Inserted cells are made prefix-free first (mirroring the super
-    covering contract); lookups of range endpoints and midpoints must
-    agree with the brute-force scan for every inserted cell.
+    The cells are made prefix-free first (mirroring the super covering
+    contract); lookups of range endpoints and midpoints must agree with
+    the brute-force scan for every indexed cell.
     """
     cells = {}
     for face, i, j, level in specs:
@@ -173,11 +193,8 @@ def test_trie_equals_bruteforce_cell_map(specs, fanout):
             continue
         kept.append(cell)
 
-    trie = AdaptiveCellTrie(fanout)
-    expected = {}
-    for pid, cell in enumerate(kept):
-        trie.insert(cell, entry_for(pid))
-        expected[cell] = entry_for(pid)
+    expected = {cell: entry_for(pid) for pid, cell in enumerate(kept)}
+    core = tree(expected.items(), fanout)
 
     probes = []
     for cell in kept:
@@ -189,7 +206,7 @@ def test_trie_equals_bruteforce_cell_map(specs, fanout):
     for leaf, want in probes:
         if not cellid.is_valid(leaf) or not cellid.is_leaf(leaf):
             continue
-        got = trie.lookup_entry(leaf)
+        got = core.lookup_entry(leaf)
         if want is None:
             brute = next((expected[c] for c in kept
                           if cellid.contains(c, leaf)), codec.SENTINEL)
@@ -200,39 +217,31 @@ def test_trie_equals_bruteforce_cell_map(specs, fanout):
 
 class TestIntrospection:
     def test_iter_cells_roundtrip_aligned(self):
-        trie = AdaptiveCellTrie(256)
-        inserted = {
+        indexed = {
             make_cell(0, 10, 10, 8): entry_for(0),
             make_cell(1, 99, 3, 12): entry_for(1),
             make_cell(5, 7, 7, 4): entry_for(2),
         }
-        for cell, entry in inserted.items():
-            trie.insert(cell, entry)
-        recovered = dict(trie.iter_cells())
-        assert recovered == inserted
+        assert dict(tree(indexed.items()).iter_cells()) == indexed
 
     def test_iter_cells_expands_denormalized(self):
-        trie = AdaptiveCellTrie(256)
-        trie.insert(make_cell(0, 10, 10, 9), entry_for(0))
-        recovered = list(trie.iter_cells())
+        core = tree([(make_cell(0, 10, 10, 9), entry_for(0))])
+        recovered = list(core.iter_cells())
         assert len(recovered) == 64  # enumerated post-denormalization
         assert all(cellid.level(c) == 12 for c, _ in recovered)
 
     def test_node_accesses_bounded(self):
-        trie = AdaptiveCellTrie(256)
         cell = make_cell(0, 10, 10, 16)
-        trie.insert(cell, entry_for(0))
-        accesses = trie.node_accesses(cellid.range_min(cell))
-        assert 1 <= accesses <= trie.max_steps
+        core = tree([(cell, entry_for(0))])
+        accesses = core.node_accesses(cellid.range_min(cell))
+        assert 1 <= accesses <= core.max_steps
 
     def test_export_arrays_shapes(self):
-        trie = AdaptiveCellTrie(256)
-        trie.insert(make_cell(0, 10, 10, 8), entry_for(0))
-        table, roots = trie.export_arrays()
-        assert table.shape == (trie.num_nodes, 256)
-        assert roots.shape == (6,)
+        core = tree([(make_cell(0, 10, 10, 8), entry_for(0))])
+        assert core.nodes.shape == (core.num_nodes, 256)
+        assert core.nodes.dtype == core.roots.dtype == np.uint64
+        assert core.roots.shape == (6,)
 
     def test_size_bytes_layout(self):
-        trie = AdaptiveCellTrie(256)
-        trie.insert(make_cell(0, 10, 10, 8), entry_for(0))
-        assert trie.size_bytes == trie.num_nodes * 256 * 8
+        core = tree([(make_cell(0, 10, 10, 8), entry_for(0))])
+        assert core.size_bytes == core.num_nodes * 256 * 8

@@ -13,7 +13,7 @@ class TestCountPoints:
         counts = nyc_index.executor.count_points(lngs, lats)
         want = np.zeros(nyc_index.num_polygons, dtype=np.int64)
         for e in nyc_index.lookup_batch(lngs, lats).tolist():
-            for pid in nyc_index._decode(int(e)).all_ids:
+            for pid in nyc_index.decode_entry(int(e)).all_ids:
                 want[pid] += 1
         assert counts.tolist() == want.tolist()
 

@@ -35,3 +35,10 @@ def slice_index(index, spans):
 def refine_pairs(keys, lngs):
     _, first = np.unique(keys, axis=0, return_index=True)  # line 36: rows
     return np.unique(lngs), first     # 1-D unique is fine
+
+
+def from_cells(cls, cells, entries, lookup_words, fanout):
+    nodes = {}
+    for cell, entry in zip(cells, entries):       # line 42: per-cell loop
+        nodes[cell] = entry
+    return cls, nodes, lookup_words, fanout

@@ -9,18 +9,18 @@ is ``from_face_path(face, 0, 0)`` for ``from_face(face)`` — the same
 id without the ``face < 6`` check, so the 8-root overflow case can
 run through the oracle too). It walks every
 cell in Python and re-inserts the owned ones into a fresh
-``AdaptiveCellTrie`` + ``LookupTable`` — slow, and obviously right.
+``AdaptiveCellTrie`` + ``LookupTable`` (the object trie and mutable
+table of ``tests/_legacy_build.py``) — slow, and obviously right.
 ``tests/serve/test_shard_differential.py`` holds the array-native
 implementation to it.
 """
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from _legacy_build import AdaptiveCellTrie, LookupTable, core_from_trie
 from repro.act import entry as entry_codec
 from repro.act.core import ACTCore
 from repro.act.index import ACTIndex
-from repro.act.lookup_table import LookupTable
-from repro.act.trie import AdaptiveCellTrie
 from repro.grid import cellid
 
 KEY_MAX = (1 << 64) - 1
@@ -142,6 +142,6 @@ def slice_index(index: ACTIndex,
             entry = entry_codec.make_offset(
                 table.intern(true_ids, cand_ids))
         trie.insert(cell, entry)
-    sliced_core = ACTCore.from_trie(trie, table)
+    sliced_core = core_from_trie(trie, table)
     return ACTIndex(index.grid, sliced_core, index.polygons,
                     index.stats, index.boundary_level)

@@ -19,10 +19,8 @@ import _legacy_shard as legacy
 from repro import ACTIndex
 from repro.act import entry as entry_codec
 from repro.act.core import ACTCore
-from repro.act.lookup_table import LookupTable
+from repro.act.lookup_table import encode_refs
 from repro.act.stats import IndexStats
-from repro.act.trie import AdaptiveCellTrie
-from repro.errors import BuildError
 from repro.geometry import regular_polygon
 from repro.grid import cellid
 from repro.grid.s2like import S2LikeGrid
@@ -145,17 +143,19 @@ def test_built_indexes_agree(specs, grid_name, fanout, slots, seed):
 # ----------------------------------------------------------------------
 def _synthetic_index(cells, fanout, boundary_level, num_faces=6):
     """An index over hand-placed ``(cell, true ids, candidate ids)``."""
-    trie = AdaptiveCellTrie(fanout=fanout, num_faces=num_faces)
-    table = LookupTable()
+    rows = {}
     for cell, true_ids, cand_ids in cells:
-        refs = ([entry_codec.make_ref(i, True) for i in true_ids]
-                + [entry_codec.make_ref(i, False) for i in cand_ids])
-        entry = entry_codec.encode_refs(refs, table.intern_refs)
-        try:
-            trie.insert(cell, entry)
-        except BuildError:
-            pass  # overlaps an earlier cell: the set stays prefix-free
-    core = ACTCore.from_trie(trie, table)
+        # one overlapping an earlier cell would not be prefix-free
+        if not any(cellid.intersects(cell, other) for other in rows):
+            rows[cell] = ([entry_codec.make_ref(i, True) for i in true_ids]
+                          + [entry_codec.make_ref(i, False)
+                             for i in cand_ids])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(refs) for refs in rows.values()], out=indptr[1:])
+    entries, words = encode_refs(indptr, np.asarray(
+        [ref for refs in rows.values() for ref in refs], dtype=np.int64))
+    core = ACTCore.from_cells(np.asarray(list(rows), dtype=np.uint64),
+                              entries, words, fanout, num_faces=num_faces)
     return ACTIndex(None, core, [], IndexStats(), boundary_level)
 
 
