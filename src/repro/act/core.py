@@ -714,6 +714,11 @@ class ACTCore:
         np.bitwise_and(flat, np.uint64(3), out=tags, casting="unsafe")
         return tags
 
+    def node_entry_counts(self) -> np.ndarray:
+        """Indexed (non-empty, non-pointer) slots per pool row."""
+        return np.count_nonzero(
+            self._slot_tags().reshape(-1, self.fanout), axis=1)
+
     def node_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(cells, parent, slot)`` per pool row: the tree's skeleton.
 

@@ -167,6 +167,9 @@ def _serve_fleet(args, serve_config) -> int:
         print(f"  binary data plane on {bhost}:{bport} "
               f"(repro.serve.binproto.Client)", file=sys.stderr)
     if args.shards:
+        from .serve.fleet import describe_cut
+
+        print(f"  {describe_cut(fleet.last_cut)}", file=sys.stderr)
         addrs = ", ".join(f"{slot}={h}:{p}" for slot, (h, p)
                           in sorted(fleet.shard_addresses.items()))
         print(f"  shard binary sockets: {addrs}", file=sys.stderr)

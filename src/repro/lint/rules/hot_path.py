@@ -6,7 +6,11 @@ f-string or ``json.dumps`` in ``query_batch`` is visible on the
 histogram. The configured hot functions (the query entry points, the
 refinement kernels, the binary frame handlers; since a per-cell Python
 loop made a sharded cold start 16 s, the index enumeration and the
-shard planner/slicer built on it; and since per-result loops were a
+shard planner/slicer/cutter built on it (the planner's per-cut walk,
+``first_key``, visits O(depth) pool rows and loops over at most two
+candidate slots in each; it is a nested ``def``, so it is outside the
+listed array kernels, and must stay that small); and since per-result
+loops were a
 third of a cold exact request, the result codec, batch refinement and
 the router's gather; and since two sorts were more than half of the
 headline joins, the point -> cell -> entry kernels and the join
@@ -58,8 +62,8 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "_handle", "_process", "data_received",
-    "node_arrays", "cell_arrays", "plan_shard_map", "_plan_one",
-    "slice_index",
+    "node_arrays", "cell_arrays", "node_entry_counts", "plan_shard_map",
+    "_plan_one", "_slot_weights", "slice_index", "write_slices",
     "encode_results", "decode_results", "_refine_batch",
     "from_face_ij_batch", "leaf_cells_batch", "point_keys", "_descend",
     "hit_counts", "candidate_pairs", "entries", "count_points",
@@ -83,7 +87,7 @@ class HotPathRule(Rule):
         "parameters or over iter_cells(), or call row-wise "
         "np.unique(axis=...); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 5
+    version = 6
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):

@@ -24,7 +24,7 @@ through the loopback-only admin API (:mod:`repro.serve.lifecycle`,
 server — or a whole fleet — with zero downtime. Fleets can run
 **sharded** (``repro-act serve --shards``): a generation-tagged
 :class:`ShardMap` partitions the boundary-level cell-id keyspace
-across worker slots, each worker resides only its slice
+across worker slots, each worker memory-maps only its slice file
 (:class:`~repro.serve.router.ShardedACTService`), and cross-shard
 requests scatter/gather over the binary protocol with fleet-aware
 admission control.

@@ -46,12 +46,16 @@ acks — the admin response returns only after the whole fleet converged,
 and no query fails or mixes generations while it happens.
 
 Shard mode (``FleetConfig(shards=N)``): instead of every worker
-serving every index, the parent plans a
-:class:`~repro.serve.shard.ShardMap` over the prewarmed indexes
+serving every index, a one-shot child of the parent (the *cutter*)
+plans a :class:`~repro.serve.shard.ShardMap` over the prewarmed indexes
 (contiguous boundary-level cell-id ranges, weighted by coverage),
-publishes it on the control channel, and each worker slot materializes
-only its slice (:func:`~repro.serve.shard.slice_index`) behind a
-:class:`~repro.serve.router.ShardedACTService`. The binary data plane
+writes one slice archive per index and slot into the artifact
+directory (:func:`~repro.serve.shard.write_slices`), hands the map
+back over a pipe and exits — its temporaries never enter the heap the
+workers are forked from. The parent publishes the map on the control
+channel, and each worker slot memory-maps only its own slice files
+behind a :class:`~repro.serve.router.ShardedACTService`; no worker
+opens a full index. The binary data plane
 then binds one *distinct* socket per slot — shard routing needs
 per-worker addressing, which a kernel-balanced ``SO_REUSEPORT`` group
 cannot provide — with the parent holding every listening socket, so a
@@ -62,15 +66,18 @@ Any worker answers any request: non-owned keys forward shard-wise over
 publish ``admission: {inflight, ts}`` inside their stats snapshots;
 the router sheds at admission only when every owning slot reports a
 fresh saturated snapshot. Rebalancing (:meth:`ServingFleet.rebalance`)
-republishes a higher-generation map; workers adopt and re-slice on
-their next publisher tick — placement is just another generation swap.
+runs the cutter again and publishes its higher-generation map; workers
+map their new slice files on their next publisher tick — placement is
+just another generation swap.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import multiprocessing
 import os
+import resource
 import shutil
 import signal
 import socket
@@ -78,19 +85,23 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..act import serialize
 from ..errors import ServeError
 from ..join.parallel import fork_available
 from ..obs.histogram import merge_histogram_snapshots
 from .aserver import BinaryFrontend
 from .lifecycle import PARENT_IDENTITY, FleetLifecycle
-from .registry import IndexRegistry
+from .registry import IndexGeneration, IndexRegistry
 from .router import ShardedACTService
 from .server import ACTHTTPServer
 from .service import ACTService, ServeConfig
 from .shard import (ShardMap, plan_shard_map, publish_shard_map,
-                    read_shard_map)
+                    write_slices)
+
+_log = logging.getLogger(__name__)
 
 #: Listen backlog per socket; generous because a crashed worker's queue
 #: buffers connections until the supervisor respawns it.
@@ -333,6 +344,8 @@ class ServingFleet:
         self.restarts = 0
         #: The active placement in shard mode (``None`` otherwise).
         self.shard_map: Optional[ShardMap] = None
+        #: What the last cutter run cost (see :func:`describe_cut`).
+        self.last_cut: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -370,13 +383,15 @@ class ServingFleet:
             timeout_s=self.config.admin_timeout_s,
         )
         if self.config.shards:
-            # plan placement over the prewarmed (full) indexes and
-            # publish it on the control channel before any worker forks;
-            # each worker slices its own slot from the map it inherits
-            self.shard_map = plan_shard_map(
-                {name: record.index
-                 for name, record in self.registry.materialized.items()},
-                self.config.shards)
+            # plan placement over the prewarmed (full) indexes, write
+            # every slot's slice files, and publish the map on the
+            # control channel before any worker forks; each worker maps
+            # its own slot's files under the map it inherits
+            try:
+                self.shard_map = self._cut(generation=1)
+            except BaseException:
+                self.shutdown()  # no half-fleet: nothing was forked yet
+                raise
             publish_shard_map(self._control, self.shard_map)
         self._bind_sockets()
         self._processes = [None] * self.config.workers
@@ -418,22 +433,30 @@ class ServingFleet:
                 for slot, sock in enumerate(self._binary_sockets)}
 
     def rebalance(self) -> ShardMap:
-        """Re-plan placement and publish it as the next map generation.
+        """Re-plan placement, cut it, and publish it as the next map
+        generation.
 
-        Workers adopt the new map (and re-slice their resident
-        node-pool view) on their next publisher tick; queries keep
-        flowing throughout — a key briefly routed by the old map is
-        still answered, because forwarded frames execute locally on
-        whichever slot receives them.
+        The cutter writes every slot's slice files before the map is
+        published; workers map theirs on their next publisher tick, and
+        queries keep flowing throughout. Holds the fleet's admin
+        operation lock, so a reload never cuts under one map while
+        workers look its slices up under another. If the cutter fails
+        this raises and the old map stays published.
         """
-        if self.shard_map is None or self._control is None:
+        if self.shard_map is None or self._lifecycle is None:
             raise ServeError("fleet is not running in shard mode")
-        self.shard_map = plan_shard_map(
-            {name: record.index
-             for name, record in self.registry.materialized.items()},
-            self.config.shards,
-            generation=self.shard_map.generation + 1)
-        publish_shard_map(self._control, self.shard_map)
+        if not self._op_lock.acquire(True, self.config.admin_timeout_s):
+            raise ServeError(
+                "another admin operation is in progress fleet-wide")
+        try:
+            # absorb the last operation first: the cut must be of the
+            # generations the workers serve
+            self._lifecycle.poll()
+            self.shard_map = self._cut(
+                generation=self.shard_map.generation + 1)
+            publish_shard_map(self._control, self.shard_map)
+        finally:
+            self._op_lock.release()
         return self.shard_map
 
     def live_workers(self) -> int:
@@ -516,6 +539,42 @@ class ServingFleet:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _cut(self, generation: int) -> ShardMap:
+        """Plan map ``generation`` and write every slot's slice files,
+        in a one-shot forked child; returns the map, unpublished.
+
+        A child, not this process: cutting here left tens of MiB of
+        freed-but-retained heap behind, which every worker forked
+        afterwards inherits. The child reports over a pipe and exits;
+        if it reports an error, dies, or exits non-zero this raises
+        :class:`~repro.errors.ServeError` and nothing was published.
+        """
+        records = dict(self.registry.materialized)
+        recv, send = self._ctx.Pipe(duplex=False)
+        child = self._ctx.Process(
+            target=_cutter_main, name="fleet-cutter",
+            args=(send, records, self.config.shards, generation,
+                  self._artifact_dir))
+        child.start()
+        send.close()
+        try:
+            while not recv.poll(0.05) and child.is_alive():
+                pass
+            report = recv.recv() if recv.poll(0) else {}
+        except (EOFError, OSError):
+            report = {}
+        finally:
+            recv.close()
+            child.join()
+        if child.exitcode != 0 or "map" not in report:
+            raise ServeError(
+                f"shard cutter failed (exit code {child.exitcode}): "
+                f"{report.get('error', 'it died before reporting')}")
+        shard_map = ShardMap.from_wire(report.pop("map"))
+        self.last_cut = report
+        _log.info("%s", describe_cut(report))
+        return shard_map
+
     def _bind_sockets(self) -> None:
         first = self._listen_socket(self.config.port)
         self._sockets = [first]
@@ -707,6 +766,72 @@ class ServingFleet:
 
 
 # ----------------------------------------------------------------------
+# Cutter process
+# ----------------------------------------------------------------------
+def describe_cut(report: dict) -> str:
+    """One line for what a cutter run cost, in units."""
+    return (f"shard cutter: map generation {report['map_generation']}, "
+            f"{report['indexes']} index(es) x {report['slots']} slots, "
+            f"{report['bytes_written'] / 2**20:.1f} MiB written; "
+            f"plan {report['plan_s']:.3f} s, cut {report['cut_s']:.3f} s, "
+            f"write {report['write_s']:.3f} s; "
+            f"child peak RSS {report['peak_rss_mb']:.0f} MiB")
+
+
+def _cutter_main(conn, records: Dict[str, IndexGeneration], num_slots: int,
+                 generation: int, artifact_dir: str) -> None:
+    """The one-shot cutter child: plan shard map ``generation`` over
+    ``records``, give every index generation its full archive and one
+    slice archive per slot in ``artifact_dir``, send the report (the
+    map's wire form and the run's cost, or the error) and exit."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's drain
+    try:
+        start = time.perf_counter()
+        shard_map = plan_shard_map(
+            {name: record.index for name, record in records.items()},
+            num_slots, generation=generation)
+        report = {"map": shard_map.to_wire(), "map_generation": generation,
+                  "indexes": len(records), "slots": num_slots,
+                  "plan_s": time.perf_counter() - start,
+                  "cut_s": 0.0, "write_s": 0.0, "bytes_written": 0}
+        for name, record in records.items():
+            try:
+                report["bytes_written"] += _publish_full(record, artifact_dir)
+                paths = write_slices(record.index, shard_map, artifact_dir,
+                                     name, record.generation, timings=report)
+            except Exception as exc:
+                raise ServeError(f"index {name!r}: {type(exc).__name__}: "
+                                 f"{exc}") from exc
+            report["bytes_written"] += sum(
+                path.stat().st_size for path in paths.values())
+        report["peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    except Exception as exc:
+        report = {"error": str(exc)}
+    conn.send(report)
+    conn.close()
+
+
+def _publish_full(record: IndexGeneration, artifact_dir: str) -> int:
+    """Make sure ``record``'s generation has its full archive in
+    ``artifact_dir`` — what a sharded worker, which holds only a slice,
+    opens to roll back to it. A built index is written; a loaded one is
+    hard-linked (same inode: no bytes, one page cache), or copied where
+    it cannot be. Returns the bytes written."""
+    full = serialize.generation_path(
+        Path(artifact_dir) / f"{record.name}.npz", record.generation)
+    if full.exists():
+        return 0
+    if record.path is None:
+        return serialize.save_index_atomic(record.index, full).stat().st_size
+    try:
+        os.link(record.path, full)
+        return 0
+    except OSError:
+        return Path(shutil.copyfile(record.path, full)).stat().st_size
+
+
+# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 class _DrainingHTTPServer(ACTHTTPServer):
@@ -771,16 +896,21 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     same snapshots the publisher ships fleet-wide.
 
     In shard mode (``shard_wire`` given) the worker runs a
-    :class:`~repro.serve.router.ShardedACTService` instead: its
-    constructor re-slices this fork's registry copy down to the slot's
-    keyspace ranges, dropping the resident node-pool footprint to
-    roughly ``1/num_slots`` of the full build.
+    :class:`~repro.serve.router.ShardedACTService` instead, and its
+    first lifecycle poll — before it serves anything — swaps the full
+    records this fork inherited for memory-maps of the slot's own slice
+    files (cut by the parent's cutter child, or by a reload's
+    coordinator): the full index is unmapped here, never read, and the
+    resident node-pool footprint is roughly ``1/num_slots`` of the full
+    build, file-backed. A slice that cannot be mapped leaves the worker
+    up, answering from what it inherited, and not-ready.
     """
     stats_interval_s = config.stats_interval_s
     if shard_wire is not None:
         service: ACTService = ShardedACTService(
             registry=registry, config=config.serve,
             shard_map=ShardMap.from_wire(shard_wire), slot=slot,
+            artifact_dir=artifact_dir,
             addresses=shard_addresses, snapshots=snapshots,
             shed_inflight=config.shed_inflight,
             shed_staleness_s=config.shed_staleness_s,
@@ -803,10 +933,11 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
             service=service, artifact_dir=artifact_dir,
             timeout_s=config.admin_timeout_s,
         )
-        # absorb (idempotently: the parent's registry usually already
-        # carried it through the fork) and ack any operation published
-        # before this worker existed — a respawn mid-reload must not
-        # leave the coordinator's ack barrier hanging
+        # map this slot's slices (shard mode), then absorb
+        # (idempotently: the parent's registry usually already carried
+        # it through the fork) and ack any operation published before
+        # this worker existed — a respawn mid-reload must not leave the
+        # coordinator's ack barrier hanging
         lifecycle.poll()
         # admin mutations arriving over HTTP at this worker coordinate
         # the whole fleet
@@ -875,21 +1006,12 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
         while not stopping.wait(stats_interval_s):
             if lifecycle is not None:
                 try:
-                    # absorb fleet-wide admin ops (reload/register/
-                    # unregister) published by a sibling coordinator
+                    # adopt a rebalanced placement, then absorb
+                    # fleet-wide admin ops (reload/register/unregister)
+                    # published by a sibling coordinator
                     lifecycle.poll()
                 except Exception:
                     pass  # an op failure must never kill the publisher
-            if shard_wire is not None and control is not None:
-                try:
-                    # adopt a rebalanced (higher-generation) placement;
-                    # adopt_shard_map is monotonic, so re-reading the
-                    # current map every tick is a no-op
-                    latest = read_shard_map(control)
-                    if latest is not None:
-                        service.adopt_shard_map(latest)
-                except Exception:
-                    pass  # a bad map must never kill the publisher
             publish()
             if os.getppid() != parent_pid:
                 # orphaned (parent died without drain): stop serving

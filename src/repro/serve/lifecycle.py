@@ -59,12 +59,20 @@ stragglers — and POSIX keeps memory-mapped inodes alive regardless).
 The same control dict also carries the fleet's **shard placement**
 under :data:`repro.serve.shard.SHARD_KEY`: a generation-tagged wire
 :class:`~repro.serve.shard.ShardMap` published by the parent (at start
-and on :meth:`~repro.serve.fleet.ServingFleet.rebalance`) and adopted
-by sharded workers on their publisher tick. It deliberately reuses
-this channel's discipline — monotonic generations, idempotent
-adoption, respawned workers pick up the current value on their first
-poll — but not its ack barrier: placement convergence is eventual,
-because any slot answers any request by forwarding.
+and on :meth:`~repro.serve.fleet.ServingFleet.rebalance`, once its
+cutter has written every slot's slice files) and adopted by sharded
+workers at the top of :meth:`FleetLifecycle.poll` — before any pending
+operation, so a reload is always applied under the map its slices were
+cut under. It deliberately reuses this channel's discipline —
+monotonic generations, idempotent adoption, respawned workers pick up
+the current value on their first poll — but not its ack barrier:
+placement convergence is eventual, because any slot answers any
+request by forwarding. In a sharded fleet a generation is a full
+archive *plus one slice archive per slot*: the coordinator cuts them
+(:func:`~repro.serve.shard.write_slices`) right after it writes the
+full side artifact, followers map only their own, and the sweep above
+takes a generation's slices with it — and, once a newer map is
+published, every slice cut under an older one.
 """
 
 from __future__ import annotations
@@ -78,10 +86,12 @@ from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from ..act import serialize
+from ..act.index import ACTIndex
 from ..errors import (ArtifactCorruptError, InvalidRequestError, ServeError,
                       UnknownIndexError)
 from .registry import _UNSET, IndexGeneration, IndexRegistry
 from .service import ACTService
+from .shard import ShardMap, read_shard_map, write_slices
 
 #: The admin operation kinds (the wire vocabulary).
 OP_REGISTER = "register"
@@ -376,6 +386,9 @@ class FleetLifecycle:
         #: The last apply/barrier failure, kept for observability even
         #: after a successful rollback restores convergence.
         self.last_error: Optional[str] = None
+        #: Why this worker's slices could not be mapped under the
+        #: published shard map (it is not-ready until they can).
+        self._placement_error: Optional[str] = None
         # fault families exist pre-traffic (RL004): a scrape taken
         # before the first failure must show them at zero
         if self._service is not None:
@@ -387,16 +400,64 @@ class FleetLifecycle:
 
     def status(self) -> dict:
         """The ``/readyz`` view of this process's lifecycle state."""
-        return {"converged": self.converged, "last_error": self.last_error}
+        unmapped = self._placement_error
+        return {"converged": self.converged and unmapped is None,
+                "last_error": unmapped or self.last_error}
 
-    def _full_record(self, name: str) -> Optional[IndexGeneration]:
-        """The live *full* generation of ``name``: the rollback target
-        and what the fleet-wide side artifact is written from. On a
-        sharded worker the registry pins only this slot's slice, so
-        the service answers; the parent holds a bare registry."""
+    def _full_index(self, record: IndexGeneration) -> ACTIndex:
+        """The full index of a pinned record's generation — what a
+        rollback re-publishes. On a sharded worker the registry pins
+        only this slot's slice, so the service opens the generation's
+        full archive; the parent holds a bare registry of full ones."""
         if self._service is not None:
-            return self._service.full_record(name)
-        return self._registry.materialized.get(name)
+            return self._service.full_record(record).index
+        return record.index
+
+    def _published_map(self) -> Optional[ShardMap]:
+        """The fleet's published shard map (``None``: unsharded, or the
+        channel is down)."""
+        try:
+            return read_shard_map(self._control)
+        except (OSError, EOFError, BrokenPipeError):
+            return None
+
+    def _adopt_placement_locked(self) -> None:
+        """Map this worker's slices under the published shard map, if it
+        is newer than the one they are mapped under. Runs before any
+        operation is applied or coordinated, so a reload finds (and
+        cuts) slices under one map fleet-wide. Caller holds
+        ``_apply_lock``. A slice that cannot be mapped — missing,
+        corrupt — leaves the worker not-ready (it keeps what it has:
+        at worst the full records it was forked with) and is retried
+        on the next tick."""
+        shard_map = self._published_map()
+        if shard_map is None or self._service is None:
+            return
+        try:
+            if not self._service.adopt_shard_map(shard_map):
+                return
+        except Exception as exc:
+            if self._placement_error is None:
+                self._count("faults.apply_failures")
+            self._placement_error = (
+                f"shard map generation {shard_map.generation} not "
+                f"adopted: {type(exc).__name__}: {exc}")
+            return
+        self._placement_error = None
+        for name in shard_map.ranges:
+            self._gc_artifacts(name)
+
+    def _write_slices(self, index: ACTIndex, name: str,
+                      generation: int) -> bool:
+        """In a sharded fleet, cut ``index`` — generation ``generation``
+        of ``name``, whose full side artifact was just written — for
+        every slot, under the published map. Returns whether it did."""
+        shard_map = self._published_map()
+        if shard_map is None or name not in shard_map.ranges:
+            return False
+        write_slices(index, shard_map, self.artifact_dir or ".", name,
+                     generation)
+        return True
 
     def _count(self, name: str, n: int = 1) -> None:
         """Increment a fault counter when this process has a service."""
@@ -417,6 +478,7 @@ class FleetLifecycle:
         errors (manager torn down during shutdown) are absorbed.
         """
         with self._apply_lock:
+            self._adopt_placement_locked()
             try:
                 seq = int(self._control.get(SEQ_KEY) or 0)
                 if seq <= self._last_seen:
@@ -481,13 +543,15 @@ class FleetLifecycle:
                 "another admin operation is in progress fleet-wide"
             )
         try:
+            with self._apply_lock:
+                self._adopt_placement_locked()
             # pre-op state, in case a failed reload has to be rolled
             # back: the pinned record carries the data, the description
             # carries the registration's source path/mode (a reload
             # with source_path repoints it before materializing)
             previous = prev_desc = None
             if op.kind == OP_RELOAD and self._registry is not None:
-                previous = self._full_record(op.name)
+                previous = self._registry.materialized.get(op.name)
                 try:
                     prev_desc = self._registry.describe(op.name)
                 except UnknownIndexError:
@@ -566,19 +630,28 @@ class FleetLifecycle:
         publish (reload ops are rewritten to point siblings at the side
         artifact) and the local ack payload."""
         if op.kind == OP_RELOAD:
-            previous = self._full_record(op.name)
+            previous = self._registry.materialized.get(op.name)
             local = apply_admin_op(
                 op, service=self._service, registry=self._registry)
             generation = local["generation"]
-            record = self._full_record(op.name)
+            # fresh from its source, so full even on a sharded worker
+            record = self._registry.materialized[op.name]
             # one materialization fleet-wide: siblings mmap the side
             # artifact (atomic write-temp + rename; generation-suffixed
-            # so workers still mapping an older file are untouched)
+            # so workers still mapping an older file are untouched) —
+            # or, sharded, their own slot's slice of it
             side = serialize.generation_path(
                 Path(self.artifact_dir or ".") / f"{op.name}.npz",
                 generation)
             try:
                 serialize.save_index_atomic(record.index, side)
+                if (self._write_slices(record.index, op.name, generation)
+                        and self._service is not None):
+                    # like every follower: off the full generation,
+                    # onto this slot's slice of it
+                    self._service.reload_index(
+                        op.name, artifact_path=str(side),
+                        artifact_mmap_mode="r", generation=generation)
             except BaseException:
                 # the op will never be published: roll this process
                 # back to the generation the rest of the fleet is on,
@@ -680,7 +753,9 @@ class FleetLifecycle:
             side = serialize.generation_path(
                 Path(self.artifact_dir or ".") / f"{op.name}.npz",
                 rollback_gen)
-            serialize.save_index_atomic(previous.index, side)
+            full = self._full_index(previous)
+            serialize.save_index_atomic(full, side)
+            self._write_slices(full, op.name, rollback_gen)
             rb_source = None
             rb_source_mode = _UNSET
             if (op.source_path is not None and prev_desc is not None
@@ -724,19 +799,28 @@ class FleetLifecycle:
                 self.last_error = response["rollback_error"]
         return response
 
-    #: Side artifacts written by coordinators (see
-    #: :func:`repro.act.serialize.generation_path`).
-    _GEN_ARTIFACT_RE = re.compile(r"\.gen(\d{6,})\.npz\Z")
+    #: Side artifacts written by coordinators and cutters: a
+    #: generation's full archive (see :func:`repro.act.serialize.
+    #: generation_path`) and its per-slot slices, tagged with the map
+    #: generation they were cut under (:func:`repro.serve.shard.
+    #: slice_path`).
+    _GEN_ARTIFACT_RE = re.compile(
+        r"\.gen(\d{6,})(?:\.map(\d{6,})\.slot\d+)?\.npz\Z")
 
     def _gc_artifacts(self, name: str) -> int:
         """Delete superseded generation side artifacts for ``name``.
 
         Runs after a fully-acked reload barrier: every process is on the
-        current generation, so only the newest two side files are kept —
-        the current one plus its predecessor (stragglers respawning
-        mid-barrier re-apply from it; in-flight requests are safe
-        regardless, POSIX keeps memory-mapped inodes alive after
-        unlink). Returns the number of files removed.
+        current generation, so only the newest two generations' files
+        are kept — the current one plus its predecessor (stragglers
+        respawning mid-barrier re-apply from it; in-flight requests are
+        safe regardless, POSIX keeps memory-mapped inodes alive after
+        unlink). A generation's slices go with its full archive; and,
+        from a worker that has just mapped its slices under a newer
+        shard map, so does every slice cut under an older map than the
+        published one — nothing opens those again (workers, respawns
+        and coordinators all look slices up by the published map).
+        Returns the number of files removed.
         """
         if self.artifact_dir is None or self._registry is None:
             return 0
@@ -745,6 +829,8 @@ class FleetLifecycle:
         except UnknownIndexError:
             return 0
         prefix = f"{name}.gen"
+        shard_map = self._published_map()
+        placement = shard_map.generation if shard_map is not None else 0
         removed = 0
         try:
             entries = list(Path(self.artifact_dir).iterdir())
@@ -756,7 +842,9 @@ class FleetLifecycle:
             match = self._GEN_ARTIFACT_RE.search(entry.name)
             if match is None or entry.name[:match.start()] != name:
                 continue
-            if int(match.group(1)) <= current - 2 and entry.is_file():
+            stale = (int(match.group(1)) <= current - 2
+                     or int(match.group(2) or placement) < placement)
+            if stale and entry.is_file():
                 try:
                     entry.unlink()
                 except OSError:  # pragma: no cover - fs race

@@ -272,10 +272,13 @@ class IndexRegistry:
         """
         registration = self._registration(name)
         with registration.lock:
-            if (generation is not None
-                    and registration.generation >= generation
-                    and registration.record is not None):
-                return registration.record
+            record = registration.record
+            if (generation is not None and record is not None and (
+                    registration.generation > generation
+                    or (registration.generation == generation
+                        and (artifact_path is None
+                             or Path(artifact_path) == record.path)))):
+                return record
             if source_path is not None:
                 registration.path = Path(source_path)
                 registration.builder = None

@@ -2,10 +2,11 @@
 
 :class:`ShardedACTService` is a drop-in :class:`~repro.serve.service.
 ACTService` for one worker slot of a sharded fleet. It answers the keys
-its slot owns from the local shard slice (the registry holds
-:func:`~repro.serve.shard.slice_index` sub-indexes, swapped in via
-``registry.restore`` so the service's hot-view identity check pins the
-slice) and forwards everything else shard-wise over the
+its slot owns from the local shard slice (the registry pins a
+memory-map of this slot's slice archive — written by
+:func:`~repro.serve.shard.write_slices`, found by
+:func:`~repro.serve.shard.slice_path` — never the full index) and
+forwards everything else shard-wise over the
 :mod:`~repro.serve.binproto` data plane:
 
 * **routing** — a batch's keys come from the same boundary-level
@@ -40,26 +41,34 @@ slice) and forwards everything else shard-wise over the
   ``shard.shed``) only when *every* owning slot reports a fresh,
   saturated snapshot. Missing or stale snapshots fail open — a quiet
   stats channel must never turn into an outage.
-* **rebalancing** — :meth:`adopt_shard_map` swaps in a
+* **slices are files** — whoever holds a full generation cuts it once
+  for every slot (the fleet's cutter child at start and on rebalance,
+  the coordinator on reload and rollback); this service only maps.
+  :meth:`adopt_shard_map` maps the slot's slice files cut under a
   higher-generation :class:`~repro.serve.shard.ShardMap` (published on
   the lifecycle control dict under
-  :data:`~repro.serve.shard.SHARD_KEY`) and re-slices, from the
-  retained full-generation records, the names whose spans for this
-  slot it changed; lower generations are ignored, mirroring reload
-  idempotency. :meth:`reload_index`
-  materializes the full new generation, re-slices it, and adopts the
-  slice, so a fleet-wide reload barrier leaves every slot serving its
-  shard of the new data.
+  :data:`~repro.serve.shard.SHARD_KEY`), then routes by it; lower
+  generations are ignored, mirroring reload idempotency.
+  :meth:`reload_index` turns a fleet reload — which names the new
+  generation's *full* side artifact — into a map of this slot's slice
+  of that generation, so a reload barrier leaves every slot serving
+  its shard of the new data without any worker opening the full
+  archive. A missing or corrupt slice file raises: the lifecycle
+  NACKs the reload, or reports the worker not-ready.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from pathlib import Path
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
+from ..act import serialize
 from ..act.core import QueryResult, ResultBatch
 from ..errors import BudgetExceededError, ConnectionLostError, ServeError
 from ..obs import Trace
@@ -67,7 +76,7 @@ from . import binproto, chaos
 from .budget import Budget
 from .registry import _UNSET, IndexGeneration, IndexRegistry
 from .service import ACTService, ServeConfig
-from .shard import ShardMap, shard_keys, slice_record
+from .shard import ShardMap, shard_keys, slice_path
 
 __all__ = ["ShardedACTService"]
 
@@ -77,11 +86,20 @@ _SNAPSHOT_CACHE_S = 0.2
 
 
 class ShardedACTService(ACTService):
-    """One shard worker's service: local slice + forwarding router."""
+    """One shard worker's service: local slice + forwarding router.
+
+    Routes by ``shard_map`` from construction and serves whatever its
+    registry holds; :meth:`adopt_shard_map` (the fleet lifecycle calls
+    it on a worker's first poll) swaps in this slot's slice files from
+    ``artifact_dir``. Until then — or if a slice cannot be mapped — a
+    forked worker answers from the full records it inherited: right
+    answers, a full index's footprint.
+    """
 
     def __init__(self, registry: Optional[IndexRegistry] = None,
                  config: Optional[ServeConfig] = None, *,
                  shard_map: ShardMap, slot: int,
+                 artifact_dir: Union[str, Path, None] = None,
                  addresses: Optional[Dict[int, Tuple[str, int]]] = None,
                  snapshots=None,
                  shed_inflight: int = 64,
@@ -90,6 +108,10 @@ class ShardedACTService(ACTService):
                  forward_retries: int = 6):
         self._map = shard_map
         self.slot = int(slot)
+        self._artifact_dir = artifact_dir
+        #: Generation of the map the pinned slices were cut under (0:
+        #: none mapped yet).
+        self._sliced_under = 0
         super().__init__(registry=registry, config=config)
         self._addresses: Dict[int, Tuple[str, int]] = dict(addresses or {})
         self._fleet_snapshots = snapshots
@@ -103,12 +125,7 @@ class ShardedACTService(ACTService):
         self._pool: Dict[int, List[binproto.Client]] = {}
         self._pool_lock = threading.Lock()
         self._inflight = 0
-        # full-generation records survive slicing so a rebalance can
-        # re-slice without re-materializing (mmap-backed: holding the
-        # reference costs address space, not resident bytes)
-        self._full_records: Dict[str, IndexGeneration] = {}
         self._snap_cache: Tuple[float, dict] = (0.0, {})
-        self._slice_all()
 
     def set_telemetry(self, telemetry: str) -> None:
         super().set_telemetry(telemetry)
@@ -131,32 +148,41 @@ class ShardedACTService(ACTService):
     def shard_map(self) -> ShardMap:
         return self._map
 
-    def _slice_all(self, previous: Optional[ShardMap] = None) -> None:
-        """Re-pin every mapped, materialized record to this slot's
-        slice — except the names already sliced under ``previous``
-        whose spans for this slot it leaves as they were."""
-        for name in self.registry.names():
-            record = self._full_records.get(name)
-            if record is None:
-                record = self.registry.materialized.get(name)
-            if record is None or name not in self._map.ranges:
-                continue
-            spans = self._map.ranges_for_slot(name, self.slot)
-            if (previous is not None and name in self._full_records
-                    and name in previous.ranges
-                    and previous.ranges_for_slot(name, self.slot) == spans):
-                continue
-            self._full_records[name] = record
-            sliced = slice_record(record, spans)
-            self.registry.restore(sliced)
-            self._adopt_record(sliced)
+    def _map_slice(self, name: str, generation: int, shard_map: ShardMap,
+                   source_path=None, source_mmap_mode=_UNSET,
+                   verify: Optional[str] = None) -> IndexGeneration:
+        """Pin this slot's slice file of ``name``'s ``generation``, as
+        cut under ``shard_map``. The slice loads under the
+        registration's ``verify=`` mode unless overridden; a missing or
+        corrupt archive raises and leaves the pinned record as it was."""
+        if self._artifact_dir is None:
+            raise ServeError(
+                f"shard slot {self.slot} has no artifact_dir to map "
+                f"index {name!r}'s slice from")
+        record = self.registry.reload(
+            name, artifact_path=slice_path(
+                self._artifact_dir, name, generation, shard_map.generation,
+                self.slot),
+            artifact_mmap_mode="r", generation=generation,
+            source_path=source_path, source_mmap_mode=source_mmap_mode,
+            verify=verify)
+        self._adopt_record(record)
+        return record
 
     def adopt_shard_map(self, shard_map: ShardMap) -> bool:
-        """Swap in a rebalanced map; ignore non-advancing generations."""
-        if shard_map.generation <= self._map.generation:
+        """Map this slot's slices under ``shard_map``, then route by it;
+        ignores generations the pinned slices already reached.
+
+        A name that fails to map raises with the old map still routing
+        (names mapped before it keep their new slice); the caller
+        retries, or reports the worker not-ready."""
+        if shard_map.generation <= self._sliced_under:
             return False
-        previous, self._map = self._map, shard_map
-        self._slice_all(previous)
+        for name, record in list(self.registry.materialized.items()):
+            if name in shard_map.ranges:
+                self._map_slice(name, record.generation, shard_map)
+        self._map = shard_map
+        self._sliced_under = shard_map.generation
         return True
 
     def reload_index(self, name: str, *,
@@ -164,47 +190,47 @@ class ShardedACTService(ACTService):
                      artifact_path=None, artifact_mmap_mode=_UNSET,
                      generation: Optional[int] = None,
                      verify: Optional[str] = None) -> IndexGeneration:
-        """Materialize the full new generation, then adopt its slice.
-
-        The fleet reload barrier is unchanged — same registry call,
-        same ack discipline — but what this slot ends up serving (and
-        what the registry's materialized record pins) is the slice, so
-        resident bytes stay proportional to the shard count across
-        reloads.
+        """A fleet reload — one naming the generation's *full* side
+        artifact — maps this slot's slice of that generation instead
+        (the coordinator wrote both, see
+        :func:`~repro.serve.shard.write_slices`), so the full archive
+        is never opened here. A reload from the registration's own
+        source materializes the full new generation, as on any
+        service: that is the coordinator's first step, before it cuts.
         """
-        record = self.registry.reload(
-            name, source_path=source_path,
-            source_mmap_mode=source_mmap_mode,
-            artifact_path=artifact_path,
-            artifact_mmap_mode=artifact_mmap_mode, generation=generation,
-            verify=verify,
-        )
-        if name in self._map.ranges:
-            self._full_records[name] = record
-            record = slice_record(
-                record, self._map.ranges_for_slot(name, self.slot))
-            self.registry.restore(record)
-        self._adopt_record(record)
-        self.metrics.counter("admin.reloads").inc()
+        if (artifact_path is None or generation is None
+                or name not in self._map.ranges):
+            return super().reload_index(
+                name, source_path=source_path,
+                source_mmap_mode=source_mmap_mode,
+                artifact_path=artifact_path,
+                artifact_mmap_mode=artifact_mmap_mode,
+                generation=generation, verify=verify)
+        # a coordinator moving off the full generation it cut from
+        # is still on its one reload
+        advances = self.registry.generation(name) < generation
+        record = self._map_slice(
+            name, generation, self._map, source_path=source_path,
+            source_mmap_mode=source_mmap_mode, verify=verify)
+        if advances:
+            self.metrics.counter("admin.reloads").inc()
         return record
 
-    def restore_index(self, record: IndexGeneration) -> IndexGeneration:
-        """Roll back to ``record``, re-slicing it for this slot first."""
-        if record.name in self._map.ranges:
-            self._full_records[record.name] = record
-            record = slice_record(
-                record, self._map.ranges_for_slot(record.name, self.slot))
-        return super().restore_index(record)
+    def full_record(self, record: IndexGeneration) -> IndexGeneration:
+        """``record``'s generation in full, opened by path on demand.
 
-    def full_record(self, name: str) -> Optional[IndexGeneration]:
-        """The latest full (unsliced) generation behind ``name``.
-
-        The reload coordinator writes the fleet-wide side artifact from
-        this — the registry's pinned record is only this slot's slice,
-        and shipping a slice as the next generation would starve every
-        other shard of its keys.
+        The registry pins only this slot's slice, and re-publishing a
+        slice as a generation (a rollback does) would starve every
+        other shard of its keys; every generation a sharded fleet
+        serves has its full archive in the artifact directory.
         """
-        return self._full_records.get(name) or super().full_record(name)
+        if self._artifact_dir is None or record.name not in self._map.ranges:
+            return record
+        path = serialize.generation_path(
+            Path(self._artifact_dir) / f"{record.name}.npz",
+            record.generation)
+        return replace(record, path=path, mmap_mode="r",
+                       index=serialize.load_index(path, mmap_mode="r"))
 
     # ------------------------------------------------------------------
     # Local execution (forwarded frames land here; never re-routed)
@@ -410,17 +436,22 @@ class ShardedACTService(ACTService):
         """Per-shard snapshot block for fleet aggregation/metrics."""
         resident = 0
         owned = 0
+        slices: Dict[str, Optional[str]] = {}
         for name in self.registry.names():
             record = self.registry.materialized.get(name)
             if record is not None:
                 resident += int(record.index.core.total_bytes)
             if name in self._map.ranges:
                 owned += len(self._map.ranges_for_slot(name, self.slot))
+                # the file this slot serves the name from: its slice
+                slices[name] = (str(record.path) if record is not None
+                                and record.path else None)
         return {
             "slot": self.slot,
             "map_generation": self._map.generation,
             "inflight": int(self._inflight),
             "node_pool_bytes": resident,
+            "slice_path": slices,
             "ranges": owned,
             "forwarded": self._shard_forwarded.value,
             "local": self._shard_local.value,

@@ -466,7 +466,7 @@ class ACTService:
         return counts
 
     # ------------------------------------------------------------------
-    # The unsharded answers (ShardedACTService overrides all four)
+    # The unsharded answers (ShardedACTService overrides all five)
     # ------------------------------------------------------------------
     #: What a front runs for ``OP_FORWARD_*`` frames: the local entry
     #: points, never re-routed.
@@ -477,10 +477,14 @@ class ACTService:
         """This worker's shard block, or ``None``: not sharded."""
         return None
 
-    def full_record(self, name: str) -> Optional[IndexGeneration]:
-        """The live full generation of ``name`` (``None`` until
-        materialized) — what a reload rolls back to and ships."""
-        return self.registry.materialized.get(name)
+    def full_record(self, record: IndexGeneration) -> IndexGeneration:
+        """The full generation behind a pinned ``record`` — what a
+        rollback re-publishes. Unsharded: the record itself."""
+        return record
+
+    def adopt_shard_map(self, shard_map) -> bool:
+        """Adopt a published shard placement; unsharded: never."""
+        return False
 
     # ------------------------------------------------------------------
     # Index lifecycle (the admin surface)

@@ -5,8 +5,8 @@ keyspace is assigned to worker slots independently, offset so distinct
 names spread across distinct slots) and, within one index, **by
 boundary-level cell-id range**. The grid's space-filling order makes a
 contiguous cell-id range spatially coherent, so a worker that owns one
-owns a compact region — and materializes only that region's node-pool
-slice (see :func:`slice_index`).
+owns a compact region — and memory-maps only that region's node-pool
+slice (see :func:`write_slices`).
 
 Three layers live here:
 
@@ -24,37 +24,46 @@ Three layers live here:
   points hash to ``INVALID_KEY`` = all-ones and land in the last
   range like any other key). It is published on the fleet's lifecycle
   control channel under :data:`SHARD_KEY`, so rebalancing is just
-  another generation swap: publish a higher-generation map, workers
-  adopt it on their next poll tick and re-slice.
-* the **planner and slicer** — both work on the index's flat arrays,
+  another generation swap: the parent cuts the slices of the next map
+  generation, publishes it, and workers map their new slice files on
+  their next poll tick.
+* the **planner and cutter** — both work on the index's flat arrays,
   never on a trie. :func:`plan_shard_map` weighs each indexed cell by
-  the number of boundary-level cells it covers and cuts the sorted,
-  disjoint intervals into contiguous equal-weight parts (never
-  splitting a cell, so each indexed cell has exactly one owner);
+  the number of boundary-level cells it covers and cuts the keyspace
+  into contiguous equal-weight parts (never splitting a cell, so each
+  indexed cell has exactly one owner), working on the node skeleton —
+  one weight per pool row — rather than per entry;
   :func:`slice_index` masks and compacts — the owned entries, the
   nodes on a path to one, the lookup-table sets they reference — into
-  a genuine sub-index, so per-worker resident bytes shrink with the
-  shard count instead of every worker holding every node.
+  a genuine sub-index; and :func:`write_slices`, its one caller,
+  writes a generation's slice for every slot to :func:`slice_path`.
+  A slice is a file: whoever holds the full generation cuts once, and
+  a worker maps only its own slot's archive, so per-worker resident
+  bytes shrink with the shard count instead of every worker holding —
+  or even touching — every node.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
+from ..act import serialize
 from ..act.core import ACTCore
 from ..act.index import ACTIndex
 from ..errors import InvalidRequestError, ServeError, UnknownIndexError
 from ..grid import cellid
 from ..grid.base import HierarchicalGrid
-from .registry import IndexGeneration
 
 __all__ = [
     "SHARD_KEY", "KEY_MAX", "ShardRange", "ShardMap", "shard_keys",
-    "plan_shard_map", "slice_index", "slice_record",
+    "plan_shard_map", "slice_index", "slice_path", "write_slices",
     "publish_shard_map", "read_shard_map",
 ]
 
@@ -222,45 +231,97 @@ class ShardMap:
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
+def _slot_weights(slots: np.ndarray, entry_weight: np.uint64,
+                  subtree: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(weight, is_pointer)`` per slot of one row: an entry weighs
+    ``entry_weight``, a pointer its child row's ``subtree``, a miss 0."""
+    tags = slots & np.uint64(3)
+    pointer = (tags == 0) & (slots != 0)
+    weight = np.where(tags != 0, entry_weight, np.uint64(0))
+    weight[pointer] = subtree[
+        (slots[pointer] >> np.uint64(2)).astype(np.int64) - 1]
+    return weight, pointer
+
+
 def _plan_one(index: ACTIndex, parts: int) -> List[Tuple[int, int]]:
     """Cut one index's keyspace into ``<= parts`` contiguous spans.
 
     Spans are split points only — callers attach slots. Always covers
     ``[0, KEY_MAX]``; never splits an indexed cell's interval.
+
+    Plans on the node skeleton, never per entry. An indexed slot
+    weighs the boundary-level cells it covers (at least 1), which is
+    one number per pool row; a row's subtree weight is its own slots'
+    plus its children's, accumulated up ``parent[]``. Keys are the
+    boundary-level cells in id order, which is slot order at every
+    row: part ``k`` starts at the first key whose exclusive prefix
+    weight reaches its fair share (and passes the previous cut), found
+    by one root-to-leaf walk that skips whole subtrees by their weight.
+    ``uint64`` throughout: the total can pass ``2**63``.
     """
-    cells = index.core.cell_arrays()[0]
-    if parts <= 1 or cells.size == 0:
+    core, bl = index.core, index.boundary_level
+    step = core.levels_per_step
+    node_cells, parent, _ = core.node_arrays()
+    # a row no pointer reaches holds nothing: give it a face's level
+    node_level = cellid.level_batch(np.where(
+        node_cells != 0, node_cells, np.uint64(1 << (cellid.POS_BITS - 1))))
+    slot_weight = np.uint64(1) << (
+        2 * np.maximum(bl - node_level - step, 0)).astype(np.uint64)
+    subtree = core.node_entry_counts().astype(np.uint64) * slot_weight
+    for level in range(int(node_level.max(initial=0)), 0, -step):
+        rows = np.flatnonzero(node_level == level)
+        np.add.at(subtree, parent[rows], subtree[rows])
+    key_low = 1 << (2 * (cellid.MAX_LEVEL - bl))  # a boundary cell's lsb
+    root_weight = np.uint64(1 << (2 * bl))
+    total = sum(_slot_weights(core.roots, root_weight, subtree)[0].tolist())
+    if parts <= 1 or total == 0:
         return [(0, KEY_MAX)]
-    # per cell: lo = the boundary-level id of its first leaf, weight =
-    # boundary-level cells covered = lsb(cell) // lsb(boundary cell),
-    # at least 1. uint64 throughout: the total can pass 2**63
-    bl = index.boundary_level
-    weight = cellid.lsb_batch(cells)
-    cells -= weight
-    lo = cellid.parent_batch(cells, bl)
-    del cells
-    weight >>= np.uint64(2 * (cellid.MAX_LEVEL - bl))
-    np.maximum(weight, np.uint64(1), out=weight)
-    # cells deeper than the boundary level share their boundary cell's
-    # key: merge them, then accumulate in key order
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] != lo[:-1])))
-    lo = lo[first]
-    weight = np.add.reduceat(weight[order], first)
-    before = np.cumsum(weight) - weight
-    total = int(before[-1]) + int(weight[-1])
+
+    def first_key(slots: np.ndarray, cell: int, slot_level: int,
+                  entry_weight: np.uint64, before: np.uint64,
+                  need: np.uint64) -> Optional[Tuple[int, int]]:
+        """``(key, exclusive prefix weight)`` of the first key under
+        this row whose prefix is at least ``need`` (``before`` is the
+        row's own); ``None`` when every key under it falls short."""
+        weight, pointer = _slot_weights(slots, entry_weight, subtree)
+        # slots below the boundary level share their boundary cell's key
+        per_key = 4 ** max(0, slot_level - bl)
+        if per_key > 1:
+            weight = weight.reshape(-1, per_key).sum(axis=1)
+        starts = before + np.cumsum(weight) - weight
+        # the unit `need` falls in, then (its keys all short, or `need`
+        # strictly inside one key) the next one that holds anything
+        for unit in np.flatnonzero(
+                (weight > 0) & (starts + weight > need)).tolist():
+            slot = unit * per_key
+            if per_key == 1 and slot_level < bl and pointer[slot]:
+                row = int(slots[slot] >> np.uint64(2)) - 1
+                found = first_key(core.nodes[row], int(node_cells[row]),
+                                  slot_level + step, slot_weight[row],
+                                  starts[unit], need)
+                if found is not None:
+                    return found
+            elif starts[unit] >= need:
+                # atomic: an entry, or a pointer at or below the
+                # boundary level (its whole subtree is one key)
+                low = cell & -cell
+                base = (cell - low + slot * (low >> (2 * step - 1)) if cell
+                        else slot << cellid.POS_BITS)
+                return (base & -(key_low << 1)) | key_low, int(starts[unit])
+        return None
+
     spans: List[Tuple[int, int]] = []
-    start, after = 0, 1
+    start, floor = 0, 1
     for k in range(1, parts):
-        # cut *before* the first interval that finds the earlier parts
+        # cut *before* the first key that finds the earlier parts
         # holding their fair share, and past the previous cut
-        at = max(after, int(np.searchsorted(
-            before, np.uint64(math.ceil(k * total / parts)))))
-        if at >= lo.size:
+        need = max(floor, math.ceil(k * total / parts))
+        found = first_key(core.roots, 0, 0, root_weight, np.uint64(0),
+                          np.uint64(need))
+        if found is None:
             break
-        spans.append((start, int(lo[at]) - 1))
-        start, after = int(lo[at]), at + 1
+        spans.append((start, found[0] - 1))
+        start, floor = found[0], found[1] + 1
     spans.append((start, KEY_MAX))
     return spans
 
@@ -311,8 +372,9 @@ def _span_masks(cells: np.ndarray, boundary_level: int,
     return meets, inside
 
 
-def slice_index(index: ACTIndex,
-                spans: Iterable[Tuple[int, int]]) -> ACTIndex:
+def slice_index(index: ACTIndex, spans: Iterable[Tuple[int, int]],
+                skeleton: Optional[Tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]] = None) -> ACTIndex:
     """The sub-index owning the given keyspace spans, by mask-and-compact.
 
     An entry is owned when its key interval intersects ``spans``; a
@@ -328,10 +390,14 @@ def slice_index(index: ACTIndex,
     The indexed cells are disjoint and the planner never splits a
     cell's interval, so slices over a partition of the keyspace
     partition the entries: ``sum(slice.num_entries) == full.num_entries``.
+
+    ``skeleton`` is ``index.core.node_arrays()``, for a caller cutting
+    the same index more than once.
     """
     owned = sorted((int(lo), int(hi)) for lo, hi in spans)
     core, bl = index.core, index.boundary_level
-    node_cells, parent, parent_slot = core.node_arrays()
+    node_cells, parent, parent_slot = (
+        core.node_arrays() if skeleton is None else skeleton)
     meets, inside = _span_masks(node_cells, bl, owned)
     meets &= node_cells != 0  # rows no pointer reaches
     rows = np.flatnonzero(meets)
@@ -368,11 +434,14 @@ def slice_index(index: ACTIndex,
     flats, three = (pool.reshape(-1), roots), np.uint64(3)
     offset_at, entries = [], 0
     for flat in flats:
-        tags = flat & three
+        # uint8 tags: a pool-sized uint64 temporary is first-touch
+        # page faults, which cost more than the scan
+        tags = np.empty(flat.shape, dtype=np.uint8)
+        np.bitwise_and(flat, three, out=tags, casting="unsafe")
         ptr = np.flatnonzero((tags == 0) & (flat != 0))
         flat[ptr] = remap[(flat[ptr] >> np.uint64(2)).astype(np.int64)
                           - 1] << np.uint64(2)
-        offset_at.append(np.flatnonzero(tags == three))
+        offset_at.append(np.flatnonzero(tags == 3))
         entries += int(np.count_nonzero(tags))
     # regather the lookup-table sets still referenced; repoint at them
     old = np.concatenate([flat[at] for flat, at in zip(flats, offset_at)])
@@ -390,17 +459,58 @@ def slice_index(index: ACTIndex,
                     index.boundary_level)
 
 
-def slice_record(record: IndexGeneration,
-                 spans: Iterable[Tuple[int, int]]) -> IndexGeneration:
-    """A generation record re-pointed at its shard slice.
+def slice_path(artifact_dir: Union[str, Path], name: str,
+               index_generation: int, map_generation: int,
+               slot: int) -> Path:
+    """Where one slot's slice of one index generation lives.
 
-    Same name/generation/source metadata — the slice *is* that
-    generation, as seen by one slot. Swap it into a registry with
-    :meth:`~repro.serve.registry.IndexRegistry.restore` so the
-    service's hot-view identity check pins the slice, not the full
-    index.
+    Next to the generation's full archive
+    (:func:`~repro.act.serialize.generation_path`), tagged with the map
+    generation it was cut under: ``nyc.gen000003.map000002.slot1.npz``.
+    The one name the cutter writes, workers map and the artifact
+    sweep matches.
     """
-    return replace(record, index=slice_index(record.index, spans))
+    full = serialize.generation_path(
+        Path(artifact_dir) / f"{name}.npz", index_generation)
+    return full.with_name(
+        f"{full.stem}.map{map_generation:06d}.slot{slot}.npz")
+
+
+def write_slices(index: ACTIndex, shard_map: ShardMap,
+                 artifact_dir: Union[str, Path], name: str,
+                 index_generation: int,
+                 timings: Optional[Dict[str, float]] = None,
+                 ) -> Dict[int, Path]:
+    """Cut ``index`` for every slot of ``shard_map`` and write each
+    slice to its :func:`slice_path`; returns ``{slot: path}``.
+
+    The one place a slice is made: whoever holds a full generation —
+    the fleet's cutter child, a reload coordinator — calls this once,
+    and every worker memory-maps only its own slot's archive. The
+    skeleton is computed once for all slots; archives are written
+    temp + rename, so a reader never sees a partial one. ``timings``
+    accumulates ``cut_s`` / ``write_s`` for the caller's log line.
+    """
+    skeleton = index.core.node_arrays()
+    paths: Dict[int, Path] = {}
+    for slot in range(shard_map.num_slots):
+        start = time.perf_counter()
+        try:
+            sliced = slice_index(
+                index, shard_map.ranges_for_slot(name, slot),
+                skeleton=skeleton)
+            cut = time.perf_counter()
+            paths[slot] = serialize.save_index_atomic(sliced, slice_path(
+                artifact_dir, name, index_generation, shard_map.generation,
+                slot))
+        except Exception as exc:
+            raise ServeError(
+                f"slot {slot}: {type(exc).__name__}: {exc}") from exc
+        if timings is not None:
+            timings["cut_s"] = timings.get("cut_s", 0.0) + cut - start
+            timings["write_s"] = (timings.get("write_s", 0.0)
+                                  + time.perf_counter() - cut)
+    return paths
 
 
 # ----------------------------------------------------------------------

@@ -19,3 +19,16 @@ def query_batch(name, lngs, lats):
     for _ in range(3):   # loop over a literal, not an array parameter
         total += 0.0
     return total, time.perf_counter() - started
+
+
+def _plan_one(index, parts):
+    weights = np.cumsum(index.weights)
+
+    def first_key(row, need):
+        # a nested def is not the kernel: the per-cut walk may loop
+        # over a row's (at most two) candidate slots
+        for slot in np.flatnonzero(weights[row] > need).tolist():
+            return slot
+        return None
+
+    return [first_key(0, np.uint64(k)) for k in range(1, parts)]

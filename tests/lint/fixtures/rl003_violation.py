@@ -42,3 +42,11 @@ def from_cells(cls, cells, entries, lookup_words, fanout):
     for cell, entry in zip(cells, entries):       # line 42: per-cell loop
         nodes[cell] = entry
     return cls, nodes, lookup_words, fanout
+
+
+def write_slices(index, shard_map, artifact_dir, name, generation):
+    owned = {}
+    for cell, entry in index.core.iter_cells():   # line 49: per-cell loop
+        owned[shard_map.route_one(name, cell)] = entry
+    logging.info("cut %s for %d slots", name, len(owned))  # line 51
+    return owned, artifact_dir, generation

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import taxi_points
+from repro.serve import IndexRegistry
+from repro.serve.router import ShardedACTService
+from repro.serve.shard import write_slices
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +32,30 @@ def serial_results(nyc_index, query_points):
 @pytest.fixture()
 def rng_serve():
     return np.random.default_rng(4242)
+
+
+@pytest.fixture()
+def sharded_service(tmp_path):
+    """Factory for one slot's in-process :class:`ShardedACTService`,
+    mapped the way a fleet worker is: ``index`` is registered as
+    ``name``, its slices cut once per map generation into ``tmp_path``
+    through :func:`write_slices` (the only way a slice is made), and
+    the service adopts its own. Every service made is closed."""
+    made, cut = [], set()
+
+    def make(index, shard_map, slot, name="nyc", **kwargs):
+        if (name, shard_map.generation) not in cut:
+            write_slices(index, shard_map, tmp_path, name, 1)
+            cut.add((name, shard_map.generation))
+        registry = IndexRegistry()
+        registry.register_index(name, index)
+        service = ShardedACTService(
+            registry=registry, shard_map=shard_map, slot=slot,
+            artifact_dir=tmp_path, **kwargs)
+        made.append(service)
+        assert service.adopt_shard_map(shard_map)
+        return service
+
+    yield make
+    for service in made:
+        service.close()

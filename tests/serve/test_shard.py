@@ -19,10 +19,10 @@ from repro.errors import (BudgetExceededError, ServeError,
                           UnknownIndexError)
 from repro.serve import ACTService, Budget, IndexRegistry
 from repro.serve.aserver import BinaryFrontend
-from repro.serve.router import ShardedACTService
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
                                plan_shard_map, publish_shard_map,
-                               read_shard_map, shard_keys, slice_index)
+                               read_shard_map, shard_keys, slice_index,
+                               slice_path, write_slices)
 
 
 @pytest.fixture(scope="module")
@@ -151,9 +151,9 @@ class TestSlicing:
         assert seen == len(lngs)
 
 
-def _cross_wired(nyc_index, slots):
+def _cross_wired(nyc_index, slots, sharded_service):
     """``slots`` cross-wired sharded services over real binary
-    frontends."""
+    frontends, each on its own slice file."""
     shard_map = plan_shard_map({"nyc": nyc_index}, slots)
     socks = []
     for _ in range(slots):
@@ -167,11 +167,9 @@ def _cross_wired(nyc_index, slots):
     services, frontends = [], []
     try:
         for slot in range(slots):
-            registry = IndexRegistry()
-            registry.register_index("nyc", nyc_index)
-            service = ShardedACTService(
-                registry=registry, shard_map=shard_map, slot=slot,
-                addresses=addresses, forward_timeout_s=30.0)
+            service = sharded_service(
+                nyc_index, shard_map, slot, addresses=addresses,
+                forward_timeout_s=30.0)
             services.append(service)
             frontends.append(
                 BinaryFrontend(service, sock=socks[slot],
@@ -180,8 +178,6 @@ def _cross_wired(nyc_index, slots):
     finally:
         for frontend in frontends:
             frontend.stop()
-        for service in services:
-            service.close()
         for sock in socks:
             try:
                 sock.close()
@@ -190,13 +186,13 @@ def _cross_wired(nyc_index, slots):
 
 
 @pytest.fixture()
-def sharded_pair(nyc_index):
-    yield from _cross_wired(nyc_index, 2)
+def sharded_pair(nyc_index, sharded_service):
+    yield from _cross_wired(nyc_index, 2, sharded_service)
 
 
 @pytest.fixture()
-def sharded_trio(nyc_index):
-    yield from _cross_wired(nyc_index, 3)
+def sharded_trio(nyc_index, sharded_service):
+    yield from _cross_wired(nyc_index, 3, sharded_service)
 
 
 @pytest.fixture(scope="module")
@@ -336,21 +332,15 @@ class TestScatter:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_unreachable_owner_counts_one_forward_error(
-            self, nyc_index, query_points, entry):
-        registry = IndexRegistry()
-        registry.register_index("nyc", nyc_index)
+            self, nyc_index, query_points, entry, sharded_service):
         # no address book: every forward fails before a frame is sent
-        front = ShardedACTService(
-            registry=registry, slot=0,
-            shard_map=plan_shard_map({"nyc": nyc_index}, 2))
-        try:
-            lngs, lats = _spanning_from_slot0(front, query_points)
-            with pytest.raises(ServeError):
-                _call(front, entry, lngs, lats)
-            assert _counter(front, "shard.forward_errors") == 1
-            assert not any(front._pool.values())
-        finally:
-            front.close()
+        front = sharded_service(
+            nyc_index, plan_shard_map({"nyc": nyc_index}, 2), 0)
+        lngs, lats = _spanning_from_slot0(front, query_points)
+        with pytest.raises(ServeError):
+            _call(front, entry, lngs, lats)
+        assert _counter(front, "shard.forward_errors") == 1
+        assert not any(front._pool.values())
 
 
 class TestShardedServiceInProcess:
@@ -379,14 +369,12 @@ class TestShardedServiceInProcess:
             for service in sharded_pair:
                 assert service.query("nyc", lng, lat) == expected
 
-    def test_shed_needs_whole_owner_set(self, nyc_index, query_points):
+    def test_shed_needs_whole_owner_set(self, nyc_index, query_points,
+                                        sharded_service):
         """Admission sheds only on fresh saturation of EVERY owner."""
-        shard_map = plan_shard_map({"nyc": nyc_index}, 2)
-        registry = IndexRegistry()
-        registry.register_index("nyc", nyc_index)
         snapshots = {}
-        service = ShardedACTService(
-            registry=registry, shard_map=shard_map, slot=0,
+        service = sharded_service(
+            nyc_index, plan_shard_map({"nyc": nyc_index}, 2), 0,
             snapshots=snapshots, shed_inflight=1, shed_staleness_s=5.0)
         try:
             lngs, lats = query_points
@@ -412,66 +400,183 @@ class TestShardedServiceInProcess:
             assert service._fleet_saturated([0, 1]) is False
         finally:
             service._inflight = 0
-            service.close()
 
-    def test_rebalance_reslices(self, nyc_index, query_points):
+    def test_rebalance_reslices(self, nyc_index, query_points, tmp_path,
+                                sharded_service):
         """Adopting a higher-generation map changes the resident slice
         without touching correctness for locally-owned keys."""
-        registry = IndexRegistry()
-        registry.register_index("nyc", nyc_index)
         map1 = plan_shard_map({"nyc": nyc_index}, 2)
-        service = ShardedACTService(registry=registry, shard_map=map1,
-                                    slot=0)
-        try:
-            assert service.adopt_shard_map(map1) is False  # not newer
-            map2 = plan_shard_map({"nyc": nyc_index}, 2, generation=2)
-            assert service.adopt_shard_map(map2) is True
-            assert service.shard_info()["map_generation"] == 2
-            lngs, lats = query_points
-            keys = shard_keys(nyc_index.grid, lngs, lats,
-                              nyc_index.boundary_level)
-            own = map2.route("nyc", keys) == 0
-            truth = nyc_index.lookup_batch(lngs[own], lats[own])
-            record = registry.materialized["nyc"]
-            got = record.index.lookup_batch(lngs[own], lats[own])
-            assert np.array_equal(got, truth)
-            assert (record.index.core.total_bytes
-                    < nyc_index.core.total_bytes)
-        finally:
-            service.close()
+        service = sharded_service(nyc_index, map1, 0)
+        registry = service.registry
+        assert service.adopt_shard_map(map1) is False  # not newer
+        # slot 0's share moves: it now owns the upper half of the keys
+        map2 = ShardMap(2, {"nyc": [
+            ShardRange(r.cell_lo, r.cell_hi, 1 - r.slot)
+            for r in map1.ranges["nyc"]]}, 2)
+        with pytest.raises(FileNotFoundError):  # not cut yet
+            service.adopt_shard_map(map2)
+        assert service.shard_info()["map_generation"] == 1
+        write_slices(nyc_index, map2, tmp_path, "nyc", 1)
+        assert service.adopt_shard_map(map2) is True
+        info = service.shard_info()
+        assert info["map_generation"] == 2
+        assert info["slice_path"] == {
+            "nyc": str(slice_path(tmp_path, "nyc", 1, 2, 0))}
+        lngs, lats = query_points
+        keys = shard_keys(nyc_index.grid, lngs, lats,
+                          nyc_index.boundary_level)
+        own = map2.route("nyc", keys) == 0
+        truth = nyc_index.lookup_batch(lngs[own], lats[own])
+        record = registry.materialized["nyc"]
+        got = record.index.lookup_batch(lngs[own], lats[own])
+        assert np.array_equal(got, truth)
+        assert not record.index.lookup_batch(lngs[~own], lats[~own]).any()
+        assert (record.index.core.total_bytes
+                < nyc_index.core.total_bytes)
 
-    def test_rebalance_that_moves_nothing_slices_nothing(
-            self, nyc_index, monkeypatch):
-        """Adopting a map re-slices only the names whose spans for this
-        slot changed: an identical plan costs zero slices, a moved cut
-        costs one."""
-        from repro.serve import router
+    def test_a_reload_maps_the_slot_s_slice_not_the_full_artifact(
+            self, nyc_index, tmp_path, sharded_service):
+        """A fleet reload names the generation's full side artifact;
+        the sharded service maps its own slice of that generation, and
+        opens the full archive only when asked for the full record."""
+        from repro.act import serialize
 
-        registry = IndexRegistry()
-        registry.register_index("nyc", nyc_index)
-        map1 = plan_shard_map({"nyc": nyc_index}, 2)
-        service = ShardedACTService(registry=registry, shard_map=map1,
-                                    slot=0)
-        sliced = []
-        real = router.slice_record
+        shard_map = plan_shard_map({"nyc": nyc_index}, 2)
+        service = sharded_service(nyc_index, shard_map, 1)
+        full = serialize.generation_path(tmp_path / "nyc.npz", 2)
+        serialize.save_index_atomic(nyc_index, full)
+        with pytest.raises(FileNotFoundError):  # generation 2: not cut yet
+            service.reload_index("nyc", artifact_path=str(full),
+                                 artifact_mmap_mode="r", generation=2)
+        assert service.registry.generation("nyc") == 1
+        paths = write_slices(nyc_index, shard_map, tmp_path, "nyc", 2)
+        record = service.reload_index("nyc", artifact_path=str(full),
+                                      artifact_mmap_mode="r", generation=2)
+        assert (record.generation, record.path) == (2, paths[1])
+        assert record.index.core.total_bytes < nyc_index.core.total_bytes
+        assert service.metrics.counter("admin.reloads").value == 1
+        whole = service.full_record(record)
+        assert (whole.generation, whole.path) == (2, full)
+        assert whole.index.core.num_entries == nyc_index.core.num_entries
 
-        def counting(record, spans):
-            sliced.append(tuple(spans))
-            return real(record, spans)
 
-        monkeypatch.setattr(router, "slice_record", counting)
-        try:
-            before = registry.materialized["nyc"]
-            same = plan_shard_map({"nyc": nyc_index}, 2, generation=2)
-            assert service.adopt_shard_map(same) is True
-            assert sliced == []
-            assert registry.materialized["nyc"] is before
-            assert service.shard_info()["map_generation"] == 2
-            # move the cut: slot 0 now owns the whole keyspace
-            moved = ShardMap(3, {"nyc": [ShardRange(0, KEY_MAX, 0)]}, 2)
-            assert service.adopt_shard_map(moved) is True
-            assert sliced == [((0, KEY_MAX),)]
-            assert (registry.materialized["nyc"].index.core.num_entries
-                    == nyc_index.core.num_entries)
-        finally:
-            service.close()
+class TestShardedLifecycle:
+    """The control channel in a sharded fleet, without the forks: slot
+    0's worker coordinates, slot 1's and the parent follow."""
+
+    @pytest.fixture()
+    def fleet_of_two(self, nyc_index, tmp_path, sharded_service):
+        import threading
+
+        from repro.act import serialize
+        from repro.serve import FleetLifecycle
+        from repro.serve.lifecycle import PARENT_IDENTITY
+
+        shard_map = plan_shard_map({"nyc": nyc_index}, 2)
+        # what the fleet's cutter leaves: generation 1 in full, and cut
+        serialize.save_index_atomic(
+            nyc_index, serialize.generation_path(tmp_path / "nyc.npz", 1))
+        services = [sharded_service(nyc_index, shard_map, slot)
+                    for slot in range(2)]
+        parent_registry = IndexRegistry()
+        parent_registry.register_index("nyc", nyc_index)
+        control, op_lock = {}, threading.Lock()
+        publish_shard_map(control, shard_map)
+        common = dict(control=control, op_lock=op_lock, workers=2,
+                      artifact_dir=str(tmp_path), timeout_s=10.0)
+        lifecycles = [FleetLifecycle(identity=str(slot), service=service,
+                                     **common)
+                      for slot, service in enumerate(services)]
+        lifecycles.append(FleetLifecycle(
+            identity=PARENT_IDENTITY, registry=parent_registry, **common))
+        stop = threading.Event()
+
+        def follow():
+            while not stop.wait(0.02):
+                for follower in lifecycles[1:]:
+                    follower.poll()
+
+        thread = threading.Thread(target=follow, daemon=True)
+        thread.start()
+        yield services, lifecycles, parent_registry, control
+        stop.set()
+        thread.join(timeout=5.0)
+
+    @staticmethod
+    def _on_slices(services, tmp_path, generation, map_generation=1):
+        return all(
+            (record.generation, record.path) == (generation, slice_path(
+                tmp_path, "nyc", generation, map_generation, slot))
+            for slot, service in enumerate(services)
+            for record in [service.registry.materialized["nyc"]])
+
+    def test_reload_cuts_once_and_everyone_maps_their_own(
+            self, fleet_of_two, nyc_index, tmp_path):
+        services, lifecycles, parent_registry, _ = fleet_of_two
+        result = lifecycles[0].submit({"op": "reload", "name": "nyc"})
+        assert result["complete"] is True, result
+        assert result["generation"] == 2
+        assert self._on_slices(services, tmp_path, 2)
+        assert (sum(s.registry.get("nyc").core.num_entries
+                    for s in services) == nyc_index.core.num_entries)
+        # the parent follows onto the full side artifact
+        assert parent_registry.materialized["nyc"].path == \
+            tmp_path / "nyc.gen000002.npz"
+        # one reload each, the coordinator's move onto its slice included
+        assert [s.metrics.counter("admin.reloads").value
+                for s in services] == [1, 1]
+
+    def test_corrupt_slice_nacks_and_the_fleet_rolls_back(
+            self, fleet_of_two, nyc_index, tmp_path, monkeypatch):
+        from repro.serve import lifecycle as lifecycle_module
+
+        services, lifecycles, parent_registry, _ = fleet_of_two
+        real = lifecycle_module.write_slices
+
+        def cut_then_damage(index, shard_map, artifact_dir, name,
+                            generation):
+            paths = real(index, shard_map, artifact_dir, name, generation)
+            if generation == 2:  # slot 1's copy of the new generation
+                with open(paths[1], "r+b") as fp:
+                    fp.truncate(paths[1].stat().st_size // 2)
+            return paths
+
+        monkeypatch.setattr(lifecycle_module, "write_slices",
+                            cut_then_damage)
+        result = lifecycles[0].submit({"op": "reload", "name": "nyc"})
+        assert result["complete"] is False
+        assert result["failed"] == ["1"]
+        assert "corrupt" in result["error"]
+        # rolled back by re-publishing generation 1 — opened in full
+        # from its archive, slot 0 pins only a slice of it — as 3
+        assert result["rolled_back"] is True, result
+        assert result["generation"] == 3
+        assert self._on_slices(services, tmp_path, 3)
+        assert parent_registry.generation("nyc") == 3
+        assert (sum(s.registry.get("nyc").core.num_entries
+                    for s in services) == nyc_index.core.num_entries)
+        assert lifecycles[1].status()["converged"] is True
+        counters = services[1].metrics.snapshot()["counters"]
+        assert counters["faults.artifact_corrupt"] == 1
+
+    def test_poll_maps_the_published_map_or_says_not_ready(
+            self, fleet_of_two, nyc_index, tmp_path):
+        services, lifecycles, _, control = fleet_of_two
+        follower, service = lifecycles[1], services[1]
+        newer = plan_shard_map({"nyc": nyc_index}, 2, generation=2)
+        publish_shard_map(control, newer)  # ... but nobody cut it
+
+        def status():
+            follower.poll()
+            return follower.status()
+
+        assert status()["converged"] is False
+        assert "map000002.slot1" in status()["last_error"]
+        assert service.shard_info()["map_generation"] == 1
+        write_slices(nyc_index, newer, tmp_path, "nyc", 1)
+        assert status() == {"converged": True, "last_error": None}
+        assert service.shard_info()["map_generation"] == 2
+        # map 1's slices went with it: nothing opens them again
+        assert sorted(p.name for p in tmp_path.glob("*.map*")) == [
+            "nyc.gen000001.map000002.slot0.npz",
+            "nyc.gen000001.map000002.slot1.npz"]

@@ -8,7 +8,15 @@ count and ``total_bytes``; and what a lookup through the slice returns
 for owned, unowned and out-of-domain points. (Raw ``TAG_OFFSET``
 entries may differ between the two — each numbers its regathered
 lookup table in its own order — so those compare decoded.)
+
+The planner works on the node skeleton (one weight per pool row, one
+root-to-leaf walk per cut), so the suite also carries two seeded
+mutants of it that must not survive; and since a slice reaches a
+worker as a file, ``write_slices`` then ``load_index(mmap_mode="r")``
+must give back exactly what ``slice_index`` made.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -18,17 +26,20 @@ from hypothesis import strategies as st
 import _legacy_shard as legacy
 from repro import ACTIndex
 from repro.act import entry as entry_codec
+from repro.act import serialize
 from repro.act.core import ACTCore
 from repro.act.lookup_table import encode_refs
 from repro.act.stats import IndexStats
+from repro.errors import ServeError
 from repro.geometry import regular_polygon
 from repro.grid import cellid
 from repro.grid.s2like import S2LikeGrid
+from repro.serve import shard
 from repro.serve.shard import (KEY_MAX, plan_shard_map, shard_keys,
-                               slice_index)
+                               slice_index, slice_path, write_slices)
 
 FANOUTS = (4, 16, 256)
-SLOTS = (1, 2, 3, 4, 7)
+SLOTS = (1, 2, 3, 4, 7, 11)
 
 
 # ----------------------------------------------------------------------
@@ -247,11 +258,103 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("num_faces", [6, 8])
     def test_total_weight_past_int64(self, num_faces):
-        # face cells at boundary level 30 weigh 2**60 each: eight of
-        # them total 2**63, one past what an int64 accumulator holds
-        cells = [((face << cellid.POS_BITS) | (1 << (cellid.POS_BITS - 1)),
-                  [face], []) for face in range(num_faces)]
-        index = _synthetic_index(cells, 256, 30, num_faces=num_faces)
+        index = _face_cells(num_faces)
         for slots in SLOTS:
             shard_map, _ = _check_plan_and_slices(index, slots)
             assert len(shard_map.ranges["x"]) == min(slots, num_faces)
+
+    @pytest.mark.parametrize("fanout", FANOUTS)
+    def test_census_shaped(self, fanout):
+        for slots in SLOTS:
+            _check_plan_and_slices(_census_shaped(fanout), slots)
+
+
+def _face_cells(num_faces):
+    """Face cells at boundary level 30 weigh 2**60 each: eight of them
+    total 2**63, one past what an int64 accumulator holds — and there
+    are fewer keys than the larger slot counts ask for."""
+    cells = [((face << cellid.POS_BITS) | (1 << (cellid.POS_BITS - 1)),
+              [face], []) for face in range(num_faces)]
+    return _synthetic_index(cells, 256, 30, num_faces=num_faces)
+
+
+def _census_shaped(fanout):
+    """Slots one level below the boundary level, four to a key — how
+    the benchmark's census index sits (fanout 256: boundary level 11,
+    slots at level 12) — with keys of 1 to 4 cells and some slots
+    refined a step further (pointers below the boundary level)."""
+    step = (fanout.bit_length() - 1) // 2
+    level = max(2, 4 // step) * step  # a slot level with room for 92 cells
+    cells = []
+    for key in range(23):
+        for sub in range(4):
+            path, n = 4 * key + sub, 7 * key + sub
+            if n % 5 == 0:
+                continue  # keys hold 1 to 4 cells
+            if n % 6 == 1:  # this slot points one step further down
+                cells += [(cellid.from_face_path(
+                    2, (path << 2 * step) + deep, level + step), [n % 9], [])
+                    for deep in (0, 4 ** step - 1)]
+            else:
+                cells.append((cellid.from_face_path(2, path, level),
+                              [n % 9], [10 + key % 3]))
+    return _synthetic_index(cells, fanout, level - 1)
+
+
+# ----------------------------------------------------------------------
+# Seeded mutants: the suite must tell a wrong planner from the right one
+# ----------------------------------------------------------------------
+MUTANTS = {
+    "no floor past the previous cut": (
+        "start, floor = found[0], found[1] + 1",
+        "start, floor = found[0], 0"),
+    "slots below the boundary level are keys of their own": (
+        "per_key = 4 ** max(0, slot_level - bl)",
+        "per_key = 1"),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_planner_is_killed(mutant, monkeypatch):
+    right, wrong = MUTANTS[mutant]
+    source = inspect.getsource(shard._plan_one)
+    assert source.count(right) == 1  # the mutation still applies
+    namespace = dict(vars(shard))
+    exec(source.replace(right, wrong), namespace)
+    monkeypatch.setattr(shard, "_plan_one", namespace["_plan_one"])
+    # killed by the oracle's spans, or before that by ShardMap's own
+    # validation (a cut repeated is an inverted range)
+    with pytest.raises((AssertionError, ServeError)):
+        for index in [_face_cells(8)] + [_census_shaped(f) for f in FANOUTS]:
+            for slots in SLOTS:
+                _check_plan_and_slices(index, slots)
+
+
+# ----------------------------------------------------------------------
+# A slice is a file: what a worker maps is what the slicer made
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fanout", [16, 256])
+def test_written_slices_load_as_sliced(overlap_polygons, fanout, tmp_path):
+    index = ACTIndex.build(overlap_polygons, precision_meters=300.0,
+                           fanout=fanout)
+    shard_map = plan_shard_map({"x": index}, 3, generation=5)
+    paths = write_slices(index, shard_map, tmp_path, "x", 2)
+    assert paths == {slot: slice_path(tmp_path, "x", 2, 5, slot)
+                     for slot in range(3)}
+    rng = np.random.default_rng(fanout)
+    box = index.grid.bounds
+    lngs = rng.uniform(box.min_x, box.max_x, 500)
+    lats = rng.uniform(box.min_y, box.max_y, 500)
+    for slot, path in paths.items():
+        want = slice_index(index, shard_map.ranges_for_slot("x", slot))
+        got = serialize.load_index(path, mmap_mode="r", verify="full")
+        assert not got.core.nodes.flags.owndata  # a view of the file
+        _assert_same_slice(got, want)
+        cells, entries = got.core.cell_arrays()
+        want_cells, want_entries = want.core.cell_arrays()
+        order, want_order = np.argsort(cells), np.argsort(want_cells)
+        assert np.array_equal(cells[order], want_cells[want_order])
+        assert np.array_equal(entries[order], want_entries[want_order])
+        assert np.array_equal(got.lookup_batch(lngs, lats),
+                              want.lookup_batch(lngs, lats))
+        assert got.stats.indexed_cells == want.core.num_entries

@@ -14,14 +14,20 @@ import os
 import signal
 import threading
 import time
+import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.act.serialize import generation_path, save_index
+from repro.errors import ServeError
 from repro.serve import (ACTService, FleetConfig, IndexRegistry,
                          ServingFleet, binproto)
+from repro.serve import fleet as fleet_module
 from repro.serve.fleet import fleet_available
+from repro.serve.shard import read_shard_map, slice_path
 
 pytestmark = pytest.mark.skipif(
     not fleet_available(),
@@ -161,8 +167,6 @@ class TestShardedFleet:
 
     def test_single_index_reload_under_traffic(self, nyc_index, tmp_path,
                                                query_points, ground_truth):
-        from repro.act.serialize import save_index
-
         lngs, lats = query_points
         truth, _ = ground_truth
         path = tmp_path / "nyc.npz"
@@ -270,6 +274,259 @@ class TestShardedFleet:
             while time.monotonic() < deadline and fleet.restarts < 1:
                 time.sleep(0.1)
             assert fleet.restarts >= 1
+
+
+def _mapped_archives(pid):
+    """Every ``.npz`` the process has memory-mapped, per the kernel."""
+    mapped = set()
+    for line in Path(f"/proc/{pid}/maps").read_text().splitlines():
+        fields = line.split(None, 5)
+        if len(fields) == 6 and ".npz" in fields[5]:
+            mapped.add(fields[5])
+    return mapped
+
+
+def _await(condition, what, deadline_s=20.0):
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        if condition():
+            return
+        time.sleep(0.1)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def _worker_readyz(fleet, slot, attempts=400):
+    """``(status, body)`` of ``/readyz`` as answered by ``slot``'s
+    worker (they share the HTTP port: ask until the kernel picks it)."""
+    for _ in range(attempts):
+        try:
+            status, body = _get(fleet.address, "/readyz")
+        except urllib.error.HTTPError as exc:
+            status, body = exc.code, json.loads(exc.read())
+        if body.get("worker") == slot:
+            return status, body
+    raise AssertionError(f"worker {slot} never answered /readyz")
+
+
+@pytest.fixture()
+def npz_fleet(nyc_index, tmp_path):
+    """A 2-slot fleet started from a memory-mapped ``.npz``, its
+    artifact directory where the test can see it."""
+    source = tmp_path / "nyc.npz"
+    save_index(nyc_index, source)
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    registry = IndexRegistry()
+    registry.register_path("nyc", str(source), mmap_mode="r")
+    with _shard_fleet(registry, artifact_dir=str(artifacts),
+                      admin_timeout_s=60.0) as fleet:
+        fleet.start()
+        yield fleet, source, artifacts
+
+
+def _reload(fleet, source):
+    status, body = _post(fleet.address, "/admin/reload", {
+        "name": "nyc", "path": str(source), "mmap_mode": "r"})
+    assert status == 200 and body.get("complete", False), body
+    return body["generation"]
+
+
+class TestSlicesAreFiles:
+    def test_no_worker_maps_the_full_index(self, npz_fleet, query_points,
+                                           ground_truth):
+        """Each worker maps its own slot's slice archive and no other
+        ``.npz`` — not the operator's file, not a generation's full
+        side artifact — at ready, after a reload, after a rebalance and
+        after a SIGKILL respawn; ``/stats`` says the same."""
+        fleet, source, artifacts = npz_fleet
+        lngs, lats = query_points
+        truth, _ = ground_truth
+
+        def on_own_slices(index_generation, map_generation):
+            def check():
+                per_worker = fleet.stats().get("per_worker", [])
+                return len(per_worker) == 2 and all(
+                    "shard" in e
+                    and e["shard"]["slice_path"] == {"nyc": str(slice_path(
+                        artifacts, "nyc", index_generation, map_generation,
+                        e["shard"]["slot"]))}
+                    and _mapped_archives(e["pid"])
+                    == set(e["shard"]["slice_path"].values())
+                    for e in per_worker)
+            return check
+
+        _await(on_own_slices(1, 1), "workers on their first slices")
+        assert str(source) in _mapped_archives(os.getpid())  # the parent is
+        generation = _reload(fleet, source)
+        assert generation == 2
+        _await(on_own_slices(2, 1), "workers on the reloaded slices")
+        assert fleet.rebalance().generation == 2
+        _await(on_own_slices(2, 2), "workers on the rebalanced slices")
+        victim = fleet._processes[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        _await(lambda: fleet.restarts >= 1
+               and fleet._processes[0].pid != victim.pid, "the respawn")
+        _await(on_own_slices(2, 2), "the respawned worker on its slice")
+        for host, port in fleet.shard_addresses.values():
+            client = binproto.Client(host, port, timeout=60.0, retries=8)
+            assert client.query_batch("nyc", lngs, lats) == truth
+            client.close()
+
+    def test_artifact_sweep_takes_slices_too(self, npz_fleet):
+        """3 reloads + 2 rebalances: at most the newest two generations
+        stay — a full archive and one slice per slot each — and the
+        fleet's ``lifecycle.artifacts_gcd`` accounts for every other
+        file ever written."""
+        fleet, source, artifacts = npz_fleet
+        slots = fleet.config.shards
+        written = 1 + slots  # generation 1: its full archive + slices
+        for step in ("reload", "reload", "rebalance", "reload",
+                     "rebalance"):
+            if step == "reload":
+                _reload(fleet, source)
+                written += 1 + slots
+            else:
+                target = fleet.rebalance().generation
+                written += slots
+                _await(lambda: all(
+                    e.get("shard", {}).get("map_generation") == target
+                    for e in fleet.stats().get("per_worker", [{}])),
+                    f"map generation {target}")
+
+        def kept():
+            return sorted(p.name for p in artifacts.iterdir())
+
+        def swept():
+            return fleet.stats()["counters"]["lifecycle.artifacts_gcd"]
+
+        _await(lambda: swept() == written - len(kept()),
+               "the sweep to account for every file written")
+        assert len(kept()) <= 2 * (1 + slots), kept()
+        assert kept() == [
+            "nyc.gen000003.npz", "nyc.gen000004.map000003.slot0.npz",
+            "nyc.gen000004.map000003.slot1.npz", "nyc.gen000004.npz"]
+
+
+    def test_the_cutter_states_its_cost(self, npz_fleet, caplog):
+        """One log line per cut — start-up and each rebalance — with
+        the bytes it wrote, its three timings and the child's peak."""
+        import logging
+
+        fleet, _, artifacts = npz_fleet
+        first = fleet.last_cut
+        assert (first["map_generation"], first["indexes"],
+                first["slots"]) == (1, 1, 2)
+        # the full archive is a hard link to the operator's file: the
+        # bytes written are the two slices
+        assert first["bytes_written"] == sum(
+            p.stat().st_size for p in artifacts.glob("*.map000001.*"))
+        assert generation_path(artifacts / "nyc.npz", 1).stat().st_nlink == 2
+        assert first["peak_rss_mb"] > 0
+        assert min(first["plan_s"], first["cut_s"], first["write_s"]) > 0
+        with caplog.at_level(logging.INFO, logger="repro.serve.fleet"):
+            fleet.rebalance()
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line == fleet_module.describe_cut(fleet.last_cut)
+        assert line.startswith("shard cutter: map generation 2, "
+                               "1 index(es) x 2 slots, ")
+        for unit in ("MiB written", "plan ", "cut ", "write ",
+                     "child peak RSS "):
+            assert unit in line
+
+
+class TestCutterFailure:
+    """A failed cut is loud: never a half-fleet, never an empty slice."""
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_start_raises_and_leaves_nothing_running(
+            self, nyc_index, monkeypatch, how):
+        def broken(*args, **kwargs):
+            if how == "dies":
+                os._exit(3)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fleet_module, "write_slices", broken)
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        fleet = _shard_fleet(registry)
+        with pytest.raises(ServeError) as failure:
+            fleet.start()
+        if how == "raises":
+            assert "'nyc'" in str(failure.value)
+            assert "disk full" in str(failure.value)
+        else:
+            assert "exit code 3" in str(failure.value)
+        assert fleet.live_workers() == 0 and fleet._processes == []
+        assert fleet._manager is None and fleet._artifact_dir is None
+
+    def test_a_real_write_failure_names_index_and_slot(
+            self, nyc_index, tmp_path):
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        # a directory squatting on slot 1's slice path
+        artifacts = tmp_path / "artifacts"
+        slice_path(artifacts, "nyc", 1, 1, 1).mkdir(parents=True)
+        fleet = _shard_fleet(registry, artifact_dir=str(artifacts))
+        with pytest.raises(ServeError, match="'nyc'.*slot 1: IsADirectory"):
+            fleet.start()
+        assert fleet.live_workers() == 0
+
+    def test_failed_rebalance_leaves_the_old_map_published(
+            self, nyc_index, query_points, ground_truth, monkeypatch):
+        lngs, lats = query_points
+        truth, _ = ground_truth
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        with _shard_fleet(registry) as fleet:
+            fleet.start()
+            _poll_shard_snapshots(fleet)
+
+            def broken(*args, **kwargs):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(fleet_module, "write_slices", broken)
+            with pytest.raises(ServeError, match="disk full"):
+                fleet.rebalance()
+            assert fleet.shard_map.generation == 1
+            assert read_shard_map(fleet._control).generation == 1
+            monkeypatch.undo()
+            # the op lock was released, and the fleet still answers
+            assert fleet.rebalance().generation == 2
+            host, port = fleet.shard_addresses[0]
+            client = binproto.Client(host, port, timeout=30.0)
+            assert client.query_batch("nyc", lngs, lats) == truth
+            client.close()
+
+    def test_respawn_onto_a_truncated_slice_is_not_ready(
+            self, npz_fleet, query_points, ground_truth):
+        """Slot 0's slice archive is cut short, then its worker killed:
+        the replacement cannot map it, says so on ``/readyz`` — and
+        still answers right (from the full records it was forked
+        with), never from an empty slice. The next cut heals it."""
+        fleet, source, artifacts = npz_fleet
+        lngs, lats = query_points
+        truth, _ = ground_truth
+        _poll_shard_snapshots(fleet)
+        assert _worker_readyz(fleet, 0)[0] == 200
+        broken = slice_path(artifacts, "nyc", 1, 1, 0)
+        victim = fleet._processes[0]
+        with open(broken, "r+b") as fp:
+            fp.truncate(broken.stat().st_size // 2)
+        os.kill(victim.pid, signal.SIGKILL)
+        _await(lambda: fleet.restarts >= 1
+               and fleet._processes[0].pid != victim.pid, "the respawn")
+        status, body = _worker_readyz(fleet, 0)
+        assert status == 503 and body["converged"] is False
+        assert broken.name in body["last_error"]
+        assert _worker_readyz(fleet, 1)[0] == 200
+        host, port = fleet.shard_addresses[0]
+        client = binproto.Client(host, port, timeout=60.0, retries=8)
+        assert client.query_batch("nyc", lngs, lats) == truth
+        client.close()
+        fleet.rebalance()
+        _await(lambda: _worker_readyz(fleet, 0)[0] == 200,
+               "slot 0 to map its freshly cut slice")
+        assert (_worker_readyz(fleet, 0)[1]["last_error"] is None)
 
 
 def _get_text(address, path, timeout=15.0):
