@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench import DATASETS
 from repro.bench.reporting import record_row, record_text
-from repro.join.parallel import fork_available, parallel_count
+from repro.join import fork_available, parallel_join
 
 _COLUMNS = ["dataset", "workers", "M points/s", "speedup vs 1"]
 
@@ -38,11 +38,11 @@ def test_figure4_scaling(benchmark, cache, join_points, dataset, workers):
     lngs, lats = join_points
     index = cache.get(dataset, _PRECISION)
 
-    point = benchmark.pedantic(
-        lambda: parallel_count(index, lngs, lats, workers=workers),
+    result = benchmark.pedantic(
+        lambda: parallel_join(index, lngs, lats, workers=workers),
         rounds=1, iterations=1,
     )
-    mpts = point.throughput_mpts
+    mpts = result.stats.throughput_mpts
     base = _BASE_MPTS.setdefault(dataset, mpts) if workers == 1 else \
         _BASE_MPTS.get(dataset, mpts)
     benchmark.extra_info.update(dataset=dataset, workers=workers, mpts=mpts)

@@ -18,7 +18,7 @@ drive to (near) zero.
 from repro.baselines import FixedGridIndex, InteriorRectIndex
 from repro.bench import dataset_polygons, throughput_mpts
 from repro.bench.reporting import record_row
-from repro.join import ACTExactJoin, ApproximateJoin, FilterRefineJoin
+from repro.join import FilterRefineJoin
 
 _COLUMNS = ["variant", "M points/s", "PIP refinements", "result pairs"]
 _TABLE = "Ablation A2: true-hit filtering"
@@ -87,9 +87,10 @@ def test_filters_fixed_grid(benchmark, probe_points):
 
 def test_filters_act_exact(benchmark, cache, probe_points):
     lngs, lats = probe_points
-    join = ACTExactJoin(_index(cache))
-    result = benchmark.pedantic(lambda: join.join(lngs, lats),
-                                rounds=2, iterations=1)
+    executor = _index(cache).executor
+    result = benchmark.pedantic(
+        lambda: executor.join(lngs, lats, exact=True),
+        rounds=2, iterations=1)
     mpts = throughput_mpts(len(lngs), benchmark.stats.stats.min)
     record_row(_TABLE, _COLUMNS, [
         "ACT-15m exact (refine candidates)", mpts,
@@ -99,8 +100,8 @@ def test_filters_act_exact(benchmark, cache, probe_points):
 
 def test_filters_act_approximate(benchmark, cache, probe_points):
     lngs, lats = probe_points
-    join = ApproximateJoin(_index(cache))
-    result = benchmark.pedantic(lambda: join.join(lngs, lats),
+    executor = _index(cache).executor
+    result = benchmark.pedantic(lambda: executor.join(lngs, lats),
                                 rounds=2, iterations=1)
     mpts = throughput_mpts(len(lngs), benchmark.stats.stats.min)
     record_row(_TABLE, _COLUMNS, [
@@ -116,9 +117,9 @@ def test_filters_act_no_interior(benchmark, probe_points):
     lngs, lats = probe_points
     index = ACTIndex.build(_polygons(), precision_meters=15.0,
                            use_interior=False)
-    join = ACTExactJoin(index)
-    result = benchmark.pedantic(lambda: join.join(lngs, lats),
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: index.executor.join(lngs, lats, exact=True),
+        rounds=1, iterations=1)
     mpts = throughput_mpts(len(lngs), benchmark.stats.stats.min)
     record_row(_TABLE, _COLUMNS, [
         "ACT-15m without interior cells", mpts,

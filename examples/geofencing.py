@@ -9,11 +9,13 @@ streaming join reports per-batch latency percentiles.
 Run:  python examples/geofencing.py
 """
 
+from functools import reduce
+
 import numpy as np
 
 from repro import ACTIndex
 from repro.datasets import REGION, overlapping_zones, point_stream
-from repro.join import StreamingJoin
+from repro.join import JoinResult, join_stream
 
 
 PRODUCT_NAMES = [
@@ -39,18 +41,20 @@ def main() -> None:
 
     # stream micro-batches of requests (exact mode: candidates refined,
     # true hits — the vast majority — skip refinement entirely)
-    join = StreamingJoin(index, exact=True)
-    join.run(point_stream(100_000, batch_size=10_000, seed=8))
-    latency = join.latency_stats()
-    print(f"\nstreamed {join.num_points:,} requests in "
-          f"{latency['batches']} batches")
-    print(f"  batch latency p50={latency['p50_ms']:.1f} ms  "
-          f"p95={latency['p95_ms']:.1f} ms  p99={latency['p99_ms']:.1f} ms")
+    batches = list(join_stream(
+        index.executor, point_stream(100_000, batch_size=10_000, seed=8),
+        exact=True))
+    total = reduce(JoinResult.merged, batches)
+    p50, p95, p99 = np.percentile(
+        [batch.stats.seconds * 1e3 for batch in batches], [50, 95, 99])
+    print(f"\nstreamed {total.stats.num_points:,} requests in "
+          f"{len(batches)} batches")
+    print(f"  batch latency p50={p50:.1f} ms  "
+          f"p95={p95:.1f} ms  p99={p99:.1f} ms")
 
     print("\nrequests per product zone:")
-    order = np.argsort(join.counts)[::-1]
-    for pid in order[:8]:
-        print(f"  {PRODUCT_NAMES[pid]:<12} {int(join.counts[pid]):,}")
+    for pid, count in total.top_k(8).items():
+        print(f"  {PRODUCT_NAMES[pid]:<12} {count:,}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 from repro import ACTIndex
 from repro.baselines import RTreeJoinBaseline
 from repro.datasets import boroughs, census_blocks, neighborhoods, taxi_points
-from repro.join import ACTExactJoin, ApproximateJoin, FilterRefineJoin
+from repro.join import FilterRefineJoin
 
 
 def run_dataset(name, polygons, lngs, lats, precision=15.0):
@@ -29,13 +29,12 @@ def run_dataset(name, polygons, lngs, lats, precision=15.0):
           f"cells={index.stats.indexed_cells:,}   "
           f"trie={index.core.size_bytes / 1e6:.1f} MB")
 
-    approx = ApproximateJoin(index).join(lngs, lats)
+    approx = index.executor.join(lngs, lats)
     print(f"ACT approximate : {approx.stats.throughput_mpts:6.2f} M pts/s  "
           f"pairs={approx.total_pairs:,}  refinements=0")
 
-    exact = ACTExactJoin(index).join(lngs, lats)
-    print(f"ACT exact       : "
-          f"{len(lngs) / exact.stats.seconds / 1e6:6.2f} M pts/s  "
+    exact = index.executor.join(lngs, lats, exact=True)
+    print(f"ACT exact       : {exact.stats.throughput_mpts:6.2f} M pts/s  "
           f"pairs={exact.total_pairs:,}  "
           f"refinements={exact.stats.num_refined:,}")
 

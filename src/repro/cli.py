@@ -92,16 +92,13 @@ def cmd_query(args) -> int:
 def cmd_join(args) -> int:
     index = _build(args)
     lngs, lats = points.taxi_points(args.points, seed=args.seed)
-    start = time.perf_counter()
-    counts = index.count_points(lngs, lats, exact=args.exact)
-    elapsed = time.perf_counter() - start
+    result = index.executor.join(lngs, lats, exact=args.exact)
     mode = "exact" if args.exact else "approximate"
-    print(f"{mode} join of {args.points:,} points: {elapsed:.3f} s "
-          f"({args.points / elapsed / 1e6:.2f} M points/s)")
-    top = sorted(range(len(counts)), key=lambda i: -counts[i])[:10]
-    for pid in top:
-        if counts[pid]:
-            print(f"  polygon {pid:>6}: {int(counts[pid]):,} points")
+    print(f"{mode} join of {args.points:,} points: "
+          f"{result.stats.seconds:.3f} s "
+          f"({result.stats.throughput_mpts:.2f} M points/s)")
+    for pid, count in result.top_k(10).items():
+        print(f"  polygon {pid:>6}: {count:,} points")
     return 0
 
 
@@ -369,13 +366,12 @@ def cmd_demo(args) -> int:
     print(f"\nsample query at a polygon centroid ({lng:.4f}, {lat:.4f}):")
     print(f"  -> {index.query_exact(lng, lat)}")
     lngs, lats = points.taxi_points(100_000, seed=0)
-    start = time.perf_counter()
-    counts = index.count_points(lngs, lats)
-    elapsed = time.perf_counter() - start
-    print(f"\njoined 100,000 taxi-like points in {elapsed * 1e3:.0f} ms "
-          f"({0.1 / elapsed:.1f} M points/s)")
-    print(f"busiest neighborhood: #{int(counts.argmax())} "
-          f"with {int(counts.max()):,} points")
+    result = index.executor.join(lngs, lats)
+    print(f"\njoined 100,000 taxi-like points in "
+          f"{result.stats.seconds * 1e3:.0f} ms "
+          f"({result.stats.throughput_mpts:.1f} M points/s)")
+    print(f"busiest neighborhood: #{int(result.counts.argmax())} "
+          f"with {int(result.counts.max()):,} points")
     return 0
 
 

@@ -40,7 +40,13 @@ DEFAULT_CHUNK_EDGES = 1 << 21
 
 
 class PackedEdgeTable:
-    """All polygons' edges as flat arrays, CSR-indexed per polygon."""
+    """All polygons' edges as flat arrays, CSR-indexed per polygon.
+
+    :meth:`refine` is the one refinement path: a chunk admits pairs up
+    to ``chunk_edges`` gathered rows but never fewer than one pair, so
+    the working set of one chunk is ``max(chunk_edges, largest
+    polygon's edge count)`` rows.
+    """
 
     __slots__ = ("xs", "ys", "xe", "ye", "indptr",
                  "min_x", "min_y", "max_x", "max_y",

@@ -1,36 +1,25 @@
-"""Join operators: approximate (ACT), exact (filter+refine), streaming,
-aggregation, and multi-worker scaling — all executing through the
-columnar :class:`~repro.join.executor.JoinExecutor`."""
+"""The join: :meth:`JoinExecutor.join` -> :class:`JoinResult`, its stream
+and fork-pool compositions, and the filter-and-refine baseline."""
 
-from .aggregate import CountAggregator, count_points_per_polygon, count_stream
-from .approximate import ApproximateJoin
-from .executor import JoinExecutor, refine_pairs
-from .filter_refine import ACTExactJoin, FilterRefineJoin
+from .executor import JoinExecutor, join_stream, refine_pairs
+from .filter_refine import FilterRefineJoin
 from .parallel import (
     ScalingPoint,
     fork_available,
-    parallel_count,
-    parallel_counts_array,
+    parallel_join,
     scaling_sweep,
 )
 from .result import JoinResult, JoinStats
-from .streaming import StreamingJoin
 
 __all__ = [
-    "CountAggregator",
-    "count_points_per_polygon",
-    "count_stream",
-    "ApproximateJoin",
-    "ACTExactJoin",
     "FilterRefineJoin",
     "JoinExecutor",
+    "join_stream",
     "refine_pairs",
     "ScalingPoint",
     "fork_available",
-    "parallel_count",
-    "parallel_counts_array",
+    "parallel_join",
     "scaling_sweep",
     "JoinResult",
     "JoinStats",
-    "StreamingJoin",
 ]

@@ -1,12 +1,15 @@
-"""The columnar join engine every join operator routes through.
+"""The join: one operation, executed column by column.
 
 One :class:`JoinExecutor` binds an index's grid, :class:`~repro.act.core.
-ACTCore`, and polygons, and executes the whole join pipeline in numpy:
+ACTCore`, and polygons; :meth:`JoinExecutor.join` is the paper's whole
+evaluation workload — join a point batch against the polygons and count
+points per polygon — in numpy:
 
 1. **descent** — point batch -> leaf cells -> encoded entries, one
    level-synchronous batch walk over the flat node pool;
-2. **decode** — per-polygon true/candidate counts or explicit
-   ``(point, polygon)`` pairs, CSR-gathered for lookup-table entries;
+2. **decode** — per-polygon true/candidate counts, plus (exact mode)
+   the explicit ``(point, polygon)`` candidate pairs, CSR-gathered for
+   lookup-table entries;
 3. **refinement** (exact mode) — candidate pairs evaluated by the
    packed-edge engine (:class:`~repro.geometry.edge_table.
    PackedEdgeTable`): one vectorized crossing-number pass over all
@@ -15,31 +18,32 @@ ACTCore`, and polygons, and executes the whole join pipeline in numpy:
 Descent walks the batch in arrival order: sorting it by cell id first
 (same face, then same subtree, adjacent — the locality the paper
 credits) was measured and loses at every batch size, see
-:data:`SORT_DESCENT_MIN_BATCH`.
+:data:`SORT_DESCENT_MIN_BATCH`. Candidate pairs are refined as they
+come: a row-wise ``np.unique`` to collapse repeated pairs first costs
+6x the refinement it could save (lint rule RL003).
 
-Refinement keeps the previous grouped-by-polygon path
-(:func:`refine_pairs`) as a fallback for pairs whose polygon alone
-overflows the packed kernel's chunk budget — grouped refinement is
-``O(points)`` memory regardless of edge count. Candidate pairs are
-refined as they come: a row-wise ``np.unique`` to collapse repeated
-pairs first costs 6x the refinement it could save (lint rule RL003).
-
-The approximate join (:class:`~repro.join.approximate.ApproximateJoin`),
-the ACT exact join (:class:`~repro.join.filter_refine.ACTExactJoin`),
-the streaming and multiprocess operators, and ``ACTIndex.count_points``
-all dispatch here, so there is exactly one hot path to keep fast.
+Everything else is a composition of that one call: ``count_points`` is
+its ``.counts``; a stream (or a huge array, sliced) is
+:func:`join_stream` folded with :meth:`~repro.join.result.JoinResult.
+merged`; a fork pool over slices is :func:`~repro.join.parallel.
+parallel_join`. The grouped-by-polygon :func:`refine_pairs` below is
+the reference implementation tests and ``bench_11`` hold the packed
+kernel to.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+import time
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import JoinError
 from ..geometry.edge_table import PackedEdgeTable
 from ..geometry.polygon import Polygon
+from .result import JoinResult, JoinStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from ..act.index import ACTIndex
@@ -90,33 +94,6 @@ def refine_pairs(polygons: Sequence[Polygon], point_idx: np.ndarray,
     return inside
 
 
-def refine_pairs_packed(table: PackedEdgeTable,
-                        polygons: Sequence[Polygon],
-                        point_idx: np.ndarray, polygon_ids: np.ndarray,
-                        lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Packed-edge refinement with a grouped fallback for huge fan-out.
-
-    Pairs whose polygon alone exceeds the table's per-chunk edge budget
-    would make the expanded ``(pair, edge)`` gather as large as the
-    polygon itself per pair; those few pairs take the grouped
-    per-polygon path (``O(points)`` memory) while everything else runs
-    through the vectorized kernel. Verdicts are bit-identical either
-    way.
-    """
-    if point_idx.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    huge = table.edge_counts(polygon_ids) > table.chunk_edges
-    if not huge.any():
-        return table.refine(point_idx, polygon_ids, lngs, lats)
-    inside = np.zeros(point_idx.shape[0], dtype=bool)
-    small = ~huge
-    inside[small] = table.refine(point_idx[small], polygon_ids[small],
-                                 lngs, lats)
-    inside[huge] = refine_pairs(polygons, point_idx[huge],
-                                polygon_ids[huge], lngs, lats)
-    return inside
-
-
 class JoinExecutor:
     """Columnar execution of point-polygon joins over one index."""
 
@@ -156,8 +133,7 @@ class JoinExecutor:
     def refine_pairs(self, point_idx: np.ndarray, polygon_ids: np.ndarray,
                      lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
         """PIP verdict per candidate pair via the packed-edge engine."""
-        return refine_pairs_packed(self.edge_table, self.polygons,
-                                   point_idx, polygon_ids, lngs, lats)
+        return self.edge_table.refine(point_idx, polygon_ids, lngs, lats)
 
     # ------------------------------------------------------------------
     # Descent
@@ -171,55 +147,64 @@ class JoinExecutor:
         return self.core.lookup_entries(cells)
 
     # ------------------------------------------------------------------
-    # Counting
+    # The join
     # ------------------------------------------------------------------
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
-                     exact: bool = False, trace=None) -> np.ndarray:
-        """Per-polygon counts (the paper's evaluation workload).
+    def join(self, lngs: np.ndarray, lats: np.ndarray,
+             exact: bool = False, trace=None) -> JoinResult:
+        """Per-polygon counts for a point batch, with run statistics.
 
+        Approximate mode counts every reference (true hit or candidate,
+        zero PIP tests); exact mode counts true hits unrefined and sends
+        only the candidate pairs through the packed-edge engine.
         ``trace`` (a sampled request's :class:`~repro.obs.trace.Trace`)
         receives per-stage stamps: ``descent`` (cell mapping + trie
         walk), ``decode``, and — in exact mode — ``refine``.
         """
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
+        if lngs.ndim != 1 or lngs.shape != lats.shape:
+            raise JoinError(
+                f"need matching 1-D lngs/lats, got shapes "
+                f"{lngs.shape} and {lats.shape}")
+        start = time.perf_counter()
         entries = self.entries(lngs, lats)
         if trace is not None:
             trace.stamp("descent")
-        if not exact:
-            true_counts, cand_counts = self.core.hit_counts(
-                entries, self.num_polygons)
+        true_counts, cand_counts = self.core.hit_counts(
+            entries, self.num_polygons)
+        true_hits = int(true_counts.sum())
+        refined = 0
+        if exact:
+            counts = true_counts
+            point_idx, polygon_ids = self.core.candidate_pairs(entries)
+            refined = int(point_idx.shape[0])
             if trace is not None:
                 trace.stamp("decode")
-            return true_counts + cand_counts
-        counts, _, _ = self.refined_counts(entries, lngs, lats,
-                                           trace=trace)
-        return counts
+            if refined:
+                inside = self.refine_pairs(point_idx, polygon_ids,
+                                           lngs, lats)
+                counts += np.bincount(polygon_ids[inside],
+                                      minlength=self.num_polygons)
+            if trace is not None:
+                trace.stamp("refine")
+        else:
+            counts = true_counts + cand_counts
+            if trace is not None:
+                trace.stamp("decode")
+        return JoinResult(counts, JoinStats(
+            num_points=int(lngs.shape[0]),
+            num_true_hits=true_hits,
+            num_candidate_refs=int(cand_counts.sum()),
+            num_refined=refined,
+            num_result_pairs=int(counts.sum()),
+            seconds=time.perf_counter() - start,
+        ))
 
-    def refined_counts(self, entries: np.ndarray, lngs: np.ndarray,
-                       lats: np.ndarray, trace=None,
-                       ) -> Tuple[np.ndarray, int, int]:
-        """Exact per-polygon counts for pre-computed entries.
-
-        True hits are counted without refinement; candidate pairs are
-        refined by the packed-edge engine. Returns ``(counts,
-        num_true_pairs, num_refined)`` where ``num_refined`` is the
-        number of PIP tests executed.
-        """
-        counts = self.core.count_hits(entries, self.num_polygons,
-                                      include_candidates=False)
-        true_pairs = int(counts.sum())
-        point_idx, polygon_ids = self.core.candidate_pairs(entries)
-        refined = int(point_idx.shape[0])
-        if trace is not None:
-            trace.stamp("decode")
-        if refined:
-            inside = self.refine_pairs(point_idx, polygon_ids, lngs, lats)
-            counts += np.bincount(polygon_ids[inside],
-                                  minlength=self.num_polygons)
-        if trace is not None:
-            trace.stamp("refine")
-        return counts, true_pairs, refined
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
+                     exact: bool = False, trace=None) -> np.ndarray:
+        """:meth:`join`'s per-polygon counts (the paper's evaluation
+        workload) for callers that want only the array."""
+        return self.join(lngs, lats, exact=exact, trace=trace).counts
 
     # ------------------------------------------------------------------
     # Pair extraction
@@ -242,3 +227,18 @@ class JoinExecutor:
             cand_ids = cand_ids[inside]
         return (np.concatenate([true_pts, cand_pts]),
                 np.concatenate([true_ids, cand_ids]))
+
+
+def join_stream(executor: JoinExecutor,
+                batches: Iterable[Tuple[np.ndarray, np.ndarray]],
+                exact: bool = False) -> Iterator[JoinResult]:
+    """One :meth:`JoinExecutor.join` result per ``(lngs, lats)`` batch.
+
+    The paper's streaming scenario and its 1 B-point workload are both
+    this: fold the results with :meth:`~repro.join.result.JoinResult.
+    merged` for running totals in bounded memory (a huge array streams
+    as slices); each result's ``stats.seconds`` is that batch's latency.
+    """
+    # one iteration per batch, never per point
+    for lngs, lats in batches:  # repro-lint: ignore[RL003]
+        yield executor.join(lngs, lats, exact=exact)

@@ -9,11 +9,11 @@ render unnecessary.
 Refinement is executed the same way the columnar engine refines ACT
 candidates: all candidate pairs run through one packed-edge
 crossing-number pass (:class:`~repro.geometry.edge_table.
-PackedEdgeTable`, grouped per-polygon fallback for huge fan-out). Only
-the probe phase stays per point (the filter indexes are inherently
-scalar probes). The :class:`~repro.join.result.JoinStats` accounting is
-preserved across the rewrites: ``num_refined`` still counts every PIP
-test and ``num_result_pairs`` every surviving pair.
+PackedEdgeTable`). Only the probe phase stays per point (the filter
+indexes are inherently scalar probes). The :class:`~repro.join.result.
+JoinStats` accounting is preserved across the rewrites: ``num_refined``
+still counts every PIP test and ``num_result_pairs`` every surviving
+pair.
 
 The filter index is pluggable so the ablation benchmarks can compare
 refinement cost across filters (plain MBR, interior-rectangle, fixed grid,
@@ -27,11 +27,9 @@ from typing import List, Protocol, Sequence
 
 import numpy as np
 
-from ..act.index import ACTIndex
 from ..baselines.rtree import RStarTree
 from ..geometry.edge_table import PackedEdgeTable
 from ..geometry.polygon import Polygon
-from .executor import refine_pairs_packed
 from .result import JoinResult, JoinStats
 
 
@@ -81,8 +79,7 @@ class FilterRefineJoin:
         point_idx = np.asarray(point_parts, dtype=np.int64)
         polygon_ids = np.asarray(id_parts, dtype=np.int64)
         # refine phase: one packed-edge pass over every candidate pair
-        inside = refine_pairs_packed(self.edge_table, self.polygons,
-                                     point_idx, polygon_ids, lngs, lats)
+        inside = self.edge_table.refine(point_idx, polygon_ids, lngs, lats)
         counts = np.bincount(polygon_ids[inside],
                              minlength=len(self.polygons))
         elapsed = time.perf_counter() - start
@@ -97,34 +94,3 @@ class FilterRefineJoin:
         )
         return JoinResult(counts, stats)
 
-
-class ACTExactJoin:
-    """Exact join driven by ACT: true hits skip refinement.
-
-    The hybrid the paper suggests for memory-constrained builds — ACT as
-    the filter, with PIP tests only on candidate references. Against
-    :class:`FilterRefineJoin` this quantifies how many refinements the
-    interior coverings eliminate.
-    """
-
-    def __init__(self, index: ACTIndex):
-        self.index = index
-        self.executor = index.executor
-
-    def join(self, lngs: np.ndarray, lats: np.ndarray) -> JoinResult:
-        lngs = np.asarray(lngs, dtype=np.float64)
-        lats = np.asarray(lats, dtype=np.float64)
-        start = time.perf_counter()
-        entries = self.executor.entries(lngs, lats)
-        counts, true_pairs, refined = self.executor.refined_counts(
-            entries, lngs, lats)
-        elapsed = time.perf_counter() - start
-        stats = JoinStats(
-            num_points=lngs.shape[0],
-            num_true_hits=true_pairs,
-            num_candidate_refs=refined,
-            num_refined=refined,
-            num_result_pairs=int(counts.sum()),
-            seconds=elapsed,
-        )
-        return JoinResult(counts, stats)

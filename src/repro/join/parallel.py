@@ -24,22 +24,24 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..act.index import ACTIndex
+from .result import JoinResult
 
 #: Worker globals inherited through fork (never pickled).
 _SHARED: dict = {}
 
 
-def _worker_count(bounds: tuple) -> np.ndarray:
+def _worker_join(bounds: tuple) -> JoinResult:
     start, stop = bounds
     index: ACTIndex = _SHARED["index"]
     # the columnar engine is shared copy-on-write through fork
-    return index.executor.count_points(
+    return index.executor.join(
         _SHARED["lngs"][start:stop],
         _SHARED["lats"][start:stop],
         exact=_SHARED["exact"],
@@ -63,9 +65,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _bind_shared(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
-                 exact: bool) -> None:
-    """Stage the fork-inherited state, with hot-path artifacts pre-built.
+def parallel_join(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
+                  workers: int, exact: bool = False) -> JoinResult:
+    """The join split over ``workers`` forked processes, merged.
+
+    Counts and statistics are the workers' results folded with
+    :meth:`~repro.join.result.JoinResult.merged`, except that
+    ``stats.seconds`` is the wall-clock of the scatter/gather (pool
+    start-up excluded) — Figure 4's quantity — not the sum of the
+    workers' own times. One worker, or no fork, is the serial join.
 
     The pre-fork binding discipline is shared with the serving fleet:
     :meth:`~repro.act.index.ACTIndex.prewarm` builds the executor (and,
@@ -73,61 +81,26 @@ def _bind_shared(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
     worker inherits them copy-on-write instead of redoing the work
     ``workers`` times after the fork.
     """
-    index.prewarm(edge_table=exact)
-    _SHARED.update(index=index, lngs=lngs, lats=lats, exact=exact)
-
-
-def parallel_count(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
-                   workers: int, exact: bool = False,
-                   ) -> ScalingPoint:
-    """Count points per polygon using ``workers`` processes.
-
-    Returns the timing; the counts themselves are validated against the
-    serial path in tests (they are summed across workers).
-    """
     lngs = np.asarray(lngs, dtype=np.float64)
     lats = np.asarray(lats, dtype=np.float64)
     n = lngs.shape[0]
+    workers = min(workers, n)  # an empty batch has nothing to split
     if workers <= 1 or not fork_available():
-        start = time.perf_counter()
-        index.count_points(lngs, lats, exact=exact)
-        return ScalingPoint(1, time.perf_counter() - start, n)
-
-    _bind_shared(index, lngs, lats, exact)
+        return index.executor.join(lngs, lats, exact=exact)
+    index.prewarm(edge_table=exact)
+    _SHARED.update(index=index, lngs=lngs, lats=lats, exact=exact)
     step = (n + workers - 1) // workers
     slices = [(i, min(i + step, n)) for i in range(0, n, step)]
     ctx = multiprocessing.get_context("fork")
     try:
         with ctx.Pool(processes=workers) as pool:
             start = time.perf_counter()
-            results = pool.map(_worker_count, slices)
+            results = pool.map(_worker_join, slices)
             elapsed = time.perf_counter() - start
     finally:
         _SHARED.clear()
-    total = np.sum(results, axis=0)
-    assert total.shape[0] == index.num_polygons
-    return ScalingPoint(workers, elapsed, n)
-
-
-def parallel_counts_array(index: ACTIndex, lngs: np.ndarray,
-                          lats: np.ndarray, workers: int,
-                          exact: bool = False) -> np.ndarray:
-    """Like :func:`parallel_count` but returns the summed counts."""
-    lngs = np.asarray(lngs, dtype=np.float64)
-    lats = np.asarray(lats, dtype=np.float64)
-    n = lngs.shape[0]
-    if workers <= 1 or not fork_available():
-        return index.count_points(lngs, lats, exact=exact)
-    _bind_shared(index, lngs, lats, exact)
-    step = (n + workers - 1) // workers
-    slices = [(i, min(i + step, n)) for i in range(0, n, step)]
-    ctx = multiprocessing.get_context("fork")
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            results = pool.map(_worker_count, slices)
-    finally:
-        _SHARED.clear()
-    return np.sum(results, axis=0)
+    total = reduce(JoinResult.merged, results)
+    return JoinResult(total.counts, replace(total.stats, seconds=elapsed))
 
 
 def scaling_sweep(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
@@ -137,5 +110,10 @@ def scaling_sweep(index: ACTIndex, lngs: np.ndarray, lats: np.ndarray,
     if worker_counts is None:
         cpus = multiprocessing.cpu_count()
         worker_counts = [w for w in (1, 2, 4, 8, 16, 32) if w <= 2 * cpus]
-    return [parallel_count(index, lngs, lats, workers, exact=exact)
-            for workers in worker_counts]
+    forked = fork_available()
+    points = []
+    for workers in worker_counts:
+        stats = parallel_join(index, lngs, lats, workers, exact=exact).stats
+        points.append(ScalingPoint(workers if forked else 1, stats.seconds,
+                                   stats.num_points))
+    return points

@@ -7,6 +7,8 @@ from typing import Dict
 
 import numpy as np
 
+from ..errors import JoinError
+
 
 @dataclass
 class JoinStats:
@@ -55,6 +57,19 @@ class JoinResult:
     @property
     def total_pairs(self) -> int:
         return int(self.counts.sum())
+
+    def merged(self, other: "JoinResult") -> "JoinResult":
+        """The join of both batches: counts and statistics add.
+
+        Folding a stream's results with this gives running totals in
+        bounded memory; neither operand is modified.
+        """
+        if self.counts.shape != other.counts.shape:
+            raise JoinError(
+                f"cannot merge counts of shape {other.counts.shape} "
+                f"into shape {self.counts.shape}")
+        return JoinResult(self.counts + other.counts,
+                          self.stats.merged(other.stats))
 
     def top_k(self, k: int = 10) -> Dict[int, int]:
         """The ``k`` most-hit polygons as ``{polygon_id: count}``."""

@@ -14,9 +14,11 @@ loops were a
 third of a cold exact request, the result codec, batch refinement and
 the router's gather; and since two sorts were more than half of the
 headline joins, the point -> cell -> entry kernels and the join
-executor's steps; and since a per-cell ``insert`` into an object trie
-was the build's whole back half, the super-covering merge, the
-reference encoder and the node-pool layout that replaced it) must not:
+executor's steps — since every join became one ``join`` folded over a
+stream with ``merged``, those too; and since a per-cell ``insert`` into
+an object trie was the build's whole back half, the super-covering
+merge, the reference encoder and the node-pool layout that replaced it)
+must not:
 
 * call ``logging``/``logger`` methods,
 * call ``json.*``,
@@ -55,10 +57,15 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 #: of its ``query_batch``) — which move ``ResultBatch`` columns, not
 #: one result at a time; the last two rows are the in-process join, top
 #: to bottom: point -> cell (grid/), cell -> entry and entry -> counts
-#: or pairs (act/core.py), and the executor steps that chain them; the
-#: very last is the build from the coverings on (act/supercovering.py,
-#: act/lookup_table.py, act/core.py) — columns in, columns out; only
-#: the conflict-run resolver it calls works cell by cell.
+#: or pairs (act/core.py), and the executor steps that chain them —
+#: ``join`` itself, ``join_stream`` and the ``merged`` that folds it
+#: (the name also matches ``ACTService.join`` and the baseline
+#: ``FilterRefineJoin.join``: the first is held to the same rules, the
+#: second probes its scalar filter over ``.tolist()`` columns, which the
+#: rule does not flag); the very last is the build from the coverings
+#: on (act/supercovering.py, act/lookup_table.py, act/core.py) —
+#: columns in, columns out; only the conflict-run resolver it calls
+#: works cell by cell.
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "_handle", "_process", "data_received",
@@ -67,6 +74,7 @@ HOT_FUNCTIONS = frozenset({
     "encode_results", "decode_results", "_refine_batch",
     "from_face_ij_batch", "leaf_cells_batch", "point_keys", "_descend",
     "hit_counts", "candidate_pairs", "entries", "count_points",
+    "join", "join_stream", "merged",
     "merge_columns", "encode_refs", "from_cells",
 })
 
@@ -80,14 +88,14 @@ class HotPathRule(Rule):
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
         "binary frame handlers/index enumeration/shard planner and "
         "slicer/result codec, refinement and gather/point-to-entry "
-        "kernels and join executor steps/the array build: merge, "
+        "kernels, the join and its stream fold/the array build: merge, "
         "encode, layout) must not log, "
         "touch json, format strings eagerly "
         "(raise sites exempt), loop element-wise over array "
         "parameters or over iter_cells(), or call row-wise "
         "np.unique(axis=...); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 6
+    version = 7
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):

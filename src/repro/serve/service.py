@@ -434,35 +434,47 @@ class ACTService:
              budget: Optional[Budget] = None,
              trace: Optional[Trace] = None,
              request_id: Optional[str] = None) -> np.ndarray:
-        """Count points per polygon (the paper's aggregation workload)."""
+        """Count points per polygon (the paper's aggregation workload).
+
+        One :meth:`~repro.join.executor.JoinExecutor.join` behind the
+        same admission, shed and error accounting as :meth:`query_batch`.
+        """
         start = time.perf_counter()
+        lngs, lats = self._point_columns(lngs, lats)
+        n = int(lngs.shape[0])
         chaos.fault("query", self.metrics)
         if trace is None:
             trace = self.tracer.sample(request_id=request_id, kind="join")
-        if budget is not None:
-            budget.trace = trace
-            budget.require("join admission")
-        if trace is not None:
-            trace.stamp("admission")
-        # resolve through the pinned hot view, not the registry: after
-        # evict() + re-materialization joins must run against the same
-        # generation as point queries and the cell cache
-        record, _ = self._hot_view(index_name)
-        index = record.index
-        counts = index.count_points(
-            np.asarray(lngs, dtype=np.float64),
-            np.asarray(lats, dtype=np.float64),
-            exact=exact,
-            trace=trace,
-        )
+        try:
+            if budget is not None:
+                budget.trace = trace
+                budget.require("join admission")
+            if trace is not None:
+                trace.stamp("admission")
+            # resolve through the pinned hot view, not the registry:
+            # after evict() + re-materialization joins must run against
+            # the same generation as point queries and the cell cache
+            record, _ = self._hot_view(index_name)
+            counts = record.index.executor.join(
+                lngs, lats, exact=exact, trace=trace).counts
+        except BudgetExceededError:
+            self._queries_shed.inc(n)
+            self.slowlog.maybe_record(
+                time.perf_counter() - start, "join",
+                request_id=request_id, trace=trace,
+                extra={"shed": True, "num_points": n})
+            raise
+        except Exception:
+            self._queries_errors.inc(n)
+            raise
         self.metrics.counter("joins.total").inc()
-        self.metrics.counter("joins.points").inc(len(lngs))
+        self.metrics.counter("joins.points").inc(n)
         elapsed = time.perf_counter() - start
         self.metrics.histogram("joins.latency_seconds").observe(elapsed)
         if elapsed >= self.slowlog.threshold_s > 0.0:
             self.slowlog.maybe_record(elapsed, "join",
                                       request_id=request_id, trace=trace,
-                                      extra={"num_points": len(lngs)})
+                                      extra={"num_points": n})
         return counts
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.act.core import KEY_BITS
 from repro.grid import cellid
-from repro.join.executor import refine_pairs_packed
 
 _MASK60 = np.uint64((1 << KEY_BITS) - 1)
 
@@ -64,12 +63,10 @@ def refine_pairs(executor, point_idx: np.ndarray, polygon_ids: np.ndarray,
         _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                       return_inverse=True)
         if first.shape[0] != point_idx.shape[0]:
-            inside = refine_pairs_packed(
-                executor.edge_table, executor.polygons, point_idx[first],
-                polygon_ids[first], lngs, lats)
+            inside = executor.edge_table.refine(
+                point_idx[first], polygon_ids[first], lngs, lats)
             return inside[inverse.reshape(-1)]
-    return refine_pairs_packed(executor.edge_table, executor.polygons,
-                               point_idx, polygon_ids, lngs, lats)
+    return executor.edge_table.refine(point_idx, polygon_ids, lngs, lats)
 
 
 def write_unpadded(source, target, skip=()) -> None:

@@ -60,13 +60,12 @@ class TestIndex:
         """The paper's claim: interior coverings beat single inner
         rectangles at true-hit filtering."""
         from repro import ACTIndex
-        from repro.join import ApproximateJoin
 
         lngs, lats = taxi_batch
         index = InteriorRectIndex(nyc_polygons)
         rect_rate = index.true_hit_rate(lngs[:800], lats[:800])
 
         act = ACTIndex.build(nyc_polygons, precision_meters=120.0)
-        result = ApproximateJoin(act).join(lngs[:800], lats[:800])
+        result = act.executor.join(lngs[:800], lats[:800])
         act_rate = result.stats.true_hit_ratio
         assert act_rate > rect_rate

@@ -1,21 +1,20 @@
-"""Tests for the approximate join operator."""
+"""Tests for the approximate join (``JoinExecutor.join``, no refinement)."""
 
 import numpy as np
 
 from repro.baselines.scan import ScanJoin
-from repro.join.approximate import ApproximateJoin
 
 
 class TestApproximateJoin:
     def test_counts_match_index_counts(self, nyc_index, taxi_batch):
         lngs, lats = taxi_batch
-        result = ApproximateJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats)
         direct = nyc_index.count_points(lngs, lats)
         assert result.counts.tolist() == direct.tolist()
 
     def test_stats_consistency(self, nyc_index, taxi_batch):
         lngs, lats = taxi_batch
-        result = ApproximateJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats)
         stats = result.stats
         assert stats.num_points == len(lngs)
         assert stats.num_refined == 0
@@ -28,14 +27,15 @@ class TestApproximateJoin:
     def test_no_false_negatives_vs_scan(self, nyc_index, nyc_polygons,
                                         taxi_batch):
         lngs, lats = taxi_batch
-        result = ApproximateJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats)
         scan = ScanJoin(nyc_polygons).count_points(lngs, lats)
         assert (result.counts >= scan).all()
 
     def test_join_pairs_complete(self, nyc_index, taxi_batch):
         lngs, lats = taxi_batch
-        join = ApproximateJoin(nyc_index)
-        pairs = list(join.join_pairs(lngs[:400], lats[:400]))
+        pts, pids = nyc_index.executor.pairs(lngs[:400], lats[:400],
+                                             exact=False)
+        pairs = list(zip(pts.tolist(), pids.tolist()))
         # pair multiset must reproduce the counts
         counts = np.zeros(nyc_index.num_polygons, dtype=np.int64)
         for _, pid in pairs:
@@ -52,7 +52,7 @@ class TestApproximateJoin:
 
     def test_top_k(self, nyc_index, taxi_batch):
         lngs, lats = taxi_batch
-        result = ApproximateJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats)
         top = result.top_k(3)
         assert len(top) <= 3
         values = list(top.values())
@@ -62,5 +62,5 @@ class TestApproximateJoin:
     def test_true_hit_ratio_high_on_partition(self, nyc_index, taxi_batch):
         """Paper claim: interior cells resolve the vast majority of hits."""
         lngs, lats = taxi_batch
-        result = ApproximateJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats)
         assert result.stats.true_hit_ratio > 0.9

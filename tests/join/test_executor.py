@@ -1,10 +1,12 @@
 """Tests of the columnar JoinExecutor — the one engine every join uses."""
 
 import numpy as np
+import pytest
 
 from repro.baselines.scan import ScanJoin
+from repro.errors import JoinError
 from repro.geometry.edge_table import PackedEdgeTable
-from repro.join.executor import refine_pairs, refine_pairs_packed
+from repro.join.executor import refine_pairs
 
 
 class TestCountPoints:
@@ -33,9 +35,39 @@ class TestCountPoints:
         assert nyc_index.executor is nyc_index.executor
 
     def test_empty_batch(self, nyc_index):
-        counts = nyc_index.executor.count_points(
-            np.empty(0), np.empty(0), exact=True)
-        assert counts.tolist() == [0] * nyc_index.num_polygons
+        for exact in (False, True):
+            result = nyc_index.executor.join(np.empty(0), np.empty(0),
+                                             exact=exact)
+            assert result.counts.tolist() == [0] * nyc_index.num_polygons
+            stats = result.stats
+            assert (stats.num_points, stats.num_true_hits,
+                    stats.num_candidate_refs, stats.num_refined,
+                    stats.num_result_pairs) == (0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_join_is_count_points(self, overlap_index, taxi_batch, exact):
+        lngs, lats = taxi_batch
+        executor = overlap_index.executor
+        result = executor.join(lngs, lats, exact=exact)
+        assert result.counts.tolist() == \
+            executor.count_points(lngs, lats, exact=exact).tolist()
+        assert result.stats.num_points == len(lngs)
+        assert result.stats.num_result_pairs == int(result.counts.sum())
+        cand_pts, _ = overlap_index.core.candidate_pairs(
+            executor.entries(lngs, lats))
+        assert result.stats.num_candidate_refs == len(cand_pts)
+        assert result.stats.num_refined == (len(cand_pts) if exact else 0)
+
+    @pytest.mark.parametrize("lngs, lats", [
+        ([-73.9, -73.95], [40.7]),              # unequal lengths
+        ([[-73.9, -73.95]], [[40.7, 40.71]]),   # 2-D
+        (-73.9, 40.7),                          # 0-D
+    ])
+    def test_mismatched_columns_raise(self, nyc_index, lngs, lats):
+        with pytest.raises(JoinError):
+            nyc_index.executor.join(lngs, lats)
+        with pytest.raises(JoinError):
+            nyc_index.executor.count_points(lngs, lats, exact=True)
 
 
 class TestRefinedCounts:
@@ -44,17 +76,16 @@ class TestRefinedCounts:
         lats = np.asarray(taxi_batch[1], dtype=np.float64)
         executor = overlap_index.executor
         entries = executor.entries(lngs, lats)
-        counts, true_pairs, refined = executor.refined_counts(
-            entries, lngs, lats)
+        result = executor.join(lngs, lats, exact=True)
         want_true = overlap_index.core.count_hits(
             entries, overlap_index.num_polygons, include_candidates=False)
-        assert true_pairs == int(want_true.sum())
+        assert result.stats.num_true_hits == int(want_true.sum())
         cand_pts, _ = overlap_index.core.candidate_pairs(entries)
-        assert refined == int(cand_pts.shape[0])
+        assert result.stats.num_refined == int(cand_pts.shape[0])
         # exact results never exceed approximate ones
         approx = overlap_index.core.count_hits(
             entries, overlap_index.num_polygons, include_candidates=True)
-        assert (counts <= approx).all()
+        assert (result.counts <= approx).all()
 
 
 class TestPairs:
@@ -113,21 +144,20 @@ class TestPackedRefinement:
 
     def test_huge_fanout_fallback_identical(self, nyc_polygons,
                                             taxi_batch):
-        """Pairs over the chunk budget take the grouped path; the split
-        must be seamless."""
+        """A polygon over the chunk budget is a chunk of its own, refined
+        by the same kernel; the split must be seamless."""
         lngs = np.asarray(taxi_batch[0][:400], dtype=np.float64)
         lats = np.asarray(taxi_batch[1][:400], dtype=np.float64)
         rng = np.random.default_rng(7)
         point_idx = rng.integers(0, 400, size=300)
         polygon_ids = rng.integers(0, len(nyc_polygons), size=300)
-        # a budget below every polygon's edge count forces the grouped
-        # path for all pairs; a mixed budget splits the batch
+        # a budget below every polygon's edge count makes every pair its
+        # own chunk; a mixed budget splits the batch unevenly
         counts = [len(list(p.edges())) for p in nyc_polygons]
         for chunk_edges in (1, int(np.median(counts))):
             table = PackedEdgeTable.from_polygons(
                 nyc_polygons, chunk_edges=chunk_edges)
-            got = refine_pairs_packed(table, nyc_polygons, point_idx,
-                                      polygon_ids, lngs, lats)
+            got = table.refine(point_idx, polygon_ids, lngs, lats)
             want = refine_pairs(nyc_polygons, point_idx, polygon_ids,
                                 lngs, lats)
             assert np.array_equal(got, want), chunk_edges
@@ -140,7 +170,7 @@ class TestPackedRefinement:
         lats = np.asarray(taxi_batch[1], dtype=np.float64)
         executor = overlap_index.executor
         entries = executor.entries(lngs, lats)
-        counts, _, _ = executor.refined_counts(entries, lngs, lats)
+        counts = executor.join(lngs, lats, exact=True).counts
         grouped = overlap_index.core.count_hits(
             entries, overlap_index.num_polygons,
             include_candidates=False)

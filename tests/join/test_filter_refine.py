@@ -2,7 +2,7 @@
 
 
 from repro.baselines.scan import ScanJoin
-from repro.join.filter_refine import ACTExactJoin, FilterRefineJoin
+from repro.join.filter_refine import FilterRefineJoin
 
 
 class TestFilterRefine:
@@ -31,7 +31,7 @@ class TestFilterRefine:
 class TestACTExactJoin:
     def test_exact_counts(self, nyc_index, nyc_polygons, taxi_batch):
         lngs, lats = taxi_batch
-        result = ACTExactJoin(nyc_index).join(lngs, lats)
+        result = nyc_index.executor.join(lngs, lats, exact=True)
         scan = ScanJoin(nyc_polygons).count_points(lngs, lats)
         assert result.counts.tolist() == scan.tolist()
 
@@ -40,7 +40,7 @@ class TestACTExactJoin:
         """ACT refines orders of magnitude fewer pairs than plain
         filter+refine — the paper's true-hit-filtering payoff."""
         lngs, lats = taxi_batch
-        act = ACTExactJoin(nyc_index).join(lngs, lats)
+        act = nyc_index.executor.join(lngs, lats, exact=True)
         classic = FilterRefineJoin(nyc_polygons).join(lngs, lats)
         assert act.stats.num_refined * 10 < classic.stats.num_refined
         assert act.counts.tolist() == classic.counts.tolist()
@@ -48,7 +48,7 @@ class TestACTExactJoin:
     def test_works_on_overlaps(self, overlap_index, overlap_polygons,
                                taxi_batch):
         lngs, lats = taxi_batch
-        result = ACTExactJoin(overlap_index).join(lngs, lats)
+        result = overlap_index.executor.join(lngs, lats, exact=True)
         scan = ScanJoin(overlap_polygons).count_points(lngs, lats)
         assert result.counts.tolist() == scan.tolist()
 
@@ -58,5 +58,6 @@ class TestPluggableFilter:
                                          taxi_batch):
         lngs, lats = taxi_batch
         classic = FilterRefineJoin(nyc_polygons).join(lngs[:800], lats[:800])
-        act = ACTExactJoin(nyc_index).join(lngs[:800], lats[:800])
+        act = nyc_index.executor.join(lngs[:800], lats[:800],
+                                     exact=True)
         assert classic.counts.tolist() == act.counts.tolist()

@@ -50,3 +50,15 @@ def write_slices(index, shard_map, artifact_dir, name, generation):
         owned[shard_map.route_one(name, cell)] = entry
     logging.info("cut %s for %d slots", name, len(owned))  # line 51
     return owned, artifact_dir, generation
+
+
+def join(self, lngs, lats, exact=False):
+    counts = {}
+    for k, lng in enumerate(lngs):                # line 57: per-point loop
+        counts[k] = counts.get(k, 0) + 1
+    return counts, lats, exact
+
+
+def merged(self, other):
+    label = f"{self} + {other}"                   # line 63: eager f-string
+    return label

@@ -27,7 +27,7 @@ VIOLATIONS = {
     "RL003": ("rl003_violation.py",
               {10: "error", 11: "error", 12: "error", 14: "error",
                16: "warning", 30: "error", 36: "error", 42: "error",
-               49: "error", 51: "error"}),
+               49: "error", 51: "error", 57: "error", 63: "error"}),
     "RL004": ("rl004_violation.py", {5: "error", 6: "error"}),
     "RL005": ("src/repro/serve/rl005_violation.py",
               {8: "error", 10: "error", 16: "error"}),

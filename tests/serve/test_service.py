@@ -216,6 +216,44 @@ class TestJoin:
         lngs, lats = query_points
         with pytest.raises(BudgetExceededError):
             service.join("nyc", lngs, lats, budget=Budget(-1.0))
+        # a shed join is a shed like any other: counted per point, never
+        # as an error or a completed join
+        counter = service.metrics.counter
+        assert counter("queries.shed").value == len(lngs)
+        assert counter("queries.errors").value == 0
+        assert counter("joins.total").value == 0
+
+    def test_shed_join_reaches_slowlog(self, nyc_index, query_points):
+        lngs, lats = query_points
+        svc = ACTService(config=ServeConfig(slow_query_ms=1e-6))
+        svc.registry.register_index("nyc", nyc_index)
+        with svc:
+            with pytest.raises(BudgetExceededError):
+                svc.join("nyc", lngs, lats, budget=Budget(-1.0),
+                         request_id="shed-join")
+            (entry,) = svc.slowlog.entries()
+        assert entry["kind"] == "join" and entry["shed"] is True
+        assert entry["num_points"] == len(lngs)
+        assert entry["request_id"] == "shed-join"
+
+    def test_join_errors_are_counted(self, service, query_points):
+        lngs, lats = query_points
+        with pytest.raises(UnknownIndexError):
+            service.join("missing", lngs, lats)
+        assert service.metrics.counter("queries.errors").value == len(lngs)
+        assert service.metrics.counter("queries.shed").value == 0
+
+    def test_join_length_mismatch_rejected(self, service):
+        from repro.errors import InvalidRequestError
+
+        with pytest.raises(InvalidRequestError):
+            service.join("nyc", [-73.9, -73.95], [40.7])
+        with pytest.raises(InvalidRequestError):
+            service.join("nyc", [[-73.9, -73.95]], [[40.7, 40.71]])
+        counter = service.metrics.counter
+        assert counter("queries.invalid").value == 2
+        assert counter("joins.points").value == 0
+        assert counter("queries.errors").value == 0
 
 
 class TestStats:

@@ -287,6 +287,20 @@ class TestScatter:
                      _call(plain, entry, lngs, lats))
         assert front._pool[1] == [pooled]
 
+    def test_mismatched_join_columns_rejected_alike(self, sharded_pair,
+                                                   plain):
+        """Sharded or not, a join whose columns disagree is a bad
+        request — never a broadcast."""
+        from repro.errors import InvalidRequestError
+
+        for service in (plain, sharded_pair[0]):
+            invalid = _counter(service, "queries.invalid")
+            points = _counter(service, "joins.points")
+            with pytest.raises(InvalidRequestError, match="matching 1-D"):
+                service.join("nyc", [-73.9, -73.95], [40.7])
+            assert _counter(service, "queries.invalid") == invalid + 1
+            assert _counter(service, "joins.points") == points
+
     @pytest.mark.parametrize("entry", ["query_batch", "join"])
     def test_local_leg_shed_is_not_a_forward_error(
             self, sharded_pair, plain, query_points, entry):

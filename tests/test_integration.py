@@ -1,5 +1,6 @@
 """End-to-end integration scenarios across the whole stack."""
 
+from functools import reduce
 
 from repro import ACTIndex
 from repro.baselines import RTreeJoinBaseline, ScanJoin
@@ -11,7 +12,7 @@ from repro.datasets import (
     taxi_points,
 )
 from repro.geometry import geojson, point_polygon_distance_meters
-from repro.join import ACTExactJoin, ApproximateJoin, StreamingJoin
+from repro.join import JoinResult, join_stream
 
 
 class TestPaperPipeline:
@@ -21,8 +22,8 @@ class TestPaperPipeline:
         polys = boroughs(complexity=3)
         index = ACTIndex.build(polys, precision_meters=120.0)
         lngs, lats = taxi_points(5000, seed=11)
-        approx = ApproximateJoin(index).join(lngs, lats)
-        exact = ACTExactJoin(index).join(lngs, lats)
+        approx = index.executor.join(lngs, lats)
+        exact = index.executor.join(lngs, lats, exact=True)
         scan = ScanJoin(polys).count_points(lngs, lats)
         assert exact.counts.tolist() == scan.tolist()
         assert (approx.counts >= exact.counts).all()
@@ -42,7 +43,7 @@ class TestPaperPipeline:
         polys = boroughs(complexity=3)
         index = ACTIndex.build(polys, precision_meters=120.0)
         lngs, lats = taxi_points(3000, seed=13)
-        act = ACTExactJoin(index).join(lngs, lats)
+        act = index.executor.join(lngs, lats, exact=True)
         rtree = RTreeJoinBaseline(polys)
         rtree_candidates = int(rtree.count_points(lngs, lats).sum())
         assert act.stats.num_refined * 5 < rtree_candidates
@@ -78,14 +79,15 @@ class TestGeofencingScenario:
 
 class TestStreamingScenario:
     def test_dispatch_stream(self, nyc_index):
-        join = StreamingJoin(nyc_index)
         from repro.datasets import point_stream
 
-        join.run(point_stream(6000, 1000, seed=31))
-        assert join.num_points == 6000
-        stats = join.latency_stats()
-        assert stats["batches"] == 6
-        assert stats["p95_ms"] < 1000  # sanity latency ceiling
+        batches = list(join_stream(nyc_index.executor,
+                                   point_stream(6000, 1000, seed=31)))
+        assert len(batches) == 6
+        total = reduce(JoinResult.merged, batches)
+        assert total.stats.num_points == 6000
+        # sanity latency ceiling, per batch
+        assert all(b.stats.seconds < 1.0 for b in batches)
 
 
 class TestExportScenario:
