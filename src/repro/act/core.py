@@ -270,7 +270,7 @@ class ACTCore:
     __slots__ = (
         "nodes", "roots", "lookup_table", "fanout", "num_entries",
         "bits_per_step", "levels_per_step", "max_steps", "max_cell_level",
-        "_chunk_mask", "_roots_list", "_num_nodes", "_offset_cache",
+        "_chunk_mask", "_roots_list", "_num_nodes", "_decoded",
         "_set_starts", "_true_indptr", "_true_ids", "_cand_indptr",
         "_cand_ids", "descent_batches", "descent_points",
         "descent_seconds",
@@ -299,8 +299,9 @@ class ACTCore:
             self._num_nodes = 0
         else:
             self._num_nodes = self.nodes.shape[0]
-        self._offset_cache: Dict[int, Tuple[Tuple[int, ...],
-                                            Tuple[int, ...]]] = {}
+        # entry -> its decoded result, one shared object per distinct
+        # entry value (see decode_entry); dies with the core
+        self._decoded: Dict[int, QueryResult] = {}
         # per-core descent telemetry: bare counters the serving layer
         # exports per index generation (racy +=, exactness not needed)
         self.descent_batches = 0
@@ -507,13 +508,30 @@ class ACTCore:
         return accesses
 
     def decode_entry(self, entry: int) -> QueryResult:
-        """Decode one encoded entry into a classified :class:`QueryResult`."""
+        """The classified :class:`QueryResult` an encoded entry stands for.
+
+        Decoded once per distinct entry value and shared from then on:
+        equal entries return the *identical* immutable object. The ACT
+        stores each distinct reference set once (inline in the entry, or
+        interned in the lookup table), so the memo holds at most
+        ``2 * polygons`` inline singles + the distinct inline pairs +
+        ``len(lookup_table.set_starts)`` results however many cells the
+        traffic touches, and it dies with the core. Unlocked: two threads
+        racing on an entry's first use both decode it, to equal results,
+        and one of them stays.
+        """
+        result = self._decoded.get(entry)
+        if result is None:
+            result = self._decoded[entry] = self._decode(entry)
+        return result
+
+    def _decode(self, entry: int) -> QueryResult:
+        """Decode one entry from its bits (and the lookup table)."""
         tag = entry & 0b11
         if tag == entry_codec.TAG_POINTER:
             return _MISS
         if tag == entry_codec.TAG_OFFSET:
-            true_ids, cand_ids = self._decode_offset(entry >> 2)
-            return QueryResult(true_ids, cand_ids)
+            return QueryResult(*self.lookup_table.get(entry >> 2))
         refs = entry_codec.payload_refs(entry)
         true_hits = tuple(entry_codec.ref_polygon_id(r) for r in refs
                           if entry_codec.ref_is_true_hit(r))
@@ -803,17 +821,6 @@ class ACTCore:
         lengths = indptr[rows + 1] - indptr[rows]
         table = LookupTable(_csr_gather(rows, indptr, words))
         return table, np.cumsum(lengths) - lengths
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _decode_offset(self, offset: int,
-                       ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        cached = self._offset_cache.get(offset)
-        if cached is None:
-            cached = self.lookup_table.get(offset)
-            self._offset_cache[offset] = cached
-        return cached
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,10 @@ headline joins, the point -> cell -> entry kernels and the join
 executor's steps — since every join became one ``join`` folded over a
 stream with ``merged``, those too; and since a per-cell ``insert`` into
 an object trie was the build's whole back half, the super-covering
-merge, the reference encoder and the node-pool layout that replaced it)
+merge, the reference encoder and the node-pool layout that replaced it;
+and since decoding a missed cell's entry cost 2.3 µs — a third of a
+cold request — before it became one dict read per distinct entry,
+``decode_entry``, which every missed cell of every request now calls)
 must not:
 
 * call ``logging``/``logger`` methods,
@@ -65,9 +68,11 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 #: rule does not flag); the very last is the build from the coverings
 #: on (act/supercovering.py, act/lookup_table.py, act/core.py) —
 #: columns in, columns out; only the conflict-run resolver it calls
-#: works cell by cell.
+#: works cell by cell. ``decode_entry`` (act/core.py) is the memo read
+#: between ``lookup_entries`` and the cell cache's ``put``.
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
+    "decode_entry",
     "_handle", "_process", "data_received",
     "node_arrays", "cell_arrays", "node_entry_counts", "plan_shard_map",
     "_plan_one", "_slot_weights", "slice_index", "write_slices",
@@ -86,7 +91,8 @@ class HotPathRule(Rule):
     name = "hot-path-hygiene"
     description = (
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
-        "binary frame handlers/index enumeration/shard planner and "
+        "decode_entry/binary frame handlers/index enumeration/shard "
+        "planner and "
         "slicer/result codec, refinement and gather/point-to-entry "
         "kernels, the join and its stream fold/the array build: merge, "
         "encode, layout) must not log, "
@@ -95,7 +101,7 @@ class HotPathRule(Rule):
         "parameters or over iter_cells(), or call row-wise "
         "np.unique(axis=...); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 7
+    version = 8
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for func, _cls in iter_functions(ctx.tree):

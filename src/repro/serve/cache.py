@@ -18,13 +18,19 @@ new-generation queries can never read it — there is no window in which
 a stale answer can be served, no matter how requests and the reload
 interleave. :meth:`CellResultCache.invalidate_index` then reclaims the
 dead generations' memory.
+
+The cache takes no lock. Each ``OrderedDict`` call it makes is atomic
+under the GIL, its compound steps tolerate every interleaving of those
+calls, and its counters are approximate under contention — the contract
+is spelled out on :class:`CellResultCache`. The values it holds are the
+shared per-entry results of :meth:`~repro.act.core.ACTCore.decode_entry`,
+so an entry costs a dict slot, not a private result object.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..act.index import QueryResult
 
@@ -33,16 +39,45 @@ CacheKey = Tuple[str, int, int]
 
 
 class CellResultCache:
-    """Thread-safe LRU mapping boundary-level cells to query results.
+    """LRU mapping boundary-level cells to query results, without a lock.
 
     ``capacity <= 0`` disables the cache (every ``get`` misses, ``put``
     is a no-op) so callers can keep one code path.
+
+    **Thread safety.** Any number of threads may call any method at any
+    time; none of them takes a lock. That rests on two things:
+
+    * every ``OrderedDict`` method used here (``get``, ``__setitem__``,
+      ``__contains__``, ``move_to_end``, ``popitem``, ``pop``,
+      ``clear``, ``len``, ``list(od)``) is one C call that runs no
+      Python code for ``(str, int, int)`` keys — hashing and comparing
+      ``str`` and ``int`` never re-enter the interpreter — so each is
+      atomic under the GIL and the map is never seen half-updated;
+    * the compound steps tolerate every interleaving of those calls.
+      ``move_to_end`` or ``popitem`` on a key (or a map) another thread
+      just emptied is a caught ``KeyError``; a ``get`` that loses that
+      race still returns the value it read, which is the right answer
+      for its key (results are immutable, and a key maps to one answer
+      for as long as its generation lives). Every write is followed by
+      its own capacity check, which evicts at most one entry: between
+      the two the map may hold one entry per concurrent writer above
+      ``capacity``, and it is back within ``capacity`` once the writers
+      are done. Whole-map walks (``invalidate_index``,
+      ``entries_by_generation``) filter a ``list(...)`` snapshot and
+      delete with ``pop``; an entry written under a stale generation
+      while a sweep runs survives until the next sweep or its eviction
+      — memory hygiene, never a wrong answer, since new requests do not
+      read old generations' keys.
+
+    ``hits``, ``misses``, ``evictions`` and ``invalidations`` are plain
+    ``+=``: exact with one client; when threads collide an increment
+    may be lost, never added (the convention ``ACTCore.descent_*``
+    uses).
     """
 
     def __init__(self, capacity: int = 65536):
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, QueryResult]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, QueryResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -51,24 +86,37 @@ class CellResultCache:
     def get(self, key: CacheKey) -> Optional[QueryResult]:
         if self.capacity <= 0:
             return None
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
+        result = self._entries.get(key)
+        if result is None:
+            self.misses += 1
+            return None
+        try:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return result
+        except KeyError:
+            pass  # evicted or swept since the read; the answer stands
+        self.hits += 1
+        return result
 
     def put(self, key: CacheKey, result: QueryResult) -> None:
         if self.capacity <= 0:
             return
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        entries = self._entries
+        known = key in entries
+        entries[key] = result  # a new key lands at the recent end
+        if known:
+            # a rewrite keeps its place in the order: refresh it
+            try:
+                entries.move_to_end(key)
+            except KeyError:
+                pass
+        # every write is followed by its own check, so whatever the
+        # interleaving the map is back within capacity at quiescence
+        if len(entries) > self.capacity:
+            try:
+                entries.popitem(last=False)
+            except KeyError:
+                return  # cleared under us
+            self.evictions += 1
 
     def invalidate_index(self, index_name: str,
                          keep_generation: Optional[int] = None) -> int:
@@ -79,16 +127,17 @@ class CellResultCache:
         keeping whatever the new one has already warmed. Returns the
         number of entries removed.
         """
-        with self._lock:
-            stale = [
-                k for k in self._entries
-                if k[0] == index_name
-                and (keep_generation is None or k[1] != keep_generation)
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            return len(stale)
+        entries = self._entries
+        removed = 0
+        for key in list(entries):
+            if (key[0] == index_name
+                    and (keep_generation is None
+                         or key[1] != keep_generation)
+                    # None: another thread dropped it first
+                    and entries.pop(key, None) is not None):
+                removed += 1
+        self.invalidations += removed
+        return removed
 
     def entries_by_generation(self) -> Dict[Tuple[str, int], int]:
         """Live entry counts keyed by ``(index name, generation)``.
@@ -99,19 +148,16 @@ class CellResultCache:
         zero, new one grows).
         """
         counts: Dict[Tuple[str, int], int] = {}
-        with self._lock:
-            for name, generation, _cell in self._entries:
-                key = (name, generation)
-                counts[key] = counts.get(key, 0) + 1
+        for name, generation, _cell in list(self._entries):
+            key = (name, generation)
+            counts[key] = counts.get(key, 0) + 1
         return counts
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
@@ -119,11 +165,9 @@ class CellResultCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, float]:
-        with self._lock:
-            size = len(self._entries)
         return {
             "capacity": self.capacity,
-            "size": size,
+            "size": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -132,6 +132,7 @@ class ACTService:
         self._queries_ood = self.metrics.counter("queries.out_of_domain")
         self._cache_hits = self.metrics.counter("queries.cache_hits")
         self._inline_miss = self.metrics.counter("queries.inline_miss")
+        self._batched_misses = self.metrics.counter("queries.batched_misses")
         self._latency = self.metrics.histogram("queries.latency_seconds")
         # the remaining service-adjacent families are used lazily on
         # cold paths, but must exist pre-traffic so scrapes show zeros
@@ -140,8 +141,7 @@ class ACTService:
         # counts against this service's registry
         self.metrics.register(
             counters=(
-                "queries.invalid", "queries.batched_misses",
-                "joins.total", "joins.points",
+                "queries.invalid", "joins.total", "joins.points",
                 "admin.reloads", "admin.registers", "admin.unregisters",
                 "faults.chaos_injections",
             ),
@@ -330,22 +330,21 @@ class ACTService:
             if trace is not None:
                 trace.stamp("admission")
             keys = index.grid.point_keys(lngs, lats, boundary_level).tolist()
+            if trace is not None:
+                trace.stamp("cell_key")
             invalid = int(INVALID_KEY)
-            results: List[Optional[QueryResult]] = [None] * n
-            miss_pos: List[int] = []
             cache_get = self.cache.get
-            hits = 0
-            for k, key in enumerate(keys):
-                if key == invalid:
-                    self._queries_ood.inc()
-                    results[k] = _MISS
-                    continue
-                cached = cache_get((index_name, generation, key))
-                if cached is not None:
-                    results[k] = cached
-                    hits += 1
-                else:
-                    miss_pos.append(k)
+            results: List[Optional[QueryResult]] = [
+                _MISS if key == invalid
+                else cache_get((index_name, generation, key))
+                for key in keys
+            ]
+            miss_pos = [k for k, result in enumerate(results)
+                        if result is None]
+            out_of_domain = keys.count(invalid)
+            if out_of_domain:
+                self._queries_ood.inc(out_of_domain)
+            hits = n - out_of_domain - len(miss_pos)
             if hits:
                 self._cache_hits.inc(hits)
             if trace is not None:
@@ -361,20 +360,24 @@ class ACTService:
                     first_pos.setdefault(keys[k], k)
                 pos = np.asarray(list(first_pos.values()), dtype=np.int64)
                 cells = index.grid.leaf_cells_batch(lngs[pos], lats[pos])
+                if trace is not None:
+                    trace.stamp("leaf_cells")
                 entries = index.core.lookup_entries(cells)
-                decode = index.core.decode_entry
-                put = self.cache.put
-                by_key: Dict[int, QueryResult] = {}
-                for key, entry in zip(first_pos, entries.tolist()):
-                    result = decode(entry)
-                    by_key[key] = result
-                    put((index_name, generation, key), result)
-                for k in miss_pos:
-                    results[k] = by_key[keys[k]]
-                self.metrics.counter("queries.batched_misses").inc(
-                    len(miss_pos))
                 if trace is not None:
                     trace.stamp("descent")
+                decode = index.core.decode_entry
+                decoded = [decode(entry) for entry in entries.tolist()]
+                if trace is not None:
+                    trace.stamp("entry_decode")
+                put = self.cache.put
+                for key, result in zip(first_pos, decoded):
+                    put((index_name, generation, key), result)
+                if trace is not None:
+                    trace.stamp("cache_put")
+                by_key = dict(zip(first_pos, decoded))
+                for k in miss_pos:
+                    results[k] = by_key[keys[k]]
+                self._batched_misses.inc(len(miss_pos))
             batch = ResultBatch.from_results(results)
             if exact:
                 batch = self._refine_batch(index, batch, lngs, lats)

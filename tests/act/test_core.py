@@ -155,10 +155,11 @@ class TestOffsetEntries:
         )
         for e in entries.tolist():
             core.decode_entry(int(e))
-        cache_size = len(core._offset_cache)
+        cache_size = len(core._decoded)
+        assert cache_size >= len(set(entries.tolist()))
         for e in entries.tolist():
             core.decode_entry(int(e))
-        assert len(core._offset_cache) == cache_size
+        assert len(core._decoded) == cache_size
 
 
 class TestEnumeration:

@@ -4,6 +4,10 @@ Includes the correctness property the cache relies on: ACT answers are
 constant within a boundary-level grid cell.
 """
 
+import random
+import sys
+import threading
+
 import numpy as np
 
 from repro.act.index import QueryResult
@@ -74,6 +78,77 @@ class TestLRUBehavior:
         assert stats["size"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+
+
+class TestConcurrent:
+    """The cache takes no lock: hammer every method from more threads
+    than cores under the shortest switch interval and hold it to what
+    its docstring promises. Operation counts only — nothing is timed."""
+
+    CAPACITY = 32
+    THREADS = 8
+    OPS = 4000
+
+    def _worker(self, cache, seed, tally, failures):
+        rng = random.Random(seed)
+        keys = [("i", generation, cell)
+                for generation in (1, 2)
+                for cell in range(2 * self.CAPACITY)]  # 4x the capacity
+        bound = self.CAPACITY + self.THREADS
+        try:
+            for _ in range(self.OPS):
+                op = rng.random()
+                key = rng.choice(keys)
+                if op < 0.45:
+                    tally["gets"] += 1
+                    got = cache.get(key)
+                    # a value encodes the one key it is ever put under
+                    assert got is None or got.true_hits == key[1:], key
+                elif op < 0.90:
+                    cache.put(key, QueryResult(key[1:], ()))
+                elif op < 0.93:
+                    cache.invalidate_index(
+                        "i", keep_generation=rng.choice((1, 2)))
+                elif op < 0.96:
+                    by_generation = cache.entries_by_generation()
+                    assert set(by_generation) <= {("i", 1), ("i", 2)}
+                    assert sum(by_generation.values()) <= bound
+                else:
+                    assert cache.stats()["size"] <= bound
+                assert len(cache) <= bound
+        except BaseException as failure:  # reported by the main thread
+            failures.append(failure)
+            raise
+
+    def test_hammer(self):
+        cache = CellResultCache(capacity=self.CAPACITY)
+        tallies = [{"gets": 0} for _ in range(self.THREADS)]
+        failures = []
+        threads = [
+            threading.Thread(target=self._worker,
+                             args=(cache, seed, tallies[seed], failures))
+            for seed in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        # at quiescence one more write leaves the map within capacity
+        cache.put(("i", 1, -1), QueryResult((1, -1), ()))
+        assert len(cache) <= self.CAPACITY
+        stats = cache.stats()
+        gets = sum(tally["gets"] for tally in tallies)
+        # plain += counters may lose an increment, never gain one
+        assert stats["hits"] + stats["misses"] <= gets
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        assert stats["evictions"] > 0 and stats["invalidations"] > 0
 
 
 class TestCellConstancy:

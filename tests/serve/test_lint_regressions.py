@@ -4,16 +4,19 @@ Each test pins the *behavioral* fix, independent of the lint gate that
 now guards its shape: telemetry families exist pre-traffic (RL004),
 malformed budgets raise taxonomy errors (RL005), and the lifecycle's
 convergence flags stay coherent under the apply lock (RL001). The last
-one pins the gate itself: the per-result loop the result codec shed
-does not come back unnoticed (RL003).
+two pin the gate itself: the per-result loop the result codec shed
+does not come back unnoticed, nor does formatting or ``json`` in the
+per-cell entry decode (RL003).
 """
 
 import inspect
+import textwrap
 import threading
 
 import pytest
 
 import _legacy_results
+from repro.act.core import ACTCore
 from repro.errors import InvalidRequestError
 from repro.lint.engine import run
 from repro.serve import ACTService, create_server
@@ -124,3 +127,32 @@ class TestResultLoopsStayOut:
                 "    for i, result in enumerate(results):") + 1)]
         assert "`results`" in findings[0].message
         assert "`encode_results`" in findings[0].message
+
+
+class TestDecodeEntryStaysLean:
+    """RL003: ``decode_entry`` runs once per missed cell of every
+    request; formatting or ``json`` put into it is flagged."""
+
+    def _findings(self, tmp_path, source):
+        target = tmp_path / "core.py"
+        target.write_text(source)
+        return run([target], root=tmp_path).findings
+
+    def test_shipped_decode_entry_is_clean(self, tmp_path):
+        source = textwrap.dedent(inspect.getsource(ACTCore.decode_entry))
+        assert self._findings(tmp_path, source) == []
+
+    @pytest.mark.parametrize("stray, named", [
+        ('label = f"entry {entry:#x}"', "f-string"),
+        ("label = json.dumps(entry)", "`json.dumps`"),
+    ])
+    def test_stray_formatting_is_flagged(self, tmp_path, stray, named):
+        source = textwrap.dedent(f"""\
+            def decode_entry(self, entry):
+                {stray}
+                return self._decoded.get(entry)
+            """)
+        findings = self._findings(tmp_path, source)
+        assert [(f.rule, f.line) for f in findings] == [("RL003", 2)]
+        assert named in findings[0].message
+        assert "`decode_entry`" in findings[0].message

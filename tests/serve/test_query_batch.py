@@ -1,8 +1,11 @@
 """Tests of the batched serving path (service.query_batch)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import BudgetExceededError, UnknownIndexError
+from repro.grid.base import INVALID_KEY
+from repro.obs import Trace
 from repro.serve import ACTService, Budget, ServeConfig
 
 
@@ -78,3 +81,53 @@ class TestQueryBatch:
 
     def test_empty_batch(self, service):
         assert service.query_batch("nyc", [], []) == []
+
+
+class TestStages:
+    """A traced batch reports the stage names the e2e ledger fixes in
+    ``benchmarks/e2e/actbench/spans.py``, in the order they run."""
+
+    def _stages(self, service, points, exact):
+        trace = Trace("t", kind="query_batch")
+        service.query_batch("nyc", *points, exact=exact, trace=trace)
+        return [name for name, _seconds in trace.stages]
+
+    def test_cold_exact_batch_lists_every_stage(self, service,
+                                                query_points):
+        assert self._stages(service, query_points, exact=True) == [
+            "admission", "cell_key", "cache_probe", "leaf_cells",
+            "descent", "entry_decode", "cache_put", "refine"]
+
+    def test_hot_batch_stops_after_the_probe(self, service, query_points):
+        service.query_batch("nyc", *query_points)
+        assert self._stages(service, query_points, exact=False) == [
+            "admission", "cell_key", "cache_probe"]
+
+
+class TestCounters:
+    def test_out_of_domain_and_misses_counted_once_each(
+            self, service, nyc_index, query_points):
+        lngs = np.concatenate([np.full(7, -120.0), query_points[0]])
+        lats = np.concatenate([np.full(7, 40.7), query_points[1]])
+        keys = nyc_index.grid.point_keys(lngs, lats,
+                                         nyc_index.boundary_level)
+        outside = int((keys == INVALID_KEY).sum())
+        inside = len(lngs) - outside
+        assert outside >= 7 and inside > 300
+
+        def counters():
+            return service.metrics.snapshot()["counters"]
+
+        # cold: every in-domain point is a miss, repeats of a cell too
+        service.query_batch("nyc", lngs, lats)
+        assert counters()["queries.out_of_domain"] == outside
+        assert counters()["queries.batched_misses"] == inside
+        assert counters().get("queries.cache_hits", 0) == 0
+        # hot: the same batch again moves only the other two
+        service.query_batch("nyc", lngs, lats)
+        assert counters()["queries.out_of_domain"] == 2 * outside
+        assert counters()["queries.batched_misses"] == inside
+        assert counters()["queries.cache_hits"] == inside
+        assert counters()["queries.total"] == 2 * len(lngs)
+        assert (service.cache.hits, service.cache.misses) == (inside,
+                                                              inside)
