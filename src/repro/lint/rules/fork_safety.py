@@ -14,6 +14,13 @@ attributes evaluate at import too), descending into ``if``/``try``/
 ``with`` blocks but not into function bodies, and exempts the
 ``if __name__ == "__main__":`` guard (that branch never runs on
 import).
+
+Under ``src/repro/serve/`` a ``Manager`` is flagged wherever it is
+constructed, function bodies included: the fleet's shared state is
+files in its artifact directory (:mod:`repro.serve.statedir`) since the
+Manager broker — a fourth process, a pickle round trip on the stats and
+admission path, and a ``Lock`` its holder's death never released — was
+deleted, and it should not come back by habit.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from ..findings import Finding
 from .base import FileContext, Rule, dotted_name
+from .error_taxonomy import SCOPE_PREFIX
 
 #: Fully dotted constructors that must not run at import time.
 _FORBIDDEN_DOTTED = frozenset({
@@ -72,21 +80,36 @@ class ForkSafetyRule(Rule):
     description = (
         "No thread/socket/Manager/executor construction at module "
         "import time; pre-fork resources must flow through the "
-        "prewarm seam (`if __name__` guards exempt).")
-    version = 1
+        "prewarm seam (`if __name__` guards exempt). Under "
+        "src/repro/serve/, no `Manager()` anywhere.")
+    version = 2
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        flagged = set()
         for node in _module_level(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             label = self._forbidden_label(node)
             if label is None:
                 continue
+            flagged.add(id(node))
             yield self.finding(
                 ctx, node,
                 f"`{label}` constructed at module import time; a "
                 f"pre-fork fleet duplicates it across workers — build "
                 f"it post-fork via the prewarm seam")
+        if not ctx.relpath.startswith(SCOPE_PREFIX):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call) or id(node) in flagged:
+                continue
+            name = dotted_name(node.func) or ""
+            if name.split(".")[-1] in ("Manager", "SyncManager"):
+                yield self.finding(
+                    ctx, node,
+                    f"`{name}` constructed in the serving layer; fleet "
+                    f"state is files in the artifact directory "
+                    f"(repro.serve.statedir), not a broker process")
 
     @staticmethod
     def _forbidden_label(call: ast.Call) -> Optional[str]:

@@ -17,8 +17,8 @@ tracking needs. All observations above the top bound land in a
 ``+Inf`` overflow bucket whose quantile estimate falls back to the
 exact tracked maximum.
 
-Snapshots are plain dicts (JSON- and pickle-friendly — they ride the
-fleet's ``multiprocessing.Manager`` channel) and carry the bounds, so
+Snapshots are plain dicts (JSON-friendly — they ride the fleet's
+file-backed ``snapshots/`` channel) and carry the bounds, so
 :func:`merge_histogram_snapshots` can refuse to merge histograms with
 different bucket ladders instead of silently mixing them.
 """

@@ -30,14 +30,20 @@ worker's server joins live request threads on close — publish a final
 metrics snapshot, and exit 0. Workers that outlive the drain timeout
 are killed.
 
-Observability: each worker periodically publishes its
-``service.stats()`` snapshot into a ``multiprocessing.Manager`` dict
-shared across the fleet; every worker's ``/stats`` response carries a
-``fleet`` section aggregating them (fleet-wide qps, sheds, errors, p99
-upper bound), so operators see the whole fleet from any single worker.
+Shared state is files, not a process: the fleet keeps two small
+directories in its artifact directory — ``snapshots/`` and ``control/``,
+one JSON record per key (:mod:`repro.serve.statedir`) — cleared when the
+fleet starts and removed when it stops.
 
-Index lifecycle: a second ``Manager`` dict is the fleet's admin control
-channel (see :mod:`repro.serve.lifecycle`). Any worker's loopback
+Observability: each worker periodically publishes its
+``service.stats()`` snapshot as ``snapshots/<slot>``; every worker's
+``/stats`` response carries a ``fleet`` section aggregating them
+(fleet-wide qps, sheds, errors, p99 upper bound), so operators see the
+whole fleet from any single worker.
+
+Index lifecycle: ``control/`` is the fleet's admin control channel (see
+:mod:`repro.serve.lifecycle`), serialized by a ``flock`` the kernel
+releases if its holder dies. Any worker's loopback
 ``POST /admin/reload`` (or the parent's :meth:`ServingFleet.admin`)
 coordinates a zero-downtime fleet-wide swap: the receiver materializes
 the new generation once, writes it to a side ``.npz``, and every other
@@ -100,6 +106,7 @@ from .server import ACTHTTPServer
 from .service import ACTService, ServeConfig
 from .shard import (ShardMap, plan_shard_map, publish_shard_map,
                     write_slices)
+from .statedir import DirMapping, FileLock
 
 _log = logging.getLogger(__name__)
 
@@ -333,10 +340,9 @@ class ServingFleet:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
-        self._manager = None
-        self._snapshots = None
-        self._control = None
-        self._op_lock = None
+        self._snapshots: Optional[DirMapping] = None
+        self._control: Optional[DirMapping] = None
+        self._op_lock: Optional[FileLock] = None
         self._lifecycle: Optional[FleetLifecycle] = None
         self._artifact_dir: Optional[str] = None
         self._own_artifact_dir = False
@@ -364,18 +370,18 @@ class ServingFleet:
         # inherit finished indexes (copy-on-write; page-cache-shared for
         # mmap-loaded node pools) instead of building N copies
         self.registry.prewarm()
-        # the stats + admin channels must exist pre-fork so children
-        # inherit the proxies; the manager runs as its own child process
-        # of the parent
-        self._manager = self._ctx.Manager()
-        self._snapshots = self._manager.dict()
-        self._control = self._manager.dict()
-        self._op_lock = self._manager.Lock()
         if self.config.artifact_dir is not None:
             self._artifact_dir = self.config.artifact_dir
         else:
             self._artifact_dir = tempfile.mkdtemp(prefix="repro-fleet-")
             self._own_artifact_dir = True
+        # the stats + admin channels: emptied, so that a reused
+        # directory's last seq / op / acks / map and dead workers'
+        # snapshots are never read as this run's
+        state = Path(self._artifact_dir)
+        self._snapshots = DirMapping(state / "snapshots").reset()
+        self._control = DirMapping(state / "control").reset()
+        self._op_lock = FileLock(state / "control" / ".lock")
         self._lifecycle = FleetLifecycle(
             self._control, self._op_lock, PARENT_IDENTITY,
             workers=self.config.workers, registry=self.registry,
@@ -466,7 +472,7 @@ class ServingFleet:
 
     def stats(self) -> dict:
         """Parent-side fleet aggregate (same shape as ``/stats`` fleet)."""
-        return aggregate_snapshots(self._snapshot_view())
+        return aggregate_snapshots(_read_snapshots(self._snapshots))
 
     def admin(self, request: dict) -> dict:
         """Run one lifecycle operation fleet-wide from the parent.
@@ -519,13 +525,12 @@ class ServingFleet:
                 pass
         self._sockets = []
         self._binary_sockets = []
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-            self._snapshots = None
-            self._control = None
-            self._op_lock = None
-            self._lifecycle = None
+        self._lifecycle = None
+        self._op_lock = None
+        for mapping in (self._snapshots, self._control):
+            if mapping is not None:  # ours to remove, whoever owns the rest
+                shutil.rmtree(mapping.path, ignore_errors=True)
+        self._snapshots = self._control = None
         if self._own_artifact_dir and self._artifact_dir is not None:
             shutil.rmtree(self._artifact_dir, ignore_errors=True)
             self._artifact_dir = None
@@ -686,7 +691,12 @@ class ServingFleet:
                 process.join()
                 if self._stop.is_set():
                     break
-                self._retire_snapshot(slot)
+                try:
+                    for mapping in (self._snapshots, self._control):
+                        mapping.sweep_partials(process.pid)
+                    self._retire_snapshot(slot)
+                except OSError:  # costs the dead worker's totals, not
+                    pass         # the supervisor
                 self.restarts += 1
                 backoff = self._next_backoff(slot)
                 if self._stop.wait(backoff):
@@ -724,45 +734,41 @@ class ServingFleet:
         dies with it.)
         """
         snapshots = self._snapshots
-        if snapshots is None:
+        last = snapshots.get(slot)
+        if not last:
             return
-        try:
-            last = snapshots.get(slot)
-            if not last:
-                return
-            metrics = last.get("metrics", {})
-            counters = metrics.get("counters", {})
-            histograms = metrics.get("histograms", {})
-            base_counters, base_hists = _retired_parts(
-                dict(snapshots.get(RETIRED_KEY, {})))
-            folded_counters = dict(base_counters)
-            for key, value in counters.items():
-                folded_counters[key] = (int(folded_counters.get(key, 0))
-                                        + int(value))
-            folded_hists = dict(base_hists)
-            for name in _AGGREGATED_HISTOGRAMS:
-                merged = merge_histogram_snapshots([
-                    s for s in (base_hists.get(name), histograms.get(name))
-                    if s is not None
-                ])
-                if merged is not None:
-                    folded_hists[name] = merged
-            snapshots[RETIRED_KEY] = {
-                "counters": folded_counters,
-                "histograms": folded_hists,
-            }
-            del snapshots[slot]
-        except (OSError, EOFError, BrokenPipeError, KeyError):
-            pass
+        metrics = last.get("metrics", {})
+        counters = metrics.get("counters", {})
+        histograms = metrics.get("histograms", {})
+        base_counters, base_hists = _retired_parts(
+            snapshots.get(RETIRED_KEY, {}))
+        folded_counters = dict(base_counters)
+        for key, value in counters.items():
+            folded_counters[key] = (int(folded_counters.get(key, 0))
+                                    + int(value))
+        folded_hists = dict(base_hists)
+        for name in _AGGREGATED_HISTOGRAMS:
+            merged = merge_histogram_snapshots([
+                s for s in (base_hists.get(name), histograms.get(name))
+                if s is not None
+            ])
+            if merged is not None:
+                folded_hists[name] = merged
+        snapshots[RETIRED_KEY] = {
+            "counters": folded_counters,
+            "histograms": folded_hists,
+        }
+        del snapshots[slot]
 
-    def _snapshot_view(self) -> Dict[int, dict]:
-        snapshots = self._snapshots
-        if snapshots is None:
-            return {}
-        try:
-            return dict(snapshots)
-        except (OSError, EOFError, BrokenPipeError):  # manager gone
-            return {}
+
+def _read_snapshots(snapshots: Optional[DirMapping]) -> Dict[object, dict]:
+    """Every published snapshot, keyed as :func:`aggregate_snapshots`
+    sorts them: worker slots are integers again (a file name is a
+    string). Empty once the fleet has shut down."""
+    if snapshots is None:
+        return {}
+    return {int(key) if key.isdigit() else key: snap
+            for key, snap in snapshots.items()}
 
 
 # ----------------------------------------------------------------------
@@ -958,18 +964,14 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
         snap["pid"] = os.getpid()
         try:
             snapshots[slot] = snap
-        except (OSError, EOFError, BrokenPipeError):
-            pass  # manager is gone; the fleet is shutting down
+        except OSError:
+            pass  # the directory is gone; the fleet is shutting down
 
     def fleet_stats(own_stats: dict) -> dict:
         # republish the snapshot the handler just computed (no second
         # service.stats() per /stats poll), then aggregate everyone's
         publish(own_stats)
-        try:
-            view = dict(snapshots) if snapshots is not None else {}
-        except (OSError, EOFError, BrokenPipeError):
-            view = {}
-        return aggregate_snapshots(view)
+        return aggregate_snapshots(_read_snapshots(snapshots))
 
     server.stats_extra = fleet_stats
 
@@ -977,11 +979,7 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
         # /metrics wants this worker's freshest numbers inside the fleet
         # aggregate too, so publish before reading the channel
         publish()
-        try:
-            view = dict(snapshots) if snapshots is not None else {}
-        except (OSError, EOFError, BrokenPipeError):
-            view = {}
-        return aggregate_snapshots(view)
+        return aggregate_snapshots(_read_snapshots(snapshots))
 
     server.metrics_extra = fleet_metrics
 

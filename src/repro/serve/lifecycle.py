@@ -17,7 +17,9 @@ with zero downtime. This module adds the two remaining layers:
   the new generation exactly once), writes the materialized generation
   to a side ``.npz`` (generation-suffixed, write-temp + rename — see
   :func:`repro.act.serialize.save_index_atomic`), and publishes the
-  operation on the fleet's ``multiprocessing.Manager`` control dict.
+  operation on the fleet's control channel — a directory of one-record
+  files in the artifact directory (:mod:`repro.serve.statedir`): the
+  operation under ``op``, then its sequence number under ``seq``.
   Every other process — sibling workers and the supervising parent —
   notices the new sequence number on its next poll tick, memory-maps
   the side artifact (one materialization, N cheap page-cache-shared
@@ -56,7 +58,7 @@ reload barrier: only the newest two generations of ``{name}.gen*.npz``
 are kept (the current one, plus one for in-flight requests and
 stragglers — and POSIX keeps memory-mapped inodes alive regardless).
 
-The same control dict also carries the fleet's **shard placement**
+The same control channel also carries the fleet's **shard placement**
 under :data:`repro.serve.shard.SHARD_KEY`: a generation-tagged wire
 :class:`~repro.serve.shard.ShardMap` published by the parent (at start
 and on :meth:`~repro.serve.fleet.ServingFleet.rebalance`, once its
@@ -91,7 +93,7 @@ from ..errors import (ArtifactCorruptError, InvalidRequestError, ServeError,
                       UnknownIndexError)
 from .registry import _UNSET, IndexGeneration, IndexRegistry
 from .service import ACTService
-from .shard import ShardMap, read_shard_map, write_slices
+from .shard import read_shard_map, write_slices
 
 #: The admin operation kinds (the wire vocabulary).
 OP_REGISTER = "register"
@@ -99,7 +101,7 @@ OP_RELOAD = "reload"
 OP_UNREGISTER = "unregister"
 _KINDS = (OP_REGISTER, OP_RELOAD, OP_UNREGISTER)
 
-#: Control-dict keys (shared with :mod:`repro.serve.fleet`).
+#: Control-channel keys (shared with :mod:`repro.serve.fleet`).
 SEQ_KEY = "seq"
 OP_KEY = "op"
 
@@ -413,14 +415,6 @@ class FleetLifecycle:
             return self._service.full_record(record).index
         return record.index
 
-    def _published_map(self) -> Optional[ShardMap]:
-        """The fleet's published shard map (``None``: unsharded, or the
-        channel is down)."""
-        try:
-            return read_shard_map(self._control)
-        except (OSError, EOFError, BrokenPipeError):
-            return None
-
     def _adopt_placement_locked(self) -> None:
         """Map this worker's slices under the published shard map, if it
         is newer than the one they are mapped under. Runs before any
@@ -430,7 +424,7 @@ class FleetLifecycle:
         corrupt — leaves the worker not-ready (it keeps what it has:
         at worst the full records it was forked with) and is retried
         on the next tick."""
-        shard_map = self._published_map()
+        shard_map = read_shard_map(self._control)
         if shard_map is None or self._service is None:
             return
         try:
@@ -452,7 +446,7 @@ class FleetLifecycle:
         """In a sharded fleet, cut ``index`` — generation ``generation``
         of ``name``, whose full side artifact was just written — for
         every slot, under the published map. Returns whether it did."""
-        shard_map = self._published_map()
+        shard_map = read_shard_map(self._control)
         if shard_map is None or name not in shard_map.ranges:
             return False
         write_slices(index, shard_map, self.artifact_dir or ".", name,
@@ -474,18 +468,15 @@ class FleetLifecycle:
         """Apply the pending operation, if any, and ack it.
 
         Called periodically from an existing maintenance thread. Returns
-        the ack written, or ``None`` when there was nothing new. Channel
-        errors (manager torn down during shutdown) are absorbed.
+        the ack written, or ``None`` when there was nothing new (a
+        channel already removed at shutdown reads as nothing new).
         """
         with self._apply_lock:
             self._adopt_placement_locked()
-            try:
-                seq = int(self._control.get(SEQ_KEY) or 0)
-                if seq <= self._last_seen:
-                    return None
-                wire = self._control.get(OP_KEY)
-            except (OSError, EOFError, BrokenPipeError):
+            seq = int(self._control.get(SEQ_KEY) or 0)
+            if seq <= self._last_seen:
                 return None
+            wire = self._control.get(OP_KEY)
             if not wire or int(wire.get("seq", -1)) != seq:
                 return None  # published mid-write; complete next tick
             self._last_seen = seq
@@ -557,21 +548,15 @@ class FleetLifecycle:
                 except UnknownIndexError:
                     prev_desc = None
             with self._apply_lock:
-                try:
-                    seq = int(self._control.get(SEQ_KEY) or 0) + 1
-                except (OSError, EOFError, BrokenPipeError):
-                    raise ServeError(
-                        "fleet control channel is down") from None
+                seq = int(self._control.get(SEQ_KEY) or 0) + 1
                 # every ack key present belongs to a finished barrier
-                # (submits are serialized by the op lock we hold):
-                # sweep them so straggler and respawn re-acks cannot
-                # grow the control dict without bound
-                try:
-                    for key in list(self._control.keys()):
-                        if isinstance(key, str) and key.startswith("ack:"):
-                            del self._control[key]
-                except (KeyError, OSError, EOFError, BrokenPipeError):
-                    pass
+                # (submits are serialized by the op lock we hold, which
+                # makes this the only deleter): sweep them so straggler
+                # and respawn re-acks cannot grow the channel without
+                # bound
+                for key in list(self._control.keys()):
+                    if isinstance(key, str) and key.startswith("ack:"):
+                        del self._control[key]
                 try:
                     op, local = self._coordinate(op, seq)
                 except ArtifactCorruptError as exc:
@@ -829,7 +814,7 @@ class FleetLifecycle:
         except UnknownIndexError:
             return 0
         prefix = f"{name}.gen"
-        shard_map = self._published_map()
+        shard_map = read_shard_map(self._control)
         placement = shard_map.generation if shard_map is not None else 0
         removed = 0
         try:
@@ -863,10 +848,7 @@ class FleetLifecycle:
         aborted = False
         while True:
             for identity in expected - set(acks):
-                try:
-                    ack = self._control.get(ack_key(seq, identity))
-                except (OSError, EOFError, BrokenPipeError):
-                    ack = None
+                ack = self._control.get(ack_key(seq, identity))
                 if ack is not None:
                     acks[identity] = dict(ack)
             if abort_on_nack and any(a.get("nack") for a in acks.values()):
@@ -890,25 +872,23 @@ class FleetLifecycle:
                     "ok": False,
                     "error": f"no ack from {identity!r} before timeout",
                 }
-        # best-effort cleanup: the barrier is over, drop the ack keys.
-        # `_control` is a Manager proxy — every access is serialized by
-        # the manager server process, so the in-process apply lock is
-        # the wrong tool here (and in workers it is a post-fork copy).
+        # the barrier is over: drop the ack keys. `_control` is files,
+        # not this object's state — each key is one unlink (or one
+        # atomic rename, in `_write_ack`) that every process sees whole,
+        # and the writers are other processes, so the in-process apply
+        # lock RL001 asks for would guard nothing.
         for identity in expected:
             try:
                 del self._control[ack_key(seq, identity)]  # repro-lint: ignore[RL001]
-            except (KeyError, OSError, EOFError, BrokenPipeError):
-                pass
+            except KeyError:
+                pass  # a straggler that never acked
         return acks
 
     def _write_ack(self, seq: int, result: dict) -> None:
-        # Manager-proxy write: serialized by the manager server, and
-        # called from worker processes where the parent's apply lock
-        # would be a meaningless post-fork copy anyway.
         try:
             self._control[ack_key(seq, self.identity)] = result  # repro-lint: ignore[RL001]
-        except (OSError, EOFError, BrokenPipeError):
-            pass  # manager gone; the fleet is shutting down
+        except OSError:
+            pass  # the directory is gone; the fleet is shutting down
 
 
 #: Type of the hook the HTTP server calls for admin mutations when a

@@ -80,8 +80,8 @@ from .shard import ShardMap, shard_keys, slice_path
 
 __all__ = ["ShardedACTService"]
 
-#: How long a cached copy of the fleet snapshot dict is trusted for
-#: admission decisions (bounds Manager IPC to a few reads per second).
+#: How long a cached copy of the fleet's snapshots is trusted for
+#: admission decisions (bounds the file reads to a few per second).
 _SNAPSHOT_CACHE_S = 0.2
 
 
@@ -460,20 +460,19 @@ class ShardedACTService(ACTService):
         }
 
     def _snapshot_view(self) -> dict:
-        """A briefly cached copy of the fleet snapshot dict (bounds the
-        Manager IPC cost of per-batch admission checks)."""
+        """A briefly cached copy of the fleet's snapshots (bounds the
+        cost of per-batch admission checks: one file read per worker)."""
         now = time.monotonic()
         expires, view = self._snap_cache
         if now < expires:
             return view
         snapshots = self._fleet_snapshots
-        if snapshots is None:
+        try:
+            # .items(): the fleet's file-backed mapping skips a record
+            # that vanishes between its listing and its read
+            view = dict(snapshots.items()) if snapshots is not None else {}
+        except OSError:  # fail open: admission never fails a request
             view = {}
-        else:
-            try:
-                view = dict(snapshots)
-            except (OSError, EOFError, BrokenPipeError):
-                view = {}
         self._snap_cache = (now + _SNAPSHOT_CACHE_S, view)
         return view
 

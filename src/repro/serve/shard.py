@@ -67,9 +67,9 @@ __all__ = [
     "publish_shard_map", "read_shard_map",
 ]
 
-#: Control-dict key the current :class:`ShardMap` is published under
-#: (sibling of :data:`repro.serve.lifecycle.SEQ_KEY` on the same
-#: Manager dict — shard placement rides the existing channel).
+#: Control-channel key the current :class:`ShardMap` is published under
+#: (sibling of :data:`repro.serve.lifecycle.SEQ_KEY` in the same
+#: directory — shard placement rides the existing channel).
 SHARD_KEY = "shard_map"
 
 #: Largest value in the shard keyspace (``INVALID_KEY`` lands here).
@@ -196,7 +196,7 @@ class ShardMap:
                      if r.slot == slot)
 
     # ------------------------------------------------------------------
-    # Wire form (Manager control dict / JSON admin surface)
+    # Wire form (control channel / JSON admin surface)
     # ------------------------------------------------------------------
     def to_wire(self) -> dict:
         return {
@@ -517,7 +517,7 @@ def write_slices(index: ACTIndex, shard_map: ShardMap,
 # Control-channel publication
 # ----------------------------------------------------------------------
 def publish_shard_map(control, shard_map: ShardMap) -> None:
-    """Publish ``shard_map`` on the fleet control dict.
+    """Publish ``shard_map`` on the fleet control channel.
 
     Rebalancing is republishing with a higher generation; workers
     adopt on their next lifecycle poll tick (monotonic: a lower or

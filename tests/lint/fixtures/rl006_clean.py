@@ -13,3 +13,9 @@ def prewarm():
 if __name__ == "__main__":
     # the main guard never runs on import: exempt
     _MAIN_THREAD = threading.Thread(target=print, daemon=True)
+
+
+def broker():
+    # outside src/repro/serve/ a deferred Manager is no finding
+    import multiprocessing
+    return multiprocessing.Manager()

@@ -68,6 +68,15 @@ def test_clean_fixture_is_silent(rule_id):
     assert result.findings == []
 
 
+def test_rl006_flags_a_manager_anywhere_under_serve():
+    # regression: the fleet's Manager broker was deleted for files in
+    # the artifact directory; in serve/ scope even a deferred one fails
+    result = lint(["src/repro/serve/rl006_violation.py"])
+    assert {f.line: f.rule for f in result.findings} == {
+        8: "RL006", 10: "RL006", 15: "RL006", 18: "RL006"}
+    assert result.gate_failures(strict=True)
+
+
 def test_rl004_registration_in_another_file_satisfies_use():
     # same lazy uses as the violation test, plus a registrar module:
     # the cross-file pass must see the pair as clean

@@ -402,6 +402,40 @@ class TestFleetChaos:
                 time.sleep(0.05)
             assert fleet.live_workers() == 2
 
+    def test_killed_coordinator_does_not_wedge_admin(self, artifact,
+                                                     tmp_path):
+        """A worker SIGKILLed while it coordinates a reload — inside
+        ``submit``, holding the fleet-wide operation lock — must not
+        leave that lock held: the next admin operation, from a sibling,
+        acquires within its timeout and completes."""
+        import http.client
+
+        with _fleet_over_artifact(artifact, tmp_path,
+                                  admin_timeout_s=15.0) as fleet:
+            fleet.start()
+            # one keep-alive connection, so that the worker that armed
+            # the fault is the one that takes the reload
+            conn = http.client.HTTPConnection(*fleet.address, timeout=30.0)
+            headers = {"Content-Type": "application/json"}
+            conn.request("POST", "/admin/chaos", headers=headers, body=(
+                json.dumps({"spec": "artifact.load=kill:1.0"})))
+            armed = conn.getresponse()
+            assert armed.status == 200, armed.read()
+            victim = json.loads(armed.read())["pid"]
+            assert victim in [p.pid for p in fleet._processes]
+            reload_request = {"name": "nyc", "path": str(artifact)}
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("POST", "/admin/reload", headers=headers,
+                             body=json.dumps(reload_request))
+                conn.getresponse()
+            conn.close()
+            # the parent is the sibling: no HTTP, so no chance of the
+            # kernel handing the request to anyone in particular
+            response = fleet.admin({"op": "reload", **reload_request})
+            assert response["complete"] is True, response
+            assert response["seq"] == 1 and response["generation"] == 2
+            assert victim not in [p.pid for p in fleet._processes]
+
     def test_injected_resets_converge(self, artifact, nyc_index,
                                       query_points, tmp_path):
         """Arm connection-reset chaos on the binary front (workers

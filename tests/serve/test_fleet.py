@@ -564,3 +564,116 @@ class TestAggregation:
         assert fleet._next_backoff(0) == pytest.approx(0.1)   # young
         assert fleet._next_backoff(1) == pytest.approx(       # not
             fleet.config.restart_backoff_s)
+
+
+def _children_of(pid):
+    """Live (non-zombie) child pids of ``pid``, from ``/proc``."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fp:
+                # "pid (comm) state ppid ..." — comm may hold spaces
+                state, ppid = fp.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue  # exited between the listing and the read
+        if int(ppid) == pid and state != "Z":
+            children.add(int(entry))
+    return children
+
+
+class TestNoBroker:
+    """Fleet state is files in the artifact directory: no process
+    stands between the workers, and nothing is adopted from a
+    previous run that used the same directory."""
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_a_started_fleet_has_exactly_its_workers_as_children(
+            self, fleet_registry, shards):
+        before = _children_of(os.getpid())
+        with _fleet(fleet_registry, shards=shards) as fleet:
+            fleet.start()  # returns after the cutter child was joined
+            workers = {p.pid for p in fleet._processes}
+            assert len(workers) == 2
+            assert _children_of(os.getpid()) - before == workers
+            state = sorted(os.listdir(fleet._artifact_dir))
+            assert [n for n in state if not n.endswith(".npz")] == [
+                "control", "snapshots"]
+
+    def test_importing_the_serving_package_loads_no_manager(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.serve\n"
+                "assert 'multiprocessing.managers' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120.0)
+
+    def test_a_reused_artifact_dir_starts_clean(self, nyc_index,
+                                                tmp_path):
+        """Start → serve → two reloads → shutdown, then start again on
+        the same operator-supplied directory (with the debris of a run
+        that never shut down planted in it): sequence numbers and
+        fleet totals begin again, the side archives stay."""
+        from repro.act.serialize import save_index
+
+        source = tmp_path / "nyc.npz"
+        save_index(nyc_index, source)
+        artifacts = tmp_path / "artifacts"
+        reload_request = {"op": "reload", "name": "nyc",
+                          "path": str(source), "mmap_mode": "r"}
+
+        def fleet_over(directory):
+            registry = IndexRegistry()
+            registry.register_path("nyc", str(source), mmap_mode="r")
+            return _fleet(registry, artifact_dir=str(directory),
+                          admin_timeout_s=60.0)
+
+        def await_stats(fleet, condition):
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                view = fleet.stats()
+                if condition(view):
+                    return view
+                time.sleep(0.05)
+            raise AssertionError(f"fleet stats never converged: {view}")
+
+        with fleet_over(artifacts) as fleet:
+            fleet.start()
+            for _ in range(5):
+                _get(fleet.address,
+                     "/query?index=nyc&lng=-73.97&lat=40.75")
+            await_stats(fleet, lambda v: v["workers"] == 2
+                        and v["counters"]["queries.total"] == 5)
+            assert [fleet.admin(reload_request)["seq"]
+                    for _ in range(2)] == [1, 2]
+            assert sorted(os.listdir(artifacts / "control"))[-2:] == [
+                "op", "seq"]
+        # shutdown removed the state, and only the state
+        assert sorted(os.listdir(artifacts)) == [
+            "nyc.gen000002.npz", "nyc.gen000003.npz"]
+
+        # what a fleet that was killed outright would have left behind
+        (artifacts / "control").mkdir()
+        (artifacts / "snapshots").mkdir()
+        (artifacts / "control" / "seq").write_text("7")
+        (artifacts / "control" / "op").write_text(json.dumps({
+            "kind": "reload", "name": "nyc", "seq": 7, "generation": 9,
+            "artifact_path": str(artifacts / "nyc.gen000003.npz")}))
+        (artifacts / "control" / ".op.1-1.partial").write_text("{")
+        (artifacts / "snapshots" / "5").write_text(json.dumps({
+            "worker": 5, "pid": 1, "uptime_seconds": 9.0, "metrics": {
+                "counters": {"queries.total": 99}}}))
+        with fleet_over(artifacts) as fleet:
+            fleet.start()
+            view = await_stats(fleet, lambda v: v["workers"] == 2)
+            assert view["counters"]["queries.total"] == 0
+            assert "retired_counters" not in view
+            response = fleet.admin(reload_request)
+            assert response["complete"] is True, response
+            # a replayed seq 7 would have put every process on
+            # generation 9 before this reload
+            assert response["seq"] == 1 and response["generation"] == 2
+            assert ".op.1-1.partial" not in os.listdir(
+                artifacts / "control")

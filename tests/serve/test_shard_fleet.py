@@ -394,7 +394,9 @@ class TestSlicesAreFiles:
                     f"map generation {target}")
 
         def kept():
-            return sorted(p.name for p in artifacts.iterdir())
+            # files: the fleet's control/ and snapshots/ live here too
+            return sorted(p.name for p in artifacts.iterdir()
+                          if p.is_file())
 
         def swept():
             return fleet.stats()["counters"]["lifecycle.artifacts_gcd"]
@@ -446,6 +448,15 @@ class TestCutterFailure:
             raise OSError("disk full")
 
         monkeypatch.setattr(fleet_module, "write_slices", broken)
+        made = []  # the fleet's own temp dirs, state directories inside
+        mkdtemp = fleet_module.tempfile.mkdtemp
+
+        def recording_mkdtemp(**kwargs):
+            made.append(mkdtemp(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(fleet_module.tempfile, "mkdtemp",
+                            recording_mkdtemp)
         registry = IndexRegistry()
         registry.register_index("nyc", nyc_index)
         fleet = _shard_fleet(registry)
@@ -457,7 +468,8 @@ class TestCutterFailure:
         else:
             assert "exit code 3" in str(failure.value)
         assert fleet.live_workers() == 0 and fleet._processes == []
-        assert fleet._manager is None and fleet._artifact_dir is None
+        assert fleet._control is None and fleet._artifact_dir is None
+        assert len(made) == 1 and not os.path.exists(made[0])
 
     def test_a_real_write_failure_names_index_and_slot(
             self, nyc_index, tmp_path):
