@@ -33,8 +33,18 @@ Two measurements share the census workload:
   The binary arm pipelines frames (its designed usage); the JSON arm
   reuses one keep-alive connection with a pre-encoded body, so
   client-side costs favor JSON and the measured ratio is conservative.
-  The gate — binary >= 10x JSON qps — is asserted at full scale on
-  >= 4 cores; smoke runs still record both numbers.
+  The gate — binary >= 2x JSON qps — is asserted at full scale on
+  >= 4 cores; smoke runs still record both numbers. It used to read
+  >= 10x, but that measured a stall, not the protocol: the JSON front
+  wrote headers and body in two sends with Nagle on, so every response
+  waited out the client's 40 ms delayed ACK. ``REPRO_SCALE=1 pytest
+  benchmarks/bench_12_fleet.py -k transport`` on a 2-vCPU VM read
+  22.9 JSON qps against ~2 900 binary (x124-131) that way, and with
+  one write on a ``TCP_NODELAY`` socket reads 1 040-1 150 JSON qps
+  against 2 930-3 060 binary (x2.6-2.8). What the ratio measures now
+  is the wire and codec work the binary plane saves. At every scale
+  the JSON arm must also reach ``_JSON_QPS_FLOOR`` — the stall, if it
+  came back, would cap one keep-alive connection near 25 qps.
 
 * **shard scaling** — the same census workload against *sharded*
   fleets (``shards == workers``): every request is a spanning exact
@@ -99,13 +109,23 @@ _SHARD_COUNTS = (1, 4)
 _TRANSPORTS = ("json", "binary")
 #: Per-request batch for the transport A/B: small enough that the
 #: per-request cost is transport overhead, not refinement CPU (the
-#: quantity the >= 10x gate is about).
+#: quantity the binary-over-JSON gate is about).
 _TRANSPORT_BATCH_POINTS = 100
 _TRANSPORT_REQUESTS = 192
 #: Rounds of the transport A/B; every chunk keeps its minimum.
 _TRANSPORT_ROUNDS = 5
 #: In-flight frames the binary arm keeps queued per connection.
 _PIPELINE_DEPTH = 8
+#: Full-scale gate (>= 4 cores): binary qps over JSON qps on one fleet.
+#: x2.6-2.8 measured on a 2-vCPU VM once JSON responses left in one
+#: write; the old 10x gate passed on the JSON front's delayed-ACK stall
+#: (x124-131 with it), not on the protocol.
+_BINARY_SPEEDUP_GATE = 2.0
+#: Floor for the JSON arm at any scale: a response that waits out the
+#: client's 40 ms delayed ACK caps one keep-alive connection near
+#: 25 qps (22.9 measured), the one-write front does ~1 000 (1 017 at
+#: REPRO_SCALE=0.02) — 4x margin or more either way.
+_JSON_QPS_FLOOR = 100.0
 
 _STATE = {}
 
@@ -404,6 +424,13 @@ def test_transport_throughput(benchmark, fleet_workload):
                 t_requests / qps[arm], 3), round(qps[arm], 2),
             round(qps[arm] * t_batch / 1e6, 3),
         ])
+    # no scale skip: the CI smoke run (REPRO_SCALE=0.02) holds it too
+    assert qps["json"] >= _JSON_QPS_FLOOR, (
+        f"one keep-alive JSON connection must reach >= "
+        f"{_JSON_QPS_FLOOR:.0f} qps, got {qps['json']:.1f} — a response "
+        f"written in two sends waits out the client's 40 ms delayed ACK "
+        f"(~25 qps)"
+    )
 
 
 def test_fleet_scaling_asserted(fleet_workload):
@@ -479,9 +506,11 @@ def test_fleet_scaling_asserted(fleet_workload):
     )
     assert binary_speedup is not None, \
         "the transport A/B must have run at full scale"
-    assert binary_speedup >= 10.0, (
-        f"the binary transport must serve >= 10x JSON qps on the same "
-        f"fleet, got {binary_speedup:.1f}x"
+    assert binary_speedup >= _BINARY_SPEEDUP_GATE, (
+        f"the binary transport must serve >= {_BINARY_SPEEDUP_GATE:.0f}x "
+        f"JSON qps on the same fleet, got {binary_speedup:.1f}x (x2.6-2.8 "
+        f"measured on 2 vCPUs; the old 10x gate measured the JSON "
+        f"front's delayed-ACK stall, not the protocol)"
     )
     assert shard_speedup is not None, \
         "the sharded scaling benchmarks must have run at full scale"

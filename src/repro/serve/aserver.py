@@ -1,8 +1,8 @@
 """Asyncio binary front: pipelined connections for the fast data plane.
 
-The JSON front is thread-per-request: every connection parks a thread,
-every request pays header parsing, JSON decoding, and response string
-building. This front serves the :mod:`~repro.serve.binproto` protocol
+The JSON front is thread-per-connection: every connection parks a
+thread, every request pays header parsing, JSON decoding, and response
+string building. This front serves the :mod:`~repro.serve.binproto` protocol
 from one ``asyncio`` event loop per process instead:
 
 * connections are cheap (no thread per connection — the selector owns
@@ -248,7 +248,7 @@ class _BinaryProtocol(asyncio.Protocol):
         Called on the event loop for loop-safe work and from the
         scatter pool for requests that may wait on sibling shards;
         everything it touches (service, registry, metrics) is already
-        thread-safe for the HTTP front's thread-per-request model.
+        thread-safe for the HTTP front's thread-per-connection model.
         """
         try:
             # forwarded frames answer from the local shard slice (never

@@ -53,9 +53,13 @@ non-loopback peer get 403 regardless of the bind address:
   when the fleet runs sharded (404 otherwise).
 
 Budget overruns surface as HTTP 503 (shed), unknown indexes as 404,
-malformed requests as 400, and conflicting admin requests (duplicate
-register) as 409 — so load balancers and clients can react without
-parsing bodies.
+malformed requests as 400, conflicting admin requests (duplicate
+register) as 409, and a ``Content-Length`` over the binary plane's
+64 MiB frame limit as 413 (body unread, connection closed) — so load
+balancers and clients can react without parsing bodies. The stdlib's
+own refusals (501 unknown method, 414 request line too long, 431, …)
+are the same JSON error payload, never an HTML page. A response leaves
+in one write on a ``TCP_NODELAY`` socket (no delayed-ACK wait).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import json
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import accumulate
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..errors import (
@@ -75,6 +79,7 @@ from ..errors import (
 )
 from ..obs import Trace, mint_request_id
 from . import chaos, lifecycle
+from .binproto import MAX_FRAME_BYTES
 from .budget import Budget
 from .service import ACTService
 
@@ -94,6 +99,7 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY on every connection
 
     # the service is attached to the server object by create_server()
     @property
@@ -362,16 +368,8 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
             fleet_view=fleet_view,
             worker_id=getattr(self.server, "worker_id", None),
         )
-        body = text.encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type",
-                         "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(200, text.encode("utf-8"),
+                      "text/plain; version=0.0.4; charset=utf-8")
 
     def _handle_readyz(self) -> None:
         """``GET /readyz``: readiness, as distinct from liveness.
@@ -539,6 +537,14 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
                 "error": f"malformed Content-Length: {raw_length!r}",
             }, close=True)
             return None
+        if length > MAX_FRAME_BYTES:
+            # reading it would park this thread on a body that never
+            # comes, or allocate it all first; the unread bytes would
+            # then be misparsed as the next request: 413 and close
+            self._send(413, self._error_payload(
+                f"Content-Length {length} exceeds the "
+                f"{MAX_FRAME_BYTES}-byte body limit"), close=True)
+            return None
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError):
@@ -561,33 +567,53 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         else:
             self._send(500, self._error_payload(exc))
 
-    def _error_payload(self, exc: Exception) -> dict:
+    def _error_payload(self, error: Union[Exception, str]) -> dict:
         """Error body carrying the request id and the answering pid, so
         a fleet-mode failure is attributable to one request in one
         worker process."""
         return {
-            "error": str(exc),
+            "error": str(error),
             "request_id": getattr(self, "request_id", None),
             "pid": os.getpid(),
         }
 
-    def _send(self, status: int, payload: dict,
-              close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib's own refusals (unknown method, oversized request
+        line or headers, bad request line) as the front's JSON error
+        payload under a fresh request id, closing the connection. A
+        version-less (HTTP/0.9) request line keeps the stdlib's answer:
+        it has no status line or headers to carry either."""
+        if self.request_version == "HTTP/0.9":
+            super().send_error(code, message, explain)
+            return
+        # minted, not echoed: the headers may be unparsed, or left over
+        # from the previous request on this connection
+        self.request_id = mint_request_id()
+        reason = message or self.responses.get(code, ("",))[0]
+        self._send(code, self._error_payload(reason), close=True)
+
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
+        self._respond(status, json.dumps(payload).encode("utf-8"),
+                      "application/json", close=close)
+
+    def _respond(self, status: int, body: bytes, content_type: str,
+                 close: bool = False) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if close:
-            # tell the client *and* the request loop: this keep-alive
-            # stream is done (used when the request body could not be
-            # located, so the next bytes would be misread as a request)
+        if close:  # send_header also ends the request loop's keep-alive
             self.send_header("Connection", "close")
-            self.close_connection = True
         request_id = getattr(self, "request_id", None)
         if request_id:
             self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # no status line or headers to join
+            return
+        # end_headers would write the buffered status line and headers
+        # alone; the blank line and the body join them: one write
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:
         """Route per-request lines to metrics instead of stderr noise."""

@@ -1,5 +1,6 @@
 """HTTP smoke tests: the JSON API served by ``repro-act serve``."""
 
+import http.client
 import json
 import socket
 import threading
@@ -11,6 +12,7 @@ import pytest
 from _legacy_results import json_rows
 from repro.act.core import QueryResult, ResultBatch
 from repro.serve import ACTService, create_server
+from repro.serve.server import ACTRequestHandler
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +283,25 @@ class TestKeepAliveContentLength:
         # _read_response returning proves EOF: the unread body was not
         # silently consumed as a second pipelined request
 
+    @pytest.mark.parametrize("huge", [b"2000000000", b"100000000000"],
+                             ids=["2e9", "1e11"])
+    def test_oversized_content_length_413_and_close(self, http_server,
+                                                    huge):
+        """Over the 64 MiB frame limit nothing is read: a 2e9 length
+        would park the handler thread waiting for the body, a 1e11 one
+        would raise MemoryError (a 500) before reading a byte."""
+        sock = self._raw(http_server)
+        try:
+            sock.sendall(self._request(huge))
+            response = self._read_response(sock)
+        finally:
+            sock.close()
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"connection: close" in head.lower()
+        assert json.loads(payload)["error"].startswith(
+            "Content-Length " + huge.decode())
+
     def test_valid_keep_alive_still_pipelines(self, http_server):
         """Control: two well-formed requests on one connection both get
         answers (the close is for malformed framing only)."""
@@ -295,6 +316,123 @@ class TestKeepAliveContentLength:
                 seen += chunk
         finally:
             sock.close()
+
+
+def _exchange(server, request: bytes):
+    """One raw request on a fresh connection: its response (an
+    ``http.client.HTTPResponse``), the response body, and the client's
+    address as the server sees it."""
+    sock = socket.create_connection(("127.0.0.1", server.server_address[1]),
+                                    timeout=10.0)
+    try:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response, response.read(), sock.getsockname()
+    finally:
+        sock.close()
+
+
+class TestStdlibErrors:
+    """``send_error`` — the stdlib's own refusals — answers like every
+    other error of the front: JSON, with a request id."""
+
+    def test_unknown_method_501_is_json(self, http_server):
+        response, body, _ = _exchange(
+            http_server, b"PUT /query HTTP/1.1\r\nHost: x\r\n"
+                         b"X-Request-Id: client-chosen\r\n\r\n")
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert response.getheader("Connection") == "close"
+        request_id = response.getheader("X-Request-Id")
+        # minted: the stdlib may refuse before the headers are parsed
+        assert request_id and request_id != "client-chosen"
+        payload = json.loads(body)
+        assert payload["request_id"] == request_id
+        assert "PUT" in payload["error"]
+
+    def test_oversized_request_line_414_is_json(self, http_server):
+        response, body, _ = _exchange(
+            http_server,
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert response.status == 414
+        assert response.getheader("Content-Type") == "application/json"
+        assert json.loads(body)["request_id"] == \
+            response.getheader("X-Request-Id")
+
+
+class _WriteCountingHandler(ACTRequestHandler):
+    """Records every ``wfile.write`` per connection, and the accepted
+    socket's ``TCP_NODELAY``, keyed by the client's address."""
+
+    def setup(self):
+        super().setup()
+        self.server.nodelay[self.client_address] = \
+            self.connection.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        writes = self.server.writes.setdefault(self.client_address, [])
+        write = self.wfile.write
+
+        def counted(data):
+            writes.append(bytes(data))  # before the client can see it
+            return write(data)
+
+        self.wfile.write = counted
+
+
+@pytest.fixture(scope="module")
+def counting_server(nyc_index):
+    service = ACTService()
+    service.registry.register_index("nyc", nyc_index)
+    server = create_server(service, port=0)
+    server.RequestHandlerClass = _WriteCountingHandler
+    server.writes, server.nodelay = {}, {}
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    service.close()
+    thread.join(timeout=5.0)
+
+
+def _http(method: str, path: str, body: bytes = b"",
+          length=None) -> bytes:
+    length = str(len(body)).encode() if length is None else length
+    return (method.encode() + b" " + path.encode() + b" HTTP/1.1\r\n"
+            b"Host: x\r\nContent-Length: " + length + b"\r\n\r\n" + body)
+
+
+_POINTS = b'{"index": "nyc", "points": [[-73.97, 40.75], [-74.0, 40.7]]}'
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave in one write on a socket with
+    Nagle off. Written in two, the body waits out the client's delayed
+    ACK (~40 ms on Linux) — the stall is counted here, not timed."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (_http("POST", "/query", _POINTS), 200),
+        (_http("GET", "/query?index=nyc&lng=-73.97&lat=40.75"), 200),
+        (_http("GET", "/metrics"), 200),
+        (_http("GET", "/stats"), 200),
+        (_http("POST", "/query", b"not json"), 400),
+        (_http("GET", "/query?index=zzz&lng=0&lat=0"), 404),
+        (_http("POST", "/query", b'{"index": "nyc", "points": '
+                                 b'[[1.5, 2.5]], "budget_ms": -1}'), 503),
+        (_http("POST", "/query", _POINTS, length=b"abc"), 400),
+        (_http("POST", "/query", _POINTS, length=b"2000000000"), 413),
+        (_http("PUT", "/query"), 501),
+    ], ids=["post-query-200", "get-query-200", "metrics-200", "stats-200",
+            "bad-body-400", "unknown-index-404", "shed-503",
+            "malformed-length-400-close", "oversized-413", "stdlib-501"])
+    def test_one_write(self, counting_server, request_bytes, status):
+        response, body, client = _exchange(counting_server, request_bytes)
+        assert response.status == status
+        writes = counting_server.writes[client]
+        assert len(writes) == 1, [w[:40] for w in writes]
+        assert writes[0].endswith(body)
+        assert counting_server.nodelay[client] != 0
 
 
 class TestConcurrentClients:
