@@ -32,6 +32,7 @@ from typing import List, Optional
 from . import __version__
 from .act.index import ACTIndex
 from .datasets import nyc, points
+from .serve.cache import DEFAULT_CAPACITY
 
 #: Synthetic datasets the CLI can build indexes over.
 DATASET_CHOICES = ("boroughs", "neighborhoods", "census")
@@ -446,8 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "over the binary protocol (implies a "
                               "binary data plane; see docs/"
                               "ARCHITECTURE.md)")
-    p_serve.add_argument("--cache-capacity", type=int, default=65536,
-                         help="cell result cache entries (0 disables)")
+    p_serve.add_argument("--cache-capacity", type=int,
+                         default=DEFAULT_CAPACITY,
+                         help="cell result cache entries (0 disables; "
+                              "default: %(default)s)")
     p_serve.add_argument("--budget-ms", type=float, default=None,
                          help="default per-request latency budget")
     p_serve.add_argument("--lazy", action="store_true",

@@ -13,7 +13,9 @@ point (HTTP server, CLI, benchmarks). Per point query it:
    ``ACTIndex.query`` call;
 4. on a miss, answers inline with one scalar descent on the calling
    thread (a ~10 µs lookup is cheaper than any queue hand-off that
-   could amortize it) and caches the cell's result;
+   could amortize it) and offers the cell's result to the cache, which
+   keeps it on the cell's second miss — a cell missed once, as in a
+   scan, never takes a slot;
 5. refines candidates per point for ``exact`` mode (cached cell results
    are classified, so exactness survives caching) and records latency.
 
@@ -46,7 +48,7 @@ from ..grid.base import INVALID_KEY
 from ..obs import PrometheusRenderer, SlowQueryLog, Trace, Tracer
 from . import chaos
 from .budget import Budget
-from .cache import CellResultCache
+from .cache import DEFAULT_CAPACITY, CellResultCache
 from .metrics import MetricsRegistry
 from .registry import _UNSET, IndexGeneration, IndexRegistry
 
@@ -63,7 +65,7 @@ TELEMETRY_MODES = ("full", "counters", "off")
 class ServeConfig:
     """Tuning knobs for one service instance."""
 
-    cache_capacity: int = 65536
+    cache_capacity: int = DEFAULT_CAPACITY
     default_budget_ms: Optional[float] = None
     #: One of :data:`TELEMETRY_MODES`.
     telemetry: str = "full"
@@ -302,9 +304,11 @@ class ACTService:
         Network clients amortize the same way in-process callers do:
         one vectorized ``point_keys`` pass produces the cache keys, all
         cache misses are answered by a single batch descent against the
-        core (results are cached for the scalar path too — the keyspace
-        is shared), and ``exact`` refinement is grouped by polygon over
-        the batch. Returns the batch's columns; they read as one
+        core (each missed cell is offered to the cache, which keeps it
+        on its second miss; the keyspace is shared with the scalar
+        path), and ``exact`` refinement runs through the index's
+        packed-edge engine in one vectorized pass over the batch's
+        candidate pairs. Returns the batch's columns; they read as one
         ``QueryResult`` per point for callers that index or iterate. A
         spent budget sheds the whole batch with
         :class:`~repro.errors.BudgetExceededError`.
@@ -631,7 +635,8 @@ class ACTService:
         for key in ("size", "capacity"):
             renderer.gauge(f"cache_{key}", cache_stats[key],
                            labels=dict(base))
-        for key in ("hits", "misses", "evictions", "invalidations"):
+        for key in ("hits", "misses", "evictions", "invalidations",
+                    "rejected"):
             renderer.counter(f"cache_{key}", cache_stats[key],
                              labels=dict(base))
         for (name, generation), entries in sorted(

@@ -82,6 +82,16 @@ class TestMetricsEndpoint:
                             {"le": "+Inf"})
         assert count == inf >= after
 
+    def test_cache_rejections_are_rendered(self, metrics_server):
+        server, service = metrics_server
+        # a cell's first miss is a doorkeeper rejection
+        _get_raw(server, "/query?index=nyc&lng=-73.91&lat=40.81")
+        _, text = _scrape(server)
+        rejected = _sample_value(parse_exposition(text),
+                                 "repro_cache_rejected_total",
+                                 "repro_cache_rejected_total")
+        assert rejected == service.cache.rejected >= 1
+
     def test_generation_label_changes_across_reload(self, metrics_server):
         server, service = metrics_server
         _get_raw(server, "/query?index=nyc&lng=-73.97&lat=40.75")

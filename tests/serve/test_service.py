@@ -1,8 +1,10 @@
 """Tests for the full serving stack (cache + descent + budget)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import BudgetExceededError, UnknownIndexError
+from repro.grid.base import INVALID_KEY
 from repro.serve import ACTService, Budget, ServeConfig
 
 
@@ -22,10 +24,42 @@ class TestQueryPath:
             assert service.query("nyc", lng, lat) == expected
 
     def test_repeat_query_hits_cache(self, service):
-        service.query("nyc", -73.97, 40.75)
+        # the first miss is remembered, the second cached
+        for _ in range(2):
+            service.query("nyc", -73.97, 40.75)
         before = service.metrics.counter("queries.cache_hits").value
         service.query("nyc", -73.97, 40.75)
         assert service.metrics.counter("queries.cache_hits").value == before + 1
+
+    def test_hot_cells_survive_a_one_hit_scan(self, nyc_index, rng_serve):
+        # a scan of twice the capacity in distinct cells, each missed
+        # once: under plain LRU it evicts every hot cell; with
+        # second-hit admission it never enters the cache
+        capacity = 256
+        grid, level = nyc_index.grid, nyc_index.boundary_level
+        hot_lngs, hot_lats = [-73.97, -73.95, -73.99], [40.75, 40.72, 40.70]
+        hot_keys = set(grid.point_keys(np.asarray(hot_lngs),
+                                       np.asarray(hot_lats), level).tolist())
+        lngs = rng_serve.uniform(grid.bounds.min_x, grid.bounds.max_x, 8192)
+        lats = rng_serve.uniform(grid.bounds.min_y, grid.bounds.max_y, 8192)
+        keys = grid.point_keys(lngs, lats, level).tolist()
+        first = {}
+        for k, key in enumerate(keys):
+            if key != int(INVALID_KEY) and key not in hot_keys:
+                first.setdefault(key, k)
+        scan = np.asarray(list(first.values())[:2 * capacity])
+        assert scan.shape[0] == 2 * capacity
+        svc = ACTService(config=ServeConfig(cache_capacity=capacity))
+        svc.registry.register_index("nyc", nyc_index)
+        with svc:
+            for _ in range(2):
+                svc.query_batch("nyc", hot_lngs, hot_lats)
+            for k in scan.tolist():
+                svc.query("nyc", float(lngs[k]), float(lats[k]))
+            hits = svc.cache.hits
+            svc.query_batch("nyc", hot_lngs, hot_lats)
+            assert svc.cache.hits == hits + len(hot_lngs)
+            assert svc.cache.stats()["evictions"] == 0
 
     def test_exact_mode_matches_query_exact(self, service, nyc_index,
                                             query_points):
