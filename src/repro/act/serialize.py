@@ -218,20 +218,6 @@ def save_index_atomic(index: ACTIndex, path: Union[str, Path]) -> Path:
     return path
 
 
-def generation_path(path: Union[str, Path], generation: int) -> Path:
-    """The generation-suffixed sibling of an index path.
-
-    ``idx.npz`` at generation 7 becomes ``idx.gen000007.npz``; reload
-    coordinators write each new generation to its own file so workers
-    still serving (and mmap-ing) an older generation are untouched.
-    """
-    path = Path(path)
-    suffix = path.suffix or ".npz"
-    stem = path.name[:-len(suffix)] if path.name.endswith(suffix) \
-        else path.name
-    return path.with_name(f"{stem}.gen{generation:06d}{suffix}")
-
-
 def _npy_payload(raw: bytes) -> bytes:
     """The data bytes of a v1/v2 ``.npy`` stream, without a numpy
     array round-trip — the manifest is a tiny uint8 member, and going

@@ -276,8 +276,9 @@ def cmd_admin(args) -> int:
         return 1
     print(json.dumps(payload, indent=2, sort_keys=True))
     if payload.get("complete") is False:
-        # a fleet reload that timed out waiting for some worker's ack:
-        # surface it in the exit code so scripts notice
+        # a fleet reload that was rolled back, or that some worker did
+        # not map before the timeout: surface it in the exit code so
+        # scripts notice
         return 1
     return 0
 
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="base URL of the running server")
     p_admin.add_argument("--timeout", type=float, default=60.0,
                          help="HTTP timeout in seconds (fleet reloads "
-                              "wait for every worker to ack)")
+                              "wait for every worker to map them)")
     admin_sub = p_admin.add_subparsers(dest="admin_command", required=True)
     admin_sub.add_parser("indexes",
                          help="list indexes: name, generation, source, "

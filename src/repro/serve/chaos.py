@@ -25,7 +25,8 @@ entries::
     binary.request=reset:0.05       5% of binary frames reset the conn
 
 Points: ``artifact.load`` (registry materialization — every register/
-reload/first-use load of a serialized index), ``query`` (service batch
+reload/first-use load of a serialized index — and a fleet coordinator's
+read of the operator's file), ``query`` (service batch
 admission, both fronts), ``binary.request`` (asyncio front
 dispatch), and ``shard.forward`` (the sharded router's scatter path,
 fired once per remote owner — ``kill`` here is the kill-one-shard

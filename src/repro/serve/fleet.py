@@ -4,77 +4,38 @@ The paper's headline result is near-linear multi-core scaling of ACT
 joins (28 cores, up to 4.3 B points/s); a single GIL-bound process
 cannot show that for serving. The fleet is the serving analog of
 :mod:`repro.join.parallel`'s fork discipline: the parent materializes
-every registered index once
-(:meth:`~repro.serve.registry.IndexRegistry.prewarm` — mmap-loaded node
-pools are file-backed, so forked children share their pages through the
-page cache), binds the listening socket(s), then forks ``N`` workers
-that each run a full :class:`~repro.serve.service.ACTService` plus HTTP
-server. The parent never serves; it supervises.
+every registered index once (mmap-loaded node pools are file-backed,
+so forked children share their pages through the page cache), binds
+the listening socket(s), then forks ``N`` workers that each run a full
+:class:`~repro.serve.service.ACTService` plus HTTP server. The parent
+never serves; it supervises — a crashed worker is respawned into its
+slot, and :meth:`ServingFleet.shutdown` (the CLI wires ``SIGTERM`` to
+it) drains every worker's in-flight requests before it exits 0.
 
-Socket sharing uses ``SO_REUSEPORT`` where the platform has it: every
-worker accepts on its *own* socket bound to the same address, and the
-kernel load-balances connections across the group (per-worker accept
-queues, no thundering herd). The parent keeps a handle on every socket
-so a crashed worker's accept queue survives until its replacement is
-forked into the same slot. Where ``SO_REUSEPORT`` is unavailable the
-fleet falls back to the classic pre-fork model: one listening socket
-bound by the parent, its fd handed to every worker through ``fork``,
-all workers accepting from the shared queue (the sockets are
-non-blocking, so a raced ``accept`` is absorbed instead of wedging a
-worker).
+Sockets: with ``SO_REUSEPORT`` every worker accepts on its own socket
+bound to the same address and the kernel balances connections; else
+one parent-bound socket is shared through ``fork`` (non-blocking, so a
+raced ``accept`` is absorbed). The parent holds every socket, so a
+crashed worker's accept queue survives until its replacement forks.
 
-Supervision: a parent thread restarts crashed workers into their slot;
-:meth:`ServingFleet.shutdown` (the CLI wires ``SIGTERM`` to it) asks
-each worker to stop accepting, finish its in-flight requests — the
-worker's server joins live request threads on close — publish a final
-metrics snapshot, and exit 0. Workers that outlive the drain timeout
-are killed.
+Shared state is files in the artifact directory, not a process
+(:mod:`repro.serve.statedir`): generation directories, ``current.json``
+naming the ones served, and each worker's ``service.stats()`` snapshot,
+which every worker's ``/stats`` and ``/metrics`` aggregate. Before any
+worker forks, a one-shot child (the *cutter*) writes every prewarmed
+index's first directory — its temporaries never enter the heap the
+workers fork from; admin operations (:mod:`repro.serve.lifecycle`)
+publish the later ones.
 
-Shared state is files, not a process: the fleet keeps two small
-directories in its artifact directory — ``snapshots/`` and ``control/``,
-one JSON record per key (:mod:`repro.serve.statedir`) — cleared when the
-fleet starts and removed when it stops.
-
-Observability: each worker periodically publishes its
-``service.stats()`` snapshot as ``snapshots/<slot>``; every worker's
-``/stats`` response carries a ``fleet`` section aggregating them
-(fleet-wide qps, sheds, errors, p99 upper bound), so operators see the
-whole fleet from any single worker.
-
-Index lifecycle: ``control/`` is the fleet's admin control channel (see
-:mod:`repro.serve.lifecycle`), serialized by a ``flock`` the kernel
-releases if its holder dies. Any worker's loopback
-``POST /admin/reload`` (or the parent's :meth:`ServingFleet.admin`)
-coordinates a zero-downtime fleet-wide swap: the receiver materializes
-the new generation once, writes it to a side ``.npz``, and every other
-process mmaps it, swaps its hot view, invalidates its cell cache, and
-acks — the admin response returns only after the whole fleet converged,
-and no query fails or mixes generations while it happens.
-
-Shard mode (``FleetConfig(shards=N)``): instead of every worker
-serving every index, a one-shot child of the parent (the *cutter*)
-plans a :class:`~repro.serve.shard.ShardMap` over the prewarmed indexes
-(contiguous boundary-level cell-id ranges, weighted by coverage),
-writes one slice archive per index and slot into the artifact
-directory (:func:`~repro.serve.shard.write_slices`), hands the map
-back over a pipe and exits — its temporaries never enter the heap the
-workers are forked from. The parent publishes the map on the control
-channel, and each worker slot memory-maps only its own slice files
-behind a :class:`~repro.serve.router.ShardedACTService`; no worker
-opens a full index. The binary data plane
-then binds one *distinct* socket per slot — shard routing needs
-per-worker addressing, which a kernel-balanced ``SO_REUSEPORT`` group
-cannot provide — with the parent holding every listening socket, so a
-killed worker's forwards queue in its backlog until the supervisor
-respawns the slot (the router's reconnect-and-replay rides this).
-Any worker answers any request: non-owned keys forward shard-wise over
-``OP_FORWARD_QUERY``/``OP_FORWARD_JOIN`` and gather back. Workers
-publish ``admission: {inflight, ts}`` inside their stats snapshots;
-the router sheds at admission only when every owning slot reports a
-fresh saturated snapshot. Rebalancing (:meth:`ServingFleet.rebalance`)
-runs the cutter again and publishes its higher-generation map; workers
-map their new slice files on their next publisher tick — placement is
-just another generation swap.
+Shard mode (``FleetConfig(shards=N)``): the cutter also plans a
+:class:`~repro.serve.shard.ShardMap` and writes one slice per slot into
+each directory; a worker maps only its slot's slices behind a
+:class:`~repro.serve.router.ShardedACTService`. The binary plane binds
+one socket per slot, so a killed worker's forwards queue in its backlog
+until the respawn. Any worker answers any request by forwarding
+non-owned keys, and sheds only when every owning slot's snapshot
+reports saturation. :meth:`ServingFleet.rebalance` re-runs the cutter
+under the next map generation and publishes it in one replace.
 """
 
 from __future__ import annotations
@@ -99,24 +60,21 @@ from ..errors import ServeError
 from ..join.parallel import fork_available
 from ..obs.histogram import merge_histogram_snapshots
 from .aserver import BinaryFrontend
-from .lifecycle import PARENT_IDENTITY, FleetLifecycle
+from .lifecycle import FleetLifecycle
 from .registry import IndexGeneration, IndexRegistry
 from .router import ShardedACTService
 from .server import ACTHTTPServer
 from .service import ACTService, ServeConfig
-from .shard import (ShardMap, plan_shard_map, publish_shard_map,
-                    write_slices)
-from .statedir import DirMapping, FileLock
+from .shard import ShardMap, plan_shard_map
+from .statedir import (FULL, GENS, MANIFEST, DirMapping, generation_dir,
+                       read_current, read_json, replace_current,
+                       write_generation)
 
 _log = logging.getLogger(__name__)
 
 #: Listen backlog per socket; generous because a crashed worker's queue
 #: buffers connections until the supervisor respawns it.
 _BACKLOG = 128
-
-
-def reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 def fleet_available() -> bool:
@@ -153,11 +111,11 @@ class FleetConfig:
     #: ``None`` auto-detects ``SO_REUSEPORT``; ``False`` forces the
     #: shared-socket fallback (used by tests to cover both modes).
     reuseport: Optional[bool] = None
-    #: How long an admin operation waits for every process to ack a
+    #: How long an admin operation waits for every worker to map a
     #: fleet-wide lifecycle change before reporting the stragglers.
     admin_timeout_s: float = 30.0
-    #: Where reload coordinators write side ``.npz`` artifacts; ``None``
-    #: creates (and cleans up) a private temp directory.
+    #: Where the fleet keeps its state files; ``None`` creates (and
+    #: cleans up) a private temp directory.
     artifact_dir: Optional[str] = None
     #: ``0`` disables sharding (every worker serves every index).
     #: ``N > 0`` runs the fleet sharded: must equal ``workers`` (one
@@ -173,9 +131,10 @@ class FleetConfig:
     shed_staleness_s: float = 2.0
 
 
-#: Reserved snapshot-channel key: counters and histogram buckets
-#: inherited from crashed workers (folded in by the supervisor so fleet
-#: totals stay monotone across restarts).
+#: Reserved snapshot-channel key: counters and histogram buckets no
+#: live worker reports — those of crashed workers (folded in by the
+#: supervisor so fleet totals stay monotone across restarts) and the
+#: fault and sweep counts of operations the parent coordinated.
 RETIRED_KEY = "retired"
 
 #: The counters the fleet aggregate sums across workers.
@@ -213,33 +172,19 @@ _AGGREGATED_HISTOGRAMS = (
 )
 
 
-def _retired_parts(retired: dict) -> Tuple[dict, dict]:
-    """``(counters, histograms)`` from a retired baseline entry.
-
-    Accepts both the current nested shape and the legacy flat counter
-    dict a pre-upgrade supervisor may have written.
-    """
-    if "counters" in retired or "histograms" in retired:
-        return retired.get("counters", {}), retired.get("histograms", {})
-    return retired, {}
-
-
 def aggregate_snapshots(snapshots: Dict[object, dict]) -> dict:
     """Fleet-wide view over per-worker ``service.stats()`` snapshots.
 
-    Counters sum across live workers plus the ``RETIRED_KEY`` baseline
-    of crashed predecessors, so totals never go backwards when a slot
-    is respawned. Fleet qps is total queries over the longest worker
-    uptime (workers start together, so this is the fleet's lifetime).
-    Latency histograms share one fixed bucket ladder fleet-wide, so
-    per-worker snapshots merge bucket-wise
-    (:func:`repro.obs.histogram.merge_histogram_snapshots`) and the
-    fleet p50/p99/p999 are real quantiles of the union of every
-    worker's samples — not a worst-worker bound.
+    Counters sum across live workers plus the ``RETIRED_KEY`` baseline,
+    so totals never go backwards when a slot is respawned; fleet qps is
+    total queries over the longest worker uptime. Latency histograms
+    share one bucket ladder, so they merge bucket-wise and the fleet
+    p50/p99/p999 are real quantiles of every worker's samples.
     """
     per_worker: List[dict] = []
     retired = snapshots.get(RETIRED_KEY, {})
-    retired_counters, retired_hists = _retired_parts(retired)
+    retired_counters = retired.get("counters", {})
+    retired_hists = retired.get("histograms", {})
     totals = {key: int(retired_counters.get(key, 0))
               for key in _AGGREGATED_COUNTERS}
     merge_inputs: Dict[str, List[dict]] = {
@@ -328,7 +273,7 @@ class ServingFleet:
                 # an ephemeral port rather than refusing to start
                 self.config = dataclasses.replace(self.config,
                                                   binary_port=0)
-        self.reuseport = (reuseport_available()
+        self.reuseport = (hasattr(socket, "SO_REUSEPORT")
                           if self.config.reuseport is None
                           else bool(self.config.reuseport))
         self._ctx = multiprocessing.get_context("fork")
@@ -341,8 +286,6 @@ class ServingFleet:
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
         self._snapshots: Optional[DirMapping] = None
-        self._control: Optional[DirMapping] = None
-        self._op_lock: Optional[FileLock] = None
         self._lifecycle: Optional[FleetLifecycle] = None
         self._artifact_dir: Optional[str] = None
         self._own_artifact_dir = False
@@ -375,30 +318,26 @@ class ServingFleet:
         else:
             self._artifact_dir = tempfile.mkdtemp(prefix="repro-fleet-")
             self._own_artifact_dir = True
-        # the stats + admin channels: emptied, so that a reused
-        # directory's last seq / op / acks / map and dead workers'
-        # snapshots are never read as this run's
-        state = Path(self._artifact_dir)
-        self._snapshots = DirMapping(state / "snapshots").reset()
-        self._control = DirMapping(state / "control").reset()
-        self._op_lock = FileLock(state / "control" / ".lock")
+        # emptied, so that a reused directory's generations and dead
+        # workers' snapshots are never read as this run's (its
+        # current.json is replaced before any worker reads it)
+        self._snapshots = DirMapping(
+            Path(self._artifact_dir) / "snapshots").reset()
+        shutil.rmtree(Path(self._artifact_dir) / GENS, ignore_errors=True)
         self._lifecycle = FleetLifecycle(
-            self._control, self._op_lock, PARENT_IDENTITY,
-            workers=self.config.workers, registry=self.registry,
-            artifact_dir=self._artifact_dir,
+            self._artifact_dir, self.config.workers,
+            snapshots=self._snapshots,
             timeout_s=self.config.admin_timeout_s,
-        )
-        if self.config.shards:
-            # plan placement over the prewarmed (full) indexes, write
-            # every slot's slice files, and publish the map on the
-            # control channel before any worker forks; each worker maps
-            # its own slot's files under the map it inherits
-            try:
-                self.shard_map = self._cut(generation=1)
-            except BaseException:
-                self.shutdown()  # no half-fleet: nothing was forked yet
-                raise
-            publish_shard_map(self._control, self.shard_map)
+            count=lambda name, n: self._retire({name: n}, {}))
+        # publish every prewarmed index's first directory (in shard
+        # mode, placement and slices) before any worker forks
+        try:
+            self.shard_map, current = self._cut(
+                dict(self.registry.materialized), 1)
+        except BaseException:
+            self.shutdown()  # no half-fleet: nothing was forked yet
+            raise
+        replace_current(self._artifact_dir, current)
         self._bind_sockets()
         self._processes = [None] * self.config.workers
         self._spawn_times = [0.0] * self.config.workers
@@ -439,30 +378,26 @@ class ServingFleet:
                 for slot, sock in enumerate(self._binary_sockets)}
 
     def rebalance(self) -> ShardMap:
-        """Re-plan placement, cut it, and publish it as the next map
-        generation.
-
-        The cutter writes every slot's slice files before the map is
-        published; workers map theirs on their next publisher tick, and
-        queries keep flowing throughout. Holds the fleet's admin
-        operation lock, so a reload never cuts under one map while
-        workers look its slices up under another. If the cutter fails
-        this raises and the old map stays published.
+        """Re-plan placement over what the fleet serves and publish it
+        as the next map generation: the cutter writes a new directory of
+        every index (the same data, cut under the new map), and one
+        replace of ``current.json`` moves them all. Returns once every
+        worker maps them; queries keep flowing. Runs under the admin
+        lock. If the cutter fails, or a worker cannot map its slice (the
+        fleet rolls back), this raises and the old map stays published.
         """
         if self.shard_map is None or self._lifecycle is None:
             raise ServeError("fleet is not running in shard mode")
-        if not self._op_lock.acquire(True, self.config.admin_timeout_s):
+        with self._lifecycle.admin_lock():
+            before = read_current(self._artifact_dir)
+            shard_map, cut = self._cut(None, self.shard_map.generation + 1)
+            outcome = self._lifecycle.publish(before, {**before, **cut})
+            if not outcome.get("failed"):
+                self.shard_map = shard_map
+        if not outcome["complete"]:
             raise ServeError(
-                "another admin operation is in progress fleet-wide")
-        try:
-            # absorb the last operation first: the cut must be of the
-            # generations the workers serve
-            self._lifecycle.poll()
-            self.shard_map = self._cut(
-                generation=self.shard_map.generation + 1)
-            publish_shard_map(self._control, self.shard_map)
-        finally:
-            self._op_lock.release()
+                f"rebalance to map generation {shard_map.generation} did "
+                f"not converge: {self._lifecycle.last_error}")
         return self.shard_map
 
     def live_workers(self) -> int:
@@ -475,13 +410,10 @@ class ServingFleet:
         return aggregate_snapshots(_read_snapshots(self._snapshots))
 
     def admin(self, request: dict) -> dict:
-        """Run one lifecycle operation fleet-wide from the parent.
-
-        Same request/response shapes as the HTTP admin surface (the
-        parent becomes the coordinator): e.g. ``fleet.admin({"op":
-        "reload", "name": "nyc", "path": "new.npz"})`` returns after
-        every worker swapped and acked the new generation.
-        """
+        """Run one lifecycle operation fleet-wide, coordinated by the
+        parent: same request/response shapes as the HTTP admin surface,
+        e.g. ``fleet.admin({"op": "reload", "name": "nyc", "path":
+        "new.npz"})``."""
         if self._lifecycle is None:
             raise ServeError("fleet is not started")
         return self._lifecycle.submit(request)
@@ -526,11 +458,10 @@ class ServingFleet:
         self._sockets = []
         self._binary_sockets = []
         self._lifecycle = None
-        self._op_lock = None
-        for mapping in (self._snapshots, self._control):
-            if mapping is not None:  # ours to remove, whoever owns the rest
-                shutil.rmtree(mapping.path, ignore_errors=True)
-        self._snapshots = self._control = None
+        # the snapshots are ours to remove, whoever owns the directory
+        if self._snapshots is not None:
+            shutil.rmtree(self._snapshots.path, ignore_errors=True)
+        self._snapshots = None
         if self._own_artifact_dir and self._artifact_dir is not None:
             shutil.rmtree(self._artifact_dir, ignore_errors=True)
             self._artifact_dir = None
@@ -544,21 +475,21 @@ class ServingFleet:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cut(self, generation: int) -> ShardMap:
-        """Plan map ``generation`` and write every slot's slice files,
-        in a one-shot forked child; returns the map, unpublished.
-
-        A child, not this process: cutting here left tens of MiB of
-        freed-but-retained heap behind, which every worker forked
-        afterwards inherits. The child reports over a pipe and exits;
-        if it reports an error, dies, or exits non-zero this raises
-        :class:`~repro.errors.ServeError` and nothing was published.
+    def _cut(self, records: Optional[Dict[str, IndexGeneration]],
+             map_generation: int) -> Tuple[Optional[ShardMap],
+                                           Dict[str, int]]:
+        """Write a generation directory of every index — ``records``,
+        or (``None``) what ``current.json`` names — in a one-shot forked
+        child (cutting here left tens of MiB of retained heap that every
+        worker forked afterwards inherits); in shard mode, cut under map
+        ``map_generation``, planned there. Returns the map and ``{name:
+        directory number}``, unpublished; raises
+        :class:`~repro.errors.ServeError` if the child fails or dies.
         """
-        records = dict(self.registry.materialized)
         recv, send = self._ctx.Pipe(duplex=False)
         child = self._ctx.Process(
             target=_cutter_main, name="fleet-cutter",
-            args=(send, records, self.config.shards, generation,
+            args=(send, records, self.config.shards, map_generation,
                   self._artifact_dir))
         child.start()
         send.close()
@@ -571,14 +502,16 @@ class ServingFleet:
         finally:
             recv.close()
             child.join()
-        if child.exitcode != 0 or "map" not in report:
+        if child.exitcode != 0 or "generations" not in report:
             raise ServeError(
-                f"shard cutter failed (exit code {child.exitcode}): "
+                f"the cutter failed (exit code {child.exitcode}): "
                 f"{report.get('error', 'it died before reporting')}")
-        shard_map = ShardMap.from_wire(report.pop("map"))
+        wire, generations = report.pop("map"), report.pop("generations")
         self.last_cut = report
+        if wire is None:
+            return None, generations
         _log.info("%s", describe_cut(report))
-        return shard_map
+        return ShardMap.from_wire(wire), generations
 
     def _bind_sockets(self) -> None:
         first = self._listen_socket(self.config.port)
@@ -648,10 +581,7 @@ class ServingFleet:
             name=f"fleet-worker-{slot}",
             args=(slot, self._worker_socket(slot), self.registry,
                   self.config, self._snapshots, os.getpid(),
-                  self._control, self._op_lock, self._artifact_dir,
-                  self._worker_binary_socket(slot),
-                  (self.shard_map.to_wire()
-                   if self.shard_map is not None else None),
+                  self._artifact_dir, self._worker_binary_socket(slot),
                   (self.shard_addresses
                    if self.config.shards else None)),
         )
@@ -669,20 +599,10 @@ class ServingFleet:
             self._spawn_times[slot] = time.monotonic()
 
     def _supervise(self) -> None:
-        """Restart crashed workers into their slot until shutdown.
-
-        Also absorbs pending admin operations into the *parent's*
-        registry (before any respawn below), so a worker forked after a
-        reload inherits the current generation instead of the one the
-        fleet was born with.
-        """
+        """Restart crashed workers into their slot until shutdown. A
+        respawned worker maps what ``current.json`` names before it
+        serves, whatever generation the parent's records are."""
         while not self._stop.wait(0.2):
-            lifecycle = self._lifecycle
-            if lifecycle is not None:
-                try:
-                    lifecycle.poll()
-                except Exception:  # pragma: no cover - never kill the
-                    pass           # supervisor over an admin op
             for slot in range(self.config.workers):
                 with self._lock:
                     process = self._processes[slot]
@@ -692,7 +612,10 @@ class ServingFleet:
                 if self._stop.is_set():
                     break
                 try:
-                    for mapping in (self._snapshots, self._control):
+                    # a worker killed mid-write of a snapshot, or of
+                    # current.json as a coordinator, left a temporary
+                    for mapping in (self._snapshots,
+                                    DirMapping(self._artifact_dir)):
                         mapping.sweep_partials(process.pid)
                     self._retire_snapshot(slot)
                 except OSError:  # costs the dead worker's totals, not
@@ -723,48 +646,44 @@ class ServingFleet:
             return self._backoffs[slot]
 
     def _retire_snapshot(self, slot: int) -> None:
-        """Fold a crashed worker's last snapshot into the retired base.
-
-        Its replacement republishes the slot from zero; without this the
-        fleet totals (and merged latency buckets) would drop by
-        everything the dead worker served. The supervisor is the only
-        writer of the retired entry, so the read-modify-write needs no
-        cross-process lock. (Counters lag by at most one publish
-        interval — whatever the worker served after its last snapshot
-        dies with it.)
-        """
-        snapshots = self._snapshots
-        last = snapshots.get(slot)
+        """Fold a crashed worker's last snapshot into the retired base,
+        or fleet totals and latency buckets would drop by everything it
+        served (less up to one publish interval)."""
+        last = self._snapshots.get(slot)
         if not last:
             return
         metrics = last.get("metrics", {})
-        counters = metrics.get("counters", {})
-        histograms = metrics.get("histograms", {})
-        base_counters, base_hists = _retired_parts(
-            snapshots.get(RETIRED_KEY, {}))
-        folded_counters = dict(base_counters)
-        for key, value in counters.items():
-            folded_counters[key] = (int(folded_counters.get(key, 0))
-                                    + int(value))
-        folded_hists = dict(base_hists)
-        for name in _AGGREGATED_HISTOGRAMS:
-            merged = merge_histogram_snapshots([
-                s for s in (base_hists.get(name), histograms.get(name))
-                if s is not None
-            ])
-            if merged is not None:
-                folded_hists[name] = merged
-        snapshots[RETIRED_KEY] = {
-            "counters": folded_counters,
-            "histograms": folded_hists,
-        }
-        del snapshots[slot]
+        self._retire(metrics.get("counters", {}),
+                     metrics.get("histograms", {}))
+        del self._snapshots[slot]
+
+    def _retire(self, counters: dict, histograms: dict) -> None:
+        """Add to the retired base: a dead worker's totals, or a count of
+        an operation the parent coordinated. Only this process writes
+        it, under the fleet lock."""
+        with self._lock:
+            base = self._snapshots.get(RETIRED_KEY, {})
+            folded_counters = dict(base.get("counters", {}))
+            for key, value in counters.items():
+                folded_counters[key] = (int(folded_counters.get(key, 0))
+                                        + int(value))
+            folded_hists = dict(base.get("histograms", {}))
+            for name in _AGGREGATED_HISTOGRAMS:
+                merged = merge_histogram_snapshots([
+                    s for s in (folded_hists.get(name), histograms.get(name))
+                    if s is not None
+                ])
+                if merged is not None:
+                    folded_hists[name] = merged
+            self._snapshots[RETIRED_KEY] = {
+                "counters": folded_counters,
+                "histograms": folded_hists,
+            }
 
 
 def _read_snapshots(snapshots: Optional[DirMapping]) -> Dict[object, dict]:
-    """Every published snapshot, keyed as :func:`aggregate_snapshots`
-    sorts them: worker slots are integers again (a file name is a
-    string). Empty once the fleet has shut down."""
+    """Every published snapshot, worker slots as integers again (a file
+    name is a string); empty once the fleet has shut down."""
     if snapshots is None:
         return {}
     return {int(key) if key.isdigit() else key: snap
@@ -784,57 +703,58 @@ def describe_cut(report: dict) -> str:
             f"child peak RSS {report['peak_rss_mb']:.0f} MiB")
 
 
-def _cutter_main(conn, records: Dict[str, IndexGeneration], num_slots: int,
-                 generation: int, artifact_dir: str) -> None:
-    """The one-shot cutter child: plan shard map ``generation`` over
-    ``records``, give every index generation its full archive and one
-    slice archive per slot in ``artifact_dir``, send the report (the
-    map's wire form and the run's cost, or the error) and exit."""
+def _cutter_main(conn, records: Optional[Dict[str, IndexGeneration]],
+                 num_slots: int, map_generation: int,
+                 artifact_dir: str) -> None:
+    """The one-shot cutter child: write a generation directory of every
+    index — ``records`` at start, or what ``current.json`` names on a
+    rebalance (the same data, mapped from its full archive) — cut, when
+    sharded, under a map ``map_generation`` planned over them; send the
+    report (the map's wire form, the new directories and the run's
+    cost, or the error) and exit."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's drain
     try:
         start = time.perf_counter()
-        shard_map = plan_shard_map(
-            {name: record.index for name, record in records.items()},
-            num_slots, generation=generation)
-        report = {"map": shard_map.to_wire(), "map_generation": generation,
-                  "indexes": len(records), "slots": num_slots,
+        if records is None:
+            inputs = {}
+            for name, d in read_current(artifact_dir).items():
+                full = generation_dir(artifact_dir, name, d) / FULL
+                manifest = read_json(full.with_name(MANIFEST))
+                inputs[name] = dict(
+                    index=serialize.load_index(full, mmap_mode="r"),
+                    full_from=full, source=manifest["source"],
+                    data_generation=manifest["data_generation"])
+        else:
+            # numbered after the records workers fork with: a worker
+            # keeps one whose generation is the directory's
+            inputs = {name: dict(index=record.index, full_from=record.path,
+                                 source=record.path,
+                                 first=record.generation)
+                      for name, record in records.items()}
+        shard_map = None
+        if num_slots:
+            shard_map = plan_shard_map(
+                {name: kwargs["index"] for name, kwargs in inputs.items()},
+                num_slots, generation=map_generation)
+        report = {"map": None if shard_map is None else shard_map.to_wire(),
+                  "generations": {}, "map_generation": map_generation,
+                  "indexes": len(inputs), "slots": num_slots,
                   "plan_s": time.perf_counter() - start,
                   "cut_s": 0.0, "write_s": 0.0, "bytes_written": 0}
-        for name, record in records.items():
+        for name, kwargs in inputs.items():
             try:
-                report["bytes_written"] += _publish_full(record, artifact_dir)
-                paths = write_slices(record.index, shard_map, artifact_dir,
-                                     name, record.generation, timings=report)
+                report["generations"][name] = write_generation(
+                    artifact_dir, name, shard_map=shard_map, report=report,
+                    **kwargs)
             except Exception as exc:
                 raise ServeError(f"index {name!r}: {type(exc).__name__}: "
                                  f"{exc}") from exc
-            report["bytes_written"] += sum(
-                path.stat().st_size for path in paths.values())
         report["peak_rss_mb"] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0
     except Exception as exc:
         report = {"error": str(exc)}
     conn.send(report)
     conn.close()
-
-
-def _publish_full(record: IndexGeneration, artifact_dir: str) -> int:
-    """Make sure ``record``'s generation has its full archive in
-    ``artifact_dir`` — what a sharded worker, which holds only a slice,
-    opens to roll back to it. A built index is written; a loaded one is
-    hard-linked (same inode: no bytes, one page cache), or copied where
-    it cannot be. Returns the bytes written."""
-    full = serialize.generation_path(
-        Path(artifact_dir) / f"{record.name}.npz", record.generation)
-    if full.exists():
-        return 0
-    if record.path is None:
-        return serialize.save_index_atomic(record.index, full).stat().st_size
-    try:
-        os.link(record.path, full)
-        return 0
-    except OSError:
-        return Path(shutil.copyfile(record.path, full)).stat().st_size
 
 
 # ----------------------------------------------------------------------
@@ -883,46 +803,40 @@ def _adopt_socket(server: ACTHTTPServer, sock: socket.socket) -> None:
 
 
 def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
-                 config: FleetConfig, snapshots,
-                 parent_pid: int, control=None, op_lock=None,
-                 artifact_dir: Optional[str] = None,
+                 config: FleetConfig, snapshots: DirMapping,
+                 parent_pid: int, artifact_dir: str,
                  binary_sock: Optional[socket.socket] = None,
-                 shard_wire: Optional[dict] = None,
                  shard_addresses: Optional[Dict[int, Tuple[str, int]]]
                  = None) -> None:
-    """One fleet worker: a full service + HTTP server on the fleet socket.
+    """One fleet worker, in a forked child: a service, its HTTP server
+    and (with a binary port) an async
+    :class:`~repro.serve.aserver.BinaryFrontend`, both on inherited
+    sockets and sharing the one service's telemetry.
 
-    Runs in a forked child. The registry arrives materialized (the
-    parent prewarmed it), so constructing the service is cheap and the
-    node-pool pages of mmap-loaded indexes stay shared with every
-    sibling through the page cache. When the fleet has a binary port,
-    the worker also runs an async :class:`~repro.serve.aserver.
-    BinaryFrontend` on its inherited binary socket — both fronts share
-    this worker's one service, so ``binary.*`` telemetry lands in the
-    same snapshots the publisher ships fleet-wide.
-
-    In shard mode (``shard_wire`` given) the worker runs a
-    :class:`~repro.serve.router.ShardedACTService` instead, and its
-    first lifecycle poll — before it serves anything — swaps the full
-    records this fork inherited for memory-maps of the slot's own slice
-    files (cut by the parent's cutter child, or by a reload's
-    coordinator): the full index is unmapped here, never read, and the
-    resident node-pool footprint is roughly ``1/num_slots`` of the full
-    build, file-backed. A slice that cannot be mapped leaves the worker
-    up, answering from what it inherited, and not-ready.
+    Its first lifecycle poll, before it serves, maps what
+    ``current.json`` names that its inherited records are not (they
+    are the first directories, shared copy-on-write); in shard mode only
+    its slot's slices, so the full index is never read. A file it
+    cannot map leaves it up, answering from what it has, and not-ready.
     """
     stats_interval_s = config.stats_interval_s
-    if shard_wire is not None:
+    if config.shards:
         service: ACTService = ShardedACTService(
-            registry=registry, config=config.serve,
-            shard_map=ShardMap.from_wire(shard_wire), slot=slot,
-            artifact_dir=artifact_dir,
+            registry=registry, config=config.serve, slot=slot,
             addresses=shard_addresses, snapshots=snapshots,
             shed_inflight=config.shed_inflight,
             shed_staleness_s=config.shed_staleness_s,
         )
     else:
         service = ACTService(registry=registry, config=config.serve)
+    lifecycle = FleetLifecycle(
+        artifact_dir, config.workers, service=service, slot=slot,
+        snapshots=snapshots, timeout_s=config.admin_timeout_s)
+    # map what the fleet serves before serving anything (requests queue
+    # in the parent-held sockets meanwhile): a sharded worker then never
+    # holds a slice while routing by other ranges, and a respawn
+    # mid-reload maps the new generation
+    lifecycle.poll()
     server = _DrainingHTTPServer(sock.getsockname()[:2], service,
                                  bind_and_activate=False)
     _adopt_socket(server, sock)
@@ -932,36 +846,19 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     if binary_sock is not None:
         frontend = BinaryFrontend(service, sock=binary_sock,
                                   worker_id=slot).start()
-    lifecycle = None
-    if control is not None and op_lock is not None:
-        lifecycle = FleetLifecycle(
-            control, op_lock, str(slot), workers=config.workers,
-            service=service, artifact_dir=artifact_dir,
-            timeout_s=config.admin_timeout_s,
-        )
-        # map this slot's slices (shard mode), then absorb
-        # (idempotently: the parent's registry usually already carried
-        # it through the fork) and ack any operation published before
-        # this worker existed — a respawn mid-reload must not leave the
-        # coordinator's ack barrier hanging
-        lifecycle.poll()
-        # admin mutations arriving over HTTP at this worker coordinate
-        # the whole fleet
-        server.admin_hook = lifecycle.submit
-        # /readyz reflects this worker's lifecycle convergence: a
-        # reload that ended split (NACK without a clean rollback)
-        # makes the worker not-ready until the next clean operation
-        server.ready_extra = lifecycle.status
+    # admin mutations arriving over HTTP at this worker coordinate the
+    # whole fleet
+    server.admin_hook = lifecycle.submit
+    # /readyz reflects this worker's convergence: a generation it cannot
+    # map, or an operation it coordinated that ended split, makes it
+    # not-ready until that clears
+    server.ready_extra = lifecycle.status
     stopping = threading.Event()
 
     def publish(snap: Optional[dict] = None) -> None:
-        if snapshots is None:
-            return
         if snap is None:
             snap = service.stats()
-        snap = dict(snap)
-        snap["worker"] = slot
-        snap["pid"] = os.getpid()
+        snap = dict(snap, worker=slot, **lifecycle.report())
         try:
             snapshots[slot] = snap
         except OSError:
@@ -1002,14 +899,11 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     def publisher() -> None:
         publish()
         while not stopping.wait(stats_interval_s):
-            if lifecycle is not None:
-                try:
-                    # adopt a rebalanced placement, then absorb
-                    # fleet-wide admin ops (reload/register/unregister)
-                    # published by a sibling coordinator
-                    lifecycle.poll()
-                except Exception:
-                    pass  # an op failure must never kill the publisher
+            try:
+                # map what a coordinator published since the last tick
+                lifecycle.poll()
+            except Exception:
+                pass  # an op failure must never kill the publisher
             publish()
             if os.getppid() != parent_pid:
                 # orphaned (parent died without drain): stop serving

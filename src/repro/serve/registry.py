@@ -9,19 +9,15 @@ the index — build or load — and pins it for every later request; builds
 of distinct names can proceed concurrently, while concurrent ``get`` of
 the same name build exactly once (per-name locks).
 
-Materialized entries are :class:`IndexGeneration` records — an
-immutable ``(generation, index, source artifact, mmap mode)`` tuple.
+Materialized entries are immutable :class:`IndexGeneration` records.
 The generation number increments on every materialization of a name
-(first load, post-evict rebuild, explicit :meth:`IndexRegistry.reload`),
-so a request that pins a record at admission keeps one coherent core,
-cache keyspace, and refinement engine for its whole lifetime even if an
-operator swaps the index mid-request: the old record object stays alive
-for exactly as long as in-flight requests reference it.
-
-A pinned index *is* its columnar :class:`~repro.act.core.ACTCore` — the
-flat arrays exist from construction (builds export them, loads
-materialize them straight from the ``.npz``), so there is no lazy
-freeze step to race and cold loads never rebuild a Python trie.
+(first load, post-evict rebuild, :meth:`IndexRegistry.reload`; a fleet
+worker's :meth:`IndexRegistry.adopt` takes the directory's number), so
+a request that pins a record at admission keeps one coherent core,
+cache keyspace and refinement engine even if the index is swapped
+mid-request: the old record lives as long as requests reference it.
+A pinned index *is* its columnar :class:`~repro.act.core.ACTCore`, so
+there is no lazy freeze step to race.
 """
 
 from __future__ import annotations
@@ -42,25 +38,17 @@ _UNSET = object()
 
 
 def prewarm_index(index: ACTIndex, edge_table: bool = True) -> ACTIndex:
-    """Pre-build one index's hot-path artifacts for pre-fork binding.
-
-    Serving-layer alias for :meth:`repro.act.index.ACTIndex.prewarm` —
-    the logic lives on the index so lower layers (``join/parallel.py``)
-    share the same fork discipline without importing the serving stack.
-    """
+    """Serving-layer alias for :meth:`repro.act.index.ACTIndex.prewarm`
+    (on the index, so ``join/parallel.py`` shares the fork discipline)."""
     return index.prewarm(edge_table=edge_table)
 
 
 @dataclass(frozen=True)
 class IndexGeneration:
-    """One materialized generation of a named index (the hot-path record).
-
-    ``source`` names how the registration materializes ("builder",
-    "path", or "index" for pre-built objects); ``path``/``mmap_mode``
-    record the artifact *this* generation was actually loaded from —
-    for fleet reloads that is the coordinator's side ``.npz``, not the
-    registration's source path.
-    """
+    """One materialized generation of a named index (the hot-path
+    record). ``source``: "builder", "path" or "index"; ``path`` /
+    ``mmap_mode``: the file *this* generation was loaded from (for a
+    fleet worker, one of a generation directory)."""
 
     name: str
     generation: int
@@ -73,23 +61,6 @@ class IndexGeneration:
     @property
     def core(self):
         return self.index.core
-
-    def describe(self) -> dict:
-        """The admin-listing view of this generation."""
-        info = {
-            "name": self.name,
-            "generation": self.generation,
-            "source": self.source,
-            "bytes": self.index.core.total_bytes,
-            "mmap_mode": self.mmap_mode,
-            "num_polygons": self.index.num_polygons,
-            "precision_meters": self.index.precision_meters,
-            "boundary_level": self.index.boundary_level,
-            "materialize_seconds": self.materialize_seconds,
-        }
-        if self.path is not None:
-            info["artifact_path"] = str(self.path)
-        return info
 
 
 @dataclass
@@ -190,13 +161,10 @@ class IndexRegistry:
     def unregister(self, name: str) -> dict:
         """Remove a name entirely: registration and pinned record.
 
-        In-flight requests that already pinned the record finish
-        normally on it; new requests get
-        :class:`~repro.errors.UnknownIndexError`. The name's generation
-        counter is kept, so a later re-registration continues the
-        sequence instead of reusing numbers a straggling request may
-        still be caching under. Returns a summary of what was dropped
-        (name, last generation, whether it was materialized).
+        Requests that pinned the record finish on it; new ones get
+        :class:`~repro.errors.UnknownIndexError`. The generation counter
+        is kept, so a re-registration never reuses a number a straggling
+        request may still cache under. Returns what was dropped.
         """
         with self._lock:
             registration = self._registrations.pop(name, None)
@@ -239,84 +207,64 @@ class IndexRegistry:
     def reload(self, name: str, *,
                source_path: Optional[Union[str, Path]] = None,
                source_mmap_mode=_UNSET,
-               artifact_path: Optional[Union[str, Path]] = None,
-               artifact_mmap_mode=_UNSET,
-               generation: Optional[int] = None,
                verify: Optional[str] = None) -> IndexGeneration:
         """Materialize a fresh generation and atomically swap it in.
 
-        * default: re-run the registration's own source (builder or
-          path — the file may have been replaced on disk, which is the
-          point);
-        * ``source_path`` permanently repoints the registration at a
-          new ``.npz`` (the operator shipped new data);
-        * ``artifact_path`` loads *this* generation from a specific
-          artifact without repointing the source — the fleet reload
-          protocol uses it so every worker mmaps the coordinator's side
-          file while registrations keep their true source;
-        * ``generation`` forces the new record's generation number
-          (fleet workers adopt the coordinator-assigned one). A reload
-          to a generation the registration already reached is a no-op
-          returning the current record, which makes fleet command
-          application idempotent;
-        * ``verify`` overrides the registration's integrity mode for
-          *this* materialization only — the admin layer escalates to
-          ``"full"`` when loading operator-shipped bytes, so a bit flip
-          deep in an mmap-ed node pool (which the lazy ``"header"``
-          mode deliberately never hashes) is rejected before the fleet
-          ever serves it.
-
-        The swap is one dict assignment: requests pin either the old
-        record or the new one, never a mix, and the old record lives on
-        until its last in-flight request drops it.
+        The registration's own source is re-run unless ``source_path``
+        repoints it at new data for good; ``verify`` overrides the
+        integrity mode for this load only (the admin layer hashes
+        operator-shipped bytes in full). The swap is one dict
+        assignment: requests pin the old record or the new one.
         """
         registration = self._registration(name)
         with registration.lock:
-            record = registration.record
-            if (generation is not None and record is not None and (
-                    registration.generation > generation
-                    or (registration.generation == generation
-                        and (artifact_path is None
-                             or Path(artifact_path) == record.path)))):
-                return record
             if source_path is not None:
                 registration.path = Path(source_path)
                 registration.builder = None
                 if source_mmap_mode is not _UNSET:
                     registration.mmap_mode = source_mmap_mode
-            self._materialize_locked(
-                registration,
-                artifact_path=artifact_path,
-                artifact_mmap_mode=artifact_mmap_mode,
-                generation=generation,
-                verify=verify,
-            )
+            self._materialize_locked(registration, verify=verify)
+            return registration.record
+
+    def adopt(self, name: str, path: Union[str, Path], generation: int,
+              source: Optional[Union[str, Path]] = None) -> IndexGeneration:
+        """Pin the archive at ``path`` — a fleet worker's file of a
+        generation directory — as ``name``'s ``generation``, registering
+        a new name by that path; a no-op when the pinned record was
+        loaded from ``path``, so a worker maps a directory only once.
+        ``source``, the operator's file the directory was published
+        from, becomes the registration's path, as a reload's does."""
+        with self._lock:
+            registration = self._registrations.setdefault(name, _Registration(
+                name=name, path=Path(path), mmap_mode="r"))
+        with registration.lock:
+            record = registration.record
+            if record is None or record.path != Path(path):
+                self._materialize_locked(
+                    registration, artifact_path=path, generation=generation)
+            if source is not None:
+                registration.path, registration.builder = Path(source), None
             return registration.record
 
     def _materialize_locked(self, registration: _Registration, *,
-                            artifact_path=None, artifact_mmap_mode=_UNSET,
+                            artifact_path=None,
                             generation: Optional[int] = None,
                             verify: Optional[str] = None) -> None:
-        """Build/load a new generation; caller holds the registration lock."""
+        """Build/load a new generation; caller holds the registration
+        lock. An ``artifact_path`` is mapped whatever the own mode."""
         start = time.perf_counter()
-        mmap_mode = (registration.mmap_mode
-                     if artifact_mmap_mode is _UNSET else artifact_mmap_mode)
+        mmap_mode = registration.mmap_mode if artifact_path is None else "r"
         verify_mode = registration.verify if verify is None else verify
-        if artifact_path is not None or registration.path is not None:
+        path = (registration.path if artifact_path is None
+                else Path(artifact_path))
+        if path is not None:
             # chaos seam: armed tests inject slow/failing artifact I/O
             # here; the error propagates exactly like a real load
-            # failure (reload NACK, materialization 500)
+            # failure (a worker's NACK, a materialization 500)
             chaos.fault("artifact.load")
-        if artifact_path is not None:
-            path = Path(artifact_path)
-            index = serialize.load_index(path, mmap_mode=mmap_mode,
-                                         verify=verify_mode)
-        elif registration.path is not None:
-            path = registration.path
             index = serialize.load_index(path, mmap_mode=mmap_mode,
                                          verify=verify_mode)
         elif registration.builder is not None:
-            path = None
             index = registration.builder()
         else:
             # an "index" registration has nothing to re-materialize
@@ -327,7 +275,6 @@ class IndexRegistry:
                     f"pre-built object and cannot be re-materialized "
                     f"without a path"
                 )
-            path = None
             index = registration.index
         # pre-warm the hot-path artifacts while we still hold the
         # materialization lock: the threaded serve front should never
@@ -346,38 +293,6 @@ class IndexRegistry:
             materialize_seconds=time.perf_counter() - start,
         )
         self.materialized[registration.name] = registration.record
-
-    def repoint(self, name: str, path: Union[str, Path],
-                mmap_mode: Optional[str] = None) -> None:
-        """Repoint a registration's source path without materializing.
-
-        Reload-abort cleanup: a failed ``reload(source_path=...)`` has
-        already repointed the registration at a source that turned out
-        to be bad (and is now quarantined); this points it back at the
-        pre-op source so later default reloads keep working. The pinned
-        record is untouched.
-        """
-        registration = self._registration(name)
-        with registration.lock:
-            registration.path = Path(path)
-            registration.builder = None
-            registration.mmap_mode = mmap_mode
-
-    def restore(self, record: IndexGeneration) -> IndexGeneration:
-        """Re-pin a previously current record (reload rollback).
-
-        Used by the fleet reload coordinator when publishing a freshly
-        materialized generation fails (side-artifact write error): the
-        old record becomes current again so this process stays
-        convergent with the rest of the fleet. The generation counter
-        is *not* rewound — the failed generation's number stays burned,
-        so any cache entries written under it remain unreachable.
-        """
-        registration = self._registration(record.name)
-        with registration.lock:
-            registration.record = record
-            self.materialized[record.name] = record
-        return record
 
     def prewarm(self, names: Optional[List[str]] = None,
                 edge_tables: bool = True) -> Dict[str, ACTIndex]:
@@ -422,10 +337,6 @@ class IndexRegistry:
 
     def is_materialized(self, name: str) -> bool:
         return self._registration(name).record is not None
-
-    def generation(self, name: str) -> int:
-        """The newest generation number handed out for ``name``."""
-        return self._registration(name).generation
 
     def describe(self, name: str) -> dict:
         """Status dict for ``/stats`` and the admin listing; never

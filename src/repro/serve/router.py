@@ -4,9 +4,8 @@
 ACTService` for one worker slot of a sharded fleet. It answers the keys
 its slot owns from the local shard slice (the registry pins a
 memory-map of this slot's slice archive — written by
-:func:`~repro.serve.shard.write_slices`, found by
-:func:`~repro.serve.shard.slice_path` — never the full index) and
-forwards everything else shard-wise over the
+:func:`~repro.serve.shard.write_slices` into a generation directory —
+never the full index) and forwards everything else shard-wise over the
 :mod:`~repro.serve.binproto` data plane:
 
 * **routing** — a batch's keys come from the same boundary-level
@@ -41,42 +40,32 @@ forwards everything else shard-wise over the
   ``shard.shed``) only when *every* owning slot reports a fresh,
   saturated snapshot. Missing or stale snapshots fail open — a quiet
   stats channel must never turn into an outage.
-* **slices are files** — whoever holds a full generation cuts it once
-  for every slot (the fleet's cutter child at start and on rebalance,
-  the coordinator on reload and rollback); this service only maps.
-  :meth:`adopt_shard_map` maps the slot's slice files cut under a
-  higher-generation :class:`~repro.serve.shard.ShardMap` (published on
-  the lifecycle control dict under
-  :data:`~repro.serve.shard.SHARD_KEY`), then routes by it; lower
-  generations are ignored, mirroring reload idempotency.
-  :meth:`reload_index` turns a fleet reload — which names the new
-  generation's *full* side artifact — into a map of this slot's slice
-  of that generation, so a reload barrier leaves every slot serving
-  its shard of the new data without any worker opening the full
-  archive. A missing or corrupt slice file raises: the lifecycle
-  NACKs the reload, or reports the worker not-ready.
+* **slices are files** — the writer of a generation directory cuts
+  the full generation once for every slot (the fleet's cutter child at
+  start and on rebalance, the coordinator on reload); this service
+  neither cuts nor maps. The worker's lifecycle
+  (:meth:`repro.serve.lifecycle.FleetLifecycle.poll`) maps this slot's
+  slice of each directory ``current`` names and hands the ranges it
+  was cut under to :meth:`route_by`, so the slices held and the ranges
+  routed by come from one read.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
-from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..act import serialize
 from ..act.core import QueryResult, ResultBatch
 from ..errors import BudgetExceededError, ConnectionLostError, ServeError
 from ..obs import Trace
 from . import binproto, chaos
 from .budget import Budget
-from .registry import _UNSET, IndexGeneration, IndexRegistry
+from .registry import IndexRegistry
 from .service import ACTService, ServeConfig
-from .shard import ShardMap, shard_keys, slice_path
+from .shard import ShardMap, shard_keys
 
 __all__ = ["ShardedACTService"]
 
@@ -88,30 +77,26 @@ _SNAPSHOT_CACHE_S = 0.2
 class ShardedACTService(ACTService):
     """One shard worker's service: local slice + forwarding router.
 
-    Routes by ``shard_map`` from construction and serves whatever its
-    registry holds; :meth:`adopt_shard_map` (the fleet lifecycle calls
-    it on a worker's first poll) swaps in this slot's slice files from
-    ``artifact_dir``. Until then — or if a slice cannot be mapped — a
-    forked worker answers from the full records it inherited: right
-    answers, a full index's footprint.
+    Serves whatever its registry holds and routes by ``shard_map``
+    (none: every name is answered locally) until :meth:`route_by`
+    swaps the map. A forked fleet worker starts on the full records it
+    inherited and no map, and its lifecycle's first poll maps this
+    slot's slices and their ranges; a name whose slice cannot be mapped
+    keeps being answered from what the worker has: right answers, a
+    full index's footprint.
     """
 
     def __init__(self, registry: Optional[IndexRegistry] = None,
                  config: Optional[ServeConfig] = None, *,
-                 shard_map: ShardMap, slot: int,
-                 artifact_dir: Union[str, Path, None] = None,
+                 slot: int, shard_map: Optional[ShardMap] = None,
                  addresses: Optional[Dict[int, Tuple[str, int]]] = None,
                  snapshots=None,
                  shed_inflight: int = 64,
                  shed_staleness_s: float = 2.0,
                  forward_timeout_s: float = 30.0,
                  forward_retries: int = 6):
-        self._map = shard_map
         self.slot = int(slot)
-        self._artifact_dir = artifact_dir
-        #: Generation of the map the pinned slices were cut under (0:
-        #: none mapped yet).
-        self._sliced_under = 0
+        self._map = ShardMap(0, {}, 1) if shard_map is None else shard_map
         super().__init__(registry=registry, config=config)
         self._addresses: Dict[int, Tuple[str, int]] = dict(addresses or {})
         self._fleet_snapshots = snapshots
@@ -142,95 +127,16 @@ class ShardedACTService(ACTService):
             "shard.forward_seconds")
 
     # ------------------------------------------------------------------
-    # Shard map / slices
+    # Shard map
     # ------------------------------------------------------------------
     @property
     def shard_map(self) -> ShardMap:
         return self._map
 
-    def _map_slice(self, name: str, generation: int, shard_map: ShardMap,
-                   source_path=None, source_mmap_mode=_UNSET,
-                   verify: Optional[str] = None) -> IndexGeneration:
-        """Pin this slot's slice file of ``name``'s ``generation``, as
-        cut under ``shard_map``. The slice loads under the
-        registration's ``verify=`` mode unless overridden; a missing or
-        corrupt archive raises and leaves the pinned record as it was."""
-        if self._artifact_dir is None:
-            raise ServeError(
-                f"shard slot {self.slot} has no artifact_dir to map "
-                f"index {name!r}'s slice from")
-        record = self.registry.reload(
-            name, artifact_path=slice_path(
-                self._artifact_dir, name, generation, shard_map.generation,
-                self.slot),
-            artifact_mmap_mode="r", generation=generation,
-            source_path=source_path, source_mmap_mode=source_mmap_mode,
-            verify=verify)
-        self._adopt_record(record)
-        return record
-
-    def adopt_shard_map(self, shard_map: ShardMap) -> bool:
-        """Map this slot's slices under ``shard_map``, then route by it;
-        ignores generations the pinned slices already reached.
-
-        A name that fails to map raises with the old map still routing
-        (names mapped before it keep their new slice); the caller
-        retries, or reports the worker not-ready."""
-        if shard_map.generation <= self._sliced_under:
-            return False
-        for name, record in list(self.registry.materialized.items()):
-            if name in shard_map.ranges:
-                self._map_slice(name, record.generation, shard_map)
+    def route_by(self, shard_map: ShardMap) -> None:
+        """Route by ``shard_map`` from the next request on: the ranges
+        the slices this worker now holds were cut under."""
         self._map = shard_map
-        self._sliced_under = shard_map.generation
-        return True
-
-    def reload_index(self, name: str, *,
-                     source_path=None, source_mmap_mode=_UNSET,
-                     artifact_path=None, artifact_mmap_mode=_UNSET,
-                     generation: Optional[int] = None,
-                     verify: Optional[str] = None) -> IndexGeneration:
-        """A fleet reload — one naming the generation's *full* side
-        artifact — maps this slot's slice of that generation instead
-        (the coordinator wrote both, see
-        :func:`~repro.serve.shard.write_slices`), so the full archive
-        is never opened here. A reload from the registration's own
-        source materializes the full new generation, as on any
-        service: that is the coordinator's first step, before it cuts.
-        """
-        if (artifact_path is None or generation is None
-                or name not in self._map.ranges):
-            return super().reload_index(
-                name, source_path=source_path,
-                source_mmap_mode=source_mmap_mode,
-                artifact_path=artifact_path,
-                artifact_mmap_mode=artifact_mmap_mode,
-                generation=generation, verify=verify)
-        # a coordinator moving off the full generation it cut from
-        # is still on its one reload
-        advances = self.registry.generation(name) < generation
-        record = self._map_slice(
-            name, generation, self._map, source_path=source_path,
-            source_mmap_mode=source_mmap_mode, verify=verify)
-        if advances:
-            self.metrics.counter("admin.reloads").inc()
-        return record
-
-    def full_record(self, record: IndexGeneration) -> IndexGeneration:
-        """``record``'s generation in full, opened by path on demand.
-
-        The registry pins only this slot's slice, and re-publishing a
-        slice as a generation (a rollback does) would starve every
-        other shard of its keys; every generation a sharded fleet
-        serves has its full archive in the artifact directory.
-        """
-        if self._artifact_dir is None or record.name not in self._map.ranges:
-            return record
-        path = serialize.generation_path(
-            Path(self._artifact_dir) / f"{record.name}.npz",
-            record.generation)
-        return replace(record, path=path, mmap_mode="r",
-                       index=serialize.load_index(path, mmap_mode="r"))
 
     # ------------------------------------------------------------------
     # Local execution (forwarded frames land here; never re-routed)

@@ -485,7 +485,7 @@ class ACTService:
         return counts
 
     # ------------------------------------------------------------------
-    # The unsharded answers (ShardedACTService overrides all five)
+    # The unsharded answers (ShardedACTService overrides all three)
     # ------------------------------------------------------------------
     #: What a front runs for ``OP_FORWARD_*`` frames: the local entry
     #: points, never re-routed.
@@ -496,22 +496,11 @@ class ACTService:
         """This worker's shard block, or ``None``: not sharded."""
         return None
 
-    def full_record(self, record: IndexGeneration) -> IndexGeneration:
-        """The full generation behind a pinned ``record`` — what a
-        rollback re-publishes. Unsharded: the record itself."""
-        return record
-
-    def adopt_shard_map(self, shard_map) -> bool:
-        """Adopt a published shard placement; unsharded: never."""
-        return False
-
     # ------------------------------------------------------------------
     # Index lifecycle (the admin surface)
     # ------------------------------------------------------------------
     def reload_index(self, name: str, *,
                      source_path=None, source_mmap_mode=_UNSET,
-                     artifact_path=None, artifact_mmap_mode=_UNSET,
-                     generation: Optional[int] = None,
                      verify: Optional[str] = None) -> IndexGeneration:
         """Materialize a fresh generation and adopt it atomically.
 
@@ -524,22 +513,19 @@ class ACTService:
         """
         record = self.registry.reload(
             name, source_path=source_path, source_mmap_mode=source_mmap_mode,
-            artifact_path=artifact_path,
-            artifact_mmap_mode=artifact_mmap_mode, generation=generation,
             verify=verify,
         )
         self._adopt_record(record)
         self.metrics.counter("admin.reloads").inc()
         return record
 
-    def restore_index(self, record: IndexGeneration) -> IndexGeneration:
-        """Roll the hot view back to ``record`` (failed-reload path).
-
-        See :meth:`~repro.serve.registry.IndexRegistry.restore`; the
-        aborted generation's cache entries are swept here, its number
-        stays burned.
-        """
-        self.registry.restore(record)
+    def adopt_generation(self, name: str, path, generation: int,
+                         source=None) -> IndexGeneration:
+        """Serve ``name`` from a generation directory's file — what a
+        fleet worker does with each directory ``current`` names — with
+        the same hot-view swap and cache sweep as a reload (see
+        :meth:`~repro.serve.registry.IndexRegistry.adopt`)."""
+        record = self.registry.adopt(name, path, generation, source=source)
         self._adopt_record(record)
         return record
 

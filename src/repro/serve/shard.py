@@ -22,11 +22,11 @@ Three layers live here:
   immutable assignment ``name -> ((cell_lo, cell_hi, slot), ...)``
   whose ranges cover the full ``uint64`` keyspace (out-of-domain
   points hash to ``INVALID_KEY`` = all-ones and land in the last
-  range like any other key). It is published on the fleet's lifecycle
-  control channel under :data:`SHARD_KEY`, so rebalancing is just
-  another generation swap: the parent cuts the slices of the next map
-  generation, publishes it, and workers map their new slice files on
-  their next poll tick.
+  range like any other key). Each generation directory of a sharded
+  fleet records its name's ranges (``shard_map.json``, see
+  :mod:`repro.serve.statedir`), so rebalancing is just another
+  generation swap: the parent cuts every name again under the next map
+  generation and publishes the directories in one replace.
 * the **planner and cutter** — both work on the index's flat arrays,
   never on a trie. :func:`plan_shard_map` weighs each indexed cell by
   the number of boundary-level cells it covers and cuts the keyspace
@@ -36,7 +36,7 @@ Three layers live here:
   :func:`slice_index` masks and compacts — the owned entries, the
   nodes on a path to one, the lookup-table sets they reference — into
   a genuine sub-index; and :func:`write_slices`, its one caller,
-  writes a generation's slice for every slot to :func:`slice_path`.
+  writes every slot's slice into a directory as :func:`slice_file`.
   A slice is a file: whoever holds the full generation cuts once, and
   a worker maps only its own slot's archive, so per-worker resident
   bytes shrink with the shard count instead of every worker holding —
@@ -62,15 +62,9 @@ from ..grid import cellid
 from ..grid.base import HierarchicalGrid
 
 __all__ = [
-    "SHARD_KEY", "KEY_MAX", "ShardRange", "ShardMap", "shard_keys",
-    "plan_shard_map", "slice_index", "slice_path", "write_slices",
-    "publish_shard_map", "read_shard_map",
+    "KEY_MAX", "ShardRange", "ShardMap", "shard_keys", "plan_shard_map",
+    "slice_index", "slice_file", "write_slices",
 ]
-
-#: Control-channel key the current :class:`ShardMap` is published under
-#: (sibling of :data:`repro.serve.lifecycle.SEQ_KEY` in the same
-#: directory — shard placement rides the existing channel).
-SHARD_KEY = "shard_map"
 
 #: Largest value in the shard keyspace (``INVALID_KEY`` lands here).
 KEY_MAX = (1 << 64) - 1
@@ -196,7 +190,7 @@ class ShardMap:
                      if r.slot == slot)
 
     # ------------------------------------------------------------------
-    # Wire form (control channel / JSON admin surface)
+    # Wire form (shard_map.json / JSON admin surface)
     # ------------------------------------------------------------------
     def to_wire(self) -> dict:
         return {
@@ -459,33 +453,21 @@ def slice_index(index: ACTIndex, spans: Iterable[Tuple[int, int]],
                     index.boundary_level)
 
 
-def slice_path(artifact_dir: Union[str, Path], name: str,
-               index_generation: int, map_generation: int,
-               slot: int) -> Path:
-    """Where one slot's slice of one index generation lives.
-
-    Next to the generation's full archive
-    (:func:`~repro.act.serialize.generation_path`), tagged with the map
-    generation it was cut under: ``nyc.gen000003.map000002.slot1.npz``.
-    The one name the cutter writes, workers map and the artifact
-    sweep matches.
-    """
-    full = serialize.generation_path(
-        Path(artifact_dir) / f"{name}.npz", index_generation)
-    return full.with_name(
-        f"{full.stem}.map{map_generation:06d}.slot{slot}.npz")
+def slice_file(slot: int) -> str:
+    """A slot's slice archive, inside the directory it was cut into."""
+    return f"slot{slot}.npz"
 
 
 def write_slices(index: ACTIndex, shard_map: ShardMap,
-                 artifact_dir: Union[str, Path], name: str,
-                 index_generation: int,
+                 directory: Union[str, Path], name: str,
                  timings: Optional[Dict[str, float]] = None,
                  ) -> Dict[int, Path]:
-    """Cut ``index`` for every slot of ``shard_map`` and write each
-    slice to its :func:`slice_path`; returns ``{slot: path}``.
+    """Cut ``index`` — index ``name`` — for every slot of ``shard_map``
+    and write each slice into ``directory`` as :func:`slice_file`;
+    returns ``{slot: path}``.
 
-    The one place a slice is made: whoever holds a full generation —
-    the fleet's cutter child, a reload coordinator — calls this once,
+    The one place a slice is made: the writer of a generation directory
+    (:func:`repro.serve.statedir.write_generation`) calls this once,
     and every worker memory-maps only its own slot's archive. The
     skeleton is computed once for all slots; archives are written
     temp + rename, so a reader never sees a partial one. ``timings``
@@ -500,9 +482,8 @@ def write_slices(index: ACTIndex, shard_map: ShardMap,
                 index, shard_map.ranges_for_slot(name, slot),
                 skeleton=skeleton)
             cut = time.perf_counter()
-            paths[slot] = serialize.save_index_atomic(sliced, slice_path(
-                artifact_dir, name, index_generation, shard_map.generation,
-                slot))
+            paths[slot] = serialize.save_index_atomic(
+                sliced, Path(directory) / slice_file(slot))
         except Exception as exc:
             raise ServeError(
                 f"slot {slot}: {type(exc).__name__}: {exc}") from exc
@@ -511,24 +492,3 @@ def write_slices(index: ACTIndex, shard_map: ShardMap,
             timings["write_s"] = (timings.get("write_s", 0.0)
                                   + time.perf_counter() - cut)
     return paths
-
-
-# ----------------------------------------------------------------------
-# Control-channel publication
-# ----------------------------------------------------------------------
-def publish_shard_map(control, shard_map: ShardMap) -> None:
-    """Publish ``shard_map`` on the fleet control channel.
-
-    Rebalancing is republishing with a higher generation; workers
-    adopt on their next lifecycle poll tick (monotonic: a lower or
-    equal generation is ignored, mirroring reload idempotency).
-    """
-    control[SHARD_KEY] = shard_map.to_wire()
-
-
-def read_shard_map(control) -> Optional[ShardMap]:
-    """The currently published :class:`ShardMap`, if any."""
-    wire = control.get(SHARD_KEY)
-    if wire is None:
-        return None
-    return ShardMap.from_wire(wire)

@@ -303,18 +303,7 @@ class TestVariants:
 
 
 class TestAtomicWrites:
-    """Generation-suffixed atomic writes (the reload side-artifact path)."""
-
-    def test_generation_path_naming(self):
-        from pathlib import Path
-
-        from repro.act.serialize import generation_path
-
-        assert generation_path("idx.npz", 7) == Path("idx.gen000007.npz")
-        assert generation_path("/a/b/nyc.npz", 12).name == \
-            "nyc.gen000012.npz"
-        # suffix-less names still get a readable generation tag
-        assert generation_path("bare", 3).name == "bare.gen000003.npz"
+    """Atomic writes: write-temp + rename (a shard slice's path)."""
 
     def test_atomic_save_roundtrips_and_leaves_no_temp(self, tmp_path,
                                                       saved, taxi_batch):

@@ -15,8 +15,6 @@ governs.
 """
 
 import re
-import socket
-import threading
 from pathlib import Path
 
 from repro.serve import IndexRegistry
@@ -46,7 +44,7 @@ def _catalog_names():
     return names
 
 
-def _registered_names(nyc_index):
+def _registered_names(nyc_index, artifact_dir):
     """Every counter/histogram family the serving stack registers
     eagerly, collected exactly the way production wires up: one
     sharded service with all fronts and the lifecycle attached."""
@@ -60,17 +58,16 @@ def _registered_names(nyc_index):
         http = ACTHTTPServer(("127.0.0.1", 0), service,
                              bind_and_activate=False)
         http.server_close()
-        FleetLifecycle(control={}, op_lock=threading.Lock(),
-                       identity="catalog", workers=1, service=service)
+        FleetLifecycle(artifact_dir, 1, service=service, slot=0)
         snapshot = service.metrics.snapshot()
         return (set(snapshot["counters"]) | set(snapshot["histograms"]))
     finally:
         service.close()
 
 
-def test_catalog_matches_registered_names(nyc_index):
+def test_catalog_matches_registered_names(nyc_index, tmp_path):
     documented = _catalog_names()
-    registered = _registered_names(nyc_index)
+    registered = _registered_names(nyc_index, tmp_path)
     missing_rows = registered - documented
     stale_rows = documented - registered
     assert not missing_rows, (

@@ -7,6 +7,8 @@ inside the NYC region so most points actually hit polygons.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -38,24 +40,52 @@ def rng_serve():
 def sharded_service(tmp_path):
     """Factory for one slot's in-process :class:`ShardedACTService`,
     mapped the way a fleet worker is: ``index`` is registered as
-    ``name``, its slices cut once per map generation into ``tmp_path``
-    through :func:`write_slices` (the only way a slice is made), and
-    the service adopts its own. Every service made is closed."""
-    made, cut = [], set()
+    ``name``, its slices cut once per map generation into a directory
+    of ``tmp_path`` through :func:`write_slices` (the only way a slice
+    is made), and the service serves its own. Every service made is
+    closed."""
+    made, cut = [], {}
 
     def make(index, shard_map, slot, name="nyc", **kwargs):
-        if (name, shard_map.generation) not in cut:
-            write_slices(index, shard_map, tmp_path, name, 1)
-            cut.add((name, shard_map.generation))
+        key = (name, shard_map.generation)
+        if key not in cut:
+            directory = tmp_path / f"{name}-map{shard_map.generation}"
+            directory.mkdir()
+            cut[key] = write_slices(index, shard_map, directory, name)
         registry = IndexRegistry()
         registry.register_index(name, index)
         service = ShardedACTService(
-            registry=registry, shard_map=shard_map, slot=slot,
-            artifact_dir=tmp_path, **kwargs)
+            registry=registry, shard_map=shard_map, slot=slot, **kwargs)
         made.append(service)
-        assert service.adopt_shard_map(shard_map)
+        service.adopt_generation(name, cut[key][slot], 1)
         return service
 
     yield make
     for service in made:
         service.close()
+
+
+@pytest.fixture()
+def publishing():
+    """Start the publisher tick of in-process fleet workers: every tick
+    polls each worker's lifecycle and writes its report where a
+    coordinator's admin wait reads it, as a fleet worker's publisher
+    thread does with its snapshot. Stopped at teardown."""
+    running = []
+
+    def start(lifecycles, snapshots):
+        stop = threading.Event()
+
+        def tick():
+            while not stop.wait(0.02):
+                for lifecycle in lifecycles:
+                    snapshots[str(lifecycle.slot)] = lifecycle.poll()
+
+        thread = threading.Thread(target=tick, daemon=True)
+        thread.start()
+        running.append((stop, thread))
+
+    yield start
+    for stop, thread in running:
+        stop.set()
+        thread.join(timeout=5.0)

@@ -71,6 +71,15 @@ def _fleet(registry, **overrides):
     return ServingFleet(registry, config)
 
 
+def _await(condition, what, deadline_s=20.0):
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        if condition():
+            return
+        time.sleep(0.1)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
 class TestFleetServing:
     def test_hammer_aggregated_stats_and_clean_shutdown(
             self, fleet_registry, nyc_index, query_points):
@@ -261,7 +270,7 @@ class TestFleetReload:
     polygon) are flipped via ``POST /admin/reload`` on a live worker
     while clients hammer ``/query`` and ``/join``: zero failed
     requests, and after the reload every worker answers from the new
-    generation (each ack carries the generation it adopted; the
+    generation (each worker slot's ack is read off its snapshot; the
     ``/admin/indexes`` listing is then polled until both worker pids
     report it).
     """
@@ -339,9 +348,10 @@ class TestFleetReload:
                     "mmap_mode": "r",
                 }, timeout=90.0)
                 assert status == 200
-                # every process acked the swap before the call returned
+                # every worker mapped it before the call returned
                 assert body["complete"] is True, body
-                assert set(body["acks"]) == {"0", "1", "parent"}
+                assert body["index"]["path"] == str(paths[side])
+                assert set(body["acks"]) == {"0", "1"}
                 for ack in body["acks"].values():
                     assert ack["ok"], ack
                 state["history"].append(side)
@@ -365,8 +375,10 @@ class TestFleetReload:
             while time.monotonic() < deadline and len(seen) < 2:
                 _status, listing = _get(fleet.address, "/admin/indexes")
                 (entry,) = listing["indexes"]
-                seen[listing["worker"]] = entry["generation"]
-            assert seen == {0: generation, 1: generation}
+                seen[listing["worker"]] = (entry["generation"],
+                                           entry["path"])
+            assert seen == {0: (generation, str(paths["east"])),
+                            1: (generation, str(paths["east"]))}
             # after reload-under-traffic, any worker's /metrics scrape
             # is valid exposition carrying the *final* generation label
             # and the bucket-merged fleet latency histogram
@@ -405,10 +417,68 @@ class TestFleetReload:
             })
             assert result["complete"] is True, result
             assert result["generation"] == 2
+            # the parent maps nothing; a worker describes what it serves
+            assert result["index"]["path"] == str(paths["east"])
+            assert result["index"]["materialized"] is True
+            assert result["index"]["generation"] == 2
+            assert result["index"]["num_polygons"] == 1
             _status, body = _get(
                 fleet.address,
                 f"/query?index=halves&lng={lng}&lat={lat}&exact=1")
             assert sorted(body["true_hits"]) == [0]
+
+    def test_workers_keep_the_records_they_forked_with(
+            self, half_index_paths):
+        """A worker serves the parent's prewarmed record of the first
+        directory — it maps the operator's file, never the directory's
+        ``full.npz`` — until a reload; a worker respawned after it maps
+        the reloaded directory, not the record it inherited."""
+        paths, (lng, lat) = half_index_paths
+        registry = IndexRegistry()
+        registry.register_path("halves", paths["west"], mmap_mode="r")
+
+        def archives(pid):
+            """Every ``.npz`` the process has memory-mapped."""
+            try:
+                with open(f"/proc/{pid}/maps") as fp:
+                    return {line.split(None, 5)[5].strip() for line in fp
+                            if line.rstrip().endswith(".npz")}
+            except FileNotFoundError:  # a worker that just died
+                return set()
+
+        def mapped(want):
+            snaps = [fleet._snapshots.get(str(slot)) or {}
+                     for slot in range(2)]
+            return all(snap.get("mapped") == {"halves": want["generation"]}
+                       and archives(snap.get("pid")) == {want["file"]}
+                       and snap["indexes"][0]["path"] == want["path"]
+                       for snap in snaps)
+
+        with _fleet(registry, admin_timeout_s=60.0) as fleet:
+            fleet.start()
+            gens = os.path.join(fleet._artifact_dir, "gens", "halves")
+            _await(lambda: mapped({"generation": 1,
+                                   "file": str(paths["west"]),
+                                   "path": str(paths["west"])}),
+                   "workers on their inherited records")
+            assert os.path.samefile(paths["west"],
+                                    os.path.join(gens, "1", "full.npz"))
+            result = fleet.admin({"op": "reload", "name": "halves",
+                                  "path": str(paths["east"])})
+            assert result["complete"] is True, result
+            on_east = {"generation": 2, "path": str(paths["east"]),
+                       "file": os.path.join(gens, "2", "full.npz")}
+            _await(lambda: mapped(on_east), "workers on the reload")
+            victim = fleet._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            _await(lambda: fleet.restarts >= 1
+                   and fleet._processes[0].pid != victim.pid
+                   and mapped(on_east), "the respawn on the reload")
+            for _ in range(8):
+                _status, body = _get(
+                    fleet.address,
+                    f"/query?index=halves&lng={lng}&lat={lat}&exact=1")
+                assert sorted(body["true_hits"]) == [0]
 
     def test_fleet_register_and_unregister(self, half_index_paths,
                                            fleet_registry):
@@ -502,10 +572,10 @@ class TestAggregation:
         view = aggregate_snapshots({
             0: self._snapshot(0, total=50, shed=0, uptime=5.0,
                               samples=[0.01] * 50),
-            RETIRED_KEY: {"queries.total": 1000, "queries.shed": 7},
+            RETIRED_KEY: {"counters": {"queries.total": 1000,
+                                       "queries.shed": 7}},
         })
         # crashed predecessors' counters keep the totals monotone
-        # (flat legacy shape — pre-histogram retired entries still fold)
         assert view["workers"] == 1
         assert view["counters"]["queries.total"] == 1050
         assert view["counters"]["queries.shed"] == 7
@@ -597,9 +667,8 @@ class TestNoBroker:
             workers = {p.pid for p in fleet._processes}
             assert len(workers) == 2
             assert _children_of(os.getpid()) - before == workers
-            state = sorted(os.listdir(fleet._artifact_dir))
-            assert [n for n in state if not n.endswith(".npz")] == [
-                "control", "snapshots"]
+            assert sorted(os.listdir(fleet._artifact_dir)) == [
+                "current.json", "gens", "snapshots"]
 
     def test_importing_the_serving_package_loads_no_manager(self):
         import subprocess
@@ -614,13 +683,16 @@ class TestNoBroker:
                                                 tmp_path):
         """Start → serve → two reloads → shutdown, then start again on
         the same operator-supplied directory (with the debris of a run
-        that never shut down planted in it): sequence numbers and
-        fleet totals begin again, the side archives stay."""
+        that never shut down planted in it): generation numbers and
+        fleet totals begin again, and the last run's generation
+        directories stay until then."""
         from repro.act.serialize import save_index
+        from repro.serve.statedir import read_current
 
         source = tmp_path / "nyc.npz"
         save_index(nyc_index, source)
         artifacts = tmp_path / "artifacts"
+        gens = artifacts / "gens" / "nyc"
         reload_request = {"op": "reload", "name": "nyc",
                           "path": str(source), "mmap_mode": "r"}
 
@@ -646,25 +718,21 @@ class TestNoBroker:
                      "/query?index=nyc&lng=-73.97&lat=40.75")
             await_stats(fleet, lambda v: v["workers"] == 2
                         and v["counters"]["queries.total"] == 5)
-            assert [fleet.admin(reload_request)["seq"]
-                    for _ in range(2)] == [1, 2]
-            assert sorted(os.listdir(artifacts / "control"))[-2:] == [
-                "op", "seq"]
-        # shutdown removed the state, and only the state
+            assert [fleet.admin(reload_request)["generation"]
+                    for _ in range(2)] == [2, 3]
+            assert read_current(artifacts) == {"nyc": 3}
+        # shutdown removed the snapshots, and only them
         assert sorted(os.listdir(artifacts)) == [
-            "nyc.gen000002.npz", "nyc.gen000003.npz"]
+            ".lock", "current.json", "gens"]
+        assert sorted(os.listdir(gens)) == ["2", "3"]
 
         # what a fleet that was killed outright would have left behind
-        (artifacts / "control").mkdir()
         (artifacts / "snapshots").mkdir()
-        (artifacts / "control" / "seq").write_text("7")
-        (artifacts / "control" / "op").write_text(json.dumps({
-            "kind": "reload", "name": "nyc", "seq": 7, "generation": 9,
-            "artifact_path": str(artifacts / "nyc.gen000003.npz")}))
-        (artifacts / "control" / ".op.1-1.partial").write_text("{")
         (artifacts / "snapshots" / "5").write_text(json.dumps({
             "worker": 5, "pid": 1, "uptime_seconds": 9.0, "metrics": {
                 "counters": {"queries.total": 99}}}))
+        (artifacts / "current.json").write_text(json.dumps({"nyc": "9"}))
+        (gens / ".tmp-1-torn").mkdir()
         with fleet_over(artifacts) as fleet:
             fleet.start()
             view = await_stats(fleet, lambda v: v["workers"] == 2)
@@ -672,8 +740,7 @@ class TestNoBroker:
             assert "retired_counters" not in view
             response = fleet.admin(reload_request)
             assert response["complete"] is True, response
-            # a replayed seq 7 would have put every process on
-            # generation 9 before this reload
-            assert response["seq"] == 1 and response["generation"] == 2
-            assert ".op.1-1.partial" not in os.listdir(
-                artifacts / "control")
+            # numbers the last run used, or a stale current.json, would
+            # have made this reload 4 or 10
+            assert response["generation"] == 2
+            assert sorted(os.listdir(gens)) == ["1", "2"]

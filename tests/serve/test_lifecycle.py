@@ -1,13 +1,17 @@
-"""Index lifecycle tests: admin ops, the HTTP admin surface, and
-zero-downtime reload under live traffic (single-process).
+"""Index lifecycle tests: admin ops, the HTTP admin surface,
+zero-downtime reload under live traffic (single-process), and the
+fleet's generation directories driven by in-process workers.
 
-The fleet-wide (multiprocess) reload protocol is exercised in
-``test_fleet.py``; everything here runs in one process so it is cheap
-enough for the tier-1 suite.
+The forked fleet is exercised in ``test_fleet.py``; everything here
+runs in one process (the crash points fork one short-lived writer) so
+it is cheap enough for the tier-1 suite.
 """
 
 import contextlib
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -16,18 +20,25 @@ import urllib.request
 import pytest
 
 from repro import ACTIndex
-from repro.act.serialize import save_index
+from repro.act.serialize import load_index, save_index
 from repro.datasets.nyc import REGION
 from repro.errors import InvalidRequestError, ServeError, UnknownIndexError
 from repro.geometry import Polygon
+from repro.join.parallel import fork_available
 from repro.serve import (
     ACTService,
     AdminOp,
+    FleetLifecycle,
+    IndexRegistry,
     ServeConfig,
     apply_admin_op,
     create_server,
     handle_admin_request,
+    statedir,
 )
+from repro.serve.statedir import (MANIFEST, generation_dir, read_current,
+                                  read_json, replace_current,
+                                  write_generation)
 
 #: Probe point deep inside the eastern half of the region: a miss for
 #: the "west" index, a true hit (polygon 0) for the "east" index.
@@ -100,22 +111,50 @@ def _delete(server, path):
         return resp.status, json.loads(resp.read())
 
 
-class TestAdminOpWire:
-    def test_wire_roundtrip(self):
-        op = AdminOp(kind="reload", name="nyc", seq=3, generation=7,
-                     source_path="/tmp/new.npz",
-                     artifact_path="/tmp/side.npz",
-                     artifact_mmap_mode="r")
-        back = AdminOp.from_wire(op.to_wire())
-        assert back == op
+def _publish(root, name, path):
+    """Publish ``path`` as ``name``'s next generation directory, the
+    way the fleet's cutter does at start."""
+    d = write_generation(root, name, full_from=path, source=path)
+    replace_current(root, {**read_current(root), name: d})
+    return d
 
-    def test_unset_mmap_survives_roundtrip(self):
+
+def _workers(root, *registries):
+    """In-process fleet workers over ``root``, one per registry (slot =
+    position), each on what ``current.json`` names; returns their
+    services, lifecycles and the snapshot dict their admin wait reads."""
+    services = [ACTService(registry=registry) for registry in registries]
+    snapshots = {}
+    lifecycles = [FleetLifecycle(root, len(services), service=service,
+                                 slot=slot, snapshots=snapshots,
+                                 timeout_s=10.0)
+                  for slot, service in enumerate(services)]
+    for lifecycle in lifecycles:
+        snapshots[str(lifecycle.slot)] = lifecycle.poll()
+    return services, lifecycles, snapshots
+
+
+def _answer(service, name="n"):
+    return service.query(name, *PROBE, exact=True).true_hits
+
+
+class TestAdminOpWire:
+    def test_unset_mmap_survives_roundtrip(self, index_pair):
+        """A request that names no mmap mode leaves the registration's:
+        request → op → reload."""
+        from repro.serve.lifecycle import request_to_op
         from repro.serve.registry import _UNSET
 
-        op = AdminOp(kind="reload", name="nyc", seq=1)
-        wire = op.to_wire()
-        assert "source_mmap_mode" not in wire
-        assert AdminOp.from_wire(wire).source_mmap_mode is _UNSET
+        west_path, east_path = index_pair
+        op = request_to_op({"op": "reload", "name": "w",
+                            "path": str(east_path)})
+        assert op.source_mmap_mode is _UNSET
+        service = ACTService()
+        with service:
+            service.register_index_path("w", west_path, mmap_mode="r")
+            apply_admin_op(op, service=service)
+            assert service.registry.describe("w")["mmap_mode"] == "r"
+            assert _answer(service, "w") == (0,)
 
 
 class TestApplyAdminOp:
@@ -141,43 +180,100 @@ class TestApplyAdminOp:
             with pytest.raises(UnknownIndexError):
                 service.query("halves", *PROBE)
 
-    def test_reload_is_idempotent_by_generation(self, index_pair):
-        west_path, _ = index_pair
-        service = ACTService()
+    def test_reload_is_idempotent_by_generation(self, index_pair,
+                                                tmp_path):
+        """A worker maps a generation directory again only when it
+        differs from the one it holds: polling the same ``current``
+        twice keeps the very record, a new directory swaps it."""
+        west_path, east_path = index_pair
+        _publish(tmp_path, "w", west_path)
+        (service,), (worker,), _ = _workers(tmp_path, IndexRegistry())
         with service:
-            service.register_index_path("w", west_path)
             first = service.registry.pin("w")
-            # a replayed op (same target generation) must be a no-op —
-            # this is what lets respawned fleet workers re-ack safely
-            out = apply_admin_op(AdminOp("reload", "w", generation=1),
-                                 service=service)
-            assert out["generation"] == 1
+            assert worker.poll()["mapped"] == {"w": 1}
             assert service.registry.pin("w") is first
+            assert first.path == generation_dir(tmp_path, "w", 1) / "full.npz"
+            _publish(tmp_path, "w", east_path)
+            worker.poll()
+            assert service.registry.pin("w").generation == 2
+            assert _answer(service, "w") == (0,)
 
-    def test_unregister_unknown_idempotent_for_followers_only(self):
-        service = ACTService()
+    def test_a_worker_keeps_the_record_it_forked_with(self, index_pair,
+                                                      tmp_path):
+        """The first directory is numbered after the prewarmed record it
+        was written from, so a worker polling on the registry it forked
+        with keeps that record (nothing reloads) and maps any other
+        directory — including that number again after a rollback."""
+        west_path, east_path = index_pair
+        registry = IndexRegistry()
+        registry.register_path("n", west_path, mmap_mode="r")
+        registry.pin("n")
+        record = registry.reload("n")
+        d = write_generation(tmp_path, "n", full_from=west_path,
+                             source=west_path, first=record.generation)
+        assert d == record.generation == 2
+        replace_current(tmp_path, {"n": d})
+        (service,), (worker,), _ = _workers(tmp_path, registry)
         with service:
-            # follower (fleet replay) mode absorbs the repeat quietly …
-            out = apply_admin_op(AdminOp("unregister", "ghost"),
-                                 service=service, strict=False)
-            assert out["already_unregistered"] is True
-            # … but an operator deleting an unknown index sees the 404
+            assert worker.report()["mapped"] == {"n": 2}
+            assert service.registry.pin("n") is record
+            _publish(tmp_path, "n", east_path)
+            worker.poll()
+            assert service.registry.pin("n").generation == 3
+            assert service.registry.describe("n")["path"] == str(east_path)
+            assert _answer(service) == (0,)
+            replace_current(tmp_path, {"n": 2})
+            worker.poll()
+            assert service.registry.pin("n").generation == 2
+            assert service.registry.describe("n")["path"] == str(west_path)
+            assert _answer(service) == ()
+
+    def test_a_fleet_refuses_another_mmap_mode(self, index_pair, tmp_path):
+        """Workers map every generation read-only: a fleet request for
+        another mode is refused before anything is written; ``"r"``, or
+        no mode, is accepted."""
+        west_path, east_path = index_pair
+        _publish(tmp_path, "n", west_path)
+        coord = FleetLifecycle(tmp_path, 0, timeout_s=5.0)
+        for mode in ({"mmap_mode": None}, {"mmap_mode": "c"},
+                     {"mmap": False}):
+            with pytest.raises(InvalidRequestError, match="mmap_mode 'r'"):
+                coord.submit({"op": "reload", "name": "n",
+                              "path": str(east_path), **mode})
+        assert os.listdir(tmp_path / "gens" / "n") == ["1"]
+        for mode in ({"mmap_mode": "r"}, {"mmap": True}, {}):
+            result = coord.submit({"op": "reload", "name": "n", **mode})
+            assert result["complete"] is True, result
+
+    def test_unregister_unknown_idempotent_for_followers_only(
+            self, index_pair, tmp_path):
+        west_path, _ = index_pair
+        _publish(tmp_path, "n", west_path)
+        (service,), (worker,), _ = _workers(tmp_path, IndexRegistry())
+        with service:
+            # a worker whose current.json dropped a name drops it once,
+            # and polls quietly after that …
+            replace_current(tmp_path, {})
+            for _ in range(2):
+                assert worker.poll()["mapped"] == {}
+            assert service.registry.names() == []
+            # … but an operator deleting an unknown index sees the 404,
+            # from one process or fleet-wide
             with pytest.raises(UnknownIndexError):
                 apply_admin_op(AdminOp("unregister", "ghost"),
                                service=service)
+            with pytest.raises(UnknownIndexError):
+                worker.submit({"op": "unregister", "name": "n"})
 
     def test_registry_only_application(self, index_pair):
-        # the fleet parent applies ops without a service
-        from repro.serve import IndexRegistry
-
+        # a bare registry applies ops without a service
         west_path, east_path = index_pair
         registry = IndexRegistry()
         apply_admin_op(AdminOp("register", "h", source_path=str(west_path)),
                        registry=registry)
         assert registry.pin("h").generation == 1
         out = apply_admin_op(
-            AdminOp("reload", "h", source_path=str(east_path),
-                    generation=2),
+            AdminOp("reload", "h", source_path=str(east_path)),
             registry=registry)
         assert out["generation"] == 2
         assert registry.pin("h").index.query_exact(*PROBE) == (0,)
@@ -196,97 +292,57 @@ class TestApplyAdminOp:
             service.register_index_path("n", east_path)
             assert service.registry.pin("n").generation == 3
 
-    @staticmethod
-    @contextlib.contextmanager
-    def _parent_poller(control, op_lock, tmp_path, registered):
-        """A thread standing in for the fleet parent's supervisor loop."""
-        from repro.serve import FleetLifecycle, IndexRegistry
-        from repro.serve.lifecycle import PARENT_IDENTITY
-
-        registry = IndexRegistry()
-        for name, path in registered.items():
-            registry.register_path(name, path)
-        parent = FleetLifecycle(
-            control=control, op_lock=op_lock, identity=PARENT_IDENTITY,
-            workers=1, registry=registry, artifact_dir=str(tmp_path),
-            timeout_s=2.0)
-        stop = threading.Event()
-
-        def loop():
-            while not stop.wait(0.02):
-                parent.poll()
-
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-        try:
-            yield registry
-        finally:
-            stop.set()
-            thread.join(timeout=5.0)
-
-    def test_rollback_when_side_artifact_write_fails(self, index_pair,
-                                                     tmp_path,
-                                                     monkeypatch):
-        # the coordinator applies locally before writing the side
-        # artifact; a write failure must roll it back onto the fleet's
-        # generation (and burn the failed number) instead of leaving
-        # this process serving a divergent dataset forever
-        import repro.serve.lifecycle as lifecycle_module
-        from repro.serve import FleetLifecycle
-
+    def test_rollback_when_side_artifact_write_fails(
+            self, index_pair, tmp_path, monkeypatch, publishing):
+        """The disk fills up while the coordinator writes the new
+        generation directory: the admin call raises, nothing is
+        published — the coordinator itself never swapped — no partial
+        directory is left, and the retry lands on the number the failed
+        attempt never published."""
         west_path, east_path = index_pair
-        control, op_lock = {}, threading.Lock()
-        service = ACTService()
-        with service, self._parent_poller(
-                control, op_lock, tmp_path, {"n": west_path}):
-            service.register_index_path("n", west_path)
-            before = service.registry.pin("n")
-            fleet = FleetLifecycle(
-                control=control, op_lock=op_lock, identity="0",
-                workers=1, service=service,
-                artifact_dir=str(tmp_path), timeout_s=5.0)
+        _publish(tmp_path, "n", west_path)
+        services, lifecycles, snapshots = _workers(
+            tmp_path, IndexRegistry(), IndexRegistry())
+        publishing(lifecycles[1:], snapshots)
+        real = statedir.write_json
 
-            def explode(index, path):
+        def disk_full(path, value):
+            if path.name == MANIFEST:
                 raise OSError("disk full")
+            return real(path, value)
 
-            monkeypatch.setattr(lifecycle_module.serialize,
-                                "save_index_atomic", explode)
-            with pytest.raises(OSError):
-                fleet.submit({"op": "reload", "name": "n",
-                              "path": str(east_path)})
-            # still serving the pre-reload record, queries keep working
-            assert service.registry.pin("n") is before
-            assert service.query("n", *PROBE, exact=True).true_hits == ()
-            monkeypatch.undo()
-            result = fleet.submit({"op": "reload", "name": "n",
-                                   "path": str(east_path)})
+        monkeypatch.setattr(statedir, "write_json", disk_full)
+        reload = {"op": "reload", "name": "n", "path": str(east_path)}
+        with pytest.raises(OSError, match="disk full"):
+            lifecycles[0].submit(reload)
+        assert read_current(tmp_path) == {"n": 1}
+        assert os.listdir(tmp_path / "gens" / "n") == ["1"]
+        assert [_answer(service) for service in services] == [(), ()]
+        monkeypatch.undo()
+        result = lifecycles[0].submit(reload)
+        assert result["complete"] is True, result
+        assert result["generation"] == 2
+        assert [_answer(service) for service in services] == [(0,), (0,)]
+
+    def test_submit_sweeps_stale_ack_keys(self, index_pair, tmp_path,
+                                          publishing):
+        """The fleet's state stays bounded however many operations run:
+        one pointer file, the lock, and per name the served generation
+        directory and the one before it — no temporaries, no
+        per-operation records."""
+        west_path, east_path = index_pair
+        _publish(tmp_path, "n", west_path)
+        services, lifecycles, snapshots = _workers(
+            tmp_path, IndexRegistry(), IndexRegistry())
+        publishing(lifecycles, snapshots)
+        for step, path in enumerate([east_path, west_path] * 3):
+            result = lifecycles[step % 2].submit(
+                {"op": "reload", "name": "n", "path": str(path)})
             assert result["complete"] is True, result
-            # generation 2 was burned by the failed attempt
-            assert result["generation"] == 3
-            assert service.query("n", *PROBE, exact=True).true_hits \
-                == (0,)
-
-    def test_submit_sweeps_stale_ack_keys(self, index_pair, tmp_path):
-        from repro.serve import FleetLifecycle
-
-        west_path, _ = index_pair
-        control = {"ack:1:9": {"ok": True},  # straggler leftovers
-                   "ack:2:parent": {"ok": False}}
-        op_lock = threading.Lock()
-        service = ACTService()
-        with service, self._parent_poller(
-                control, op_lock, tmp_path, {"n": west_path}):
-            service.register_index_path("n", west_path)
-            fleet = FleetLifecycle(
-                control=control, op_lock=op_lock, identity="0",
-                workers=1, service=service,
-                artifact_dir=str(tmp_path), timeout_s=5.0)
-            result = fleet.submit({"op": "reload", "name": "n"})
-            assert result["complete"] is True, result
-            leftover = [k for k in control if str(k).startswith("ack:")]
-            # only the just-finished barrier could have written acks,
-            # and _wait_for_acks cleans those up itself
-            assert leftover == []
+        assert result["generation"] == 7
+        assert sorted(os.listdir(tmp_path)) == [
+            ".lock", "current.json", "gens"]
+        assert sorted(os.listdir(tmp_path / "gens" / "n")) == ["6", "7"]
 
     def test_path_traversing_names_rejected(self):
         from repro.serve.lifecycle import request_to_op
@@ -581,166 +637,209 @@ class TestReloadUnderTraffic:
                 "reloads must sweep the dead generations' entries"
 
 
-class _FlakyRegistry:
-    """Follower registry rigged to flunk the apply of one generation,
-    standing in for a worker whose copy of the side artifact is bad."""
+class _FlakyRegistry(IndexRegistry):
+    """A worker's registry rigged to flunk mapping one generation,
+    standing in for a worker whose read of its file comes back
+    corrupt."""
 
-    def __new__(cls, fail_generation):
-        from repro.serve import IndexRegistry
+    def __init__(self, fail_generation):
+        super().__init__()
+        self.fail_generation = fail_generation
 
-        class _Rigged(IndexRegistry):
-            def reload(self, name, **kwargs):
-                if kwargs.get("generation") == fail_generation:
-                    from repro.errors import ArtifactCorruptError
-                    raise ArtifactCorruptError(
-                        "rigged: side artifact flunked its checksum")
-                return super().reload(name, **kwargs)
-
-        return _Rigged()
+    def adopt(self, name, path, generation, source=None):
+        if generation == self.fail_generation:
+            from repro.errors import ArtifactCorruptError
+            raise ArtifactCorruptError(
+                "rigged: generation file flunked its checksum")
+        return super().adopt(name, path, generation, source=source)
 
 
 class TestReloadRollback:
-    """A NACKed fleet reload must abort, quarantine the artifact, and
-    re-publish the previous data under a fresh generation — never hang
-    or leave the fleet split."""
-
-    @staticmethod
-    @contextlib.contextmanager
-    def _polling(follower):
-        stop = threading.Event()
-
-        def loop():
-            while not stop.wait(0.02):
-                follower.poll()
-
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-        try:
-            yield
-        finally:
-            stop.set()
-            thread.join(timeout=5.0)
+    """A NACKed fleet reload must replace ``current.json`` back,
+    quarantine the rejected directory, and put every worker back on the
+    old data — never hang or leave the fleet split."""
 
     def test_follower_nack_rolls_the_fleet_back(self, index_pair,
-                                                tmp_path):
-        import os
-
-        from repro.serve import FleetLifecycle
-        from repro.serve.lifecycle import PARENT_IDENTITY
-
+                                                tmp_path, publishing):
+        """Worker 1 cannot map generation 2 and says so in its
+        snapshot; the coordinator — the parent, no worker itself — rolls
+        the fleet back, and the retry gets a number never used."""
         west_path, east_path = index_pair
-        control, op_lock = {}, threading.Lock()
+        _publish(tmp_path, "n", west_path)
         flaky = _FlakyRegistry(fail_generation=2)
-        flaky.register_path("n", west_path)
-        follower = FleetLifecycle(
-            control=control, op_lock=op_lock, identity=PARENT_IDENTITY,
-            workers=1, registry=flaky, artifact_dir=str(tmp_path),
-            timeout_s=5.0)
-        service = ACTService()
-        with service, self._polling(follower):
-            service.register_index_path("n", west_path)
-            coord = FleetLifecycle(
-                control=control, op_lock=op_lock, identity="0",
-                workers=1, service=service, artifact_dir=str(tmp_path),
-                timeout_s=5.0)
-            result = coord.submit({"op": "reload", "name": "n",
-                                   "path": str(east_path)})
-            # structured failure, not an exception and not a hang
-            assert result["complete"] is False
-            assert result["failed"] == [PARENT_IDENTITY]
-            assert "rigged" in result["error"]
-            # the rejected side artifact is quarantined for forensics
-            assert result["quarantined"] is not None
-            assert ".quarantine" in result["quarantined"]
-            assert os.path.exists(result["quarantined"])
-            # the failed generation (2) is burned; the old data came
-            # back fleet-wide under a fresh number
-            assert result["rolled_back"] is True, result
-            assert result["rollback"]["complete"] is True
-            assert result["generation"] == 3
-            assert service.registry.pin("n").generation == 3
-            assert flaky.pin("n").generation == 3
-            # everyone serves the pre-reload (west) answers
-            assert service.query("n", *PROBE, exact=True).true_hits == ()
-            assert flaky.pin("n").index.query_exact(*PROBE) == ()
-            # a clean rollback restores convergence on both sides;
-            # the original failure stays visible on the coordinator
-            assert coord.status()["converged"] is True
-            assert "rigged" in coord.status()["last_error"]
-            assert follower.status() == {"converged": True,
-                                         "last_error": None}
-            counters = service.metrics.snapshot()["counters"]
-            assert counters["faults.reload_rollbacks"] == 1
-            assert counters["faults.quarantined"] >= 1
-            # the fleet is healthy: the same reload, retried, lands
-            flaky_retry = coord.submit({"op": "reload", "name": "n",
-                                        "path": str(east_path)})
-            assert flaky_retry["complete"] is True, flaky_retry
-            assert flaky_retry["generation"] == 4
-            assert service.query("n", *PROBE, exact=True).true_hits \
-                == (0,)
+        services, lifecycles, snapshots = _workers(
+            tmp_path, IndexRegistry(), flaky)
+        publishing(lifecycles, snapshots)
+        counted = {}
+        coord = FleetLifecycle(
+            tmp_path, 2, snapshots=snapshots, timeout_s=10.0,
+            count=lambda name, n: counted.update(
+                {name: counted.get(name, 0) + n}))
+        reload = {"op": "reload", "name": "n", "path": str(east_path)}
+        result = coord.submit(reload)
+        # structured failure, not an exception and not a hang
+        assert result["complete"] is False
+        assert result["failed"] == ["1"]
+        assert result["acks"]["1"]["nack"] is True
+        assert "rigged" in result["error"]
+        # the rejected directory is quarantined for forensics, its
+        # number still taken
+        assert result["quarantined"].endswith("2.quarantine")
+        assert os.path.isdir(result["quarantined"])
+        # current.json names the generation served before, and every
+        # worker is back on it
+        assert result["rolled_back"] is True, result
+        assert result["rollback"]["complete"] is True
+        assert result["generation"] == 1
+        assert read_current(tmp_path) == {"n": 1}
+        assert [_answer(service) for service in services] == [(), ()]
+        assert [s.registry.pin("n").generation for s in services] == [1, 1]
+        # a clean rollback restores convergence everywhere; the
+        # original failure stays visible on the coordinator
+        assert coord.status()["converged"] is True
+        assert "rigged" in coord.status()["last_error"]
+        assert [lc.status() for lc in lifecycles] == [
+            {"converged": True, "last_error": None}] * 2
+        assert counted == {"faults.reload_rollbacks": 1,
+                           "faults.quarantined": 1}
+        faults = services[1].metrics.snapshot()["counters"]
+        assert faults["faults.apply_failures"] == 1
+        assert faults["faults.artifact_corrupt"] == 1
+        # the same reload, retried, lands under a fresh number: cache
+        # keys of the rejected generation 2 can never alias it
+        retry = coord.submit(reload)
+        assert retry["complete"] is True, retry
+        assert retry["generation"] == 3
+        assert [_answer(service) for service in services] == [(0,), (0,)]
 
     def test_coordinator_local_corruption_aborts_before_publish(
             self, index_pair, tmp_path):
-        import os
         import shutil
-
-        from repro.serve import FleetLifecycle, IndexRegistry
-        from repro.serve.lifecycle import PARENT_IDENTITY, SEQ_KEY
 
         west_path, east_path = index_pair
         bad = tmp_path / "bad.npz"
         shutil.copyfile(east_path, bad)
         with open(bad, "r+b") as fp:
             fp.truncate(bad.stat().st_size // 2)
-
-        control, op_lock = {}, threading.Lock()
-        registry = IndexRegistry()
-        registry.register_path("n", west_path)
-        coord = FleetLifecycle(
-            control=control, op_lock=op_lock, identity=PARENT_IDENTITY,
-            workers=0, registry=registry, artifact_dir=str(tmp_path),
-            timeout_s=5.0)
+        root = tmp_path / "fleet"
+        _publish(root, "n", west_path)
+        coord = FleetLifecycle(root, 0, timeout_s=5.0)
         result = coord.submit({"op": "reload", "name": "n",
                                "path": str(bad)})
         assert result["complete"] is False
         assert result["rolled_back"] is False
         assert result["acks"] == {}
         assert "corrupt" in result["error"]
-        # nothing was published: the fleet never saw the op
-        assert SEQ_KEY not in control
+        # nothing was written or published
+        assert read_current(root) == {"n": 1}
+        assert os.listdir(root / "gens" / "n") == ["1"]
         # the corrupt source is quarantined so a blind retry cannot
         # re-read the same bytes …
         assert os.path.exists(result["quarantined"])
         assert not bad.exists()
-        # … and the registration's source points back at the pre-op
-        # path, so a plain reload recovers
-        assert registry.describe("n")["path"] == str(west_path)
+        # … and the served directory still records the pre-op source,
+        # so a plain reload recovers
         retry = coord.submit({"op": "reload", "name": "n"})
         assert retry["complete"] is True, retry
-        assert registry.pin("n").index.query_exact(*PROBE) == ()
+        assert read_json(generation_dir(root, "n", retry["generation"])
+                         / MANIFEST)["source"] == str(west_path)
+        full = generation_dir(root, "n", retry["generation"]) / "full.npz"
+        assert load_index(full).query_exact(*PROBE) == ()
 
     def test_gc_keeps_newest_two_side_artifacts(self, index_pair,
                                                 tmp_path):
-        from repro.serve import FleetLifecycle, IndexRegistry
-        from repro.serve.lifecycle import PARENT_IDENTITY
-
-        west_path, _ = index_pair
-        registry = IndexRegistry()
-        registry.register_path("n", west_path)
-        assert registry.pin("n").generation == 1  # materialize lazily
-        decoy = tmp_path / "m.gen000001.npz"
-        decoy.write_bytes(b"someone else's artifact")
-        coord = FleetLifecycle(
-            control={}, op_lock=threading.Lock(),
-            identity=PARENT_IDENTITY, workers=0, registry=registry,
-            artifact_dir=str(tmp_path), timeout_s=5.0)
-        for expected_gen in (2, 3, 4, 5):
+        """GC is bounded: after five reloads a name keeps exactly its
+        served directory and the one before it, and another name's
+        directories are never touched."""
+        west_path, east_path = index_pair
+        _publish(tmp_path, "n", west_path)
+        _publish(tmp_path, "m", east_path)
+        _publish(tmp_path, "m", west_path)
+        coord = FleetLifecycle(tmp_path, 0, timeout_s=5.0)
+        for expected in (2, 3, 4, 5, 6):
             result = coord.submit({"op": "reload", "name": "n"})
             assert result["complete"] is True, result
-            assert result["generation"] == expected_gen
-        kept = sorted(p.name for p in tmp_path.iterdir()
-                      if p.name.startswith("n.gen"))
-        # dead generations' files are gone, current + predecessor stay
-        assert kept == ["n.gen000004.npz", "n.gen000005.npz"]
-        assert decoy.exists()  # other names are never touched
+            assert result["generation"] == expected
+        assert sorted(os.listdir(tmp_path / "gens" / "n")) == ["5", "6"]
+        assert sorted(os.listdir(tmp_path / "gens" / "m")) == ["1", "2"]
+
+
+def _crash_and_reload(conn, root, source, point):
+    """A coordinator that SIGKILLs itself at ``point`` of writing a
+    reload of ``n``: before or after renaming the generation directory
+    into place, or after replacing ``current.json``."""
+    rename, replace = os.rename, os.replace
+
+    def die():
+        conn.send(point)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def crashing_rename(src, dst):
+        if point == "before-rename":
+            die()
+        rename(src, dst)
+        if point == "after-rename":
+            die()
+
+    def crashing_replace(src, dst):
+        replace(src, dst)
+        if point == "after-replace" and str(dst).endswith("current.json"):
+            die()
+
+    os.rename, os.replace = crashing_rename, crashing_replace
+    FleetLifecycle(root, 0).submit(
+        {"op": "reload", "name": "n", "path": str(source)})
+    conn.send("survived")
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="needs the 'fork' start method")
+class TestCrashPoints:
+    """A writer SIGKILLed anywhere leaves ``current.json`` naming one
+    complete directory — old or new, never a mix — that a worker maps
+    and answers from; the next admin operation succeeds and sweeps the
+    dead writer's debris."""
+
+    @pytest.mark.parametrize("point, left, served, following", [
+        pytest.param("before-rename", ".tmp-", 1, 2, id="before-rename"),
+        pytest.param("after-rename", "2", 1, 3, id="after-rename"),
+        pytest.param("after-replace", "2", 2, 3, id="after-replace")])
+    def test_a_crashed_writer_leaves_old_or_new(self, index_pair, tmp_path,
+                                                point, left, served,
+                                                following):
+        west_path, east_path = index_pair
+        _publish(tmp_path, "n", west_path)
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        writer = ctx.Process(target=_crash_and_reload,
+                             args=(theirs, tmp_path, east_path, point))
+        writer.start()
+        theirs.close()
+        writer.join(60.0)
+        assert ours.recv() == point
+        assert writer.exitcode == -signal.SIGKILL
+        # what the writer got onto the disk before it died
+        gens = tmp_path / "gens" / "n"
+        (written,) = set(os.listdir(gens)) - {"1"}
+        assert written.startswith(left)
+        # current.json names a complete directory: every member its
+        # MANIFEST lists, at the size it lists
+        assert read_current(tmp_path) == {"n": served}
+        directory = generation_dir(tmp_path, "n", served)
+        manifest = read_json(directory / MANIFEST)
+        assert manifest["generation"] == served
+        assert {name: (directory / name).stat().st_size
+                for name in manifest["members"]} == manifest["members"]
+        # a worker maps it and answers from exactly that data
+        (service,), (worker,), _ = _workers(tmp_path, IndexRegistry())
+        with service:
+            assert _answer(service) == {1: (), 2: (0,)}[served]
+            # the dead writer's lock died with it: the next operation
+            # runs, takes a number never used, and sweeps the debris
+            result = worker.submit({"op": "reload", "name": "n",
+                                    "path": str(west_path)})
+            assert result["complete"] is True, result
+            assert result["generation"] == following
+            assert sorted(os.listdir(gens)) == sorted(
+                {str(served), str(following)})
+            assert _answer(service) == ()

@@ -9,9 +9,9 @@ does not come back unnoticed, nor does formatting or ``json`` in the
 per-cell entry decode (RL003).
 """
 
+import ast
 import inspect
 import textwrap
-import threading
 
 import pytest
 
@@ -52,10 +52,9 @@ class TestFamiliesExistPreTraffic:
             server.server_close()
             svc.close()
 
-    def test_lifecycle_registers_fault_families(self):
+    def test_lifecycle_registers_fault_families(self, tmp_path):
         svc = ACTService()
-        FleetLifecycle(control={}, op_lock=threading.Lock(),
-                       identity="t", workers=1, service=svc)
+        FleetLifecycle(tmp_path, 1, service=svc, slot=0)
         snap = svc.metrics.snapshot()
         for name in ("faults.artifact_corrupt", "faults.quarantined",
                      "faults.reload_rollbacks", "faults.apply_failures"):
@@ -89,24 +88,48 @@ class TestBudgetParseTaxonomy:
 class TestLifecycleConvergenceUnderLock:
     """RL001: convergence flags are written under the apply lock; a
     status() reader never sees a torn converged/last_error pair after
-    a coordinator-local corrupt abort (the `_locked` path)."""
+    an operation — a corrupt source refused, a rollback, a timeout."""
 
     def test_abort_corrupt_is_locked_convention(self):
-        # the caller-holds-lock convention is load-bearing for RL001:
-        # the helper writes last_error and must advertise it
-        assert hasattr(FleetLifecycle, "_abort_corrupt_locked")
-        assert not hasattr(FleetLifecycle, "_abort_corrupt")
+        # every write of the pair, the corrupt-source refusal's
+        # included, sits lexically inside `with self._apply_lock:`
+        from repro.lint.rules.base import with_lock_lines
+
+        tree = ast.parse(textwrap.dedent(inspect.getsource(FleetLifecycle)))
+        writes = []
+        for method in ast.walk(tree):
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            under_lock = with_lock_lines(method)
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        for attr in ast.walk(target):
+                            if (isinstance(attr, ast.Attribute)
+                                    and attr.attr in ("converged",
+                                                      "last_error")
+                                    and method.name != "__init__"):
+                                writes.append((method.name, attr.attr,
+                                               node.lineno in under_lock))
+        assert {(name, attr) for name, attr, _ in writes} == {
+            ("_refuse", "last_error"), ("publish", "converged"),
+            ("publish", "last_error")}
+        assert all(locked for _, _, locked in writes), writes
 
     def test_status_reflects_submit_outcome(self, nyc_index, tmp_path):
+        from repro.serve.statedir import replace_current, write_generation
+
         svc = ACTService()
-        svc.registry.register_index("nyc", nyc_index)
-        # identity "parent", workers=0: the coordinator's own ack is
-        # the whole barrier, so submit converges without a fleet
-        lc = FleetLifecycle(control={}, op_lock=threading.Lock(),
-                            identity="parent", workers=0, service=svc,
-                            artifact_dir=str(tmp_path), timeout_s=5.0)
+        # a worker fleet of one: the coordinator's own slot is the
+        # whole wait, so submit converges without a fork
+        replace_current(tmp_path, {"nyc": write_generation(
+            tmp_path, "nyc", index=nyc_index)})
+        lc = FleetLifecycle(tmp_path, 1, service=svc, slot=0,
+                            snapshots={}, timeout_s=5.0)
+        lc.poll()
         response = lc.submit({"op": "reload", "name": "nyc"})
         assert response["complete"] is True
+        assert response["generation"] == 2
         status = lc.status()
         assert status["converged"] is True
         assert status["last_error"] is None

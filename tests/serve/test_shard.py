@@ -9,20 +9,24 @@ unsharded service, and admission control must shed only on positive
 fleet-wide evidence.
 """
 
+import os
 import socket
 import time
 
 import numpy as np
 import pytest
 
+from repro.act.serialize import save_index
 from repro.errors import (BudgetExceededError, ServeError,
                           UnknownIndexError)
-from repro.serve import ACTService, Budget, IndexRegistry
+from repro.serve import ACTService, Budget, FleetLifecycle, IndexRegistry
 from repro.serve.aserver import BinaryFrontend
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
-                               plan_shard_map, publish_shard_map,
-                               read_shard_map, shard_keys, slice_index,
-                               slice_path, write_slices)
+                               plan_shard_map, shard_keys, slice_index,
+                               write_slices)
+from repro.serve.statedir import (SHARD_MAP, generation_dir, read_current,
+                                  read_json, replace_current,
+                                  write_generation)
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +89,27 @@ class TestShardMap:
         with pytest.raises(ServeError):
             ShardMap(1, {"x": [ShardRange(0, KEY_MAX, 3)]}, 2)  # bad slot
 
-    def test_control_channel_round_trip(self, shard_map4, nyc_index):
-        control = {}
-        assert read_shard_map(control) is None
-        publish_shard_map(control, shard_map4)
-        got = read_shard_map(control)
-        assert got is not None and got.generation == shard_map4.generation
+    def test_control_channel_round_trip(self, shard_map4, nyc_index,
+                                        tmp_path, point_keys):
+        """A sharded generation directory records its name's placement
+        in ``shard_map.json``: read back, it routes like the map it was
+        cut under, and a newer directory carries the newer map's
+        generation."""
+        def placement(d):
+            return ShardMap.from_wire(read_json(
+                generation_dir(tmp_path, "nyc", d) / SHARD_MAP))
+
+        first = write_generation(tmp_path, "nyc", index=nyc_index,
+                                 shard_map=shard_map4)
+        got = placement(first)
+        assert (got.generation, got.num_slots) == (shard_map4.generation, 4)
+        assert np.array_equal(got.route("nyc", point_keys),
+                              shard_map4.route("nyc", point_keys))
         newer = plan_shard_map({"nyc": nyc_index}, 4, generation=7)
-        publish_shard_map(control, newer)
-        assert read_shard_map(control).generation == 7
+        second = write_generation(tmp_path, "nyc", index=nyc_index,
+                                  shard_map=newer)
+        assert second == first + 1
+        assert placement(second).generation == 7
 
 
 class TestSlicing:
@@ -417,25 +433,25 @@ class TestShardedServiceInProcess:
 
     def test_rebalance_reslices(self, nyc_index, query_points, tmp_path,
                                 sharded_service):
-        """Adopting a higher-generation map changes the resident slice
-        without touching correctness for locally-owned keys."""
+        """Serving the slice cut under a higher-generation map, and
+        routing by that map, changes the resident slice without
+        touching correctness for locally-owned keys."""
         map1 = plan_shard_map({"nyc": nyc_index}, 2)
         service = sharded_service(nyc_index, map1, 0)
         registry = service.registry
-        assert service.adopt_shard_map(map1) is False  # not newer
         # slot 0's share moves: it now owns the upper half of the keys
         map2 = ShardMap(2, {"nyc": [
             ShardRange(r.cell_lo, r.cell_hi, 1 - r.slot)
             for r in map1.ranges["nyc"]]}, 2)
         with pytest.raises(FileNotFoundError):  # not cut yet
-            service.adopt_shard_map(map2)
+            service.adopt_generation("nyc", tmp_path / "slot0.npz", 2)
         assert service.shard_info()["map_generation"] == 1
-        write_slices(nyc_index, map2, tmp_path, "nyc", 1)
-        assert service.adopt_shard_map(map2) is True
+        paths = write_slices(nyc_index, map2, tmp_path, "nyc")
+        service.adopt_generation("nyc", paths[0], 2)
+        service.route_by(map2)
         info = service.shard_info()
         assert info["map_generation"] == 2
-        assert info["slice_path"] == {
-            "nyc": str(slice_path(tmp_path, "nyc", 1, 2, 0))}
+        assert info["slice_path"] == {"nyc": str(paths[0])}
         lngs, lats = query_points
         keys = shard_keys(nyc_index.grid, lngs, lats,
                           nyc_index.boundary_level)
@@ -450,147 +466,140 @@ class TestShardedServiceInProcess:
 
     def test_a_reload_maps_the_slot_s_slice_not_the_full_artifact(
             self, nyc_index, tmp_path, sharded_service):
-        """A fleet reload names the generation's full side artifact;
-        the sharded service maps its own slice of that generation, and
-        opens the full archive only when asked for the full record."""
-        from repro.act import serialize
-
+        """A worker maps its own slot's slice of a sharded generation
+        directory, never the directory's full archive; a directory
+        ``current.json`` names that is not there yet is a NACK, and the
+        worker keeps what it serves."""
         shard_map = plan_shard_map({"nyc": nyc_index}, 2)
         service = sharded_service(nyc_index, shard_map, 1)
-        full = serialize.generation_path(tmp_path / "nyc.npz", 2)
-        serialize.save_index_atomic(nyc_index, full)
-        with pytest.raises(FileNotFoundError):  # generation 2: not cut yet
-            service.reload_index("nyc", artifact_path=str(full),
-                                 artifact_mmap_mode="r", generation=2)
-        assert service.registry.generation("nyc") == 1
-        paths = write_slices(nyc_index, shard_map, tmp_path, "nyc", 2)
-        record = service.reload_index("nyc", artifact_path=str(full),
-                                      artifact_mmap_mode="r", generation=2)
-        assert (record.generation, record.path) == (2, paths[1])
+        before = service.registry.pin("nyc")
+        worker = FleetLifecycle(tmp_path, 2, service=service, slot=1,
+                                snapshots={})
+        replace_current(tmp_path, {"nyc": 1})
+        nack = worker.poll()["nack"]["nyc"]
+        assert nack["generation"] == 1
+        assert "FileNotFoundError" in nack["error"]
+        assert service.registry.pin("nyc") is before
+        assert write_generation(tmp_path, "nyc", index=nyc_index,
+                                shard_map=shard_map) == 1
+        assert worker.poll()["mapped"] == {"nyc": 1}
+        record = service.registry.pin("nyc")
+        assert (record.generation, record.path) == (
+            1, generation_dir(tmp_path, "nyc", 1) / "slot1.npz")
         assert record.index.core.total_bytes < nyc_index.core.total_bytes
-        assert service.metrics.counter("admin.reloads").value == 1
-        whole = service.full_record(record)
-        assert (whole.generation, whole.path) == (2, full)
-        assert whole.index.core.num_entries == nyc_index.core.num_entries
+        assert worker.status() == {"converged": True, "last_error": None}
+        assert service.shard_info()["map_generation"] == 1
 
 
 class TestShardedLifecycle:
-    """The control channel in a sharded fleet, without the forks: slot
-    0's worker coordinates, slot 1's and the parent follow."""
+    """Generation directories in a sharded fleet, without the forks:
+    slot 0's worker coordinates, slot 1's maps on its tick."""
 
     @pytest.fixture()
-    def fleet_of_two(self, nyc_index, tmp_path, sharded_service):
-        import threading
-
-        from repro.act import serialize
-        from repro.serve import FleetLifecycle
-        from repro.serve.lifecycle import PARENT_IDENTITY
-
+    def fleet_of_two(self, nyc_index, tmp_path, sharded_service,
+                     publishing):
         shard_map = plan_shard_map({"nyc": nyc_index}, 2)
-        # what the fleet's cutter leaves: generation 1 in full, and cut
-        serialize.save_index_atomic(
-            nyc_index, serialize.generation_path(tmp_path / "nyc.npz", 1))
+        # what the fleet's cutter leaves: generation 1 in full and cut,
+        # published
+        root, source = tmp_path / "fleet", tmp_path / "nyc.npz"
+        save_index(nyc_index, source)
+        replace_current(root, {"nyc": write_generation(
+            root, "nyc", index=nyc_index, full_from=source, source=source,
+            shard_map=shard_map)})
         services = [sharded_service(nyc_index, shard_map, slot)
                     for slot in range(2)]
-        parent_registry = IndexRegistry()
-        parent_registry.register_index("nyc", nyc_index)
-        control, op_lock = {}, threading.Lock()
-        publish_shard_map(control, shard_map)
-        common = dict(control=control, op_lock=op_lock, workers=2,
-                      artifact_dir=str(tmp_path), timeout_s=10.0)
-        lifecycles = [FleetLifecycle(identity=str(slot), service=service,
-                                     **common)
+        snapshots = {}
+        lifecycles = [FleetLifecycle(root, 2, service=service, slot=slot,
+                                     snapshots=snapshots, timeout_s=10.0)
                       for slot, service in enumerate(services)]
-        lifecycles.append(FleetLifecycle(
-            identity=PARENT_IDENTITY, registry=parent_registry, **common))
-        stop = threading.Event()
-
-        def follow():
-            while not stop.wait(0.02):
-                for follower in lifecycles[1:]:
-                    follower.poll()
-
-        thread = threading.Thread(target=follow, daemon=True)
-        thread.start()
-        yield services, lifecycles, parent_registry, control
-        stop.set()
-        thread.join(timeout=5.0)
+        for lifecycle in lifecycles:
+            snapshots[str(lifecycle.slot)] = lifecycle.poll()
+        publishing(lifecycles[1:], snapshots)
+        return services, lifecycles, root
 
     @staticmethod
-    def _on_slices(services, tmp_path, generation, map_generation=1):
+    def _on_slices(services, root, generation):
         return all(
-            (record.generation, record.path) == (generation, slice_path(
-                tmp_path, "nyc", generation, map_generation, slot))
+            (record.generation, record.path) == (
+                generation,
+                generation_dir(root, "nyc", generation) / f"slot{slot}.npz")
             for slot, service in enumerate(services)
             for record in [service.registry.materialized["nyc"]])
 
     def test_reload_cuts_once_and_everyone_maps_their_own(
-            self, fleet_of_two, nyc_index, tmp_path):
-        services, lifecycles, parent_registry, _ = fleet_of_two
+            self, fleet_of_two, nyc_index):
+        services, lifecycles, root = fleet_of_two
         result = lifecycles[0].submit({"op": "reload", "name": "nyc"})
         assert result["complete"] is True, result
         assert result["generation"] == 2
-        assert self._on_slices(services, tmp_path, 2)
+        assert sorted(result["acks"]) == ["0", "1"]
+        assert self._on_slices(services, root, 2)
         assert (sum(s.registry.get("nyc").core.num_entries
                     for s in services) == nyc_index.core.num_entries)
-        # the parent follows onto the full side artifact
-        assert parent_registry.materialized["nyc"].path == \
-            tmp_path / "nyc.gen000002.npz"
-        # one reload each, the coordinator's move onto its slice included
+        # cut once: one directory, the full archive and a slice a slot
+        assert sorted(os.listdir(generation_dir(root, "nyc", 2))) == [
+            "MANIFEST", "full.npz", "shard_map.json", "slot0.npz",
+            "slot1.npz"]
+        # one reload each, the coordinator's included
         assert [s.metrics.counter("admin.reloads").value
                 for s in services] == [1, 1]
 
     def test_corrupt_slice_nacks_and_the_fleet_rolls_back(
-            self, fleet_of_two, nyc_index, tmp_path, monkeypatch):
-        from repro.serve import lifecycle as lifecycle_module
+            self, fleet_of_two, nyc_index, monkeypatch):
+        from repro.serve import statedir
 
-        services, lifecycles, parent_registry, _ = fleet_of_two
-        real = lifecycle_module.write_slices
+        services, lifecycles, root = fleet_of_two
+        real = statedir.write_slices
 
-        def cut_then_damage(index, shard_map, artifact_dir, name,
-                            generation):
-            paths = real(index, shard_map, artifact_dir, name, generation)
-            if generation == 2:  # slot 1's copy of the new generation
-                with open(paths[1], "r+b") as fp:
-                    fp.truncate(paths[1].stat().st_size // 2)
+        def cut_then_damage(index, shard_map, directory, name, timings):
+            paths = real(index, shard_map, directory, name, timings)
+            with open(paths[1], "r+b") as fp:  # slot 1's copy
+                fp.truncate(paths[1].stat().st_size // 2)
             return paths
 
-        monkeypatch.setattr(lifecycle_module, "write_slices",
-                            cut_then_damage)
-        result = lifecycles[0].submit({"op": "reload", "name": "nyc"})
+        monkeypatch.setattr(statedir, "write_slices", cut_then_damage)
+        reload = {"op": "reload", "name": "nyc"}
+        result = lifecycles[0].submit(reload)
         assert result["complete"] is False
         assert result["failed"] == ["1"]
         assert "corrupt" in result["error"]
-        # rolled back by re-publishing generation 1 — opened in full
-        # from its archive, slot 0 pins only a slice of it — as 3
+        # current.json names generation 1 again, directory 2 is aside
         assert result["rolled_back"] is True, result
-        assert result["generation"] == 3
-        assert self._on_slices(services, tmp_path, 3)
-        assert parent_registry.generation("nyc") == 3
+        assert result["generation"] == 1
+        assert read_current(root) == {"nyc": 1}
+        assert result["quarantined"].endswith("2.quarantine")
+        assert self._on_slices(services, root, 1)
         assert (sum(s.registry.get("nyc").core.num_entries
                     for s in services) == nyc_index.core.num_entries)
         assert lifecycles[1].status()["converged"] is True
         counters = services[1].metrics.snapshot()["counters"]
         assert counters["faults.artifact_corrupt"] == 1
+        # the retry gets a number never used before
+        monkeypatch.undo()
+        retry = lifecycles[0].submit(reload)
+        assert retry["complete"] is True, retry
+        assert retry["generation"] == 3
+        assert self._on_slices(services, root, 3)
 
     def test_poll_maps_the_published_map_or_says_not_ready(
-            self, fleet_of_two, nyc_index, tmp_path):
-        services, lifecycles, _, control = fleet_of_two
+            self, fleet_of_two, nyc_index):
+        services, lifecycles, root = fleet_of_two
         follower, service = lifecycles[1], services[1]
         newer = plan_shard_map({"nyc": nyc_index}, 2, generation=2)
-        publish_shard_map(control, newer)  # ... but nobody cut it
+        broken = write_generation(root, "nyc", index=nyc_index,
+                                  shard_map=newer)
+        os.unlink(generation_dir(root, "nyc", broken) / "slot1.npz")
+        replace_current(root, {"nyc": broken})
 
         def status():
             follower.poll()
             return follower.status()
 
         assert status()["converged"] is False
-        assert "map000002.slot1" in status()["last_error"]
+        assert "slot1.npz" in status()["last_error"]
         assert service.shard_info()["map_generation"] == 1
-        write_slices(nyc_index, newer, tmp_path, "nyc", 1)
+        # a directory is never repaired in place: the next one heals
+        replace_current(root, {"nyc": write_generation(
+            root, "nyc", index=nyc_index, shard_map=newer)})
         assert status() == {"converged": True, "last_error": None}
         assert service.shard_info()["map_generation"] == 2
-        # map 1's slices went with it: nothing opens them again
-        assert sorted(p.name for p in tmp_path.glob("*.map*")) == [
-            "nyc.gen000001.map000002.slot0.npz",
-            "nyc.gen000001.map000002.slot1.npz"]

@@ -36,7 +36,7 @@ from repro.grid import cellid
 from repro.grid.s2like import S2LikeGrid
 from repro.serve import shard
 from repro.serve.shard import (KEY_MAX, plan_shard_map, shard_keys,
-                               slice_index, slice_path, write_slices)
+                               slice_index, write_slices)
 
 FANOUTS = (4, 16, 256)
 SLOTS = (1, 2, 3, 4, 7, 11)
@@ -338,9 +338,8 @@ def test_written_slices_load_as_sliced(overlap_polygons, fanout, tmp_path):
     index = ACTIndex.build(overlap_polygons, precision_meters=300.0,
                            fanout=fanout)
     shard_map = plan_shard_map({"x": index}, 3, generation=5)
-    paths = write_slices(index, shard_map, tmp_path, "x", 2)
-    assert paths == {slot: slice_path(tmp_path, "x", 2, 5, slot)
-                     for slot in range(3)}
+    paths = write_slices(index, shard_map, tmp_path, "x")
+    assert paths == {slot: tmp_path / f"slot{slot}.npz" for slot in range(3)}
     rng = np.random.default_rng(fanout)
     box = index.grid.bounds
     lngs = rng.uniform(box.min_x, box.max_x, 500)

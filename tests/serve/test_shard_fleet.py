@@ -9,9 +9,11 @@ single index under traffic without wrong or failed answers.
 Everything forks, so the module skips where ``fork`` is unavailable.
 """
 
+import errno
 import json
 import os
 import signal
+import tempfile
 import threading
 import time
 import urllib.error
@@ -21,13 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.act.serialize import generation_path, save_index
+from repro.act import serialize
+from repro.act.serialize import save_index
 from repro.errors import ServeError
 from repro.serve import (ACTService, FleetConfig, IndexRegistry,
-                         ServingFleet, binproto)
+                         ServingFleet, binproto, statedir)
 from repro.serve import fleet as fleet_module
 from repro.serve.fleet import fleet_available
-from repro.serve.shard import read_shard_map, slice_path
+from repro.serve.shard import ShardMap
 
 pytestmark = pytest.mark.skipif(
     not fleet_available(),
@@ -165,6 +168,34 @@ class TestShardedFleet:
             assert client.query_batch("nyc", lngs, lats) == truth
             client.close()
 
+    def test_rebalance_moves_every_index_at_once(
+            self, nyc_index, query_points, ground_truth):
+        """Rebalance a two-index fleet: when ``rebalance()`` returns,
+        ``current.json`` names one map generation for both indexes and
+        every worker's shard block reports it."""
+        lngs, lats = query_points
+        truth, _ = ground_truth
+        registry = IndexRegistry()
+        registry.register_index("nyc", nyc_index)
+        registry.register_index("nyc2", nyc_index)
+        with _shard_fleet(registry) as fleet:
+            fleet.start()
+            assert fleet.rebalance().generation == 2
+            root = fleet._artifact_dir
+            current = statedir.read_current(root)
+            assert sorted(current) == ["nyc", "nyc2"]
+            assert {ShardMap.from_wire(statedir.read_json(
+                statedir.generation_dir(root, name, d) / statedir.SHARD_MAP
+            )).generation for name, d in current.items()} == {2}
+            per_worker = fleet.stats()["per_worker"]
+            assert sorted(e["shard"]["slot"] for e in per_worker) == [0, 1]
+            assert {e["shard"]["map_generation"] for e in per_worker} == {2}
+            client = binproto.Client(*fleet.shard_addresses[1],
+                                     timeout=30.0)
+            for name in ("nyc", "nyc2"):
+                assert client.query_batch(name, lngs, lats) == truth
+            client.close()
+
     def test_single_index_reload_under_traffic(self, nyc_index, tmp_path,
                                                query_points, ground_truth):
         lngs, lats = query_points
@@ -276,6 +307,11 @@ class TestShardedFleet:
             assert fleet.restarts >= 1
 
 
+def _slice(artifacts, generation, slot):
+    """Slot ``slot``'s slice of generation ``generation`` of ``nyc``."""
+    return artifacts / "gens" / "nyc" / str(generation) / f"slot{slot}.npz"
+
+
 def _mapped_archives(pid):
     """Every ``.npz`` the process has memory-mapped, per the kernel."""
     mapped = set()
@@ -335,78 +371,70 @@ class TestSlicesAreFiles:
     def test_no_worker_maps_the_full_index(self, npz_fleet, query_points,
                                            ground_truth):
         """Each worker maps its own slot's slice archive and no other
-        ``.npz`` — not the operator's file, not a generation's full
-        side artifact — at ready, after a reload, after a rebalance and
-        after a SIGKILL respawn; ``/stats`` says the same."""
+        ``.npz`` — not the operator's file, not a generation
+        directory's ``full.npz`` — at ready, after a reload, after a
+        rebalance and after a SIGKILL respawn; ``/stats`` says the
+        same."""
         fleet, source, artifacts = npz_fleet
         lngs, lats = query_points
         truth, _ = ground_truth
 
-        def on_own_slices(index_generation, map_generation):
+        def on_own_slices(generation):
             def check():
                 per_worker = fleet.stats().get("per_worker", [])
                 return len(per_worker) == 2 and all(
                     "shard" in e
-                    and e["shard"]["slice_path"] == {"nyc": str(slice_path(
-                        artifacts, "nyc", index_generation, map_generation,
-                        e["shard"]["slot"]))}
+                    and e["shard"]["slice_path"] == {"nyc": str(
+                        _slice(artifacts, generation, e["shard"]["slot"]))}
                     and _mapped_archives(e["pid"])
                     == set(e["shard"]["slice_path"].values())
                     for e in per_worker)
             return check
 
-        _await(on_own_slices(1, 1), "workers on their first slices")
+        _await(on_own_slices(1), "workers on their first slices")
         assert str(source) in _mapped_archives(os.getpid())  # the parent is
         generation = _reload(fleet, source)
         assert generation == 2
-        _await(on_own_slices(2, 1), "workers on the reloaded slices")
+        _await(on_own_slices(2), "workers on the reloaded slices")
+        # the same data, cut under map generation 2: generation 3
         assert fleet.rebalance().generation == 2
-        _await(on_own_slices(2, 2), "workers on the rebalanced slices")
+        _await(on_own_slices(3), "workers on the rebalanced slices")
         victim = fleet._processes[0]
         os.kill(victim.pid, signal.SIGKILL)
         _await(lambda: fleet.restarts >= 1
                and fleet._processes[0].pid != victim.pid, "the respawn")
-        _await(on_own_slices(2, 2), "the respawned worker on its slice")
+        _await(on_own_slices(3), "the respawned worker on its slice")
         for host, port in fleet.shard_addresses.values():
             client = binproto.Client(host, port, timeout=60.0, retries=8)
             assert client.query_batch("nyc", lngs, lats) == truth
             client.close()
 
     def test_artifact_sweep_takes_slices_too(self, npz_fleet):
-        """3 reloads + 2 rebalances: at most the newest two generations
-        stay — a full archive and one slice per slot each — and the
-        fleet's ``lifecycle.artifacts_gcd`` accounts for every other
-        file ever written."""
+        """3 reloads + 2 rebalances: only the served generation
+        directory and the one before it stay — each a full archive and
+        one slice per slot — and the fleet's ``lifecycle.artifacts_gcd``
+        accounts for every other directory ever written, whether a
+        worker or the parent deleted it."""
         fleet, source, artifacts = npz_fleet
-        slots = fleet.config.shards
-        written = 1 + slots  # generation 1: its full archive + slices
+        written = 1  # generation 1, at start
         for step in ("reload", "reload", "rebalance", "reload",
                      "rebalance"):
             if step == "reload":
                 _reload(fleet, source)
-                written += 1 + slots
             else:
-                target = fleet.rebalance().generation
-                written += slots
-                _await(lambda: all(
-                    e.get("shard", {}).get("map_generation") == target
-                    for e in fleet.stats().get("per_worker", [{}])),
-                    f"map generation {target}")
-
-        def kept():
-            # files: the fleet's control/ and snapshots/ live here too
-            return sorted(p.name for p in artifacts.iterdir()
-                          if p.is_file())
+                fleet.rebalance()
+            written += 1
+        gens = artifacts / "gens" / "nyc"
 
         def swept():
             return fleet.stats()["counters"]["lifecycle.artifacts_gcd"]
 
-        _await(lambda: swept() == written - len(kept()),
-               "the sweep to account for every file written")
-        assert len(kept()) <= 2 * (1 + slots), kept()
-        assert kept() == [
-            "nyc.gen000003.npz", "nyc.gen000004.map000003.slot0.npz",
-            "nyc.gen000004.map000003.slot1.npz", "nyc.gen000004.npz"]
+        _await(lambda: swept() == written - 2,
+               "the sweep to account for every directory written")
+        assert sorted(os.listdir(gens)) == ["5", "6"]
+        assert sorted(os.listdir(gens / "6")) == [
+            "MANIFEST", "full.npz", "shard_map.json", "slot0.npz",
+            "slot1.npz"]
 
 
     def test_the_cutter_states_its_cost(self, npz_fleet, caplog):
@@ -420,9 +448,10 @@ class TestSlicesAreFiles:
                 first["slots"]) == (1, 1, 2)
         # the full archive is a hard link to the operator's file: the
         # bytes written are the two slices
+        first_gen = artifacts / "gens" / "nyc" / "1"
         assert first["bytes_written"] == sum(
-            p.stat().st_size for p in artifacts.glob("*.map000001.*"))
-        assert generation_path(artifacts / "nyc.npz", 1).stat().st_nlink == 2
+            p.stat().st_size for p in first_gen.glob("slot*.npz"))
+        assert (first_gen / "full.npz").stat().st_nlink == 2
         assert first["peak_rss_mb"] > 0
         assert min(first["plan_s"], first["cut_s"], first["write_s"]) > 0
         with caplog.at_level(logging.INFO, logger="repro.serve.fleet"):
@@ -447,16 +476,17 @@ class TestCutterFailure:
                 os._exit(3)
             raise OSError("disk full")
 
-        monkeypatch.setattr(fleet_module, "write_slices", broken)
+        monkeypatch.setattr(statedir, "write_slices", broken)
         made = []  # the fleet's own temp dirs, state directories inside
-        mkdtemp = fleet_module.tempfile.mkdtemp
+        mkdtemp = tempfile.mkdtemp
 
         def recording_mkdtemp(**kwargs):
-            made.append(mkdtemp(**kwargs))
-            return made[-1]
+            if kwargs.get("prefix") == "repro-fleet-":
+                made.append(mkdtemp(**kwargs))
+                return made[-1]
+            return mkdtemp(**kwargs)
 
-        monkeypatch.setattr(fleet_module.tempfile, "mkdtemp",
-                            recording_mkdtemp)
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
         registry = IndexRegistry()
         registry.register_index("nyc", nyc_index)
         fleet = _shard_fleet(registry)
@@ -468,20 +498,30 @@ class TestCutterFailure:
         else:
             assert "exit code 3" in str(failure.value)
         assert fleet.live_workers() == 0 and fleet._processes == []
-        assert fleet._control is None and fleet._artifact_dir is None
+        assert fleet._lifecycle is None and fleet._artifact_dir is None
         assert len(made) == 1 and not os.path.exists(made[0])
 
     def test_a_real_write_failure_names_index_and_slot(
-            self, nyc_index, tmp_path):
+            self, nyc_index, tmp_path, monkeypatch):
+        """The disk fills up under slot 1's slice archive: the failure
+        names the index and the slot, and nothing is left behind."""
         registry = IndexRegistry()
         registry.register_index("nyc", nyc_index)
-        # a directory squatting on slot 1's slice path
+        save = serialize.save_index
+
+        def full_disk(index, path):
+            if "slot1" in str(path):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return save(index, path)
+
+        monkeypatch.setattr(serialize, "save_index", full_disk)
         artifacts = tmp_path / "artifacts"
-        slice_path(artifacts, "nyc", 1, 1, 1).mkdir(parents=True)
         fleet = _shard_fleet(registry, artifact_dir=str(artifacts))
-        with pytest.raises(ServeError, match="'nyc'.*slot 1: IsADirectory"):
+        with pytest.raises(ServeError,
+                           match="'nyc'.*slot 1: OSError.*No space left"):
             fleet.start()
         assert fleet.live_workers() == 0
+        assert os.listdir(artifacts / "gens" / "nyc") == []
 
     def test_failed_rebalance_leaves_the_old_map_published(
             self, nyc_index, query_points, ground_truth, monkeypatch):
@@ -496,11 +536,15 @@ class TestCutterFailure:
             def broken(*args, **kwargs):
                 raise OSError("disk full")
 
-            monkeypatch.setattr(fleet_module, "write_slices", broken)
+            monkeypatch.setattr(statedir, "write_slices", broken)
             with pytest.raises(ServeError, match="disk full"):
                 fleet.rebalance()
             assert fleet.shard_map.generation == 1
-            assert read_shard_map(fleet._control).generation == 1
+            (published,) = statedir.read_current(
+                fleet._artifact_dir).items()
+            assert ShardMap.from_wire(statedir.read_json(
+                statedir.generation_dir(fleet._artifact_dir, *published)
+                / statedir.SHARD_MAP)).generation == 1
             monkeypatch.undo()
             # the op lock was released, and the fleet still answers
             assert fleet.rebalance().generation == 2
@@ -520,7 +564,7 @@ class TestCutterFailure:
         truth, _ = ground_truth
         _poll_shard_snapshots(fleet)
         assert _worker_readyz(fleet, 0)[0] == 200
-        broken = slice_path(artifacts, "nyc", 1, 1, 0)
+        broken = _slice(artifacts, 1, 0)
         victim = fleet._processes[0]
         with open(broken, "r+b") as fp:
             fp.truncate(broken.stat().st_size // 2)

@@ -16,8 +16,9 @@ import pytest
 
 from repro.errors import ServeError
 from repro.join.parallel import fork_available
-from repro.serve.lifecycle import PARENT_IDENTITY, FleetLifecycle
-from repro.serve.statedir import DirMapping, FileLock
+from repro.serve.lifecycle import FleetLifecycle
+from repro.serve.statedir import (DirMapping, FileLock, read_current,
+                                  replace_current, write_generation)
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the 'fork' start method")
@@ -211,24 +212,20 @@ class TestFileLock:
 
 
 class TestAdminLockOverFiles:
-    """``FleetLifecycle.submit`` on the file-backed channel: a live
+    """``FleetLifecycle.submit`` under the fleet's file lock: a live
     holder elsewhere is the usual "in progress" error; a dead one is
     not an error at all."""
 
     @pytest.fixture()
     def lifecycle(self, tmp_path, nyc_index):
         from repro.act.serialize import save_index
-        from repro.serve import IndexRegistry
 
         source = tmp_path / "nyc.npz"
         save_index(nyc_index, source)
-        registry = IndexRegistry()
-        registry.register_path("nyc", str(source), mmap_mode="r")
-        control = DirMapping(tmp_path / "control").reset()
-        return FleetLifecycle(
-            control, FileLock(tmp_path / "control" / ".lock"),
-            PARENT_IDENTITY, workers=0, registry=registry,
-            artifact_dir=str(tmp_path), timeout_s=0.2), source
+        root = tmp_path / "fleet"
+        replace_current(root, {"nyc": write_generation(
+            root, "nyc", full_from=source, source=source)})
+        return FleetLifecycle(root, 0, timeout_s=0.2), source
 
     def test_dead_coordinator_does_not_wedge_the_next_submit(
             self, lifecycle):
@@ -242,5 +239,6 @@ class TestAdminLockOverFiles:
         os.kill(holder.pid, signal.SIGKILL)  # mid-operation, lock held
         holder.join(_CEILING_S)
         response = lifecycle.submit(request)
-        assert response["complete"] is True and response["seq"] == 1
-        assert lifecycle._control.get("seq") == 1
+        assert response["complete"] is True
+        assert response["generation"] == 2
+        assert read_current(lifecycle.root) == {"nyc": 2}
