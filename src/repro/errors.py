@@ -7,6 +7,8 @@ applies; error messages always include the offending value where practical.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -75,20 +77,72 @@ class JoinError(ReproError):
 
 
 class ServeError(ReproError):
-    """A query-serving subsystem operation failed."""
+    """A query-serving subsystem operation failed.
 
+    Each serving class carries the wire ``status`` a front answers it
+    with — the HTTP status code, and the binary ``OP_ERROR`` status —
+    so the mapping from a failure to a status is made once, here (see
+    :func:`wire_error` and :data:`ERROR_TABLE`)."""
 
-class UnknownIndexError(ServeError):
-    """A request named an index the registry does not know."""
+    status = 500
 
 
 class InvalidRequestError(ServeError):
     """A serving request is structurally malformed (e.g. mismatched
-    batch array lengths); maps to HTTP 400 at the server."""
+    batch array lengths, a body that is not JSON)."""
+
+    status = 400
+
+
+class FrameError(InvalidRequestError):
+    """A frame, or an HTTP body's framing, the front refuses.
+
+    ``fatal`` marks violations after which the byte stream cannot be
+    re-synchronized (bad magic, unsupported version, oversized or
+    malformed declared length) — the connection must close after the
+    error reply. Non-fatal errors are per-frame (the framing itself was
+    sound), so the connection stays usable.
+    """
+
+    def __init__(self, message: str, fatal: bool = False) -> None:
+        super().__init__(message)
+        self.fatal = fatal
+
+
+class PayloadTooLargeError(FrameError):
+    """An HTTP ``Content-Length`` over the 64 MiB frame limit: the body
+    is left unread, so the connection cannot be reused."""
+
+    status = 413
+
+
+class ForbiddenError(ServeError):
+    """An admin route was asked from a non-loopback peer."""
+
+    status = 403
+
+
+class NotFoundError(ServeError):
+    """A request named a route or resource that does not exist."""
+
+    status = 404
+
+
+class UnknownIndexError(NotFoundError):
+    """A request named an index the registry does not know."""
+
+
+class ConflictError(ServeError):
+    """An admin request conflicts with the registry's state (a duplicate
+    register) or with another admin operation holding the fleet lock."""
+
+    status = 409
 
 
 class BudgetExceededError(ServeError):
     """A request's latency budget ran out before it could be served."""
+
+    status = 503
 
 
 class ConnectionLostError(ServeError):
@@ -98,6 +152,25 @@ class ConnectionLostError(ServeError):
     Raised by :class:`repro.serve.binproto.Client` once its reconnect
     budget is exhausted (or reconnecting is disabled); the partial frame
     is discarded, so a later call can never misparse stale bytes."""
+
+
+#: The error table: one class per status a front answers a failure
+#: with, in status order — the class that carries the status on the
+#: server and the one the reference client raises for it
+#: (:func:`repro.serve.binproto.raise_for_error`). docs/PROTOCOL.md's
+#: "Error model" table is gated against it.
+ERROR_TABLE = (InvalidRequestError, ForbiddenError, UnknownIndexError,
+               ConflictError, PayloadTooLargeError, ServeError,
+               BudgetExceededError)
+
+
+def wire_error(exc: BaseException) -> Tuple[int, str]:
+    """``(status, message)`` a front answers ``exc`` with: its class's
+    ``status`` for a :class:`ServeError`, 500 for anything else (whose
+    message then names its class)."""
+    if isinstance(exc, ServeError):
+        return exc.status, str(exc)
+    return ServeError.status, f"{type(exc).__name__}: {exc}"
 
 
 class DatasetError(ReproError):

@@ -5,8 +5,8 @@ Origin bug: PR 8's resilience audit — a bare ``ValueError`` escaping
 machine-readable ``code``, and the binary front closed the connection
 instead of answering a typed error frame. The invariant: code under
 ``src/repro/serve/`` never raises builtin exception types directly;
-it raises ``repro.errors`` classes (or local subclasses of them, e.g.
-``FrameError(ServeError)``) that carry a stable wire code.
+it raises ``repro.errors`` classes (or local subclasses of them), each
+of which carries its wire ``status`` (``repro.errors.ERROR_TABLE``).
 
 Bare ``raise`` (re-raise) and ``raise exc_var`` are fine — the rule
 only matches raising a *builtin* exception class by name. Intentional

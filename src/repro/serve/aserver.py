@@ -38,14 +38,10 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional, Set, Tuple
 
-from ..errors import (
-    BudgetExceededError,
-    InvalidRequestError,
-    ServeError,
-    UnknownIndexError,
-)
+from ..errors import FrameError, ServeError, wire_error
 from ..obs import mint_request_id
 from . import binproto, chaos
 from .budget import Budget
@@ -61,6 +57,25 @@ def _bin_request_id(request_id: int) -> str:
     handler itself so the handler stays formatting-free.
     """
     return f"bin-{request_id:x}" if request_id else mint_request_id()
+
+
+def _encode_counts(counts, request_id: int) -> bytes:
+    """The sparse ``OP_COUNTS`` reply for a dense count-per-polygon."""
+    nonzero = counts.nonzero()[0]
+    return binproto.encode_counts(nonzero, counts[nonzero], request_id)
+
+
+#: Request op -> (the service method that answers it, the encoder of
+#: its reply). The method is looked up by name on each frame. Forwarded
+#: ops answer from the local shard slice and are never re-routed, so
+#: routing loops are structurally impossible.
+_OPS = {
+    binproto.OP_QUERY: ("query_batch", binproto.encode_results),
+    binproto.OP_JOIN: ("join", _encode_counts),
+    binproto.OP_FORWARD_QUERY: ("local_query_batch",
+                                binproto.encode_results),
+    binproto.OP_FORWARD_JOIN: ("local_join", _encode_counts),
+}
 
 
 def _release(view: memoryview) -> None:
@@ -138,10 +153,9 @@ class _BinaryProtocol(asyncio.Protocol):
         self._update_need()
 
     def _update_need(self) -> None:
-        header = None
         try:
             header = binproto.try_parse_header(self._buf)
-        except binproto.FrameError:
+        except FrameError:
             # fatal header; let _process handle it on the next pass
             self._need = len(self._buf)
             return
@@ -159,10 +173,10 @@ class _BinaryProtocol(asyncio.Protocol):
             while size - offset >= binproto.HEADER_SIZE:
                 try:
                     header = binproto.try_parse_header(view, offset)
-                except binproto.FrameError as exc:
+                except FrameError as exc:
                     # the stream cannot be re-synchronized: answer with
                     # an error frame, then close cleanly
-                    self._send_error(exc.status, str(exc), 0)
+                    self._send_error(exc, 0)
                     self._close()
                     return size
                 op, flags, request_id, payload_len = header
@@ -199,18 +213,17 @@ class _BinaryProtocol(asyncio.Protocol):
             return
         start = time.perf_counter()
         try:
-            if op not in (binproto.OP_QUERY, binproto.OP_JOIN,
-                          binproto.OP_FORWARD_QUERY,
-                          binproto.OP_FORWARD_JOIN):
-                raise binproto.FrameError(f"unknown op 0x{op:02x}")
+            if op not in _OPS:
+                raise FrameError(f"unknown op 0x{op:02x}")
             name, lngs, lats, budget_ms = \
                 binproto.decode_points_request(payload)
-        except binproto.FrameError as exc:
-            self._send_error(exc.status, str(exc), request_id)
+        except FrameError as exc:
+            self._send_error(exc, request_id)
             return
         exact = bool(flags & binproto.FLAG_EXACT)
         budget = None if budget_ms is None else Budget.from_ms(budget_ms)
-        service_id = _bin_request_id(request_id)
+        run = partial(self._execute, op, name, exact, budget,
+                      _bin_request_id(request_id), request_id, start)
         pool = self.frontend.scatter_pool
         if pool is not None and op in (binproto.OP_QUERY,
                                        binproto.OP_JOIN):
@@ -220,20 +233,15 @@ class _BinaryProtocol(asyncio.Protocol):
             # deadlock until the forward timeout). Copy the point
             # columns out of the receive buffer — the zero-copy views
             # die with this frame — and execute + reply from the pool.
-            self._dispatch_scatter(pool, op, name, lngs.copy(),
-                                   lats.copy(), exact, budget,
-                                   service_id, request_id, start)
+            self._dispatch_scatter(pool, run, lngs.copy(), lats.copy())
             return
-        self._write(self._execute(op, name, lngs, lats, exact, budget,
-                                  service_id, request_id, start))
+        self._write(run(lngs, lats))
 
-    def _dispatch_scatter(self, pool, op, name, lngs, lats, exact,
-                          budget, service_id, request_id, start) -> None:
+    def _dispatch_scatter(self, pool, run, lngs, lats) -> None:
         loop = asyncio.get_running_loop()
 
         def job() -> None:
-            frame = self._execute(op, name, lngs, lats, exact, budget,
-                                  service_id, request_id, start)
+            frame = run(lngs, lats)
             try:
                 loop.call_soon_threadsafe(self._write, frame)
             except RuntimeError:  # loop already closed at shutdown
@@ -241,8 +249,8 @@ class _BinaryProtocol(asyncio.Protocol):
 
         pool.submit(job)
 
-    def _execute(self, op, name, lngs, lats, exact, budget,
-                 service_id, request_id, start) -> bytes:
+    def _execute(self, op, name, exact, budget, service_id, request_id,
+                 start, lngs, lats) -> bytes:
         """Run one decoded request down to a ready-to-send reply frame.
 
         Called on the event loop for loop-safe work and from the
@@ -250,45 +258,15 @@ class _BinaryProtocol(asyncio.Protocol):
         everything it touches (service, registry, metrics) is already
         thread-safe for the HTTP front's thread-per-connection model.
         """
+        method, encode = _OPS[op]
         try:
-            # forwarded frames answer from the local shard slice (never
-            # re-routed — routing loops are structurally impossible)
-            service = self.service
-            if op in (binproto.OP_QUERY, binproto.OP_FORWARD_QUERY):
-                query = (service.query_batch if op == binproto.OP_QUERY
-                         else service.local_query_batch)
-                results = query(
-                    name, lngs, lats, exact=exact, budget=budget,
-                    request_id=service_id)
-                frame = binproto.encode_results(results, request_id)
-            else:
-                join = (service.join if op == binproto.OP_JOIN
-                        else service.local_join)
-                counts = join(
-                    name, lngs, lats, exact=exact, budget=budget,
-                    request_id=service_id)
-                nonzero = counts.nonzero()[0]
-                frame = binproto.encode_counts(nonzero, counts[nonzero],
-                                               request_id)
-        except UnknownIndexError as exc:
+            answer = getattr(self.service, method)(
+                name, lngs, lats, exact=exact, budget=budget,
+                request_id=service_id)
+            frame = encode(answer, request_id)
+        except Exception as exc:
             self.frontend.c_errors.inc()
-            return binproto.encode_error(binproto.STATUS_NOT_FOUND,
-                                         str(exc), request_id)
-        except BudgetExceededError as exc:
-            self.frontend.c_errors.inc()
-            return binproto.encode_error(binproto.STATUS_SHED,
-                                         str(exc), request_id)
-        except (InvalidRequestError, ServeError) as exc:
-            self.frontend.c_errors.inc()
-            status = (binproto.STATUS_BAD_REQUEST
-                      if isinstance(exc, InvalidRequestError)
-                      else binproto.STATUS_INTERNAL)
-            return binproto.encode_error(status, str(exc), request_id)
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            self.frontend.c_errors.inc()
-            return binproto.encode_error(
-                binproto.STATUS_INTERNAL,
-                f"{type(exc).__name__}: {exc}", request_id)
+            return binproto.encode_error(*wire_error(exc), request_id)
         # count before writing: a client that already holds the
         # response must observe the counters it caused
         self.frontend.c_requests.inc()
@@ -304,10 +282,9 @@ class _BinaryProtocol(asyncio.Protocol):
         self.frontend.c_bytes_out.inc(len(frame))
         transport.write(frame)
 
-    def _send_error(self, status: int, message: str,
-                    request_id: int) -> None:
+    def _send_error(self, exc: FrameError, request_id: int) -> None:
         self.frontend.c_errors.inc()
-        self._write(binproto.encode_error(status, message, request_id))
+        self._write(binproto.encode_error(*wire_error(exc), request_id))
 
     def _close(self) -> None:
         self._closing = True

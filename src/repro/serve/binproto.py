@@ -61,8 +61,10 @@ import numpy as np
 
 from ..act.core import QueryResult, ResultBatch
 from ..errors import (
+    ERROR_TABLE,
     BudgetExceededError,
     ConnectionLostError,
+    FrameError,
     InvalidRequestError,
     ServeError,
     UnknownIndexError,
@@ -115,28 +117,15 @@ _CNT = struct.Struct("<II")
 #: Error sub-header: status, reserved (message utf-8 after).
 _ERR = struct.Struct("<HH")
 
-#: Error statuses (mirror the JSON API's HTTP codes).
-STATUS_BAD_REQUEST = 400
-STATUS_NOT_FOUND = 404
-STATUS_INTERNAL = 500
-STATUS_SHED = 503
+#: Error statuses: the ``status`` of the :mod:`repro.errors` class
+#: that carries each (the same numbers the JSON front answers with).
+STATUS_BAD_REQUEST = InvalidRequestError.status
+STATUS_NOT_FOUND = UnknownIndexError.status
+STATUS_INTERNAL = ServeError.status
+STATUS_SHED = BudgetExceededError.status
 
-
-class FrameError(ServeError):
-    """A frame the decoder refuses.
-
-    ``fatal`` marks violations after which the byte stream cannot be
-    re-synchronized (bad magic, unsupported version, oversized declared
-    length) — the connection must close after the error frame.
-    Non-fatal errors are per-frame (the framing itself was sound), so
-    the connection stays usable.
-    """
-
-    def __init__(self, message: str, status: int = STATUS_BAD_REQUEST,
-                 fatal: bool = False) -> None:
-        super().__init__(message)
-        self.status = status
-        self.fatal = fatal
+#: The error table read in reverse: status -> the class it is raised as.
+_RAISED_AS = {cls.status: cls for cls in ERROR_TABLE}
 
 
 # ----------------------------------------------------------------------
@@ -353,15 +342,14 @@ def encode_pong(request_id: int = 0) -> bytes:
 
 
 def raise_for_error(payload: Buffer) -> None:
-    """Raise the serve-layer exception an ``OP_ERROR`` payload encodes."""
+    """Raise the serve-layer exception an ``OP_ERROR`` payload encodes:
+    the class :data:`~repro.errors.ERROR_TABLE` lists for its status,
+    :class:`~repro.errors.ServeError` for any other."""
     status, message = decode_error(payload)
-    if status == STATUS_NOT_FOUND:
-        raise UnknownIndexError(message)
-    if status == STATUS_SHED:
-        raise BudgetExceededError(message)
-    if status == STATUS_BAD_REQUEST:
-        raise InvalidRequestError(message)
-    raise ServeError(f"binary server error {status}: {message}")
+    cls = _RAISED_AS.get(status, ServeError)
+    if cls is ServeError:
+        message = f"binary server error {status}: {message}"
+    raise cls(message)
 
 
 # ----------------------------------------------------------------------
@@ -588,27 +576,29 @@ class Client:
                         f"failed: {exc}") from exc
 
     # -- pipelining ---------------------------------------------------
+    def _send_points(self, op: int, index: str, lngs: PointArray,
+                     lats: PointArray, exact: bool,
+                     budget_ms: Optional[float],
+                     request_id: Optional[int]) -> int:
+        request_id = self._take_id(request_id)
+        self._send(encode_points_request(
+            op, index, np.asarray(lngs), np.asarray(lats), exact=exact,
+            budget_ms=budget_ms, request_id=request_id), request_id)
+        return request_id
+
     def send_query(self, index: str, lngs: PointArray, lats: PointArray,
                    exact: bool = False,
                    budget_ms: Optional[float] = None,
                    request_id: Optional[int] = None) -> int:
-        request_id = self._take_id(request_id)
-        self._send(encode_points_request(
-            OP_QUERY, index, np.asarray(lngs), np.asarray(lats),
-            exact=exact, budget_ms=budget_ms, request_id=request_id),
-            request_id)
-        return request_id
+        return self._send_points(OP_QUERY, index, lngs, lats, exact,
+                                 budget_ms, request_id)
 
     def send_join(self, index: str, lngs: PointArray, lats: PointArray,
                   exact: bool = False,
                   budget_ms: Optional[float] = None,
                   request_id: Optional[int] = None) -> int:
-        request_id = self._take_id(request_id)
-        self._send(encode_points_request(
-            OP_JOIN, index, np.asarray(lngs), np.asarray(lats),
-            exact=exact, budget_ms=budget_ms, request_id=request_id),
-            request_id)
-        return request_id
+        return self._send_points(OP_JOIN, index, lngs, lats, exact,
+                                 budget_ms, request_id)
 
     def send_forward_query(self, index: str, lngs: PointArray,
                            lats: PointArray, exact: bool = False,
@@ -616,36 +606,28 @@ class Client:
                            request_id: Optional[int] = None) -> int:
         """Shard-router fan-out: answered from the receiver's local
         slice, never re-routed (see ``OP_FORWARD_QUERY``)."""
-        request_id = self._take_id(request_id)
-        self._send(encode_points_request(
-            OP_FORWARD_QUERY, index, np.asarray(lngs), np.asarray(lats),
-            exact=exact, budget_ms=budget_ms, request_id=request_id),
-            request_id)
-        return request_id
+        return self._send_points(OP_FORWARD_QUERY, index, lngs, lats,
+                                 exact, budget_ms, request_id)
 
     def send_forward_join(self, index: str, lngs: PointArray,
                           lats: PointArray, exact: bool = False,
                           budget_ms: Optional[float] = None,
                           request_id: Optional[int] = None) -> int:
         """Shard-router join fan-out (see ``OP_FORWARD_JOIN``)."""
-        request_id = self._take_id(request_id)
-        self._send(encode_points_request(
-            OP_FORWARD_JOIN, index, np.asarray(lngs), np.asarray(lats),
-            exact=exact, budget_ms=budget_ms, request_id=request_id),
-            request_id)
-        return request_id
+        return self._send_points(OP_FORWARD_JOIN, index, lngs, lats,
+                                 exact, budget_ms, request_id)
+
+    def _recv_reply(self, want: int, decode):
+        op, request_id, payload = self.recv()
+        if op != want:
+            raise ServeError(f"expected op 0x{want:02x}, got op 0x{op:02x}")
+        return request_id, decode(payload)
 
     def recv_results(self) -> Tuple[int, ResultBatch]:
-        op, request_id, payload = self.recv()
-        if op != OP_RESULTS:
-            raise ServeError(f"expected OP_RESULTS, got op 0x{op:02x}")
-        return request_id, decode_results(payload)
+        return self._recv_reply(OP_RESULTS, decode_results)
 
     def recv_counts(self) -> Tuple[int, Dict[int, int]]:
-        op, request_id, payload = self.recv()
-        if op != OP_COUNTS:
-            raise ServeError(f"expected OP_COUNTS, got op 0x{op:02x}")
-        return request_id, decode_counts(payload)
+        return self._recv_reply(OP_COUNTS, decode_counts)
 
     # -- one-shot -----------------------------------------------------
     def ping(self) -> bool:
@@ -654,30 +636,30 @@ class Client:
         op, got, _ = self.recv()
         return op == OP_PONG and got == request_id
 
+    @staticmethod
+    def _matched(sent: int, reply: tuple):
+        """The answer in ``reply``, which must be the one to ``sent``."""
+        request_id, answer = reply
+        if request_id != sent:
+            raise ServeError(
+                f"response id {request_id} does not match request "
+                f"{sent} (pipelining misuse?)")
+        return answer
+
     def query_batch(self, index: str, lngs: PointArray, lats: PointArray,
                     exact: bool = False,
                     budget_ms: Optional[float] = None,
                     ) -> ResultBatch:
         sent = self.send_query(index, lngs, lats, exact=exact,
                                budget_ms=budget_ms)
-        request_id, results = self.recv_results()
-        if request_id != sent:
-            raise ServeError(
-                f"response id {request_id} does not match request "
-                f"{sent} (pipelining misuse?)")
-        return results
+        return self._matched(sent, self.recv_results())
 
     def join(self, index: str, lngs: PointArray, lats: PointArray,
              exact: bool = False,
              budget_ms: Optional[float] = None) -> Dict[int, int]:
         sent = self.send_join(index, lngs, lats, exact=exact,
                               budget_ms=budget_ms)
-        request_id, counts = self.recv_counts()
-        if request_id != sent:
-            raise ServeError(
-                f"response id {request_id} does not match request "
-                f"{sent} (pipelining misuse?)")
-        return counts
+        return self._matched(sent, self.recv_counts())
 
     def close(self) -> None:
         if self.sock is not None:

@@ -42,8 +42,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional
 
 from ..act import serialize
-from ..errors import (ArtifactCorruptError, InvalidRequestError, ServeError,
-                      UnknownIndexError)
+from ..errors import (ArtifactCorruptError, ConflictError,
+                      InvalidRequestError, ServeError, UnknownIndexError)
 from . import chaos
 from .registry import _UNSET, IndexRegistry
 from .service import ACTService
@@ -347,7 +347,7 @@ class FleetLifecycle:
         rebalances run one at a time, and the kernel drops the lock if
         its holder dies."""
         if not self._op_lock.acquire(True, self.timeout_s):
-            raise ServeError(
+            raise ConflictError(
                 "another admin operation is in progress fleet-wide")
         try:
             yield
@@ -370,7 +370,7 @@ class FleetLifecycle:
         with self.admin_lock():
             before = read_current(self.root)
             if op.kind == OP_REGISTER and op.name in before:
-                raise ServeError(f"index {op.name!r} is already registered")
+                raise ConflictError(f"index {op.name!r} is already registered")
             if op.kind != OP_REGISTER and op.name not in before:
                 raise UnknownIndexError(
                     f"unknown index {op.name!r} (registered: "

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..act import serialize
 from ..act.index import ACTIndex
-from ..errors import ServeError, UnknownIndexError
+from ..errors import ConflictError, ServeError, UnknownIndexError
 from . import chaos
 
 #: Distinguishes "argument not passed" from an explicit ``None``.
@@ -134,7 +134,7 @@ class IndexRegistry:
     def _add(self, registration: _Registration) -> None:
         with self._lock:
             if registration.name in self._registrations:
-                raise ServeError(
+                raise ConflictError(
                     f"index {registration.name!r} is already registered"
                 )
             self._registrations[registration.name] = registration

@@ -52,30 +52,37 @@ non-loopback peer get 403 regardless of the bind address:
   generation, resident node-pool bytes, forward/local/shed counters)
   when the fleet runs sharded (404 otherwise).
 
-Budget overruns surface as HTTP 503 (shed), unknown indexes as 404,
-malformed requests as 400, conflicting admin requests (duplicate
-register) as 409, and a ``Content-Length`` over the binary plane's
-64 MiB frame limit as 413 (body unread, connection closed) — so load
-balancers and clients can react without parsing bodies. The stdlib's
-own refusals (501 unknown method, 414 request line too long, 431, …)
-are the same JSON error payload, never an HTML page. A response leaves
-in one write on a ``TCP_NODELAY`` socket (no delayed-ACK wait).
+A failure answers with the status its exception carries
+(:data:`repro.errors.ERROR_TABLE`): 400 malformed, 403 admin off
+loopback, 404 unknown index or route, 409 conflicting admin request
+(duplicate register, fleet lock held), 413 a ``Content-Length`` over
+the binary plane's 64 MiB frame limit (body unread, connection
+closed), 503 shed, 500 anything else — so load balancers and clients
+can react without parsing bodies. Every error body is ``{"error",
+"request_id", "pid"}``; the stdlib's own refusals (501, 414, 431, …)
+are the same JSON payload, never an HTML page. A response leaves in
+one write on a ``TCP_NODELAY`` socket (no delayed-ACK wait).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import accumulate
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..errors import (
     BudgetExceededError,
+    ForbiddenError,
+    FrameError,
     InvalidRequestError,
+    NotFoundError,
+    PayloadTooLargeError,
     ServeError,
-    UnknownIndexError,
+    wire_error,
 )
 from ..obs import Trace, mint_request_id
 from . import chaos, lifecycle
@@ -86,6 +93,8 @@ from .service import ACTService
 #: Client-supplied request ids longer than this are replaced (they are
 #: echoed into headers and logs; unbounded input does not belong there).
 _MAX_REQUEST_ID = 128
+#: ``DELETE /admin/index/NAME`` retires NAME.
+_INDEX_ROUTE = "/admin/index/"
 
 
 def is_loopback(ip: str) -> bool:
@@ -94,8 +103,27 @@ def is_loopback(ip: str) -> bool:
             or ip.startswith("::ffff:127."))
 
 
+def _param_flag(params: dict, key: str) -> bool:
+    """A query-string flag: anything but ``0``, ``false`` or empty."""
+    return params.get(key, ["0"])[0] not in ("0", "false", "")
+
+
+def _body_flag(body: dict, key: str) -> bool:
+    """A POST body flag, which must be a JSON boolean (``"false"`` is a
+    string, and a string is not a flag)."""
+    value = body.get(key, False)
+    if not isinstance(value, bool):
+        raise InvalidRequestError(
+            f"{key} must be a JSON boolean, got {value!r}")
+    return value
+
+
 class ACTRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the attached :class:`ACTService`."""
+    """Routes HTTP requests onto the attached :class:`ACTService`.
+
+    A route handler answers success itself and raises on failure;
+    :meth:`_route` is the one place that turns a failure into a status.
+    """
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
@@ -120,18 +148,12 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
             self.request_id = mint_request_id()
         return self.request_id
 
-    def _forced_trace(self, params: Optional[dict] = None,
-                      body: Optional[dict] = None,
-                      kind: str = "query") -> Optional[Trace]:
+    def _forced_trace(self, wanted: bool, kind: str) -> Optional[Trace]:
         """A forced :class:`Trace` when the client asked for one
-        (``?trace=1``, ``X-Trace: 1``, or ``"trace": true`` in a POST
-        body), else ``None`` (the service then applies sampling)."""
-        wanted = (self.headers.get("X-Trace") or "") not in ("", "0")
-        if not wanted and params is not None:
-            wanted = params.get("trace", ["0"])[0] not in ("0", "false", "")
-        if not wanted and body is not None:
-            wanted = bool(body.get("trace", False))
-        if not wanted:
+        (``wanted`` — ``?trace=1`` or ``"trace": true`` in a POST body —
+        or an ``X-Trace: 1`` header), else ``None`` (the service then
+        applies sampling)."""
+        if not wanted and (self.headers.get("X-Trace") or "") in ("", "0"):
             return None
         return self.service.tracer.sample(
             request_id=self.request_id, kind=kind, force=True)
@@ -140,168 +162,93 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        parsed = urlparse(self.path)
-        self._assign_request_id()
-        try:
-            if parsed.path == "/healthz":
-                payload = {
-                    "status": "ok",
-                    "indexes": self.service.registry.names(),
-                    "pid": os.getpid(),
-                }
-                worker_id = getattr(self.server, "worker_id", None)
-                if worker_id is not None:
-                    payload["worker"] = worker_id
-                self._send(200, payload)
-            elif parsed.path == "/readyz":
-                self._handle_readyz()
-            elif parsed.path == "/stats":
-                payload = self.service.stats()
-                extra = getattr(self.server, "stats_extra", None)
-                if extra is not None:
-                    # fleet workers contribute an aggregated cross-worker
-                    # view (see repro.serve.fleet) on top of their own;
-                    # the hook receives this worker's snapshot so it is
-                    # not recomputed for the aggregate
-                    payload["fleet"] = extra(payload)
-                self._send(200, payload)
-            elif parsed.path == "/metrics":
-                self._handle_metrics()
-            elif parsed.path == "/query":
-                self._handle_query(parse_qs(parsed.query))
-            elif parsed.path == "/admin/indexes":
-                if self._admin_allowed():
-                    self._send(200, {
-                        "indexes": self.service.admin_indexes(),
-                        "pid": os.getpid(),
-                        "worker": getattr(self.server, "worker_id", None),
-                    })
-            elif parsed.path == "/admin/chaos":
-                if self._admin_allowed():
-                    self._send(200, {
-                        "spec": chaos.spec(),
-                        "active": chaos.is_active(),
-                        "pid": os.getpid(),
-                    })
-            elif parsed.path == "/admin/slowlog":
-                if self._admin_allowed():
-                    self._send(200, {
-                        "slow_queries": self.service.slowlog.entries(),
-                        "stats": self.service.slowlog.stats(),
-                        "pid": os.getpid(),
-                        "worker": getattr(self.server, "worker_id", None),
-                    })
-            elif parsed.path == "/admin/shards":
-                if self._admin_allowed():
-                    shard = self.service.shard_info()
-                    if shard is None:
-                        self._send(404, {
-                            "error": "this worker is not sharded "
-                                     "(start the fleet with --shards)",
-                        })
-                    else:
-                        self._send(200, {
-                            "shard": shard,
-                            "pid": os.getpid(),
-                            "worker": getattr(self.server, "worker_id",
-                                              None),
-                        })
-            else:
-                self._send(404, {"error": f"no route {parsed.path!r}"})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_error_for(exc)
+        self._route(self._GET.get)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        parsed = urlparse(self.path)
-        self._assign_request_id()
-        try:
-            if parsed.path == "/join":
-                self._handle_join()
-            elif parsed.path == "/query":
-                self._handle_query_batch()
-            elif parsed.path == "/admin/register":
-                self._handle_admin_body(lifecycle.OP_REGISTER)
-            elif parsed.path == "/admin/reload":
-                self._handle_admin_body(lifecycle.OP_RELOAD)
-            elif parsed.path == "/admin/chaos":
-                self._handle_chaos()
-            else:
-                self._send(404, {"error": f"no route {parsed.path!r}"})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_error_for(exc)
+        self._route(self._POST.get)
 
     def do_DELETE(self) -> None:  # noqa: N802 (stdlib naming)
+        self._route(lambda path: ACTRequestHandler._delete_index
+                    if path.startswith(_INDEX_ROUTE)
+                    and len(path) > len(_INDEX_ROUTE) else None)
+
+    def _route(self, find: Callable[[str], Optional[Callable]]) -> None:
+        """Run the handler ``find`` names for this path. The only place
+        a status is picked for a failure: the one its exception carries
+        (:func:`repro.errors.wire_error`); a fatal
+        :class:`~repro.errors.FrameError` also closes the connection."""
         parsed = urlparse(self.path)
         self._assign_request_id()
-        prefix = "/admin/index/"
         try:
-            if parsed.path.startswith(prefix) and len(parsed.path) > len(
-                    prefix):
-                name = unquote(parsed.path[len(prefix):])
-                if self._admin_allowed():
-                    self._dispatch_admin({
-                        "op": lifecycle.OP_UNREGISTER, "name": name,
-                    })
-            else:
-                self._send(404, {"error": f"no route {parsed.path!r}"})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_error_for(exc)
+            handler = find(parsed.path)
+            if handler is None:
+                raise NotFoundError(f"no route {parsed.path!r}")
+            if parsed.path.startswith("/admin/"):
+                self._require_loopback()
+            handler(self, parsed)
+        except Exception as exc:
+            status, message = wire_error(exc)
+            payload = self._error_payload(message)
+            if isinstance(exc, BudgetExceededError):
+                payload["shed"] = True
+            self._send(status, payload, close=getattr(exc, "fatal", False))
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_query(self, params: dict) -> None:
+    def _healthz(self, parsed) -> None:
+        payload = {"status": "ok", "indexes": self.service.registry.names(),
+                   "pid": os.getpid()}
+        worker_id = getattr(self.server, "worker_id", None)
+        if worker_id is not None:
+            payload["worker"] = worker_id
+        self._send(200, payload)
+
+    def _stats(self, parsed) -> None:
+        payload = self.service.stats()
+        extra = getattr(self.server, "stats_extra", None)
+        if extra is not None:
+            # fleet workers contribute an aggregated cross-worker view
+            # (see repro.serve.fleet) on top of their own; the hook
+            # receives this worker's snapshot so it is not recomputed
+            # for the aggregate
+            payload["fleet"] = extra(payload)
+        self._send(200, payload)
+
+    def _handle_query(self, parsed) -> None:
+        params = parse_qs(parsed.query)
         try:
             index_name = params["index"][0]
             lng = float(params["lng"][0])
             lat = float(params["lat"][0])
         except (KeyError, ValueError, IndexError):
-            self._send(400, {
-                "error": "need index=NAME&lng=FLOAT&lat=FLOAT",
-            })
-            return
-        exact = params.get("exact", ["0"])[0] not in ("0", "false", "")
-        try:
-            budget = self._parse_budget(params.get("budget_ms", [None])[0])
-        except InvalidRequestError as exc:
-            self._send(400, self._error_payload(exc))
-            return
-        trace = self._forced_trace(params=params, kind="query")
-        try:
-            result = self.service.query(index_name, lng, lat, exact=exact,
-                                        budget=budget, trace=trace,
-                                        request_id=self.request_id)
-        except (UnknownIndexError, BudgetExceededError, ServeError) as exc:
-            self._send_error_for(exc)
-            return
+            raise InvalidRequestError(
+                "need index=NAME&lng=FLOAT&lat=FLOAT") from None
+        if not (math.isfinite(lng) and math.isfinite(lat)):
+            # the answer would echo them, and NaN/inf are not JSON
+            raise InvalidRequestError(
+                f"lng and lat must be finite, got {lng!r}, {lat!r}")
+        exact = _param_flag(params, "exact")
+        budget = self._parse_budget(params.get("budget_ms", [None])[0])
+        trace = self._forced_trace(_param_flag(params, "trace"), "query")
+        result = self.service.query(index_name, lng, lat, exact=exact,
+                                    budget=budget, trace=trace,
+                                    request_id=self.request_id)
         payload = {
-            "index": index_name,
-            "lng": lng,
-            "lat": lat,
-            "exact": exact,
+            "index": index_name, "lng": lng, "lat": lat, "exact": exact,
             "true_hits": list(result.true_hits),
             "candidates": list(result.candidates),
-            "polygon_ids": list(result.all_ids),
-            "is_hit": result.is_hit,
+            "polygon_ids": list(result.all_ids), "is_hit": result.is_hit,
             "request_id": self.request_id,
         }
-        if trace is not None:
-            trace.stamp("serialize")
-            payload["trace"] = trace.to_dict()
-        self._send(200, payload)
+        self._send_traced(payload, trace)
 
-    def _handle_query_batch(self) -> None:
-        parsed = self._parse_points_body()
-        if parsed is None:
-            return
-        index_name, lngs, lats, exact, budget, trace = parsed
-        try:
-            results = self.service.query_batch(
-                index_name, lngs, lats, exact=exact, budget=budget,
-                trace=trace, request_id=self.request_id)
-        except (UnknownIndexError, BudgetExceededError, ServeError) as exc:
-            self._send_error_for(exc)
-            return
+    def _handle_query_batch(self, parsed) -> None:
+        index_name, lngs, lats, exact, budget, trace = \
+            self._parse_points_body("query_batch")
+        results = self.service.query_batch(
+            index_name, lngs, lats, exact=exact, budget=budget,
+            trace=trace, request_id=self.request_id)
         # rows straight off the batch's columns: one tolist() per
         # column, then slices — no QueryResult per point
         true_ids = results.true_ids.tolist()
@@ -309,9 +256,7 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         true_end = list(accumulate(results.true_counts.tolist()))
         cand_end = list(accumulate(results.cand_counts.tolist()))
         payload = {
-            "index": index_name,
-            "num_points": len(lngs),
-            "exact": exact,
+            "index": index_name, "num_points": len(lngs), "exact": exact,
             "request_id": self.request_id,
             "results": [
                 {
@@ -325,37 +270,23 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
                     [0] + true_end, true_end, [0] + cand_end, cand_end)
             ],
         }
-        if trace is not None:
-            trace.stamp("serialize")
-            payload["trace"] = trace.to_dict()
-        self._send(200, payload)
+        self._send_traced(payload, trace)
 
-    def _handle_join(self) -> None:
-        parsed = self._parse_points_body(kind="join")
-        if parsed is None:
-            return
-        index_name, lngs, lats, exact, budget, trace = parsed
-        try:
-            counts = self.service.join(index_name, lngs, lats, exact=exact,
-                                       budget=budget, trace=trace,
-                                       request_id=self.request_id)
-        except (UnknownIndexError, BudgetExceededError, ServeError) as exc:
-            self._send_error_for(exc)
-            return
-        nonzero = {int(pid): int(c) for pid, c in enumerate(counts) if c}
+    def _handle_join(self, parsed) -> None:
+        index_name, lngs, lats, exact, budget, trace = \
+            self._parse_points_body("join")
+        counts = self.service.join(index_name, lngs, lats, exact=exact,
+                                   budget=budget, trace=trace,
+                                   request_id=self.request_id)
+        nonzero = counts.nonzero()[0]
         payload = {
-            "index": index_name,
-            "num_points": len(lngs),
-            "exact": exact,
-            "counts": nonzero,
+            "index": index_name, "num_points": len(lngs), "exact": exact,
+            "counts": dict(zip(nonzero.tolist(), counts[nonzero].tolist())),
             "request_id": self.request_id,
         }
-        if trace is not None:
-            trace.stamp("serialize")
-            payload["trace"] = trace.to_dict()
-        self._send(200, payload)
+        self._send_traced(payload, trace)
 
-    def _handle_metrics(self) -> None:
+    def _handle_metrics(self, parsed) -> None:
         """``GET /metrics``: Prometheus text exposition.
 
         When a fleet is attached, the worker's hook supplies the
@@ -371,7 +302,7 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         self._respond(200, text.encode("utf-8"),
                       "text/plain; version=0.0.4; charset=utf-8")
 
-    def _handle_readyz(self) -> None:
+    def _handle_readyz(self, parsed) -> None:
         """``GET /readyz``: readiness, as distinct from liveness.
 
         Ready means every registered index is materialized (no request
@@ -390,126 +321,129 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
                            else {"converged": True, "last_error": None})
         ready = (all(indexes.values())
                  and bool(lifecycle_state.get("converged", True)))
-        payload = {
-            "ready": ready,
-            "indexes": indexes,
-            "pid": os.getpid(),
-        }
+        payload = {"ready": ready, "indexes": indexes, "pid": os.getpid()}
         payload.update(lifecycle_state)
         worker_id = getattr(self.server, "worker_id", None)
         if worker_id is not None:
             payload["worker"] = worker_id
         self._send(200 if ready else 503, payload)
 
-    def _handle_chaos(self) -> None:
-        """``POST /admin/chaos``: (re-)arm this process's fault
-        injection from ``{"spec": "..."}``; an empty spec disarms."""
-        if not self._admin_allowed():
-            return
-        body = self._read_json_body()
-        if body is None:
-            return
-        spec = body.get("spec", "")
-        if not isinstance(spec, str):
-            self._send(400, {"error": "chaos spec must be a string"})
-            return
-        try:
-            chaos.configure(spec)
-        except InvalidRequestError as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        self.service.metrics.counter("admin.requests").inc()
+    # ------------------------------------------------------------------
+    # Admin surface (loopback only: see _route)
+    # ------------------------------------------------------------------
+    def _require_loopback(self) -> None:
+        """Loopback authentication for the admin surface.
+
+        The server may legitimately bind a routable address for query
+        traffic; lifecycle mutations still require the caller to be on
+        this machine.
+        """
+        ip = self.client_address[0] if self.client_address else ""
+        if not is_loopback(ip):
+            raise ForbiddenError("admin endpoints are loopback-only")
+
+    def _admin_indexes(self, parsed) -> None:
+        self._send(200, {
+            "indexes": self.service.admin_indexes(),
+            "pid": os.getpid(),
+            "worker": getattr(self.server, "worker_id", None),
+        })
+
+    def _admin_slowlog(self, parsed) -> None:
+        self._send(200, {
+            "slow_queries": self.service.slowlog.entries(),
+            "stats": self.service.slowlog.stats(),
+            "pid": os.getpid(),
+            "worker": getattr(self.server, "worker_id", None),
+        })
+
+    def _admin_shards(self, parsed) -> None:
+        shard = self.service.shard_info()
+        if shard is None:
+            raise NotFoundError("this worker is not sharded "
+                                "(start the fleet with --shards)")
+        self._send(200, {
+            "shard": shard,
+            "pid": os.getpid(),
+            "worker": getattr(self.server, "worker_id", None),
+        })
+
+    def _get_chaos(self, parsed) -> None:
         self._send(200, {
             "spec": chaos.spec(),
             "active": chaos.is_active(),
             "pid": os.getpid(),
         })
 
-    # ------------------------------------------------------------------
-    # Admin surface
-    # ------------------------------------------------------------------
-    def _admin_allowed(self) -> bool:
-        """Loopback authentication for the admin surface.
+    def _post_chaos(self, parsed) -> None:
+        """``POST /admin/chaos``: (re-)arm this process's fault
+        injection from ``{"spec": "..."}``; an empty spec disarms."""
+        spec = self._read_json_body().get("spec", "")
+        if not isinstance(spec, str):
+            raise InvalidRequestError("chaos spec must be a string")
+        chaos.configure(spec)
+        self.service.metrics.counter("admin.requests").inc()
+        self._get_chaos(parsed)
 
-        The server may legitimately bind a routable address for query
-        traffic; lifecycle mutations still require the caller to be on
-        this machine. Sends the 403 itself when rejecting.
-        """
-        ip = self.client_address[0] if self.client_address else ""
-        if is_loopback(ip):
-            return True
-        self._send(403, {
-            "error": "admin endpoints are loopback-only",
-        })
-        return False
+    def _register(self, parsed) -> None:
+        self._admin(lifecycle.OP_REGISTER, self._read_json_body())
 
-    def _handle_admin_body(self, op_kind: str) -> None:
-        if not self._admin_allowed():
-            return
-        body = self._read_json_body()
-        if body is None:
-            return
-        body["op"] = op_kind
-        self._dispatch_admin(body)
+    def _reload(self, parsed) -> None:
+        self._admin(lifecycle.OP_RELOAD, self._read_json_body())
 
-    def _dispatch_admin(self, request: dict) -> None:
+    def _delete_index(self, parsed) -> None:
+        self._admin(lifecycle.OP_UNREGISTER,
+                    {"name": unquote(parsed.path[len(_INDEX_ROUTE):])})
+
+    def _admin(self, op_kind: str, request: dict) -> None:
         """Run one admin request: fleet-wide via the server's hook when a
         fleet is attached, otherwise directly on this service."""
+        request["op"] = op_kind
         self.service.metrics.counter("admin.requests").inc()
         hook = getattr(self.server, "admin_hook", None)
         try:
-            if hook is not None:
-                result = hook(request)
-            else:
-                result = lifecycle.handle_admin_request(self.service,
-                                                        request)
-        except UnknownIndexError as exc:
-            self._send(404, {"error": str(exc)})
-            return
-        except InvalidRequestError as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        except ServeError as exc:
-            # duplicate registration, conflicting concurrent admin op, …
-            self._send(409, {"error": str(exc)})
-            return
-        except Exception as exc:  # bad artifact path, load failure, …
-            self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
-            return
+            result = (hook(request) if hook is not None else
+                      lifecycle.handle_admin_request(self.service, request))
+        except ServeError:
+            raise
+        except Exception as exc:  # an operator's file that fails to load
+            raise InvalidRequestError(
+                f"{type(exc).__name__}: {exc}") from exc
         self._send(200, result)
+
+    _GET = {
+        "/healthz": _healthz, "/readyz": _handle_readyz, "/stats": _stats,
+        "/metrics": _handle_metrics, "/query": _handle_query,
+        "/admin/indexes": _admin_indexes, "/admin/chaos": _get_chaos,
+        "/admin/slowlog": _admin_slowlog, "/admin/shards": _admin_shards,
+    }
+    _POST = {
+        "/join": _handle_join, "/query": _handle_query_batch,
+        "/admin/register": _register, "/admin/reload": _reload,
+        "/admin/chaos": _post_chaos,
+    }
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _parse_points_body(self, kind: str = "query_batch"):
-        """Shared body parsing for the batch endpoints.
-
-        Returns ``(index_name, lngs, lats, exact, budget, trace)`` or
-        ``None`` (a 4xx response has already been sent).
-        """
+    def _parse_points_body(self, kind: str):
+        """``(index_name, lngs, lats, exact, budget, trace)`` from a
+        batch endpoint's body."""
         body = self._read_json_body()
-        if body is None:
-            return None
         index_name = body.get("index")
         points = body.get("points")
         if not isinstance(index_name, str) or not isinstance(points, list):
-            self._send(400, {
-                "error": 'need {"index": NAME, "points": [[lng, lat], ...]}',
-            })
-            return None
+            raise InvalidRequestError(
+                'need {"index": NAME, "points": [[lng, lat], ...]}')
         try:
             lngs = [float(p[0]) for p in points]
             lats = [float(p[1]) for p in points]
         except (TypeError, ValueError, IndexError):
-            self._send(400, {"error": "points must be [lng, lat] pairs"})
-            return None
-        exact = bool(body.get("exact", False))
-        try:
-            budget = self._parse_budget(body.get("budget_ms"))
-        except InvalidRequestError as exc:
-            self._send(400, self._error_payload(exc))
-            return None
-        trace = self._forced_trace(body=body, kind=kind)
+            raise InvalidRequestError(
+                "points must be [lng, lat] pairs") from None
+        exact = _body_flag(body, "exact")
+        budget = self._parse_budget(body.get("budget_ms"))
+        trace = self._forced_trace(_body_flag(body, "trace"), kind)
         return index_name, lngs, lats, exact, budget, trace
 
     def _parse_budget(self, raw) -> Optional[Budget]:
@@ -523,7 +457,7 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
             raise InvalidRequestError(
                 f"budget_ms must be a number, got {raw!r}") from None
 
-    def _read_json_body(self) -> Optional[dict]:
+    def _read_json_body(self) -> dict:
         raw_length = self.headers.get("Content-Length", "0")
         try:
             length = int(raw_length)
@@ -532,47 +466,30 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         if length < 0:
             # the body cannot be located on the stream, so a keep-alive
             # connection would misparse it as the next request (or block
-            # reading to EOF on a negative length): 400 and close
-            self._send(400, {
-                "error": f"malformed Content-Length: {raw_length!r}",
-            }, close=True)
-            return None
+            # reading to EOF on a negative length)
+            raise FrameError(f"malformed Content-Length: {raw_length!r}",
+                             fatal=True)
         if length > MAX_FRAME_BYTES:
             # reading it would park this thread on a body that never
             # comes, or allocate it all first; the unread bytes would
-            # then be misparsed as the next request: 413 and close
-            self._send(413, self._error_payload(
+            # then be misparsed as the next request
+            raise PayloadTooLargeError(
                 f"Content-Length {length} exceeds the "
-                f"{MAX_FRAME_BYTES}-byte body limit"), close=True)
-            return None
+                f"{MAX_FRAME_BYTES}-byte body limit", fatal=True)
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
-            self._send(400, {"error": "body must be JSON"})
-            return None
+        except ValueError:
+            raise InvalidRequestError("body must be JSON") from None
         if not isinstance(body, dict):
-            self._send(400, {"error": "body must be a JSON object"})
-            return None
+            raise InvalidRequestError("body must be a JSON object")
         return body
 
-    def _send_error_for(self, exc: Exception) -> None:
-        if isinstance(exc, UnknownIndexError):
-            self._send(404, self._error_payload(exc))
-        elif isinstance(exc, InvalidRequestError):
-            self._send(400, self._error_payload(exc))
-        elif isinstance(exc, BudgetExceededError):
-            payload = self._error_payload(exc)
-            payload["shed"] = True
-            self._send(503, payload)
-        else:
-            self._send(500, self._error_payload(exc))
-
-    def _error_payload(self, error: Union[Exception, str]) -> dict:
+    def _error_payload(self, message: str) -> dict:
         """Error body carrying the request id and the answering pid, so
         a fleet-mode failure is attributable to one request in one
         worker process."""
         return {
-            "error": str(error),
+            "error": message,
             "request_id": getattr(self, "request_id", None),
             "pid": os.getpid(),
         }
@@ -592,6 +509,13 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         self.request_id = mint_request_id()
         reason = message or self.responses.get(code, ("",))[0]
         self._send(code, self._error_payload(reason), close=True)
+
+    def _send_traced(self, payload: dict, trace: Optional[Trace]) -> None:
+        """200 with ``payload``, plus the request's trace when forced."""
+        if trace is not None:
+            trace.stamp("serialize")
+            payload["trace"] = trace.to_dict()
+        self._send(200, payload)
 
     def _send(self, status: int, payload: dict, close: bool = False) -> None:
         self._respond(status, json.dumps(payload).encode("utf-8"),
