@@ -4,7 +4,7 @@ Origin: the paper's headline number is per-lookup latency measured in
 hundreds of nanoseconds; PR 5's perf work showed a single stray
 f-string or ``json.dumps`` in ``query_batch`` is visible on the
 histogram. The configured hot functions (the query entry points, the
-refinement kernels, the binary frame handlers; since a per-cell Python
+refinement kernels, the binary front's frame handler; since a per-cell Python
 loop made a sharded cold start 16 s, the index enumeration and the
 shard planner/slicer/cutter built on it (the planner's per-cut walk,
 ``first_key``, visits O(depth) pool rows and loops over at most two
@@ -51,9 +51,9 @@ from ..findings import SEVERITY_WARNING, Finding
 from .base import (FileContext, Rule, body_nodes, dotted_name,
                    iter_functions, param_names)
 
-#: Functions on the measured path. ``_handle``/``_process``/
-#: ``data_received`` are the binary frame handlers in serve/aserver.py;
-#: the third row is what every fleet start, rebalance and re-slice runs
+#: Functions on the measured path. ``_handle`` is the binary front's
+#: frame handler in serve/aserver.py (its connection thread runs it once
+#: per frame); the third row is what every fleet start, rebalance and re-slice runs
 #: over millions of cells (act/core.py, serve/shard.py); the last is
 #: what a batch's results pass through after ``query_batch`` — the
 #: result codec and exact refinement (the router's gather is the body
@@ -73,7 +73,7 @@ from .base import (FileContext, Rule, body_nodes, dotted_name,
 HOT_FUNCTIONS = frozenset({
     "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
     "decode_entry",
-    "_handle", "_process", "data_received",
+    "_handle",
     "node_arrays", "cell_arrays", "node_entry_counts", "plan_shard_map",
     "_plan_one", "_slot_weights", "slice_index", "write_slices",
     "encode_results", "decode_results", "_refine_batch",
@@ -91,7 +91,7 @@ class HotPathRule(Rule):
     name = "hot-path-hygiene"
     description = (
         "Hot-path functions (query/query_batch/refine/lookup_entries/"
-        "decode_entry/binary frame handlers/index enumeration/shard "
+        "decode_entry/binary frame handler/index enumeration/shard "
         "planner and "
         "slicer/result codec, refinement and gather/point-to-entry "
         "kernels, the join and its stream fold/the array build: merge, "

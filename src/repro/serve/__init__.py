@@ -12,9 +12,10 @@ slow-query log (:mod:`repro.obs`), and a Prometheus-style ``GET
 /metrics`` exposition — and drivable over
 HTTP (:func:`create_server`, or ``repro-act serve`` from the CLI).
 A second, fast data plane serves the same service over a zero-copy
-binary batch protocol (:mod:`repro.serve.binproto`) behind an asyncio
-pipelined front (:class:`BinaryFrontend`; ``repro-act serve
---binary-port``). For CPU-bound traffic, :class:`ServingFleet` forks the whole stack
+binary batch protocol (:mod:`repro.serve.binproto`) behind a
+thread-per-connection front that answers pipelined frames in order
+(:class:`BinaryFrontend`; ``repro-act serve --binary-port``). For
+CPU-bound traffic, :class:`ServingFleet` forks the whole stack
 into N supervised worker processes sharing one listening address
 (``repro-act serve --workers N``; mmap-loaded indexes share node-pool
 pages across workers through the page cache). Indexes are

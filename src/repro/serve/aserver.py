@@ -1,61 +1,47 @@
-"""Asyncio binary front: pipelined connections for the fast data plane.
+"""Binary front: the :mod:`~repro.serve.binproto` data plane, served
+the way :mod:`~repro.serve.server` serves JSON — a threading
+:mod:`socketserver` server, one thread per connection, which loops:
 
-The JSON front is thread-per-connection: every connection parks a
-thread, every request pays header parsing, JSON decoding, and response
-string building. This front serves the :mod:`~repro.serve.binproto` protocol
-from one ``asyncio`` event loop per process instead:
+* read one 24-byte header (a fatal one — bad magic or version, an
+  oversized payload — earns one error frame, then the connection
+  closes); reads go through a buffered ``readinto``, so a small frame
+  costs one ``recv``;
+* read the payload into its own buffer, so
+  :func:`~repro.serve.binproto.decode_points_request` returns
+  ``numpy.frombuffer`` views over it: no per-point Python objects;
+* dispatch onto the service path the JSON front uses (budgets,
+  generation pinning, the cell cache, telemetry, request ids);
+* ``sendall`` the reply frame.
 
-* connections are cheap (no thread per connection — the selector owns
-  them all), so a client keeps one connection and **pipelines**: it
-  sends many frames without waiting for responses, and the server
-  answers them strictly in order as fast as the core can;
-* frame headers are decoded with ``struct.unpack_from`` over a
-  ``memoryview`` — the payload bytes are never copied to find out what
-  they are — and a frame that arrives in one TCP segment is decoded
-  *in place*: ``numpy.frombuffer`` views straight into the receive
-  buffer feed :meth:`~repro.serve.service.ACTService.query_batch`
-  with zero per-point Python objects;
-* requests dispatch onto the *existing* service path, so latency
-  budgets, generation pinning, the cell cache, telemetry counters and
-  histograms, and request-id semantics behave exactly as they do over
-  JSON — the two fronts are views of one service.
-
-Batches execute inline on the event loop: ``query_batch`` is pure
-vectorized compute that never blocks, and each fleet worker runs its
-own loop in its own process, so cross-connection fairness degrades
-only as far as the GIL already degrades it.
-
-:class:`BinaryFrontend` wraps the loop in a daemon thread so the front
-runs next to the threaded JSON server inside one process (single
-``repro-act serve`` or each :class:`~repro.serve.fleet.ServingFleet`
-worker).
+A client may pipeline frames on one connection; its thread answers
+them strictly in request order. A sharded router's batch blocks only
+its own connection's thread while it scatters: a sibling's
+``OP_FORWARD_*`` arrives on another connection, so another thread
+answers it, and a forward is never re-routed, so no wait closes a
+cycle. :meth:`BinaryFrontend.stop` stops accepting, wakes idle readers
+and joins every connection's thread: a frame already read is answered.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
+import socketserver
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Optional, Set, Tuple
 
 from ..errors import FrameError, ServeError, wire_error
 from ..obs import mint_request_id
 from . import binproto, chaos
 from .budget import Budget
+from .server import adopt_socket
 from .service import ACTService
 
 
 def _bin_request_id(request_id: int) -> str:
-    """Trace id for a binary frame.
-
-    Deterministic from the wire request id when the client sent one
-    (so client and server logs correlate), freshly minted otherwise.
-    Minting is intrinsic per-request work, kept out of the frame
-    handler itself so the handler stays formatting-free.
-    """
+    """Trace id for a binary frame: from the wire request id when the
+    client sent one (client and server logs correlate), else minted —
+    kept out of :meth:`_BinaryHandler._handle`, which formats nothing."""
     return f"bin-{request_id:x}" if request_id else mint_request_id()
 
 
@@ -78,222 +64,118 @@ _OPS = {
 }
 
 
-def _release(view: memoryview) -> None:
-    """Release a view over an immutable frame buffer (hygiene only —
-    the buffers are ``bytes``, so a still-exported view is harmless)."""
-    try:
-        view.release()
-    except BufferError:  # pragma: no cover - an escaped array view
-        pass
+class _BinaryHandler(socketserver.StreamRequestHandler):
+    """One binary connection: read a frame, answer it, repeat to EOF."""
 
+    server: "_BinaryServer"
+    rbufsize = 1 << 16
+    disable_nagle_algorithm = True  # TCP_NODELAY on every connection
 
-class _BinaryProtocol(asyncio.Protocol):
-    """One binary connection: buffer, frame, dispatch, respond.
-
-    Frames are processed in arrival order on the event loop; behind an
-    unsharded service responses can therefore never overtake each
-    other. Behind a sharded router, plain query/join ops may *block on
-    the network* mid-scatter, so they execute on the frontend's
-    scatter pool and reply as they finish — responses may reorder, and
-    clients correlate by the echoed request id (the reference client
-    does). Forwarded ops always stay on the loop: they touch only the
-    local slice, so the loop can keep draining sibling scatters even
-    while every pool thread is waiting, which is what makes
-    router-to-router traffic deadlock-free.
-    The receive path has a zero-copy fast lane — when a complete frame
-    sits inside the ``bytes`` object the transport delivered, headers
-    and payload are decoded from memoryviews of it directly; only a
-    frame fragmented across TCP segments is reassembled (once, guided
-    by the declared frame length) into the carry-over buffer.
-    """
-
-    def __init__(self, frontend: "BinaryFrontend"):
-        self.frontend = frontend
-        self.service = frontend.service
-        self.transport: Optional[asyncio.Transport] = None
-        self._buf = bytearray()
-        #: Bytes needed before the carry-over buffer can hold a full
-        #: frame (skip re-joining it on every small segment).
-        self._need = binproto.HEADER_SIZE
-        self._closing = False
-
-    # -- connection lifecycle -----------------------------------------
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        try:
-            transport.get_extra_info("socket").setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except (OSError, AttributeError):
-            pass
-        self.frontend.connections.add(self)
+    def handle(self) -> None:
+        self.frontend = self.server.frontend
+        self.service = self.frontend.service
         self.frontend.c_connections.inc()
-
-    def connection_lost(self, exc) -> None:
-        self.frontend.connections.discard(self)
-
-    # -- receive path -------------------------------------------------
-    def data_received(self, data: bytes) -> None:
-        self.frontend.c_bytes_in.inc(len(data))
-        if self._closing:
-            return
-        if not self._buf:
-            # fast lane: `data` is immutable, so frames inside it are
-            # decoded in place (zero-copy views) with no reassembly
-            consumed = self._process(data)
-            if consumed < len(data) and not self._closing:
-                self._buf += memoryview(data)[consumed:]
-                self._update_need()
-            return
-        self._buf += data
-        if len(self._buf) < self._need:
-            return  # cheap wait: the frame cannot be complete yet
-        complete = bytes(self._buf)
-        consumed = self._process(complete)
-        del self._buf[:consumed]
-        self._update_need()
-
-    def _update_need(self) -> None:
+        header = bytearray(binproto.HEADER_SIZE)
         try:
-            header = binproto.try_parse_header(self._buf)
-        except FrameError:
-            # fatal header; let _process handle it on the next pass
-            self._need = len(self._buf)
-            return
-        if header is None:
-            self._need = binproto.HEADER_SIZE
-        else:
-            self._need = binproto.HEADER_SIZE + header[3]
-
-    def _process(self, buf) -> int:
-        """Handle every complete frame in ``buf``; return bytes consumed."""
-        offset = 0
-        size = len(buf)
-        view = memoryview(buf)
-        try:
-            while size - offset >= binproto.HEADER_SIZE:
+            while self._read(header):
                 try:
-                    header = binproto.try_parse_header(view, offset)
+                    op, flags, request_id, payload_len = \
+                        binproto.try_parse_header(header)
                 except FrameError as exc:
                     # the stream cannot be re-synchronized: answer with
-                    # an error frame, then close cleanly
+                    # an error frame, then close
                     self._send_error(exc, 0)
-                    self._close()
-                    return size
-                op, flags, request_id, payload_len = header
-                end = offset + binproto.HEADER_SIZE + payload_len
-                if size < end:
-                    break
-                payload = view[offset + binproto.HEADER_SIZE:end]
-                try:
-                    self._handle(op, flags, request_id, payload)
-                finally:
-                    _release(payload)
-                offset = end
-                if self._closing:
-                    return size
-        finally:
-            _release(view)
-        return offset
+                    return
+                payload = bytearray(payload_len)
+                if not (self._read(payload)
+                        and self._handle(op, flags, request_id, payload)):
+                    return
+        except OSError:
+            pass  # the peer reset or vanished: nothing is owed to it
 
-    # -- dispatch -----------------------------------------------------
+    def _read(self, buf: bytearray) -> bool:
+        """Fill ``buf`` from the connection; ``False`` at end of stream
+        (the peer closed, or :meth:`BinaryFrontend.stop` woke us)."""
+        got = self.rfile.readinto(buf)
+        self.frontend.c_bytes_in.inc(got)
+        return got == len(buf)
+
     def _handle(self, op: int, flags: int, request_id: int,
-                payload) -> None:
+                payload: bytearray) -> bool:
+        """Answer one frame; ``False`` closes the connection."""
         self.frontend.c_frames.inc()
         try:
             # chaos seam: armed tests cut connections mid-pipeline here
             # to exercise the client's reconnect-and-retry discipline
             chaos.fault("binary.request", self.service.metrics)
         except ConnectionResetError:
-            self._closing = True
-            if self.transport is not None:
-                self.transport.abort()
-            return
+            return False
         if op == binproto.OP_PING:
-            self._write(binproto.encode_pong(request_id))
-            return
+            self._send(binproto.encode_pong(request_id))
+            return True
         start = time.perf_counter()
         try:
             if op not in _OPS:
                 raise FrameError(f"unknown op 0x{op:02x}")
+            method, encode = _OPS[op]
             name, lngs, lats, budget_ms = \
                 binproto.decode_points_request(payload)
-        except FrameError as exc:
-            self._send_error(exc, request_id)
-            return
-        exact = bool(flags & binproto.FLAG_EXACT)
-        budget = None if budget_ms is None else Budget.from_ms(budget_ms)
-        run = partial(self._execute, op, name, exact, budget,
-                      _bin_request_id(request_id), request_id, start)
-        pool = self.frontend.scatter_pool
-        if pool is not None and op in (binproto.OP_QUERY,
-                                       binproto.OP_JOIN):
-            # a sharded router may block on the network scattering
-            # this batch to sibling shards; that wait must never park
-            # the event loop (two mutually-scattering workers would
-            # deadlock until the forward timeout). Copy the point
-            # columns out of the receive buffer — the zero-copy views
-            # die with this frame — and execute + reply from the pool.
-            self._dispatch_scatter(pool, run, lngs.copy(), lats.copy())
-            return
-        self._write(run(lngs, lats))
-
-    def _dispatch_scatter(self, pool, run, lngs, lats) -> None:
-        loop = asyncio.get_running_loop()
-
-        def job() -> None:
-            frame = run(lngs, lats)
-            try:
-                loop.call_soon_threadsafe(self._write, frame)
-            except RuntimeError:  # loop already closed at shutdown
-                pass
-
-        pool.submit(job)
-
-    def _execute(self, op, name, exact, budget, service_id, request_id,
-                 start, lngs, lats) -> bytes:
-        """Run one decoded request down to a ready-to-send reply frame.
-
-        Called on the event loop for loop-safe work and from the
-        scatter pool for requests that may wait on sibling shards;
-        everything it touches (service, registry, metrics) is already
-        thread-safe for the HTTP front's thread-per-connection model.
-        """
-        method, encode = _OPS[op]
-        try:
             answer = getattr(self.service, method)(
-                name, lngs, lats, exact=exact, budget=budget,
-                request_id=service_id)
+                name, lngs, lats, exact=bool(flags & binproto.FLAG_EXACT),
+                budget=None if budget_ms is None
+                else Budget.from_ms(budget_ms),
+                request_id=_bin_request_id(request_id))
             frame = encode(answer, request_id)
         except Exception as exc:
-            self.frontend.c_errors.inc()
-            return binproto.encode_error(*wire_error(exc), request_id)
+            self._send_error(exc, request_id)
+            return True
         # count before writing: a client that already holds the
         # response must observe the counters it caused
         self.frontend.c_requests.inc()
         self.frontend.h_request_seconds.observe(
             time.perf_counter() - start)
-        return frame
+        self._send(frame)
+        return True
 
-    # -- send path ----------------------------------------------------
-    def _write(self, frame: bytes) -> None:
-        transport = self.transport
-        if transport is None or transport.is_closing():
-            return
+    def _send(self, frame: bytes) -> None:
         self.frontend.c_bytes_out.inc(len(frame))
-        transport.write(frame)
+        self.request.sendall(frame)
 
-    def _send_error(self, exc: FrameError, request_id: int) -> None:
+    def _send_error(self, exc: Exception, request_id: int) -> None:
         self.frontend.c_errors.inc()
-        self._write(binproto.encode_error(*wire_error(exc), request_id))
+        self._send(binproto.encode_error(*wire_error(exc), request_id))
 
-    def _close(self) -> None:
-        self._closing = True
-        if self.transport is not None:
-            self.transport.close()  # flushes the error frame first
+
+class _BinaryServer(socketserver.ThreadingTCPServer):
+    """A thread per connection, joined by ``server_close``; tracks the
+    open connections so :meth:`BinaryFrontend.stop` can wake them."""
+
+    allow_reuse_address = True
+
+    def __init__(self, frontend: "BinaryFrontend",
+                 address: Tuple[str, int], bind_and_activate: bool = True):
+        self.frontend = frontend
+        self.open: Set[socket.socket] = set()
+        self.open_lock = threading.Lock()
+        super().__init__(address, _BinaryHandler,
+                         bind_and_activate=bind_and_activate)
+
+    def get_request(self):
+        conn, address = self.socket.accept()
+        # the fleet's listening sockets are non-blocking; handlers block
+        conn.setblocking(True)
+        with self.open_lock:
+            self.open.add(conn)
+        return conn, address
+
+    def shutdown_request(self, request) -> None:
+        with self.open_lock:
+            self.open.discard(request)
+        super().shutdown_request(request)
 
 
 class BinaryFrontend:
-    """Runs the binary front's event loop in a daemon thread.
+    """Runs the binary front's accept loop in a daemon thread.
 
     Either binds ``(host, port)`` itself (``port=0`` picks a free one)
     or adopts a pre-bound listening socket (the fleet's
@@ -312,19 +194,9 @@ class BinaryFrontend:
         self.port = port
         self._sock = sock
         self.worker_id = worker_id
-        self.connections: Set[_BinaryProtocol] = set()
         self.address: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._server: Optional[_BinaryServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        #: Execution pool for requests that may *wait on the network*
-        #: (a sharded router scattering to sibling slots). Created in
-        #: :meth:`start` — never at import or construction time — and
-        #: only when the attached service actually routes; ``None``
-        #: keeps plain services on the zero-thread fast path.
-        self._scatter_pool: Optional[ThreadPoolExecutor] = None
         # created eagerly so the binary.* families exist in /stats and
         # /metrics from boot, not from first traffic
         metrics = service.metrics
@@ -339,79 +211,46 @@ class BinaryFrontend:
 
     # -- lifecycle ----------------------------------------------------
     def start(self) -> "BinaryFrontend":
-        if self._thread is not None or self._loop is not None:
+        if self._server is not None:
             raise ServeError("binary frontend already started "
                              "(frontends are single-use)")
-        if self.service.shard_info() is not None:
-            self._scatter_pool = ThreadPoolExecutor(
-                max_workers=16, thread_name_prefix="binary-scatter")
-        self._thread = threading.Thread(
-            target=self._run, name="binary-frontend", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
+        try:
+            if self._sock is None:
+                server = _BinaryServer(self, (self.host, self.port))
+            else:
+                server = _BinaryServer(self, self._sock.getsockname()[:2],
+                                       bind_and_activate=False)
+                adopt_socket(server, self._sock)
+        except OSError as exc:
             raise ServeError(
-                f"binary frontend failed to start: "
-                f"{self._startup_error}") from self._startup_error
+                f"binary frontend failed to start: {exc}") from exc
+        self._server = server
+        self.address = server.server_address[:2]
+        self._thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.1},
+            name="binary-frontend", daemon=True)
+        self._thread.start()
         return self
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            if self._sock is not None:
-                factory = loop.create_server(
-                    lambda: _BinaryProtocol(self), sock=self._sock)
-            else:
-                factory = loop.create_server(
-                    lambda: _BinaryProtocol(self),
-                    host=self.host, port=self.port)
-            self._server = loop.run_until_complete(factory)
-            self.address = self._server.sockets[0].getsockname()[:2]
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            for conn in list(self.connections):
-                if conn.transport is not None:
-                    conn.transport.abort()
-            self._server.close()
-            loop.run_until_complete(self._server.wait_closed())
-            # let transport close callbacks run before tearing down
-            loop.run_until_complete(asyncio.sleep(0))
-            loop.close()
-
-    @property
-    def scatter_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The routing pool, or ``None`` behind an unsharded service."""
-        return self._scatter_pool
-
     def stop(self) -> None:
-        """Stop accepting, drop connections, and join the loop thread
+        """Stop accepting, wake every idle connection and join each
+        connection's thread — a frame already read is answered first
         (idempotent)."""
-        loop = self._loop
-        thread = self._thread
-        if loop is None or thread is None:
+        server, thread = self._server, self._thread
+        if server is None or thread is None:
             return
-        if thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(loop.stop)
-            except RuntimeError:
-                pass  # loop already closed
-            thread.join(timeout=10.0)
         self._thread = None
-        pool = self._scatter_pool
-        if pool is not None:
-            self._scatter_pool = None
-            # in-flight scatters abort with their connections; don't
-            # wait on forwards that may be riding a sibling's respawn
-            pool.shutdown(wait=False)
+        server.shutdown()  # the accept loop exits: no new connections
+        thread.join()
+        with server.open_lock:
+            for conn in server.open:
+                try:
+                    # a blocked recv returns end-of-stream; replies
+                    # still go out on the write side
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        server.server_close()  # joins the connection threads
 
     def __enter__(self) -> "BinaryFrontend":
         return self

@@ -27,14 +27,14 @@ entries::
 Points: ``artifact.load`` (registry materialization — every register/
 reload/first-use load of a serialized index — and a fleet coordinator's
 read of the operator's file), ``query`` (service batch
-admission, both fronts), ``binary.request`` (asyncio front
-dispatch), and ``shard.forward`` (the sharded router's scatter path,
-fired once per remote owner — ``kill`` here is the kill-one-shard
+admission, both fronts), ``binary.request`` (binary front dispatch,
+once per frame), and ``shard.forward`` (the sharded router's scatter
+path, fired once per remote owner — ``kill`` here is the kill-one-shard
 drill: the forwarding worker dies mid-scatter and the fleet must
 respawn it while its peers' backlogs hold). Actions: ``slow`` (sleep
 ``arg`` seconds, default 0.05), ``fail`` (raise ``OSError``), ``kill``
 (``SIGKILL`` this process), ``reset`` (raise ``ConnectionResetError``;
-the binary front aborts the transport). Every firing increments the
+the binary front closes the connection). Every firing increments the
 ``faults.chaos_injections`` counter of the metrics registry the seam
 passes in, so ``/stats`` and ``/metrics`` show chaos landing.
 

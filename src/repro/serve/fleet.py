@@ -7,7 +7,8 @@ cannot show that for serving. The fleet is the serving analog of
 every registered index once (mmap-loaded node pools are file-backed,
 so forked children share their pages through the page cache), binds
 the listening socket(s), then forks ``N`` workers that each run a full
-:class:`~repro.serve.service.ACTService` plus HTTP server. The parent
+:class:`~repro.serve.service.ACTService` plus HTTP server (and, with a
+binary port, the binary front), each a thread per connection. The parent
 never serves; it supervises — a crashed worker is respawned into its
 slot, and :meth:`ServingFleet.shutdown` (the CLI wires ``SIGTERM`` to
 it) drains every worker's in-flight requests before it exits 0.
@@ -63,7 +64,7 @@ from .aserver import BinaryFrontend
 from .lifecycle import FleetLifecycle
 from .registry import IndexGeneration, IndexRegistry
 from .router import ShardedACTService
-from .server import ACTHTTPServer
+from .server import ACTHTTPServer, adopt_socket
 from .service import ACTService, ServeConfig
 from .shard import ShardMap, plan_shard_map
 from .statedir import (FULL, GENS, MANIFEST, DirMapping, generation_dir,
@@ -90,9 +91,10 @@ class FleetConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port (reported by ``address``)
     #: ``None`` disables the binary data plane; a port (0 = pick free,
-    #: reported by ``binary_address``) gives every worker an async
+    #: reported by ``binary_address``) gives every worker a
     #: :class:`~repro.serve.aserver.BinaryFrontend` next to its JSON
-    #: server, load-balanced the same way the HTTP sockets are.
+    #: server, load-balanced the same way the HTTP sockets are; both
+    #: fronts serve a thread per connection.
     binary_port: Optional[int] = None
     serve: ServeConfig = field(default_factory=ServeConfig)
     #: How often each worker publishes its stats snapshot.
@@ -787,21 +789,6 @@ class _DrainingHTTPServer(ACTHTTPServer):
         return request, client_address
 
 
-def _adopt_socket(server: ACTHTTPServer, sock: socket.socket) -> None:
-    """Replace the server's freshly created socket with the fleet's.
-
-    The server is constructed with ``bind_and_activate=False``; the
-    inherited socket is already bound and listening, so neither bind nor
-    activate runs — only the bookkeeping ``server_bind`` would have done.
-    """
-    server.socket.close()
-    server.socket = sock
-    host, port = sock.getsockname()[:2]
-    server.server_address = (host, port)
-    server.server_name = host
-    server.server_port = port
-
-
 def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
                  config: FleetConfig, snapshots: DirMapping,
                  parent_pid: int, artifact_dir: str,
@@ -809,9 +796,11 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
                  shard_addresses: Optional[Dict[int, Tuple[str, int]]]
                  = None) -> None:
     """One fleet worker, in a forked child: a service, its HTTP server
-    and (with a binary port) an async
-    :class:`~repro.serve.aserver.BinaryFrontend`, both on inherited
-    sockets and sharing the one service's telemetry.
+    and (with a binary port) a
+    :class:`~repro.serve.aserver.BinaryFrontend`, both adopting
+    inherited sockets, serving a thread per connection and sharing the
+    one service's telemetry. A drain answers every request either
+    front has read, a routed binary batch included.
 
     Its first lifecycle poll, before it serves, maps what
     ``current.json`` names that its inherited records are not (they
@@ -839,7 +828,7 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     lifecycle.poll()
     server = _DrainingHTTPServer(sock.getsockname()[:2], service,
                                  bind_and_activate=False)
-    _adopt_socket(server, sock)
+    adopt_socket(server, sock)
     server.worker_id = slot
     server.keepalive_idle_timeout = config.keepalive_idle_timeout_s
     frontend = None
@@ -917,7 +906,7 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     finally:
         stopping.set()
         if frontend is not None:
-            frontend.stop()  # binary clients see EOF; loop thread joins
+            frontend.stop()  # answers the frames read; idle ones see EOF
         server.server_close()  # joins in-flight request threads (drain)
         service.close()
         publish()  # final post-drain snapshot

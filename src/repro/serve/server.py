@@ -69,6 +69,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
+import socketserver
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import accumulate
 from typing import Callable, Optional, Tuple
@@ -581,6 +583,19 @@ class ACTHTTPServer(ThreadingHTTPServer):
         # not on the first request (RL004)
         service.metrics.register(
             counters=("http.requests", "admin.requests"))
+
+
+def adopt_socket(server: socketserver.TCPServer,
+                 sock: socket.socket) -> None:
+    """Serve on ``sock``, already bound and listening (a fleet's,
+    inherited through ``fork``), instead of the socket the server —
+    constructed with ``bind_and_activate=False`` — made for itself."""
+    server.socket.close()
+    server.socket = sock
+    host, port = sock.getsockname()[:2]
+    server.server_address = (host, port)
+    server.server_name = host
+    server.server_port = port
 
 
 def create_server(service: ACTService, host: str = "127.0.0.1",

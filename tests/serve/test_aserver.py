@@ -1,4 +1,4 @@
-"""Live tests for the asyncio binary front (:mod:`repro.serve.aserver`):
+"""Live tests for the binary front (:mod:`repro.serve.aserver`):
 pipelining, malformed-frame robustness, and bit-identical parity with
 the JSON path over one shared service."""
 

@@ -16,7 +16,8 @@ import urllib.request
 
 import pytest
 
-from repro.serve import FleetConfig, IndexRegistry, ServingFleet
+from repro.serve import (ACTService, FleetConfig, IndexRegistry,
+                         ServingFleet, binproto, chaos)
 from repro.serve.fleet import aggregate_snapshots, fleet_available
 
 pytestmark = pytest.mark.skipif(
@@ -262,6 +263,59 @@ class TestFleetServing:
                          if p is not None]
             assert all(code == 0 for code in exitcodes)
 
+
+    def test_parked_binary_connection_does_not_block_sharded_drain(
+            self, fleet_registry):
+        with _fleet(fleet_registry, shards=2) as fleet:
+            fleet.start()
+            # park an idle binary connection: its thread sits in the
+            # next-header read until the drain wakes it
+            parked = binproto.Client(*fleet.binary_address, timeout=30.0)
+            assert parked.ping()
+            start = time.monotonic()
+            fleet.shutdown()
+            drain = time.monotonic() - start
+            parked.close()
+            exitcodes = [p.exitcode for p in fleet._processes
+                         if p is not None]
+            assert exitcodes == [0, 0], \
+                "drain must finish without killing workers"
+            assert drain < 8.0
+
+    def test_sigterm_drains_routed_binary_frames(self, fleet_registry):
+        from repro.datasets import taxi_points
+
+        lngs, lats = taxi_points(20_000, seed=5)
+        # every batch leg stalls 1 s at admission: once both workers
+        # fired, slot 1 has read the forward and slot 0 runs its local
+        # leg — the routed frame is in flight on both sides of the hop
+        chaos.configure("query=slow:1.0:1.0")
+        try:
+            with _fleet(fleet_registry, shards=2,
+                        drain_timeout_s=30.0) as fleet:
+                fleet.start()
+                chaos.configure("")  # parent disarmed; workers stay armed
+                client = binproto.Client(*fleet.binary_address,
+                                         timeout=60.0, retries=0)
+                sent = client.send_query("nyc", lngs, lats, exact=True)
+                _await(lambda: fleet.stats()["counters"].get(
+                    "faults.chaos_injections", 0) >= 2,
+                    "both legs of the routed batch admitted")
+                fleet.shutdown()
+                rid, results = client.recv_results()
+                client.close()
+                exitcodes = [p.exitcode for p in fleet._processes
+                             if p is not None]
+        finally:
+            chaos.configure("")
+        assert rid == sent
+        plain = ACTService(registry=fleet_registry)
+        try:
+            assert results == plain.query_batch("nyc", lngs, lats,
+                                                exact=True)
+        finally:
+            plain.close()
+        assert exitcodes == [0, 0]
 
 class TestFleetReload:
     """The fleet-wide zero-downtime reload protocol (admin surface).

@@ -12,6 +12,7 @@ fleet-wide evidence.
 import os
 import socket
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ import pytest
 from repro.act.serialize import save_index
 from repro.errors import (BudgetExceededError, ServeError,
                           UnknownIndexError)
-from repro.serve import ACTService, Budget, FleetLifecycle, IndexRegistry
+from repro.datasets import taxi_points
+from repro.serve import (ACTService, Budget, FleetLifecycle, IndexRegistry,
+                         binproto, chaos)
 from repro.serve.aserver import BinaryFrontend
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
                                plan_shard_map, shard_keys, slice_index,
@@ -167,9 +170,10 @@ class TestSlicing:
         assert seen == len(lngs)
 
 
+@contextmanager
 def _cross_wired(nyc_index, slots, sharded_service):
-    """``slots`` cross-wired sharded services over real binary
-    frontends, each on its own slice file."""
+    """``(services, frontends)``: ``slots`` cross-wired sharded
+    services over real binary frontends, each on its own slice file."""
     shard_map = plan_shard_map({"nyc": nyc_index}, slots)
     socks = []
     for _ in range(slots):
@@ -190,7 +194,7 @@ def _cross_wired(nyc_index, slots, sharded_service):
             frontends.append(
                 BinaryFrontend(service, sock=socks[slot],
                                worker_id=slot).start())
-        yield services
+        yield services, frontends
     finally:
         for frontend in frontends:
             frontend.stop()
@@ -202,13 +206,20 @@ def _cross_wired(nyc_index, slots, sharded_service):
 
 
 @pytest.fixture()
-def sharded_pair(nyc_index, sharded_service):
-    yield from _cross_wired(nyc_index, 2, sharded_service)
+def wired_pair(nyc_index, sharded_service):
+    with _cross_wired(nyc_index, 2, sharded_service) as wired:
+        yield wired
+
+
+@pytest.fixture()
+def sharded_pair(wired_pair):
+    return wired_pair[0]
 
 
 @pytest.fixture()
 def sharded_trio(nyc_index, sharded_service):
-    yield from _cross_wired(nyc_index, 3, sharded_service)
+    with _cross_wired(nyc_index, 3, sharded_service) as (services, _):
+        yield services
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +382,48 @@ class TestScatter:
             _call(front, entry, lngs, lats)
         assert _counter(front, "shard.forward_errors") == 1
         assert not any(front._pool.values())
+
+
+class TestRoutedFront:
+    """A sharded worker's binary front: one thread per connection, so a
+    routed batch blocks only its own connection."""
+
+    def test_pipelined_replies_keep_request_order(self, wired_pair):
+        """A slow spanning batch, then a 2-point one, pipelined on one
+        connection: the replies come back in request order, every
+        time."""
+        (front, _), (frontend, _) = wired_pair
+        lngs, lats = _spanning_from_slot0(
+            front, taxi_points(16_000, seed=11))
+        with binproto.Client(*frontend.address, timeout=60.0) as client:
+            for _ in range(10):
+                sent = [client.send_query("nyc", lngs, lats, exact=True),
+                        client.send_query("nyc", lngs[:2], lats[:2],
+                                          exact=True)]
+                assert [client.recv_results()[0] for _ in sent] == sent
+
+    def test_stop_answers_the_routed_frame_in_flight(
+            self, wired_pair, plain, query_points):
+        """``stop()`` answers a routed frame it has already read before
+        it returns."""
+        (front, _), (frontend, _) = wired_pair
+        lngs, lats = _spanning_from_slot0(front, query_points)
+        chaos.configure("shard.forward=slow:1.0:0.5")
+        try:
+            with binproto.Client(*frontend.address, timeout=30.0,
+                                 retries=0) as client:
+                sent = client.send_query("nyc", lngs, lats, exact=True)
+                # wait until the frame is read and its forward held back
+                deadline = time.monotonic() + 10.0
+                while _counter(front, "faults.chaos_injections") < 1:
+                    assert time.monotonic() < deadline, "never routed"
+                    time.sleep(0.01)
+                frontend.stop()
+                rid, results = client.recv_results()
+        finally:
+            chaos.configure("")
+        assert rid == sent
+        assert results == plain.query_batch("nyc", lngs, lats, exact=True)
 
 
 class TestShardedServiceInProcess:
