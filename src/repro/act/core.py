@@ -172,7 +172,7 @@ class ResultBatch(Sequence):
             _csr_gather(positions, _indptr(self.true_counts), self.true_ids),
             _csr_gather(positions, _indptr(self.cand_counts), self.cand_ids))
 
-    def candidate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+    def candidate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:  # repro-lint: hot
         """``(point_indices, polygon_ids)`` of every candidate reference
         in point order — the pairs an exact query must refine."""
         point_idx = np.repeat(
@@ -313,7 +313,7 @@ class ACTCore:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_cells(cls, cells: np.ndarray, entries: np.ndarray,
+    def from_cells(cls, cells: np.ndarray, entries: np.ndarray,  # repro-lint: hot
                    lookup_words: np.ndarray, fanout: int,
                    num_faces: int = cellid.NUM_FACES) -> "ACTCore":
         """Lay out the node pool for a prefix-free ``(cell, entry)`` set:
@@ -507,7 +507,7 @@ class ACTCore:
                 return accesses
         return accesses
 
-    def decode_entry(self, entry: int) -> QueryResult:
+    def decode_entry(self, entry: int) -> QueryResult:  # repro-lint: hot
         """The classified :class:`QueryResult` an encoded entry stands for.
 
         Decoded once per distinct entry value and shared from then on:
@@ -542,7 +542,7 @@ class ACTCore:
     # ------------------------------------------------------------------
     # Batch descent
     # ------------------------------------------------------------------
-    def lookup_entries(self, leaf_cells: np.ndarray,
+    def lookup_entries(self, leaf_cells: np.ndarray,  # repro-lint: hot
                        sort_by_cell: bool = False) -> np.ndarray:
         """Encoded entry per leaf cell id (0 = miss / invalid cell).
 
@@ -568,7 +568,7 @@ class ACTCore:
         self.descent_seconds += perf_counter() - start
         return out
 
-    def _descend(self, leaf_cells: np.ndarray) -> np.ndarray:
+    def _descend(self, leaf_cells: np.ndarray) -> np.ndarray:  # repro-lint: hot
         """The level-synchronous batch walk over the node pool.
 
         Each step gathers every still-walking point's next entry with
@@ -611,7 +611,7 @@ class ACTCore:
     # ------------------------------------------------------------------
     # Batch decoding
     # ------------------------------------------------------------------
-    def hit_counts(self, entries: np.ndarray, num_polygons: int,
+    def hit_counts(self, entries: np.ndarray, num_polygons: int,  # repro-lint: hot
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """``(true_counts, candidate_counts)`` per polygon in one pass.
 
@@ -712,7 +712,7 @@ class ACTCore:
         return (np.concatenate(point_idx_parts),
                 np.concatenate(polygon_id_parts))
 
-    def candidate_pairs(self, entries: np.ndarray,
+    def candidate_pairs(self, entries: np.ndarray,  # repro-lint: hot
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """``(point_indices, polygon_ids)`` of all *candidate* references.
 
@@ -732,12 +732,12 @@ class ACTCore:
         np.bitwise_and(flat, np.uint64(3), out=tags, casting="unsafe")
         return tags
 
-    def node_entry_counts(self) -> np.ndarray:
+    def node_entry_counts(self) -> np.ndarray:  # repro-lint: hot
         """Indexed (non-empty, non-pointer) slots per pool row."""
         return np.count_nonzero(
             self._slot_tags().reshape(-1, self.fanout), axis=1)
 
-    def node_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def node_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:  # repro-lint: hot
         """``(cells, parent, slot)`` per pool row: the tree's skeleton.
 
         ``cells[n]`` is the cell node ``n`` roots — slot ``s`` of the
@@ -774,7 +774,7 @@ class ACTCore:
                 self.levels_per_step)
         return cells, parent, slot
 
-    def cell_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    def cell_arrays(self) -> Tuple[np.ndarray, np.ndarray]:  # repro-lint: hot
         """``(cells, entries)`` of every indexed cell, as arrays.
 
         The one enumeration of the index: one row per non-empty,

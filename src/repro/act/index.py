@@ -128,7 +128,7 @@ class ACTIndex:
     # ------------------------------------------------------------------
     # Scalar queries
     # ------------------------------------------------------------------
-    def query(self, lng: float, lat: float) -> QueryResult:
+    def query(self, lng: float, lat: float) -> QueryResult:  # repro-lint: hot
         """Classified lookup: separate true hits from candidates."""
         leaf = self.grid.leaf_cell(lng, lat)
         if leaf is None:
@@ -168,13 +168,13 @@ class ACTIndex:
         )
         return self.core.lookup_entries(cells)
 
-    def query_batch(self, lngs: np.ndarray, lats: np.ndarray,
+    def query_batch(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
                     ) -> List[QueryResult]:
         """Per-point classified results for a batch (convenience API)."""
         decode = self.core.decode_entry
         return [decode(int(e)) for e in self.lookup_batch(lngs, lats)]
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
                      exact: bool = False, trace=None) -> np.ndarray:
         """Count points per polygon — the paper's evaluation workload.
 
@@ -191,7 +191,7 @@ class ACTIndex:
     # ------------------------------------------------------------------
     # Entry decoding
     # ------------------------------------------------------------------
-    def decode_entry(self, entry: int) -> QueryResult:
+    def decode_entry(self, entry: int) -> QueryResult:  # repro-lint: hot
         """Decode one encoded entry (as produced by :meth:`lookup_batch`)
         into a classified :class:`QueryResult`."""
         return self.core.decode_entry(entry)

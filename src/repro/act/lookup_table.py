@@ -83,7 +83,7 @@ def _set_starts(words: np.ndarray) -> np.ndarray:
     return np.asarray(starts, dtype=np.int64)
 
 
-def encode_refs(indptr: np.ndarray, refs: np.ndarray,
+def encode_refs(indptr: np.ndarray, refs: np.ndarray,  # repro-lint: hot
                 use_interior: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """Choose the densest encoding for every cell's reference set.
 

@@ -331,7 +331,9 @@ def load_index(path: Union[str, Path],
             f"verify must be one of {_VERIFY_MODES}, got {verify!r}"
         )
     try:
-        with np.load(path) as data:
+        # np.load is handed an open file so that the file is closed here
+        # even when the zip parse inside np.load raises
+        with open(path, "rb") as handle, np.load(handle) as data:
             meta_bytes = bytes(data["meta"].tobytes())
             meta = json.loads(meta_bytes.decode("utf-8"))
             if meta.get("version") != FORMAT_VERSION:
@@ -469,7 +471,7 @@ def verify_artifact(path: Union[str, Path], full: bool = False) -> dict:
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as handle, np.load(handle) as data:
             manifest = _read_manifest(data, path)
             if manifest is None:
                 raise ArtifactCorruptError(

@@ -126,7 +126,7 @@ class SuperCovering:
             )
 
 
-def merge_columns(cells: np.ndarray, refs: np.ndarray, max_cell_level: int,
+def merge_columns(cells: np.ndarray, refs: np.ndarray, max_cell_level: int,  # repro-lint: hot
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``(cells, indptr, refs, conflict_cells)`` of the prefix-free cell
     set covering what the ``(cell, packed reference)`` rows cover.

@@ -204,18 +204,13 @@ def cmd_serve(args) -> int:
         index = service.registry.get(name)
         print(f"materialized {index} in {time.perf_counter() - start:.1f} s",
               file=sys.stderr)
-    server = create_server(service, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
+    server = create_server(service, host=args.host, port=args.port,
+                           binary_port=args.binary_port)
+    (host, port), *more = server.addresses
     print(f"serving index {name!r} on http://{host}:{port}", file=sys.stderr)
     print(f"  try: curl 'http://{host}:{port}/query?index={name}"
           f"&lng=-73.97&lat=40.75'", file=sys.stderr)
-    frontend = None
-    if args.binary_port is not None:
-        from .serve.aserver import create_binary_frontend
-
-        frontend = create_binary_frontend(service, host=args.host,
-                                          port=args.binary_port)
-        bhost, bport = frontend.address
+    for bhost, bport in more:
         print(f"  binary data plane on {bhost}:{bport} "
               f"(repro.serve.binproto.Client)", file=sys.stderr)
     try:
@@ -223,10 +218,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
-        server.server_close()
-        if frontend is not None:
-            frontend.stop()
+        server.server_close()  # the drain
         service.close()
     return 0
 
@@ -264,10 +256,11 @@ def cmd_admin(args) -> int:
                                     timeout=args.timeout) as response:
             payload = json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        try:
-            detail = json.loads(exc.read()).get("error", "")
-        except Exception:
-            detail = ""
+        with exc:  # the error response holds the connection open
+            try:
+                detail = json.loads(exc.read()).get("error", "")
+            except Exception:
+                detail = ""
         print(f"admin {command} failed: HTTP {exc.code} {detail}",
               file=sys.stderr)
         return 1
@@ -435,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
     p_serve.add_argument("--binary-port", type=int, default=None,
-                         help="also serve the zero-copy binary batch "
-                              "protocol on this port (0 picks a free "
-                              "one; see repro.serve.binproto)")
+                         help="one more listening address (0 picks a "
+                              "free port); every address speaks both HTTP "
+                              "and the binary batch protocol (see "
+                              "repro.serve.binproto)")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="serving processes; >1 runs the pre-fork "
                               "fleet (shared listening address, "

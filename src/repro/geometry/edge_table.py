@@ -121,7 +121,7 @@ class PackedEdgeTable:
     # ------------------------------------------------------------------
     # The refinement kernel
     # ------------------------------------------------------------------
-    def refine(self, point_idx: np.ndarray, polygon_ids: np.ndarray,
+    def refine(self, point_idx: np.ndarray, polygon_ids: np.ndarray,  # repro-lint: hot
                lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
         """PIP verdict per ``(point, polygon)`` candidate pair.
 

@@ -65,7 +65,7 @@ class HierarchicalGrid(ABC):
         """Leaf cell id of a point, or ``None`` if outside the domain."""
 
     @abstractmethod
-    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:  # repro-lint: hot
         """Vectorized :meth:`leaf_cell`; out-of-domain points map to
         :data:`INVALID_CELL` (0)."""
 
@@ -103,7 +103,7 @@ class HierarchicalGrid(ABC):
             return None
         return cellid.parent(leaf, level)
 
-    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,
+    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
                    level: int) -> np.ndarray:
         """Vectorized :meth:`point_key`: one uint64 key per point.
 

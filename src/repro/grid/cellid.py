@@ -279,7 +279,7 @@ def _lookup_pos16() -> np.ndarray:
     return table.reshape(-1)
 
 
-def from_face_ij_batch(faces: np.ndarray, i: np.ndarray, j: np.ndarray,
+def from_face_ij_batch(faces: np.ndarray, i: np.ndarray, j: np.ndarray,  # repro-lint: hot
                        ) -> np.ndarray:
     """Vectorized :func:`from_face_ij`: ``i`` and ``j`` must lie in
     ``[0, 2**30)`` (they are narrowed to uint32 without a check)."""

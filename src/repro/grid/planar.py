@@ -122,7 +122,7 @@ class PlanarGrid(HierarchicalGrid):
         return (inside, axis(lngs, bounds.min_x, self._sx),
                 axis(lats, bounds.min_y, self._sy))
 
-    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,
+    def point_keys(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
                    level: int) -> np.ndarray:
         """Vectorized :meth:`point_key`: truncated (i, j) packing with no
         Hilbert bit-interleave, one numpy pass for the whole batch."""
@@ -143,7 +143,7 @@ class PlanarGrid(HierarchicalGrid):
             )
         return cell
 
-    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:  # repro-lint: hot
         inside, i, j = self._ij_batch(lng, lat)
         ids = cellid.from_face_ij_batch(
             np.zeros(i.shape[0], dtype=np.uint64), i, j)

@@ -60,7 +60,7 @@ class S2LikeGrid(HierarchicalGrid):
         face, i, j = face_ij_from_lnglat(lng, lat)
         return cellid.from_face_ij(face, i, j)
 
-    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    def leaf_cells_batch(self, lng: np.ndarray, lat: np.ndarray) -> np.ndarray:  # repro-lint: hot
         lng = np.asarray(lng, dtype=np.float64)
         lat = np.asarray(lat, dtype=np.float64)
         # NaN/+-inf have no cell; they are projected as (0, 0) so the

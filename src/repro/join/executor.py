@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
 SORT_DESCENT_MIN_BATCH = sys.maxsize
 
 
-def refine_pairs(polygons: Sequence[Polygon], point_idx: np.ndarray,
+def refine_pairs(polygons: Sequence[Polygon], point_idx: np.ndarray,  # repro-lint: hot
                  polygon_ids: np.ndarray, lngs: np.ndarray,
                  lats: np.ndarray) -> np.ndarray:
     """PIP verdict per ``(point, polygon)`` candidate pair.
@@ -130,7 +130,7 @@ class JoinExecutor:
                         self.polygons)
         return self._edge_table
 
-    def refine_pairs(self, point_idx: np.ndarray, polygon_ids: np.ndarray,
+    def refine_pairs(self, point_idx: np.ndarray, polygon_ids: np.ndarray,  # repro-lint: hot
                      lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
         """PIP verdict per candidate pair via the packed-edge engine."""
         return self.edge_table.refine(point_idx, polygon_ids, lngs, lats)
@@ -138,7 +138,7 @@ class JoinExecutor:
     # ------------------------------------------------------------------
     # Descent
     # ------------------------------------------------------------------
-    def entries(self, lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
+    def entries(self, lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:  # repro-lint: hot
         """Encoded entry per point (the batch descent)."""
         cells = self.grid.leaf_cells_batch(
             np.asarray(lngs, dtype=np.float64),
@@ -149,7 +149,7 @@ class JoinExecutor:
     # ------------------------------------------------------------------
     # The join
     # ------------------------------------------------------------------
-    def join(self, lngs: np.ndarray, lats: np.ndarray,
+    def join(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
              exact: bool = False, trace=None) -> JoinResult:
         """Per-polygon counts for a point batch, with run statistics.
 
@@ -200,7 +200,7 @@ class JoinExecutor:
             seconds=time.perf_counter() - start,
         ))
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
                      exact: bool = False, trace=None) -> np.ndarray:
         """:meth:`join`'s per-polygon counts (the paper's evaluation
         workload) for callers that want only the array."""
@@ -229,7 +229,7 @@ class JoinExecutor:
                 np.concatenate([true_ids, cand_ids]))
 
 
-def join_stream(executor: JoinExecutor,
+def join_stream(executor: JoinExecutor,  # repro-lint: hot
                 batches: Iterable[Tuple[np.ndarray, np.ndarray]],
                 exact: bool = False) -> Iterator[JoinResult]:
     """One :meth:`JoinExecutor.join` result per ``(lngs, lats)`` batch.

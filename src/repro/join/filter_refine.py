@@ -58,12 +58,12 @@ class FilterRefineJoin:
             self._edge_table = PackedEdgeTable.from_polygons(self.polygons)
         return self._edge_table
 
-    def query(self, lng: float, lat: float) -> List[int]:
+    def query(self, lng: float, lat: float) -> List[int]:  # repro-lint: hot
         """Exact polygon ids for one point (filter, then refine)."""
         return [pid for pid in self.filter_index.query_point(lng, lat)
                 if self.polygons[pid].contains(lng, lat)]
 
-    def join(self, lngs: np.ndarray, lats: np.ndarray) -> JoinResult:
+    def join(self, lngs: np.ndarray, lats: np.ndarray) -> JoinResult:  # repro-lint: hot
         """Exact per-polygon counts with full refinement accounting."""
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)

@@ -35,7 +35,7 @@ class JoinStats:
             return 1.0
         return self.num_true_hits / self.num_result_pairs
 
-    def merged(self, other: "JoinStats") -> "JoinStats":
+    def merged(self, other: "JoinStats") -> "JoinStats":  # repro-lint: hot
         return JoinStats(
             num_points=self.num_points + other.num_points,
             num_true_hits=self.num_true_hits + other.num_true_hits,
@@ -58,7 +58,7 @@ class JoinResult:
     def total_pairs(self) -> int:
         return int(self.counts.sum())
 
-    def merged(self, other: "JoinResult") -> "JoinResult":
+    def merged(self, other: "JoinResult") -> "JoinResult":  # repro-lint: hot
         """The join of both batches: counts and statistics add.
 
         Folding a stream's results with this gives running totals in

@@ -3,25 +3,13 @@
 Origin: the paper's headline number is per-lookup latency measured in
 hundreds of nanoseconds; PR 5's perf work showed a single stray
 f-string or ``json.dumps`` in ``query_batch`` is visible on the
-histogram. The configured hot functions (the query entry points, the
-refinement kernels, the binary front's frame handler; since a per-cell Python
-loop made a sharded cold start 16 s, the index enumeration and the
-shard planner/slicer/cutter built on it (the planner's per-cut walk,
-``first_key``, visits O(depth) pool rows and loops over at most two
-candidate slots in each; it is a nested ``def``, so it is outside the
-listed array kernels, and must stay that small); and since per-result
-loops were a
-third of a cold exact request, the result codec, batch refinement and
-the router's gather; and since two sorts were more than half of the
-headline joins, the point -> cell -> entry kernels and the join
-executor's steps — since every join became one ``join`` folded over a
-stream with ``merged``, those too; and since a per-cell ``insert`` into
-an object trie was the build's whole back half, the super-covering
-merge, the reference encoder and the node-pool layout that replaced it;
-and since decoding a missed cell's entry cost 2.3 µs — a third of a
-cold request — before it became one dict read per distinct entry,
-``decode_entry``, which every missed cell of every request now calls)
-must not:
+histogram. A function on the measured path — a query entry point, a
+refinement kernel, the binary frame handler, the index enumeration and
+the shard planner, slicer and cutter built on it, the result codec and
+gather, the point -> cell -> entry kernels, the join and its stream
+fold, the array build — carries ``# repro-lint: hot`` on its ``def``
+line, so the set of hot functions cannot drift from the code. A hot
+function must not:
 
 * call ``logging``/``logger`` methods,
 * call ``json.*``,
@@ -45,43 +33,15 @@ somebody else's schedule.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, Optional, Set
 
 from ..findings import SEVERITY_WARNING, Finding
 from .base import (FileContext, Rule, body_nodes, dotted_name,
                    iter_functions, param_names)
 
-#: Functions on the measured path. ``_handle`` is the binary front's
-#: frame handler in serve/aserver.py (its connection thread runs it once
-#: per frame); the third row is what every fleet start, rebalance and re-slice runs
-#: over millions of cells (act/core.py, serve/shard.py); the last is
-#: what a batch's results pass through after ``query_batch`` — the
-#: result codec and exact refinement (the router's gather is the body
-#: of its ``query_batch``) — which move ``ResultBatch`` columns, not
-#: one result at a time; the last two rows are the in-process join, top
-#: to bottom: point -> cell (grid/), cell -> entry and entry -> counts
-#: or pairs (act/core.py), and the executor steps that chain them —
-#: ``join`` itself, ``join_stream`` and the ``merged`` that folds it
-#: (the name also matches ``ACTService.join`` and the baseline
-#: ``FilterRefineJoin.join``: the first is held to the same rules, the
-#: second probes its scalar filter over ``.tolist()`` columns, which the
-#: rule does not flag); the very last is the build from the coverings
-#: on (act/supercovering.py, act/lookup_table.py, act/core.py) —
-#: columns in, columns out; only the conflict-run resolver it calls
-#: works cell by cell. ``decode_entry`` (act/core.py) is the memo read
-#: between ``lookup_entries`` and the cell cache's ``put``.
-HOT_FUNCTIONS = frozenset({
-    "query", "query_batch", "refine", "refine_pairs", "lookup_entries",
-    "decode_entry",
-    "_handle",
-    "node_arrays", "cell_arrays", "node_entry_counts", "plan_shard_map",
-    "_plan_one", "_slot_weights", "slice_index", "write_slices",
-    "encode_results", "decode_results", "_refine_batch",
-    "from_face_ij_batch", "leaf_cells_batch", "point_keys", "_descend",
-    "hit_counts", "candidate_pairs", "entries", "count_points",
-    "join", "join_stream", "merged",
-    "merge_columns", "encode_refs", "from_cells",
-})
+#: The mark of a hot function, on its ``def`` line.
+_HOT_PRAGMA = re.compile(r"#\s*repro-lint:\s*hot\b")
 
 _LOGGING_ROOTS = frozenset({"logging", "logger", "log"})
 
@@ -90,22 +50,18 @@ class HotPathRule(Rule):
     id = "RL003"
     name = "hot-path-hygiene"
     description = (
-        "Hot-path functions (query/query_batch/refine/lookup_entries/"
-        "decode_entry/binary frame handler/index enumeration/shard "
-        "planner and "
-        "slicer/result codec, refinement and gather/point-to-entry "
-        "kernels, the join and its stream fold/the array build: merge, "
-        "encode, layout) must not log, "
-        "touch json, format strings eagerly "
+        "Hot-path functions (a '# repro-lint: hot' pragma on the def "
+        "line) must not log, touch json, format strings eagerly "
         "(raise sites exempt), loop element-wise over array "
         "parameters or over iter_cells(), or call row-wise "
         "np.unique(axis=...); time.time() is a warning "
         "(perf_counter preferred).")
-    version = 8
+    version = 9
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        lines = ctx.source.splitlines()
         for func, _cls in iter_functions(ctx.tree):
-            if getattr(func, "name", None) in HOT_FUNCTIONS:
+            if _HOT_PRAGMA.search(lines[func.lineno - 1]):
                 yield from self._check_hot(ctx, func)
 
     def _check_hot(self, ctx: FileContext,

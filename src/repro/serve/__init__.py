@@ -10,11 +10,14 @@ whole stack is observable — counters/gauges/mergeable histograms
 (:class:`MetricsRegistry`), sampled per-request tracing and a
 slow-query log (:mod:`repro.obs`), and a Prometheus-style ``GET
 /metrics`` exposition — and drivable over
-HTTP (:func:`create_server`, or ``repro-act serve`` from the CLI).
-A second, fast data plane serves the same service over a zero-copy
-binary batch protocol (:mod:`repro.serve.binproto`) behind a
-thread-per-connection front that answers pipelined frames in order
-(:class:`BinaryFrontend`; ``repro-act serve --binary-port``). For
+the network by one server (:class:`ACTServer`, :func:`create_server`,
+or ``repro-act serve`` from the CLI) that speaks two protocols on every
+address it listens on: JSON over HTTP, and a zero-copy binary batch
+protocol (:mod:`repro.serve.binproto`) that answers pipelined frames in
+order; ``repro-act serve --binary-port`` adds one more address. Each
+connection gets a thread; the server's one drain closes connections
+parked between messages and answers every request or frame whose first
+byte has arrived. For
 CPU-bound traffic, :class:`ServingFleet` forks the whole stack
 into N supervised worker processes sharing one listening address
 (``repro-act serve --workers N``; mmap-loaded indexes share node-pool
@@ -45,7 +48,7 @@ Quickstart::
 """
 
 from . import binproto, chaos
-from .aserver import BinaryFrontend, create_binary_frontend
+from .server import ACTServer, create_server
 from .budget import Budget
 from .cache import CellResultCache
 from .fleet import FleetConfig, ServingFleet, fleet_available
@@ -60,16 +63,14 @@ from .fleet import aggregate_snapshots
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .registry import IndexGeneration, IndexRegistry, prewarm_index
 from .router import ShardedACTService
-from .server import ACTHTTPServer, create_server
 from .service import TELEMETRY_MODES, ACTService, ServeConfig
 from .shard import (ShardMap, ShardRange, plan_shard_map, shard_keys,
                     slice_index)
 
 __all__ = [
-    "ACTHTTPServer",
+    "ACTServer",
     "ACTService",
     "AdminOp",
-    "BinaryFrontend",
     "Budget",
     "CellResultCache",
     "Counter",
@@ -93,7 +94,6 @@ __all__ = [
     "apply_admin_op",
     "binproto",
     "chaos",
-    "create_binary_frontend",
     "create_server",
     "fleet_available",
     "handle_admin_request",

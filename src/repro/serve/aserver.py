@@ -1,6 +1,7 @@
-"""Binary front: the :mod:`~repro.serve.binproto` data plane, served
-the way :mod:`~repro.serve.server` serves JSON — a threading
-:mod:`socketserver` server, one thread per connection, which loops:
+"""Binary protocol handler: the :mod:`~repro.serve.binproto` data
+plane, spoken on any connection of the one server
+(:class:`~repro.serve.server.ACTServer`) whose first bytes are not an
+HTTP request line. Its thread loops:
 
 * read one 24-byte header (a fatal one — bad magic or version, an
   oversized payload — earns one error frame, then the connection
@@ -18,24 +19,19 @@ them strictly in request order. A sharded router's batch blocks only
 its own connection's thread while it scatters: a sibling's
 ``OP_FORWARD_*`` arrives on another connection, so another thread
 answers it, and a forward is never re-routed, so no wait closes a
-cycle. :meth:`BinaryFrontend.stop` stops accepting, wakes idle readers
-and joins every connection's thread: a frame already read is answered.
+cycle. The server's drain closes a connection parked between frames
+and answers a frame whose first byte has arrived.
 """
 
 from __future__ import annotations
 
-import socket
 import socketserver
-import threading
 import time
-from typing import Optional, Set, Tuple
 
-from ..errors import FrameError, ServeError, wire_error
+from ..errors import FrameError, wire_error
 from ..obs import mint_request_id
 from . import binproto, chaos
 from .budget import Budget
-from .server import adopt_socket
-from .service import ACTService
 
 
 def _bin_request_id(request_id: int) -> str:
@@ -64,20 +60,23 @@ _OPS = {
 }
 
 
-class _BinaryHandler(socketserver.StreamRequestHandler):
-    """One binary connection: read a frame, answer it, repeat to EOF."""
+class BinaryHandler(socketserver.StreamRequestHandler):
+    """One binary connection: read a frame, answer it, repeat until the
+    peer closes or the drain finds it parked between frames."""
 
-    server: "_BinaryServer"
     rbufsize = 1 << 16
     disable_nagle_algorithm = True  # TCP_NODELAY on every connection
 
+    def setup(self) -> None:
+        super().setup()
+        self.rfile = self.server.reader(self)
+
     def handle(self) -> None:
-        self.frontend = self.server.frontend
-        self.service = self.frontend.service
-        self.frontend.c_connections.inc()
+        self.service = self.server.service
+        self.server.c_connections.inc()
         header = bytearray(binproto.HEADER_SIZE)
         try:
-            while self._read(header):
+            while self.rfile.next_message() and self._read(header):
                 try:
                     op, flags, request_id, payload_len = \
                         binproto.try_parse_header(header)
@@ -94,16 +93,16 @@ class _BinaryHandler(socketserver.StreamRequestHandler):
             pass  # the peer reset or vanished: nothing is owed to it
 
     def _read(self, buf: bytearray) -> bool:
-        """Fill ``buf`` from the connection; ``False`` at end of stream
-        (the peer closed, or :meth:`BinaryFrontend.stop` woke us)."""
+        """Fill ``buf`` from the connection; ``False`` if the peer
+        closed first."""
         got = self.rfile.readinto(buf)
-        self.frontend.c_bytes_in.inc(got)
+        self.server.c_bytes_in.inc(got)
         return got == len(buf)
 
-    def _handle(self, op: int, flags: int, request_id: int,
+    def _handle(self, op: int, flags: int, request_id: int,  # repro-lint: hot
                 payload: bytearray) -> bool:
         """Answer one frame; ``False`` closes the connection."""
-        self.frontend.c_frames.inc()
+        self.server.c_frames.inc()
         try:
             # chaos seam: armed tests cut connections mid-pipeline here
             # to exercise the client's reconnect-and-retry discipline
@@ -131,136 +130,16 @@ class _BinaryHandler(socketserver.StreamRequestHandler):
             return True
         # count before writing: a client that already holds the
         # response must observe the counters it caused
-        self.frontend.c_requests.inc()
-        self.frontend.h_request_seconds.observe(
+        self.server.c_requests.inc()
+        self.server.h_request_seconds.observe(
             time.perf_counter() - start)
         self._send(frame)
         return True
 
     def _send(self, frame: bytes) -> None:
-        self.frontend.c_bytes_out.inc(len(frame))
+        self.server.c_bytes_out.inc(len(frame))
         self.request.sendall(frame)
 
     def _send_error(self, exc: Exception, request_id: int) -> None:
-        self.frontend.c_errors.inc()
+        self.server.c_errors.inc()
         self._send(binproto.encode_error(*wire_error(exc), request_id))
-
-
-class _BinaryServer(socketserver.ThreadingTCPServer):
-    """A thread per connection, joined by ``server_close``; tracks the
-    open connections so :meth:`BinaryFrontend.stop` can wake them."""
-
-    allow_reuse_address = True
-
-    def __init__(self, frontend: "BinaryFrontend",
-                 address: Tuple[str, int], bind_and_activate: bool = True):
-        self.frontend = frontend
-        self.open: Set[socket.socket] = set()
-        self.open_lock = threading.Lock()
-        super().__init__(address, _BinaryHandler,
-                         bind_and_activate=bind_and_activate)
-
-    def get_request(self):
-        conn, address = self.socket.accept()
-        # the fleet's listening sockets are non-blocking; handlers block
-        conn.setblocking(True)
-        with self.open_lock:
-            self.open.add(conn)
-        return conn, address
-
-    def shutdown_request(self, request) -> None:
-        with self.open_lock:
-            self.open.discard(request)
-        super().shutdown_request(request)
-
-
-class BinaryFrontend:
-    """Runs the binary front's accept loop in a daemon thread.
-
-    Either binds ``(host, port)`` itself (``port=0`` picks a free one)
-    or adopts a pre-bound listening socket (the fleet's
-    ``SO_REUSEPORT`` sockets arrive through ``fork``). Counters and
-    the request-latency histogram live in the attached service's
-    :class:`~repro.serve.metrics.MetricsRegistry` under ``binary.*``,
-    so ``/stats`` and ``/metrics`` report the fast data plane next to
-    the JSON one.
-    """
-
-    def __init__(self, service: ACTService, host: str = "127.0.0.1",
-                 port: int = 0, sock: Optional[socket.socket] = None,
-                 worker_id: Optional[int] = None):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._sock = sock
-        self.worker_id = worker_id
-        self.address: Optional[Tuple[str, int]] = None
-        self._server: Optional[_BinaryServer] = None
-        self._thread: Optional[threading.Thread] = None
-        # created eagerly so the binary.* families exist in /stats and
-        # /metrics from boot, not from first traffic
-        metrics = service.metrics
-        self.c_connections = metrics.counter("binary.connections")
-        self.c_frames = metrics.counter("binary.frames")
-        self.c_requests = metrics.counter("binary.requests")
-        self.c_errors = metrics.counter("binary.errors")
-        self.c_bytes_in = metrics.counter("binary.bytes_in")
-        self.c_bytes_out = metrics.counter("binary.bytes_out")
-        self.h_request_seconds = metrics.histogram(
-            "binary.request_seconds")
-
-    # -- lifecycle ----------------------------------------------------
-    def start(self) -> "BinaryFrontend":
-        if self._server is not None:
-            raise ServeError("binary frontend already started "
-                             "(frontends are single-use)")
-        try:
-            if self._sock is None:
-                server = _BinaryServer(self, (self.host, self.port))
-            else:
-                server = _BinaryServer(self, self._sock.getsockname()[:2],
-                                       bind_and_activate=False)
-                adopt_socket(server, self._sock)
-        except OSError as exc:
-            raise ServeError(
-                f"binary frontend failed to start: {exc}") from exc
-        self._server = server
-        self.address = server.server_address[:2]
-        self._thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.1},
-            name="binary-frontend", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, wake every idle connection and join each
-        connection's thread — a frame already read is answered first
-        (idempotent)."""
-        server, thread = self._server, self._thread
-        if server is None or thread is None:
-            return
-        self._thread = None
-        server.shutdown()  # the accept loop exits: no new connections
-        thread.join()
-        with server.open_lock:
-            for conn in server.open:
-                try:
-                    # a blocked recv returns end-of-stream; replies
-                    # still go out on the write side
-                    conn.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass
-        server.server_close()  # joins the connection threads
-
-    def __enter__(self) -> "BinaryFrontend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-def create_binary_frontend(service: ACTService, host: str = "127.0.0.1",
-                           port: int = 0) -> BinaryFrontend:
-    """Bind and start a :class:`BinaryFrontend`; ``port=0`` picks a
-    free port (read it back from ``frontend.address``)."""
-    return BinaryFrontend(service, host=host, port=port).start()

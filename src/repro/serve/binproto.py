@@ -233,7 +233,7 @@ def decode_points_request(payload: Buffer,
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-def encode_results(results: Sequence[QueryResult],
+def encode_results(results: Sequence[QueryResult],  # repro-lint: hot
                    request_id: int = 0) -> bytes:
     """An ``OP_RESULTS`` frame: per-point hit counts + flat id columns
     — the four columns of a :class:`ResultBatch`, which any other
@@ -252,7 +252,7 @@ def encode_results(results: Sequence[QueryResult],
     ))
 
 
-def decode_results(payload: Buffer) -> ResultBatch:
+def decode_results(payload: Buffer) -> ResultBatch:  # repro-lint: hot
     """The :class:`ResultBatch` an ``OP_RESULTS`` payload carries
     (strict: every count is checked against the byte budget). Its
     columns are ``frombuffer`` views that borrow ``payload``: hand it
@@ -646,7 +646,7 @@ class Client:
                 f"{sent} (pipelining misuse?)")
         return answer
 
-    def query_batch(self, index: str, lngs: PointArray, lats: PointArray,
+    def query_batch(self, index: str, lngs: PointArray, lats: PointArray,  # repro-lint: hot
                     exact: bool = False,
                     budget_ms: Optional[float] = None,
                     ) -> ResultBatch:
@@ -654,7 +654,7 @@ class Client:
                                budget_ms=budget_ms)
         return self._matched(sent, self.recv_results())
 
-    def join(self, index: str, lngs: PointArray, lats: PointArray,
+    def join(self, index: str, lngs: PointArray, lats: PointArray,  # repro-lint: hot
              exact: bool = False,
              budget_ms: Optional[float] = None) -> Dict[int, int]:
         sent = self.send_join(index, lngs, lats, exact=exact,

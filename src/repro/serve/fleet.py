@@ -7,11 +7,15 @@ cannot show that for serving. The fleet is the serving analog of
 every registered index once (mmap-loaded node pools are file-backed,
 so forked children share their pages through the page cache), binds
 the listening socket(s), then forks ``N`` workers that each run a full
-:class:`~repro.serve.service.ACTService` plus HTTP server (and, with a
-binary port, the binary front), each a thread per connection. The parent
+:class:`~repro.serve.service.ACTService` behind one
+:class:`~repro.serve.server.ACTServer`: one accept loop over the
+worker's sockets (the HTTP address, and the binary port's or its shard
+slot's), both protocols on each, a thread per connection. The parent
 never serves; it supervises — a crashed worker is respawned into its
 slot, and :meth:`ServingFleet.shutdown` (the CLI wires ``SIGTERM`` to
-it) drains every worker's in-flight requests before it exits 0.
+it) drains every worker before it exits 0: a connection parked between
+messages closes, a request or frame whose first byte has arrived is
+answered.
 
 Sockets: with ``SO_REUSEPORT`` every worker accepts on its own socket
 bound to the same address and the kernel balances connections; else
@@ -60,11 +64,10 @@ from ..act import serialize
 from ..errors import ServeError
 from ..join.parallel import fork_available
 from ..obs.histogram import merge_histogram_snapshots
-from .aserver import BinaryFrontend
 from .lifecycle import FleetLifecycle
 from .registry import IndexGeneration, IndexRegistry
 from .router import ShardedACTService
-from .server import ACTHTTPServer, adopt_socket
+from .server import ACTServer, listen
 from .service import ACTService, ServeConfig
 from .shard import ShardMap, plan_shard_map
 from .statedir import (FULL, GENS, MANIFEST, DirMapping, generation_dir,
@@ -72,10 +75,6 @@ from .statedir import (FULL, GENS, MANIFEST, DirMapping, generation_dir,
                        write_generation)
 
 _log = logging.getLogger(__name__)
-
-#: Listen backlog per socket; generous because a crashed worker's queue
-#: buffers connections until the supervisor respawns it.
-_BACKLOG = 128
 
 
 def fleet_available() -> bool:
@@ -90,21 +89,16 @@ class FleetConfig:
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port (reported by ``address``)
-    #: ``None`` disables the binary data plane; a port (0 = pick free,
-    #: reported by ``binary_address``) gives every worker a
-    #: :class:`~repro.serve.aserver.BinaryFrontend` next to its JSON
-    #: server, load-balanced the same way the HTTP sockets are; both
-    #: fronts serve a thread per connection.
+    #: ``None``: no second address. A port (0 = pick free, reported by
+    #: ``binary_address``) is one more listening address on every
+    #: worker's one server, load-balanced the same way the HTTP sockets
+    #: are; like every listener it speaks both protocols.
     binary_port: Optional[int] = None
     serve: ServeConfig = field(default_factory=ServeConfig)
     #: How often each worker publishes its stats snapshot.
     stats_interval_s: float = 0.5
     #: How long shutdown waits for workers to drain before killing them.
     drain_timeout_s: float = 10.0
-    #: Idle keep-alive connections are dropped after this long so a
-    #: parked client cannot hold a request thread open across a drain
-    #: (must be below ``drain_timeout_s`` or drains degrade to kills).
-    keepalive_idle_timeout_s: float = 5.0
     #: Pause before respawning a crashed worker; doubles (up to the max)
     #: while a slot keeps dying young, so a deterministic crasher decays
     #: into a slow retry loop instead of a fork storm.
@@ -516,15 +510,7 @@ class ServingFleet:
         return ShardMap.from_wire(wire), generations
 
     def _bind_sockets(self) -> None:
-        first = self._listen_socket(self.config.port)
-        self._sockets = [first]
-        if self.reuseport:
-            # one accept queue per worker, all in the kernel's reuseport
-            # group; the parent holds every socket so a crashed worker's
-            # queue keeps buffering until the slot is respawned
-            port = first.getsockname()[1]
-            for _ in range(1, self.config.workers):
-                self._sockets.append(self._listen_socket(port))
+        self._sockets = self._group(self.config.port)
         if self.config.binary_port is None:
             return
         if self.config.shards:
@@ -535,55 +521,37 @@ class ServingFleet:
             # every socket, so a killed worker's forwards queue in its
             # backlog until the supervisor respawns the slot.
             self._binary_sockets = [
-                self._listen_socket(self.config.binary_port
-                                    if slot == 0 else 0)
+                listen(self.config.host,
+                       self.config.binary_port if slot == 0 else 0)
                 for slot in range(self.config.workers)
             ]
-            return
-        # the binary data plane mirrors the HTTP socket discipline:
-        # per-worker reuseport accept queues, or one shared socket
-        # handed to every worker through fork
-        first_bin = self._listen_socket(self.config.binary_port)
-        self._binary_sockets = [first_bin]
-        if self.reuseport:
-            port = first_bin.getsockname()[1]
-            for _ in range(1, self.config.workers):
-                self._binary_sockets.append(self._listen_socket(port))
+        else:
+            self._binary_sockets = self._group(self.config.binary_port)
 
-    def _listen_socket(self, port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.reuseport:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((self.config.host, port))
-            sock.listen(_BACKLOG)
-            # non-blocking so a raced accept in shared-socket mode
-            # surfaces as BlockingIOError (absorbed by the server loop)
-            # instead of wedging a worker inside accept()
-            sock.setblocking(False)
-        except BaseException:
-            sock.close()
-            raise
-        return sock
+    def _group(self, port: int) -> List[socket.socket]:
+        """The sockets of one address: one accept queue per worker, all
+        in the kernel's reuseport group (the parent holds every socket,
+        so a crashed worker's queue keeps buffering until the slot is
+        respawned), or one socket every worker shares through fork."""
+        first = listen(self.config.host, port, self.reuseport)
+        port = first.getsockname()[1]
+        return [first] + [listen(self.config.host, port, True)
+                          for _ in range(1, self.config.workers)
+                          if self.reuseport]
 
-    def _worker_socket(self, slot: int) -> socket.socket:
-        return self._sockets[slot if self.reuseport else 0]
-
-    def _worker_binary_socket(self, slot: int) -> Optional[socket.socket]:
-        if not self._binary_sockets:
-            return None
-        if self.config.shards:
-            return self._binary_sockets[slot]  # one distinct socket/slot
-        return self._binary_sockets[slot if self.reuseport else 0]
+    def _worker_sockets(self, slot: int) -> List[socket.socket]:
+        """The sockets slot ``slot``'s one server accepts on: its own of
+        each address that has one per worker, else the shared one."""
+        return [group[slot % len(group)]
+                for group in (self._sockets, self._binary_sockets) if group]
 
     def _spawn(self, slot: int) -> None:
         process = self._ctx.Process(
             target=_worker_main,
             name=f"fleet-worker-{slot}",
-            args=(slot, self._worker_socket(slot), self.registry,
+            args=(slot, self._worker_sockets(slot), self.registry,
                   self.config, self._snapshots, os.getpid(),
-                  self._artifact_dir, self._worker_binary_socket(slot),
+                  self._artifact_dir,
                   (self.shard_addresses
                    if self.config.shards else None)),
         )
@@ -762,45 +730,16 @@ def _cutter_main(conn, records: Optional[Dict[str, IndexGeneration]],
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-class _DrainingHTTPServer(ACTHTTPServer):
-    """Worker-side server: in-flight requests are joined on close.
-
-    Request threads are non-daemon and ``server_close`` blocks on them,
-    which is what turns SIGTERM into a graceful drain instead of
-    cutting connections mid-response.
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    #: Set per instance from ``FleetConfig.keepalive_idle_timeout_s``.
-    keepalive_idle_timeout: float = 5.0
-
-    def get_request(self):
-        # the listening socket is non-blocking (see _listen_socket); the
-        # accepted connection must not inherit that, request handlers do
-        # blocking reads
-        request, client_address = self.socket.accept()
-        # a finite timeout instead of plain blocking: an idle keep-alive
-        # connection parks its thread in the next-request readline, and
-        # with non-daemon threads that would hold server_close() — and
-        # every SIGTERM drain — hostage until the parent kills us. On
-        # timeout the handler closes the connection and the thread exits.
-        request.settimeout(self.keepalive_idle_timeout)
-        return request, client_address
-
-
-def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
-                 config: FleetConfig, snapshots: DirMapping,
-                 parent_pid: int, artifact_dir: str,
-                 binary_sock: Optional[socket.socket] = None,
+def _worker_main(slot: int, sockets: List[socket.socket],
+                 registry: IndexRegistry, config: FleetConfig,
+                 snapshots: DirMapping, parent_pid: int, artifact_dir: str,
                  shard_addresses: Optional[Dict[int, Tuple[str, int]]]
                  = None) -> None:
-    """One fleet worker, in a forked child: a service, its HTTP server
-    and (with a binary port) a
-    :class:`~repro.serve.aserver.BinaryFrontend`, both adopting
-    inherited sockets, serving a thread per connection and sharing the
-    one service's telemetry. A drain answers every request either
-    front has read, a routed binary batch included.
+    """One fleet worker, in a forked child: a service behind one
+    :class:`~repro.serve.server.ACTServer` accepting on its inherited
+    ``sockets`` (see :meth:`ServingFleet._worker_sockets`), a thread per
+    connection. Its drain answers every request or frame whose first
+    byte has arrived, a routed binary batch included.
 
     Its first lifecycle poll, before it serves, maps what
     ``current.json`` names that its inherited records are not (they
@@ -826,15 +765,7 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
     # holds a slice while routing by other ranges, and a respawn
     # mid-reload maps the new generation
     lifecycle.poll()
-    server = _DrainingHTTPServer(sock.getsockname()[:2], service,
-                                 bind_and_activate=False)
-    adopt_socket(server, sock)
-    server.worker_id = slot
-    server.keepalive_idle_timeout = config.keepalive_idle_timeout_s
-    frontend = None
-    if binary_sock is not None:
-        frontend = BinaryFrontend(service, sock=binary_sock,
-                                  worker_id=slot).start()
+    server = ACTServer(service, sockets, worker_id=slot)
     # admin mutations arriving over HTTP at this worker coordinate the
     # whole fleet
     server.admin_hook = lifecycle.submit
@@ -902,18 +833,9 @@ def _worker_main(slot: int, sock: socket.socket, registry: IndexRegistry,
                                         name="fleet-stats", daemon=True)
     publisher_thread.start()
     try:
-        server.serve_forever(poll_interval=0.1)
+        server.serve_forever()
     finally:
         stopping.set()
-        if frontend is not None:
-            frontend.stop()  # answers the frames read; idle ones see EOF
-        server.server_close()  # joins in-flight request threads (drain)
+        server.server_close()  # the drain; closes the inherited sockets
         service.close()
         publish()  # final post-drain snapshot
-        for s in (sock, binary_sock):
-            if s is None:
-                continue
-            try:
-                s.close()
-            except OSError:
-                pass

@@ -159,7 +159,7 @@ class ShardedACTService(ACTService):
     # ------------------------------------------------------------------
     # Routed entry points
     # ------------------------------------------------------------------
-    def query(self, index_name: str, lng: float, lat: float,
+    def query(self, index_name: str, lng: float, lat: float,  # repro-lint: hot
               exact: bool = False, budget: Optional[Budget] = None,
               trace: Optional[Trace] = None,
               request_id: Optional[str] = None) -> QueryResult:
@@ -177,7 +177,7 @@ class ShardedACTService(ACTService):
                              budget=budget, trace=trace,
                              request_id=request_id)
 
-    def query_batch(self, index_name: str, lngs: Sequence[float],
+    def query_batch(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
                     lats: Sequence[float], exact: bool = False,
                     budget: Optional[Budget] = None,
                     trace: Optional[Trace] = None,
@@ -204,7 +204,7 @@ class ShardedACTService(ACTService):
             at += pos.shape[0]
         return ResultBatch.concat([part for _, part in legs]).take(back)
 
-    def join(self, index_name: str, lngs: Sequence[float],
+    def join(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
              lats: Sequence[float], exact: bool = False,
              budget: Optional[Budget] = None,
              trace: Optional[Trace] = None,

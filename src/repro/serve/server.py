@@ -1,7 +1,9 @@
-"""Stdlib HTTP front end for the query service.
-
-A :class:`~http.server.ThreadingHTTPServer` speaking a small JSON API so
-the service is drivable with ``curl`` (no web framework in the
+"""The query service's one server: :class:`ACTServer` accepts on every
+listening socket it is handed (the HTTP address, ``--binary-port``, a
+shard slot's socket) through one accept loop, and serves each
+connection on its own thread in the protocol its first bytes name:
+binary frames (:mod:`repro.serve.aserver`) or a small JSON API over
+HTTP, so the service is drivable with ``curl`` (no web framework in the
 reproduction environment):
 
 * ``GET  /healthz`` — liveness plus registered index names;
@@ -66,14 +68,20 @@ one write on a ``TCP_NODELAY`` socket (no delayed-ACK wait).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import re
+import select
+import selectors
 import socket
 import socketserver
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import threading
+from contextlib import ExitStack
+from http.server import BaseHTTPRequestHandler
 from itertools import accumulate
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..errors import (
@@ -88,6 +96,7 @@ from ..errors import (
 )
 from ..obs import Trace, mint_request_id
 from . import chaos, lifecycle
+from .aserver import BinaryHandler
 from .binproto import MAX_FRAME_BYTES
 from .budget import Budget
 from .service import ACTService
@@ -131,10 +140,21 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # TCP_NODELAY on every connection
 
-    # the service is attached to the server object by create_server()
     @property
     def service(self) -> ACTService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile = self.server.reader(self)  # type: ignore[attr-defined]
+
+    def handle(self) -> None:
+        """The stdlib's keep-alive loop, with the drain's rule: a
+        connection parked between requests closes, a request whose
+        first byte has arrived is answered."""
+        self.close_connection = False
+        while not self.close_connection and self.rfile.next_message():
+            self.handle_one_request()
 
     # ------------------------------------------------------------------
     # Request identity / tracing
@@ -549,16 +569,75 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
             pass
 
 
-class ACTHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server with an attached :class:`ACTService`."""
+#: The first five bytes of an HTTP request: a method token and a space,
+#: or five letters of a longer method. A binary frame opens ``ACTB``
+#: and a version byte, so it never matches.
+_HTTP_HEAD = re.compile(rb"[A-Z]{1,4} |[A-Z]{5}")
+#: Listen backlog per socket; generous because a crashed fleet worker's
+#: queue buffers connections until the supervisor respawns it.
+_BACKLOG = 128
 
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Fleet workers set these (see :mod:`repro.serve.fleet`): a worker
-    #: slot id surfaced by ``/healthz``, and a callable — given this
-    #: worker's freshly computed stats payload — whose dict is attached
-    #: to ``/stats`` as the fleet-wide aggregate.
-    worker_id: Optional[int] = None
+
+def _waiter(sock: socket.socket, wake: socket.socket) -> Callable[[], bool]:
+    """A wait for ``sock``'s next byte or the drain's wake-up, whichever
+    comes first; it returns whether the byte is there."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    poller.register(wake, select.POLLIN)
+    fd = sock.fileno()
+    return lambda: any(ready == fd for ready, _ in poller.poll())
+
+
+class _SocketReads(socket.SocketIO):
+    """A connection's raw reads. Between messages (``between``), a read
+    also wakes for the drain, and with no byte of a next message there
+    it reads as end of stream; inside a message it blocks as usual, so
+    a message whose first byte has arrived is read in full."""
+
+    between = False
+
+    def __init__(self, sock: socket.socket, wake: socket.socket):
+        super().__init__(sock, "rb")
+        self._arrived = _waiter(sock, wake)
+
+    def readinto(self, buf) -> Optional[int]:
+        if self.between and not self._arrived():
+            return 0
+        return super().readinto(buf)
+
+
+class _Reader(io.BufferedReader):
+    """A connection's buffered reads, over :class:`_SocketReads`."""
+
+    raw: _SocketReads
+
+    def next_message(self) -> bool:
+        """Wait for the first byte of the next message; ``False`` when
+        the peer closed, or the drain found this connection parked."""
+        self.raw.between = True
+        try:
+            return bool(self.peek(1))
+        finally:
+            self.raw.between = False
+
+
+class ACTServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    """The one server over an :class:`ACTService`: one accept loop over
+    every listening socket it is handed, a thread per connection, and
+    both protocols on every socket. A connection's first five bytes,
+    peeked before any is consumed, pick its handler for good: an HTTP
+    request line runs ``RequestHandlerClass`` (:class:`ACTRequestHandler`),
+    anything else :class:`~repro.serve.aserver.BinaryHandler`.
+
+    One drain — :meth:`shutdown`, then :meth:`server_close` — stops
+    accepting, closes at once every connection parked before its next
+    request or frame, reads in full and answers every request or frame
+    whose first byte has arrived, and joins every connection's thread.
+    """
+
+    #: Fleet workers set these (see :mod:`repro.serve.fleet`): a
+    #: callable — given this worker's freshly computed stats payload —
+    #: whose dict is attached to ``/stats`` as the fleet-wide aggregate.
     stats_extra: Optional[Callable[[dict], dict]] = None
     #: Zero-arg callable returning the fleet's aggregated (bucket-
     #: merged) view for ``/metrics``; ``None`` exposes this process's
@@ -574,31 +653,130 @@ class ACTHTTPServer(ThreadingHTTPServer):
     #: converged.
     ready_extra: Optional[Callable[[], dict]] = None
 
-    def __init__(self, address: Tuple[str, int], service: ACTService,
-                 bind_and_activate: bool = True):
-        super().__init__(address, ACTRequestHandler,
-                         bind_and_activate=bind_and_activate)
+    def __init__(self, service: ACTService,
+                 sockets: Sequence[socket.socket],
+                 worker_id: Optional[int] = None):
+        """Serve on ``sockets``, bound and listening (see :func:`listen`;
+        a fleet's arrive through ``fork``). ``worker_id`` is the fleet
+        slot ``/healthz`` reports."""
+        # not TCPServer's __init__: it would bind a socket of its own
+        socketserver.BaseServer.__init__(
+            self, sockets[0].getsockname()[:2], ACTRequestHandler)
+        self.sockets = list(sockets)
+        self.socket = self.sockets[0]
         self.service = service
-        # the HTTP front's families exist as soon as the server does,
-        # not on the first request (RL004)
-        service.metrics.register(
-            counters=("http.requests", "admin.requests"))
+        self.worker_id = worker_id
+        # readable from the drain's start on: it wakes the accept loop
+        # and every connection parked between messages
+        self._wake, self._waker = socket.socketpair()
+        self._draining = False
+        self._stopped = threading.Event()
+        self._stopped.set()
+        # every family exists as soon as the server does, not on the
+        # first request (RL004), so /stats and /metrics show them at boot
+        metrics = service.metrics
+        metrics.register(counters=("http.requests", "admin.requests"))
+        self.c_connections = metrics.counter("binary.connections")
+        self.c_frames = metrics.counter("binary.frames")
+        self.c_requests = metrics.counter("binary.requests")
+        self.c_errors = metrics.counter("binary.errors")
+        self.c_bytes_in = metrics.counter("binary.bytes_in")
+        self.c_bytes_out = metrics.counter("binary.bytes_out")
+        self.h_request_seconds = metrics.histogram("binary.request_seconds")
+
+    @property
+    def addresses(self) -> List[Tuple[str, int]]:
+        """``(host, port)`` of every listening socket, in order."""
+        return [sock.getsockname()[:2] for sock in self.sockets]
+
+    def serve_forever(self) -> None:
+        """Accept on every listening socket until :meth:`shutdown`."""
+        if self._wake.fileno() < 0:
+            raise ServeError("this server was drained (servers are "
+                             "single-use)")
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                for sock in [self._wake] + self.sockets:
+                    selector.register(sock, selectors.EVENT_READ)
+                while not self._draining:
+                    for key, _ in selector.select():
+                        if key.fileobj is not self._wake:
+                            self._accept(key.fileobj)
+        finally:
+            self._stopped.set()
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn, address = listener.accept()
+        except OSError:
+            return  # a sibling worker won the race for a shared socket
+        conn.setblocking(True)  # handlers block; listeners do not
+        try:
+            self.process_request(conn, address)  # its thread
+        except Exception:
+            self.handle_error(conn, address)
+            self.shutdown_request(conn)
+
+    def shutdown(self) -> None:
+        """Start the drain: stop accepting and close the connections
+        parked between messages. Returns once the accept loop has
+        stopped; :meth:`server_close` finishes the drain."""
+        if not self._draining:
+            self._draining = True
+            self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Finish the drain: answer every request or frame whose first
+        byte has arrived, join every connection's thread, and close the
+        listening sockets (idempotent)."""
+        self.shutdown()
+        for sock in self.sockets:
+            sock.close()
+        super().server_close()  # joins the connection threads
+        self._wake.close()
+        self._waker.close()
+
+    def finish_request(self, request, client_address) -> None:
+        """Serve one connection in the protocol its first bytes name."""
+        try:
+            head = (request.recv(5, socket.MSG_PEEK | socket.MSG_WAITALL)
+                    if _waiter(request, self._wake)() else b"")
+        except OSError:
+            return  # reset before a byte was read: nothing is owed
+        if head:
+            handler = (self.RequestHandlerClass if _HTTP_HEAD.match(head)
+                       else BinaryHandler)
+            handler(request, client_address, self)
+
+    def reader(self, handler: socketserver.StreamRequestHandler) -> _Reader:
+        """``handler``'s ``rfile``, replaced by one whose wait for the
+        next message also wakes for the drain."""
+        handler.rfile.close()
+        return _Reader(_SocketReads(handler.connection, self._wake),
+                       max(handler.rbufsize, io.DEFAULT_BUFFER_SIZE))
 
 
-def adopt_socket(server: socketserver.TCPServer,
-                 sock: socket.socket) -> None:
-    """Serve on ``sock``, already bound and listening (a fleet's,
-    inherited through ``fork``), instead of the socket the server —
-    constructed with ``bind_and_activate=False`` — made for itself."""
-    server.socket.close()
-    server.socket = sock
-    host, port = sock.getsockname()[:2]
-    server.server_address = (host, port)
-    server.server_name = host
-    server.server_port = port
+def listen(host: str, port: int, reuseport: bool = False) -> socket.socket:
+    """A listening socket on ``(host, port)`` (``port=0`` picks a free
+    one), in a fleet's ``SO_REUSEPORT`` group when ``reuseport``.
+    Non-blocking, so a raced ``accept`` on a socket shared by workers
+    fails fast instead of wedging one of them."""
+    sock = socket.create_server((host, port), backlog=_BACKLOG,
+                                reuse_port=reuseport)
+    sock.setblocking(False)
+    return sock
 
 
 def create_server(service: ACTService, host: str = "127.0.0.1",
-                  port: int = 8080) -> ACTHTTPServer:
-    """Bind an :class:`ACTHTTPServer`; ``port=0`` picks a free port."""
-    return ACTHTTPServer((host, port), service)
+                  port: int = 8080,
+                  binary_port: Optional[int] = None) -> ACTServer:
+    """An :class:`ACTServer` on ``(host, port)`` and, given a
+    ``binary_port``, on that address too (both speak both protocols);
+    port 0 picks a free port (read them back from ``addresses``)."""
+    ports = [port] if binary_port is None else [port, binary_port]
+    with ExitStack() as bound:
+        sockets = [bound.enter_context(listen(host, p)) for p in ports]
+        bound.pop_all()
+    return ACTServer(service, sockets)

@@ -153,7 +153,7 @@ class ACTService:
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------
-    def query(self, index_name: str, lng: float, lat: float,
+    def query(self, index_name: str, lng: float, lat: float,  # repro-lint: hot
               exact: bool = False, budget: Optional[Budget] = None,
               trace: Optional[Trace] = None,
               request_id: Optional[str] = None) -> QueryResult:
@@ -294,7 +294,7 @@ class ACTService:
     # ------------------------------------------------------------------
     # Batched point queries
     # ------------------------------------------------------------------
-    def query_batch(self, index_name: str, lngs: Sequence[float],
+    def query_batch(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
                     lats: Sequence[float], exact: bool = False,
                     budget: Optional[Budget] = None,
                     trace: Optional[Trace] = None,
@@ -424,7 +424,7 @@ class ACTService:
             )
         return lngs, lats
 
-    def _refine_batch(self, index: ACTIndex, results: ResultBatch,
+    def _refine_batch(self, index: ACTIndex, results: ResultBatch,  # repro-lint: hot
                       lngs: np.ndarray, lats: np.ndarray) -> ResultBatch:
         """Exact-mode refinement via the index's packed-edge engine."""
         point_idx, polygon_ids = results.candidate_pairs()
@@ -436,7 +436,7 @@ class ACTService:
     # ------------------------------------------------------------------
     # Bulk joins
     # ------------------------------------------------------------------
-    def join(self, index_name: str, lngs: Sequence[float],
+    def join(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
              lats: Sequence[float], exact: bool = False,
              budget: Optional[Budget] = None,
              trace: Optional[Trace] = None,

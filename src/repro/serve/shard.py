@@ -225,7 +225,7 @@ class ShardMap:
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
-def _slot_weights(slots: np.ndarray, entry_weight: np.uint64,
+def _slot_weights(slots: np.ndarray, entry_weight: np.uint64,  # repro-lint: hot
                   subtree: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(weight, is_pointer)`` per slot of one row: an entry weighs
     ``entry_weight``, a pointer its child row's ``subtree``, a miss 0."""
@@ -237,7 +237,7 @@ def _slot_weights(slots: np.ndarray, entry_weight: np.uint64,
     return weight, pointer
 
 
-def _plan_one(index: ACTIndex, parts: int) -> List[Tuple[int, int]]:
+def _plan_one(index: ACTIndex, parts: int) -> List[Tuple[int, int]]:  # repro-lint: hot
     """Cut one index's keyspace into ``<= parts`` contiguous spans.
 
     Spans are split points only — callers attach slots. Always covers
@@ -320,7 +320,7 @@ def _plan_one(index: ACTIndex, parts: int) -> List[Tuple[int, int]]:
     return spans
 
 
-def plan_shard_map(indexes: Mapping[str, ACTIndex], num_slots: int,
+def plan_shard_map(indexes: Mapping[str, ACTIndex], num_slots: int,  # repro-lint: hot
                    generation: int = 1) -> ShardMap:
     """Plan a :class:`ShardMap` over materialized indexes.
 
@@ -366,7 +366,7 @@ def _span_masks(cells: np.ndarray, boundary_level: int,
     return meets, inside
 
 
-def slice_index(index: ACTIndex, spans: Iterable[Tuple[int, int]],
+def slice_index(index: ACTIndex, spans: Iterable[Tuple[int, int]],  # repro-lint: hot
                 skeleton: Optional[Tuple[np.ndarray, np.ndarray,
                                          np.ndarray]] = None) -> ACTIndex:
     """The sub-index owning the given keyspace spans, by mask-and-compact.
@@ -458,7 +458,7 @@ def slice_file(slot: int) -> str:
     return f"slot{slot}.npz"
 
 
-def write_slices(index: ACTIndex, shard_map: ShardMap,
+def write_slices(index: ACTIndex, shard_map: ShardMap,  # repro-lint: hot
                  directory: Union[str, Path], name: str,
                  timings: Optional[Dict[str, float]] = None,
                  ) -> Dict[int, Path]:

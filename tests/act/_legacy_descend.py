@@ -52,7 +52,7 @@ def descend(core, leaf_cells: np.ndarray) -> np.ndarray:
     return entries
 
 
-def refine_pairs(executor, point_idx: np.ndarray, polygon_ids: np.ndarray,
+def refine_pairs(executor, point_idx: np.ndarray, polygon_ids: np.ndarray,  # repro-lint: hot
                  lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
     """PIP verdict per candidate pair, unique pairs refined once."""
     if point_idx.shape[0] >= 64:

@@ -18,10 +18,9 @@ import re
 from pathlib import Path
 
 from repro.serve import IndexRegistry
-from repro.serve.aserver import BinaryFrontend
 from repro.serve.lifecycle import FleetLifecycle
 from repro.serve.router import ShardedACTService
-from repro.serve.server import ACTHTTPServer
+from repro.serve.server import ACTServer, listen
 from repro.serve.shard import plan_shard_map
 
 OPERATIONS = (Path(__file__).resolve().parents[2]
@@ -54,10 +53,8 @@ def _registered_names(nyc_index, artifact_dir):
     service = ShardedACTService(registry=registry, shard_map=shard_map,
                                 slot=0)
     try:
-        BinaryFrontend(service)  # never started: ctor registers
-        http = ACTHTTPServer(("127.0.0.1", 0), service,
-                             bind_and_activate=False)
-        http.server_close()
+        # never started: the constructor registers both protocols'
+        ACTServer(service, [listen("127.0.0.1", 0)]).server_close()
         FleetLifecycle(artifact_dir, 1, service=service, slot=0)
         snapshot = service.metrics.snapshot()
         return (set(snapshot["counters"]) | set(snapshot["histograms"]))

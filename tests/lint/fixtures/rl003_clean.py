@@ -4,7 +4,7 @@ import time
 import numpy as np
 
 
-def query_batch(name, lngs, lats):
+def query_batch(name, lngs, lats):  # repro-lint: hot
     started = time.perf_counter()
     arr = np.asarray(lngs) + np.asarray(lats)   # vectorised, no loop
     if arr.size == 0:
@@ -21,7 +21,7 @@ def query_batch(name, lngs, lats):
     return total, time.perf_counter() - started
 
 
-def _plan_one(index, parts):
+def _plan_one(index, parts):  # repro-lint: hot
     weights = np.cumsum(index.weights)
 
     def first_key(row, need):

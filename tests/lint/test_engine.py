@@ -61,7 +61,8 @@ class TestCLI:
 
     def test_warnings_only_fail_under_strict(self, tmp_path, capsys):
         # a fixture whose only finding is the time.time() warning
-        source = "def query(lngs):\n    import time\n    return time.time()\n"
+        source = ("def query(lngs):  # repro-lint: hot\n"
+                  "    import time\n    return time.time()\n")
         target = tmp_path / "warn_only.py"
         target.write_text(source)
         args = [str(target), "--root", str(tmp_path)]

@@ -20,7 +20,7 @@ from repro.serve.binproto import (_RES, OP_RESULTS, FrameError,
                                   encode_header)
 
 
-def encode_results(results: Sequence[QueryResult],
+def encode_results(results: Sequence[QueryResult],  # repro-lint: hot
                    request_id: int = 0) -> bytes:
     """An ``OP_RESULTS`` frame: per-point hit counts + flat id columns."""
     n = len(results)

@@ -14,24 +14,22 @@ import pytest
 
 from repro.act.serialize import save_index
 from repro.errors import ERROR_TABLE, ServeError
-from repro.serve import ACTService, binproto, create_binary_frontend, \
-    create_server
+from repro.serve import ACTService, binproto, create_server
 
 
 @pytest.fixture(scope="module")
 def fronts(nyc_index, tmp_path_factory):
-    """One service behind both fronts, plus an artifact of its index
-    (registering it again under the served name is a conflict)."""
+    """One service behind one server — HTTP requests on its first
+    address, binary frames on its second — plus an artifact of its
+    index (registering it again under the served name is a conflict)."""
     service = ACTService()
     service.registry.register_index("nyc", nyc_index)
-    server = create_server(service, port=0)
+    server = create_server(service, port=0, binary_port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    frontend = create_binary_frontend(service)
     artifact = tmp_path_factory.mktemp("artifact") / "nyc.npz"
     save_index(nyc_index, artifact)
-    yield service, server, frontend, artifact
-    frontend.stop()
+    yield service, server, server.addresses[1], artifact
     server.shutdown()
     server.server_close()
     service.close()
@@ -56,9 +54,9 @@ def _http(server, method, path, body=b"", length=None, request_id=None):
         sock.close()
 
 
-def _binary_status(frontend, frame) -> int:
+def _binary_status(binary_address, frame) -> int:
     """The ``OP_ERROR`` status the binary front answers ``frame`` with."""
-    sock = socket.create_connection(frontend.address, timeout=10.0)
+    sock = socket.create_connection(binary_address, timeout=10.0)
     try:
         sock.sendall(frame)
         buf = b""
@@ -138,7 +136,7 @@ _CASES = [
                          _CASES, ids=[case[0] for case in _CASES])
 def test_status_and_error_body(fronts, monkeypatch, case, method, path,
                                body, frame, status):
-    service, server, frontend, artifact = fronts
+    service, server, binary_address, artifact = fronts
     if case == "internal":
         # the binary front looks the method up on each frame
         monkeypatch.setattr(service, "query_batch", _boom)
@@ -162,19 +160,19 @@ def test_status_and_error_body(fronts, monkeypatch, case, method, path,
     closes = case in ("too-large", "malformed-length")
     assert (response.getheader("Connection") == "close") is closes
     if frame is not None:
-        assert _binary_status(frontend, frame) == status
+        assert _binary_status(binary_address, frame) == status
 
 
 def test_batch_points_out_of_domain_are_misses_on_both_fronts(fronts):
     """Non-finite batch points are points outside the grid, not errors
     (only the scalar GET, which echoes lng/lat, refuses them)."""
-    _, server, frontend, _ = fronts
+    _, server, binary_address, _ = fronts
     body = b'{"index": "nyc", "points": [[NaN, 0.0], [0.0, Infinity]]}'
     response, raw = _http(server, "POST", "/query", body)
     assert response.status == 200
     assert [row["is_hit"] for row in json.loads(raw)["results"]] \
         == [False, False]
-    with binproto.Client(*frontend.address, timeout=10.0) as client:
+    with binproto.Client(*binary_address, timeout=10.0) as client:
         got = client.query_batch("nyc", [np.nan, 0.0], [0.0, np.inf])
     assert [result.is_hit for result in got] == [False, False]
 

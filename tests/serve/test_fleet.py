@@ -195,13 +195,12 @@ class TestFleetServing:
             self, fleet_registry):
         import http.client
 
-        with _fleet(fleet_registry,
-                    keepalive_idle_timeout_s=1.0) as fleet:
+        with _fleet(fleet_registry) as fleet:
             fleet.start()
             host, port = fleet.address
-            # park an idle HTTP/1.1 keep-alive connection: its request
-            # thread sits in the next-request read and must time out
-            # rather than hold the (non-daemon-thread) drain hostage
+            # park an idle HTTP/1.1 keep-alive connection: the drain
+            # closes it at once rather than join a thread that waits
+            # for a request which never comes
             parked = http.client.HTTPConnection(host, port, timeout=30)
             parked.request("GET", "/healthz")
             parked.getresponse().read()

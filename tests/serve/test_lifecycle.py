@@ -441,6 +441,7 @@ class TestAdminHTTP:
                         _delete(server, path)
                     else:
                         _post(server, path, payload)
+                err.value.close()  # the error holds its response open
                 assert err.value.code == expected, (method, path)
             # duplicate registration is a conflict, not a server error
             _post(server, "/admin/register",
@@ -448,6 +449,7 @@ class TestAdminHTTP:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _post(server, "/admin/register",
                       {"name": "dup", "path": str(west_path)})
+            err.value.close()
             assert err.value.code == 409
 
     def test_admin_rejected_off_loopback(self, index_pair, monkeypatch):
@@ -469,6 +471,7 @@ class TestAdminHTTP:
             ]:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     call()
+                err.value.close()
                 assert err.value.code == 403
             # the query surface stays open to remote clients
             status, _body = _get(server, "/healthz")
@@ -582,6 +585,7 @@ class TestReloadUnderTraffic:
                         })
                         got = [0] if body["counts"] else []
                 except urllib.error.HTTPError as exc:
+                    exc.close()
                     failures.append(f"{kind}: HTTP {exc.code}")
                     continue
                 except Exception as exc:  # connection cut, malformed, …

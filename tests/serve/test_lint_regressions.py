@@ -171,7 +171,7 @@ class TestDecodeEntryStaysLean:
     ])
     def test_stray_formatting_is_flagged(self, tmp_path, stray, named):
         source = textwrap.dedent(f"""\
-            def decode_entry(self, entry):
+            def decode_entry(self, entry):  # repro-lint: hot
                 {stray}
                 return self._decoded.get(entry)
             """)

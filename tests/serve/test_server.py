@@ -143,7 +143,8 @@ class TestErrorMapping:
     def _get_error(self, server, path):
         with pytest.raises(urllib.error.HTTPError) as exc:
             _get(server, path)
-        return exc.value.code, json.loads(exc.value.read())
+        with exc.value:  # the error holds its response open
+            return exc.value.code, json.loads(exc.value.read())
 
     def test_unknown_route_404(self, http_server):
         code, _ = self._get_error(http_server, "/nope")
@@ -185,16 +186,19 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=10.0)
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_join_missing_fields_400(self, http_server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             _post(http_server, "/join", {"index": "nyc"})
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_batch_query_missing_fields_400(self, http_server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             _post(http_server, "/query", {"points": [[0.0, 0.0]]})
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_batch_query_invalid_request_400(self, http_server):
@@ -216,8 +220,9 @@ class TestErrorMapping:
                       {"index": "nyc", "points": [[-73.97, 40.75]]})
         finally:
             service.query_batch = original
-        assert exc.value.code == 400
-        assert "shapes" in json.loads(exc.value.read())["error"]
+        with exc.value:
+            assert exc.value.code == 400
+            assert "shapes" in json.loads(exc.value.read())["error"]
         with pytest.raises(InvalidRequestError):
             service.query_batch("nyc", [-73.97, -74.0], [40.75])
 
@@ -225,6 +230,7 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as exc:
             _post(http_server, "/query",
                   {"index": "zzz", "points": [[0.0, 0.0]]})
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_batch_query_spent_budget_503(self, http_server):
@@ -232,6 +238,7 @@ class TestErrorMapping:
             _post(http_server, "/query",
                   {"index": "nyc", "points": [[-73.97, 40.75]],
                    "budget_ms": -1})
+        exc.value.close()
         assert exc.value.code == 503
 
 

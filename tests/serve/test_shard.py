@@ -4,13 +4,14 @@ Covers the keyspace invariants (contiguous cover of the full uint64
 cell-id space, boundary-cell routing), the slice/partition guarantees
 (every entry lands in exactly one slice, resident bytes shrink), and
 the in-process router: two :class:`ShardedACTService` instances wired
-to each other over real binary frontends must answer exactly like one
+to each other over real servers must answer exactly like one
 unsharded service, and admission control must shed only on positive
 fleet-wide evidence.
 """
 
 import os
 import socket
+import threading
 import time
 from contextlib import contextmanager
 
@@ -23,7 +24,7 @@ from repro.errors import (BudgetExceededError, ServeError,
 from repro.datasets import taxi_points
 from repro.serve import (ACTService, Budget, FleetLifecycle, IndexRegistry,
                          binproto, chaos)
-from repro.serve.aserver import BinaryFrontend
+from repro.serve.server import ACTServer
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
                                plan_shard_map, shard_keys, slice_index,
                                write_slices)
@@ -172,8 +173,8 @@ class TestSlicing:
 
 @contextmanager
 def _cross_wired(nyc_index, slots, sharded_service):
-    """``(services, frontends)``: ``slots`` cross-wired sharded
-    services over real binary frontends, each on its own slice file."""
+    """``(services, servers)``: ``slots`` cross-wired sharded services,
+    each behind a real server on its own socket and slice file."""
     shard_map = plan_shard_map({"nyc": nyc_index}, slots)
     socks = []
     for _ in range(slots):
@@ -184,20 +185,22 @@ def _cross_wired(nyc_index, slots, sharded_service):
         socks.append(sock)
     addresses = {slot: sock.getsockname()[:2]
                  for slot, sock in enumerate(socks)}
-    services, frontends = [], []
+    services, servers = [], []
     try:
         for slot in range(slots):
             service = sharded_service(
                 nyc_index, shard_map, slot, addresses=addresses,
                 forward_timeout_s=30.0)
             services.append(service)
-            frontends.append(
-                BinaryFrontend(service, sock=socks[slot],
-                               worker_id=slot).start())
-        yield services, frontends
+            servers.append(ACTServer(service, [socks[slot]],
+                                     worker_id=slot))
+            threading.Thread(target=servers[-1].serve_forever,
+                             daemon=True).start()
+        yield services, servers
     finally:
-        for frontend in frontends:
-            frontend.stop()
+        for server in servers:
+            server.shutdown()
+            server.server_close()
         for sock in socks:
             try:
                 sock.close()
@@ -392,10 +395,11 @@ class TestRoutedFront:
         """A slow spanning batch, then a 2-point one, pipelined on one
         connection: the replies come back in request order, every
         time."""
-        (front, _), (frontend, _) = wired_pair
+        (front, _), (server, _) = wired_pair
         lngs, lats = _spanning_from_slot0(
             front, taxi_points(16_000, seed=11))
-        with binproto.Client(*frontend.address, timeout=60.0) as client:
+        with binproto.Client(*server.server_address,
+                             timeout=60.0) as client:
             for _ in range(10):
                 sent = [client.send_query("nyc", lngs, lats, exact=True),
                         client.send_query("nyc", lngs[:2], lats[:2],
@@ -404,13 +408,13 @@ class TestRoutedFront:
 
     def test_stop_answers_the_routed_frame_in_flight(
             self, wired_pair, plain, query_points):
-        """``stop()`` answers a routed frame it has already read before
+        """The drain answers a routed frame it has already read before
         it returns."""
-        (front, _), (frontend, _) = wired_pair
+        (front, _), (server, _) = wired_pair
         lngs, lats = _spanning_from_slot0(front, query_points)
         chaos.configure("shard.forward=slow:1.0:0.5")
         try:
-            with binproto.Client(*frontend.address, timeout=30.0,
+            with binproto.Client(*server.server_address, timeout=30.0,
                                  retries=0) as client:
                 sent = client.send_query("nyc", lngs, lats, exact=True)
                 # wait until the frame is read and its forward held back
@@ -418,7 +422,8 @@ class TestRoutedFront:
                 while _counter(front, "faults.chaos_injections") < 1:
                     assert time.monotonic() < deadline, "never routed"
                     time.sleep(0.01)
-                frontend.stop()
+                server.shutdown()
+                server.server_close()
                 rid, results = client.recv_results()
         finally:
             chaos.configure("")
