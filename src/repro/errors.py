@@ -24,7 +24,7 @@ class InvalidPolygonError(GeometryError):
 
 
 class ParseError(GeometryError):
-    """A WKT or GeoJSON document could not be parsed."""
+    """A GeoJSON document could not be parsed."""
 
 
 class GridError(ReproError):

@@ -2,7 +2,7 @@
 
 Everything the ACT index and its baselines need: bounding boxes, segment
 predicates, polygons with holes, point-in-polygon tests, cell/polygon
-classification, local metric projections, and WKT/GeoJSON IO.
+classification, local metric projections, and GeoJSON IO.
 """
 
 from .bbox import Rect, union_all

@@ -28,10 +28,10 @@ through the loopback-only admin API (:mod:`repro.serve.lifecycle`,
 server — or a whole fleet — with zero downtime. Fleets can run
 **sharded** (``repro-act serve --shards``): a generation-tagged
 :class:`ShardMap` partitions the boundary-level cell-id keyspace
-across worker slots, each worker memory-maps only its slice file
-(:class:`~repro.serve.router.ShardedACTService`), and cross-shard
-requests scatter/gather over the binary protocol with fleet-aware
-admission control.
+across worker slots, each worker memory-maps only its slice file, and
+its service routes through a :class:`Router`: cross-shard requests
+scatter/gather over the binary protocol with fleet-aware admission
+control.
 
 Quickstart::
 
@@ -62,7 +62,7 @@ from ..obs import SlowQueryLog, Trace, Tracer, mint_request_id
 from .fleet import aggregate_snapshots
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .registry import IndexGeneration, IndexRegistry, prewarm_index
-from .router import ShardedACTService
+from .router import Router
 from .service import TELEMETRY_MODES, ACTService, ServeConfig
 from .shard import (ShardMap, ShardRange, plan_shard_map, shard_keys,
                     slice_index)
@@ -81,11 +81,11 @@ __all__ = [
     "IndexGeneration",
     "IndexRegistry",
     "MetricsRegistry",
+    "Router",
     "ServeConfig",
     "ServingFleet",
     "ShardMap",
     "ShardRange",
-    "ShardedACTService",
     "SlowQueryLog",
     "TELEMETRY_MODES",
     "Trace",

@@ -34,8 +34,9 @@ publish the later ones.
 
 Shard mode (``FleetConfig(shards=N)``): the cutter also plans a
 :class:`~repro.serve.shard.ShardMap` and writes one slice per slot into
-each directory; a worker maps only its slot's slices behind a
-:class:`~repro.serve.router.ShardedACTService`. The binary plane binds
+each directory; a worker maps only its slot's slices, and its one
+:class:`~repro.serve.service.ACTService` routes through a
+:class:`~repro.serve.router.Router` for its slot. The binary plane binds
 one socket per slot, so a killed worker's forwards queue in its backlog
 until the respawn. Any worker answers any request by forwarding
 non-owned keys, and sheds only when every owning slot's snapshot
@@ -66,7 +67,7 @@ from ..join.parallel import fork_available
 from ..obs.histogram import merge_histogram_snapshots
 from .lifecycle import FleetLifecycle
 from .registry import IndexGeneration, IndexRegistry
-from .router import ShardedACTService
+from .router import Router
 from .server import ACTServer, listen
 from .service import ACTService, ServeConfig
 from .shard import ShardMap, plan_shard_map
@@ -84,7 +85,8 @@ def fleet_available() -> bool:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Tuning knobs for one serving fleet."""
+    """Tuning knobs for one serving fleet (a sharded fleet's admission
+    thresholds are constants of :mod:`repro.serve.router`)."""
 
     workers: int = 2
     host: str = "127.0.0.1"
@@ -119,12 +121,6 @@ class FleetConfig:
     #: ``binary_port`` of ``None`` is auto-promoted to ``0``), and
     #: binds one distinct binary socket per slot.
     shards: int = 0
-    #: Admission control: a worker is saturated at this many in-flight
-    #: batches; the router sheds only when EVERY owning slot is
-    #: saturated per a fresh snapshot. ``0`` disables shedding.
-    shed_inflight: int = 64
-    #: Snapshots older than this fail open for admission decisions.
-    shed_staleness_s: float = 2.0
 
 
 #: Reserved snapshot-channel key: counters and histogram buckets no
@@ -748,15 +744,9 @@ def _worker_main(slot: int, sockets: List[socket.socket],
     cannot map leaves it up, answering from what it has, and not-ready.
     """
     stats_interval_s = config.stats_interval_s
-    if config.shards:
-        service: ACTService = ShardedACTService(
-            registry=registry, config=config.serve, slot=slot,
-            addresses=shard_addresses, snapshots=snapshots,
-            shed_inflight=config.shed_inflight,
-            shed_staleness_s=config.shed_staleness_s,
-        )
-    else:
-        service = ACTService(registry=registry, config=config.serve)
+    service = ACTService(registry=registry, config=config.serve,
+                         router=Router(slot, shard_addresses, snapshots)
+                         if config.shards else None)
     lifecycle = FleetLifecycle(
         artifact_dir, config.workers, service=service, slot=slot,
         snapshots=snapshots, timeout_s=config.admin_timeout_s)

@@ -333,7 +333,7 @@ class FleetLifecycle:
 
     def _route_by(self, routes: Dict[str, ShardMap]) -> None:
         """Route by the ranges each name's slice was cut under."""
-        self._service.route_by(ShardMap(
+        self._service.router.route_by(ShardMap(
             max(route.generation for route in routes.values()),
             {name: route.ranges[name] for name, route in routes.items()},
             self.workers) if routes else ShardMap(0, {}, 1))

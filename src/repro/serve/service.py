@@ -30,6 +30,11 @@ JSON fronts, the router's gather, the client — moves those columns and
 never a ``QueryResult`` per point.
 
 Bulk joins go straight to the vectorized ``count_points`` engine.
+
+A sharded fleet's worker passes a :class:`~repro.serve.router.Router`:
+routing is then a stage of the same pipeline (admission → plan → local
+| forward → gather), and a sibling's forwarded frame runs the local
+bodies, ``local_query_batch`` / ``local_join``, never re-routed.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +51,13 @@ from ..act.index import ACTIndex, QueryResult
 from ..errors import BudgetExceededError, InvalidRequestError, ServeError
 from ..grid.base import INVALID_KEY
 from ..obs import PrometheusRenderer, SlowQueryLog, Trace, Tracer
-from . import chaos
+from . import binproto, chaos
 from .budget import Budget
 from .cache import DEFAULT_CAPACITY, CellResultCache
 from .metrics import MetricsRegistry
 from .registry import _UNSET, IndexGeneration, IndexRegistry
+from .router import Router, Sent, gather
+from .shard import shard_keys
 
 #: Empty result reused for out-of-domain points.
 _MISS = QueryResult((), ())
@@ -81,9 +88,12 @@ class ACTService:
     """Serves point queries and joins over registered ACT indexes."""
 
     def __init__(self, registry: Optional[IndexRegistry] = None,
-                 config: Optional[ServeConfig] = None):
+                 config: Optional[ServeConfig] = None,
+                 router: Optional[Router] = None):
         self.registry = registry if registry is not None else IndexRegistry()
         self.config = config if config is not None else ServeConfig()
+        self.router = router
+        self._inflight = 0  # local bodies running now (unlocked, as Counter)
         self.metrics = MetricsRegistry()
         self.set_telemetry(self.config.telemetry)
         self.cache = CellResultCache(self.config.cache_capacity)
@@ -149,6 +159,8 @@ class ACTService:
             ),
             histograms=("joins.latency_seconds",),
         )
+        if self.router is not None:
+            self.router.bind(self.metrics)
 
     # ------------------------------------------------------------------
     # Point queries
@@ -168,6 +180,18 @@ class ACTService:
         runs out (shed), :class:`~repro.errors.UnknownIndexError` for
         unregistered names.
         """
+        router = self.router
+        if router is not None and index_name in router.shard_map.ranges:
+            legs = self._routed(
+                self.local_query_batch, binproto.Client.send_forward_query,
+                binproto.Client.recv_results, True, index_name,
+                np.array([lng], np.float64), np.array([lat], np.float64),
+                exact, budget, trace, request_id)
+            if legs is not None:  # another slot owns the point
+                result = gather(1, legs)[0]
+                if trace is not None:
+                    trace.stamp("gather")
+                return result
         start = time.perf_counter()
         self._queries_total.inc()
         budget = self._effective_budget(budget)
@@ -299,6 +323,72 @@ class ACTService:
                     budget: Optional[Budget] = None,
                     trace: Optional[Trace] = None,
                     request_id: Optional[str] = None) -> ResultBatch:
+        """Classified lookups for a whole point batch: a local plan is
+        :meth:`local_query_batch`, a spanning one :meth:`_routed` and
+        then ``gather`` (a trace stamps ``route`` and ``gather``)."""
+        router = self.router
+        if router is not None and index_name in router.shard_map.ranges:
+            lngs, lats = self._point_columns(lngs, lats)
+            legs = self._routed(
+                self.local_query_batch, binproto.Client.send_forward_query,
+                binproto.Client.recv_results, True, index_name, lngs, lats,
+                exact, budget, trace, request_id)
+            if legs is not None:
+                batch = gather(int(lngs.shape[0]), legs)
+                if trace is not None:
+                    trace.stamp("gather")
+                return batch
+        return self.local_query_batch(index_name, lngs, lats, exact,
+                                      budget, trace, request_id)
+
+    def _routed(self, local: Callable[..., Any], send: Callable[..., int],
+                recv: Callable[[binproto.Client], Tuple[int, Any]],
+                lookups: bool, index_name: str, lngs: np.ndarray,
+                lats: np.ndarray, exact: bool, budget: Optional[Budget],
+                trace: Optional[Trace], request_id: Optional[str],
+                ) -> Optional[List[Tuple[np.ndarray, Any]]]:
+        """The routing stage of a request on a mapped name: plan, then
+        answer this slot's points with ``local`` while ``send`` (an
+        unbound ``Client.send_forward_*``) forwards each remote owner's
+        and ``recv`` reads its reply. Returns each leg's ``(request
+        positions, answer)``, or ``None`` for a local plan. Points no
+        leg took count as an unsharded failure counts them (with
+        ``queries.total`` for ``lookups``)."""
+        n = int(lngs.shape[0])
+        sent: List[Sent] = []
+        answering = False  # every point is with a leg that counts it
+        try:
+            record, level = self._hot_view(index_name)
+            plan = self.router.plan(
+                index_name, shard_keys(record.index.grid, lngs, lats, level),
+                self._inflight)
+            if trace is not None:
+                trace.stamp("route")
+            if plan is None:
+                return None
+            mine, legs = plan
+            with self.router.fan_out(sent, send, index_name, lngs, lats,
+                                     exact, legs):
+                answering = True
+                parts = [(mine, local(index_name, lngs[mine], lats[mine],
+                                      exact, budget, trace, request_id))
+                         ] if mine.shape[0] else []
+                return parts + [(pos, recv(client)[1])
+                                for _, pos, client in sent]
+        except Exception as exc:
+            if not answering:
+                missed = n - sum(int(pos.shape[0]) for _, pos, _ in sent)
+                (self._queries_shed if isinstance(exc, BudgetExceededError)
+                 else self._queries_errors).inc(missed)
+                if lookups:
+                    self._queries_total.inc(missed)
+            raise
+
+    def local_query_batch(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
+                          lats: Sequence[float], exact: bool = False,
+                          budget: Optional[Budget] = None,
+                          trace: Optional[Trace] = None,
+                          request_id: Optional[str] = None) -> ResultBatch:
         """Classified lookups for a whole point batch, cache included.
 
         Network clients amortize the same way in-process callers do:
@@ -325,6 +415,7 @@ class ACTService:
                                        kind="query_batch")
         if budget is not None:
             budget.trace = trace
+        self._inflight += 1
         try:
             record, boundary_level = self._hot_view(index_name)
             index = record.index
@@ -397,6 +488,8 @@ class ACTService:
         except Exception:
             self._queries_errors.inc(n)
             raise
+        finally:
+            self._inflight -= 1
         elapsed = time.perf_counter() - start
         self._latency.observe(elapsed)
         if elapsed >= self.slowlog.threshold_s > 0.0:
@@ -441,17 +534,47 @@ class ACTService:
              budget: Optional[Budget] = None,
              trace: Optional[Trace] = None,
              request_id: Optional[str] = None) -> np.ndarray:
-        """Count points per polygon (the paper's aggregation workload).
+        """Count points per polygon (the paper's aggregation workload),
+        routed the way :meth:`query_batch` is; the legs' counts add up."""
+        router = self.router
+        if router is not None and index_name in router.shard_map.ranges:
+            lngs, lats = self._point_columns(lngs, lats)
+            legs = self._routed(
+                self.local_join, binproto.Client.send_forward_join,
+                binproto.Client.recv_counts, False, index_name, lngs, lats,
+                exact, budget, trace, request_id)
+            if legs is not None:
+                record, _ = self._hot_view(index_name)
+                counts = np.zeros(record.index.num_polygons, dtype=np.int64)
+                for _, part in legs:
+                    if isinstance(part, dict):
+                        # a forward's {polygon id: count}; {} if no hit
+                        ids, hits = np.array(list(part.items()),
+                                             np.int64).reshape(-1, 2).T
+                        counts[ids] += hits
+                    else:
+                        counts += part
+                if trace is not None:
+                    trace.stamp("gather")
+                return counts
+        return self.local_join(index_name, lngs, lats, exact, budget, trace,
+                               request_id)
 
-        One :meth:`~repro.join.executor.JoinExecutor.join` behind the
-        same admission, shed and error accounting as :meth:`query_batch`.
-        """
+    def local_join(self, index_name: str, lngs: Sequence[float],  # repro-lint: hot
+                   lats: Sequence[float], exact: bool = False,
+                   budget: Optional[Budget] = None,
+                   trace: Optional[Trace] = None,
+                   request_id: Optional[str] = None) -> np.ndarray:
+        """One :meth:`~repro.join.executor.JoinExecutor.join` behind the
+        same admission, shed and error accounting as
+        :meth:`local_query_batch`."""
         start = time.perf_counter()
         lngs, lats = self._point_columns(lngs, lats)
         n = int(lngs.shape[0])
         chaos.fault("query", self.metrics)
         if trace is None:
             trace = self.tracer.sample(request_id=request_id, kind="join")
+        self._inflight += 1
         try:
             if budget is not None:
                 budget.trace = trace
@@ -474,6 +597,8 @@ class ACTService:
         except Exception:
             self._queries_errors.inc(n)
             raise
+        finally:
+            self._inflight -= 1
         self.metrics.counter("joins.total").inc()
         self.metrics.counter("joins.points").inc(n)
         elapsed = time.perf_counter() - start
@@ -484,17 +609,10 @@ class ACTService:
                                       extra={"num_points": n})
         return counts
 
-    # ------------------------------------------------------------------
-    # The unsharded answers (ShardedACTService overrides all three)
-    # ------------------------------------------------------------------
-    #: What a front runs for ``OP_FORWARD_*`` frames: the local entry
-    #: points, never re-routed.
-    local_query_batch = query_batch
-    local_join = join
-
     def shard_info(self) -> Optional[dict]:
         """This worker's shard block, or ``None``: not sharded."""
-        return None
+        return (None if self.router is None
+                else self.router.info(self.registry, self._inflight))
 
     # ------------------------------------------------------------------
     # Index lifecycle (the admin surface)
@@ -560,7 +678,7 @@ class ACTService:
         """Everything ``/stats`` reports: metrics, cache, indexes."""
         snapshot = self.metrics.snapshot()
         hit_rate = self.metrics.ratio("queries.cache_hits", "queries.total")
-        return {
+        out = {
             "uptime_seconds": time.monotonic() - self._started,
             "indexes": [self.registry.describe(n)
                         for n in self.registry.names()],
@@ -576,6 +694,12 @@ class ACTService:
                 "slow_query_ms": self.config.slow_query_ms,
             },
         }
+        if self.router is not None:
+            # published into the fleet's channel: sibling routers read
+            # this slot's depth from "admission"
+            out.update(shard=self.shard_info(), admission={
+                "inflight": self._inflight, "ts": time.time()})
+        return out
 
     def prometheus_text(self, fleet_view: Optional[dict] = None,
                         worker_id: Optional[int] = None) -> str:
@@ -681,8 +805,10 @@ class ACTService:
                                      labels=dict(labels))
 
     def close(self) -> None:
-        """Release what the service holds open (idempotent). The base
-        service holds nothing; the sharded router closes its pool."""
+        """Release what the service holds open (idempotent): the
+        router's forward connections."""
+        if self.router is not None:
+            self.router.close()
 
     def __enter__(self) -> "ACTService":
         return self

@@ -173,13 +173,6 @@ class ShardMap:
         """Owning slot for a single key (scalar convenience)."""
         return int(self.route(name, np.array([key], dtype=np.uint64))[0])
 
-    def slots_for(self, name: str) -> Tuple[int, ...]:
-        """Every slot owning some range of ``name`` (sorted, unique)."""
-        rs = self.ranges.get(name)
-        if rs is None:
-            raise UnknownIndexError(f"no shard ranges for index {name!r}")
-        return tuple(sorted({r.slot for r in rs}))
-
     def ranges_for_slot(self, name: str, slot: int,
                         ) -> Tuple[Tuple[int, int], ...]:
         """The ``(lo, hi)`` intervals of ``name`` owned by ``slot``."""

@@ -5,6 +5,18 @@ import pytest
 from repro.config import PAPER_NUM_BOROUGHS, PAPER_NUM_NEIGHBORHOODS
 from repro.datasets.nyc import REGION, boroughs, census_blocks, neighborhoods
 from repro.errors import DatasetError
+from repro.geometry.polygon import Ring
+from repro.geometry.segment import segments_intersect
+
+
+def _ring_is_simple(ring):
+    """No two non-adjacent edges of ``ring`` meet."""
+    edges = list(ring.edges())
+    n = len(edges)
+    return not any(
+        segments_intersect(*edges[i][0], *edges[i][1],
+                           *edges[j][0], *edges[j][1])
+        for i in range(n) for j in range(i + 2, n - (i == 0)))
 
 
 class TestBoroughs:
@@ -63,6 +75,24 @@ class TestCensusBlocks:
     def test_invalid_count(self):
         with pytest.raises(DatasetError):
             census_blocks(0)
+
+
+class TestGeneratedRingsAreValid:
+    """The generators emit simple rings (none of them emits holes)."""
+
+    def test_synthetic_datasets_valid(self, nyc_polygons):
+        for polygon in nyc_polygons[:10]:
+            assert not polygon.holes
+            assert all(_ring_is_simple(ring) for ring in polygon.rings())
+
+    def test_census_blocks_valid(self):
+        for block in census_blocks(40):
+            assert not block.holes
+            assert all(_ring_is_simple(ring) for ring in block.rings())
+
+    def test_a_bowtie_is_not_simple(self):
+        assert not _ring_is_simple(Ring([(0, 0), (2, 2), (2, 0), (0, 2)]))
+        assert _ring_is_simple(Ring([(0, 0), (2, 0), (2, 2), (0, 2)]))
 
 
 class TestSizeOrdering:

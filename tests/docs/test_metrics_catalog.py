@@ -17,9 +17,8 @@ governs.
 import re
 from pathlib import Path
 
-from repro.serve import IndexRegistry
+from repro.serve import ACTService, IndexRegistry, Router
 from repro.serve.lifecycle import FleetLifecycle
-from repro.serve.router import ShardedACTService
 from repro.serve.server import ACTServer, listen
 from repro.serve.shard import plan_shard_map
 
@@ -46,12 +45,12 @@ def _catalog_names():
 def _registered_names(nyc_index, artifact_dir):
     """Every counter/histogram family the serving stack registers
     eagerly, collected exactly the way production wires up: one
-    sharded service with all fronts and the lifecycle attached."""
+    service with a router, all fronts and the lifecycle attached."""
     registry = IndexRegistry()
     registry.register_index("nyc", nyc_index)
-    shard_map = plan_shard_map({"nyc": nyc_index}, 1)
-    service = ShardedACTService(registry=registry, shard_map=shard_map,
-                                slot=0)
+    router = Router(0)
+    router.route_by(plan_shard_map({"nyc": nyc_index}, 1))
+    service = ACTService(registry=registry, router=router)
     try:
         # never started: the constructor registers both protocols'
         ACTServer(service, [listen("127.0.0.1", 0)]).server_close()

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import taxi_points
-from repro.serve import IndexRegistry
-from repro.serve.router import ShardedACTService
+from repro.serve import ACTService, IndexRegistry, Router
 from repro.serve.shard import write_slices
 
 
@@ -38,15 +37,16 @@ def rng_serve():
 
 @pytest.fixture()
 def sharded_service(tmp_path):
-    """Factory for one slot's in-process :class:`ShardedACTService`,
-    mapped the way a fleet worker is: ``index`` is registered as
-    ``name``, its slices cut once per map generation into a directory
-    of ``tmp_path`` through :func:`write_slices` (the only way a slice
-    is made), and the service serves its own. Every service made is
-    closed."""
+    """Factory for one slot's in-process :class:`ACTService` with a
+    :class:`Router`, mapped the way a fleet worker is: ``index`` is
+    registered as ``name``, its slices cut once per map generation into
+    a directory of ``tmp_path`` through :func:`write_slices` (the only
+    way a slice is made), the router routes by ``shard_map`` and the
+    service serves its own slice. Every service made is closed."""
     made, cut = [], {}
 
-    def make(index, shard_map, slot, name="nyc", **kwargs):
+    def make(index, shard_map, slot, name="nyc", addresses=None,
+             snapshots=None):
         key = (name, shard_map.generation)
         if key not in cut:
             directory = tmp_path / f"{name}-map{shard_map.generation}"
@@ -54,8 +54,9 @@ def sharded_service(tmp_path):
             cut[key] = write_slices(index, shard_map, directory, name)
         registry = IndexRegistry()
         registry.register_index(name, index)
-        service = ShardedACTService(
-            registry=registry, shard_map=shard_map, slot=slot, **kwargs)
+        router = Router(slot, addresses, snapshots)
+        router.route_by(shard_map)
+        service = ACTService(registry=registry, router=router)
         made.append(service)
         service.adopt_generation(name, cut[key][slot], 1)
         return service

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import _legacy_results as legacy
 from repro.act.core import QueryResult, ResultBatch
 from repro.serve import ACTService, binproto
-from repro.serve.router import ShardedACTService
+from repro.serve.router import gather
 
 _IDS = st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=4).map(tuple)
 _RESULT = st.builds(QueryResult, _IDS, _IDS)
@@ -186,27 +186,6 @@ class TestRefineDifferential:
             nyc_index.executor.refine_pairs, list(approx), lngs, lats)
 
 
-class _Legs:
-    """Just enough of a ``ShardedACTService`` to run its ``query_batch``
-    gather over prepared legs."""
-
-    def __init__(self, legs):
-        self.legs = legs
-
-    @staticmethod
-    def _point_columns(lngs, lats):
-        return np.asarray(lngs), np.asarray(lats)
-
-    def _scatter(self, index_name, lngs, lats, send, recv, local, merge):
-        for pos, part in self.legs:
-            merge(pos, part)
-
-
-def _gather(n, legs):
-    return ShardedACTService.query_batch(
-        _Legs(legs), "x", np.zeros(n), np.zeros(n))
-
-
 class TestGatherDifferential:
     @given(st.lists(st.tuples(_RESULT, st.integers(0, 3)), max_size=40),
            st.permutations(range(4)))
@@ -220,7 +199,7 @@ class TestGatherDifferential:
         want = legacy.scatter(len(results), [
             (pos, [results[k] for k in pos.tolist()]) for pos in positions])
         assert want == results
-        got = _gather(len(results), [
+        got = gather(len(results), [
             (pos, ResultBatch.from_results([results[k] for k in pos.tolist()]))
             for pos in positions])
         assert isinstance(got, ResultBatch)

@@ -3,10 +3,11 @@
 Covers the keyspace invariants (contiguous cover of the full uint64
 cell-id space, boundary-cell routing), the slice/partition guarantees
 (every entry lands in exactly one slice, resident bytes shrink), and
-the in-process router: two :class:`ShardedACTService` instances wired
-to each other over real servers must answer exactly like one
-unsharded service, and admission control must shed only on positive
-fleet-wide evidence.
+the routing stage in process: two services, each with a
+:class:`~repro.serve.router.Router` and wired to the other over real
+servers, must answer exactly like one unsharded service, count each
+request's points once fleet-wide, and shed only on positive fleet-wide
+evidence.
 """
 
 import os
@@ -22,8 +23,9 @@ from repro.act.serialize import save_index
 from repro.errors import (BudgetExceededError, ServeError,
                           UnknownIndexError)
 from repro.datasets import taxi_points
+from repro.obs import Trace
 from repro.serve import (ACTService, Budget, FleetLifecycle, IndexRegistry,
-                         binproto, chaos)
+                         binproto, chaos, router)
 from repro.serve.server import ACTServer
 from repro.serve.shard import (KEY_MAX, ShardMap, ShardRange,
                                plan_shard_map, shard_keys, slice_index,
@@ -188,9 +190,8 @@ def _cross_wired(nyc_index, slots, sharded_service):
     services, servers = [], []
     try:
         for slot in range(slots):
-            service = sharded_service(
-                nyc_index, shard_map, slot, addresses=addresses,
-                forward_timeout_s=30.0)
+            service = sharded_service(nyc_index, shard_map, slot,
+                                      addresses=addresses)
             services.append(service)
             servers.append(ACTServer(service, [socks[slot]],
                                      worker_id=slot))
@@ -235,7 +236,7 @@ def plain(nyc_index):
     service.close()
 
 
-#: The three routed entry points; all run the one ``_scatter``.
+#: The three routed entry points; all run the one routing stage.
 ENTRY_POINTS = ("query", "query_batch", "join")
 
 
@@ -257,7 +258,7 @@ def _spanning_from_slot0(service, query_points):
     lngs, lats = query_points
     index = service.registry.get("nyc")
     keys = shard_keys(index.grid, lngs, lats, index.boundary_level)
-    slots = service.shard_map.route("nyc", keys)
+    slots = service.router.shard_map.route("nyc", keys)
     assert set(slots.tolist()) >= {0, 1}
     order = np.argsort(slots != 1, kind="stable")
     return lngs[order], lats[order]
@@ -269,12 +270,12 @@ def _counter(service, name):
 
 def _owing(service):
     """Pooled forward clients that still owe a reply."""
-    return [client for free in service._pool.values() for client in free
-            if client.owes_reply]
+    return [client for free in service.router._pool.values()
+            for client in free if client.owes_reply]
 
 
 class TestScatter:
-    """The one scatter/gather routine behind all three entry points."""
+    """The routing stage behind all three entry points."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -291,7 +292,28 @@ class TestScatter:
             assert timed.count == round_
         assert _counter(front, "shard.forward_errors") == 0
         # the second round reused the first round's pooled connection
-        assert [len(free) for free in front._pool.values()] == [1]
+        assert [len(free) for free in front.router._pool.values()] == [1]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_remote_leg_without_hits_matches_unsharded(
+            self, sharded_pair, plain, nyc_index, query_points, entry,
+            exact):
+        """A forward whose points hit no polygon: an empty reply."""
+        owner = sharded_pair[0].router.shard_map.route_one("nyc", KEY_MAX)
+        front = sharded_pair[1 - owner]
+        lngs, lats = query_points
+        keys = shard_keys(nyc_index.grid, lngs, lats,
+                          nyc_index.boundary_level)
+        mine = front.router.shard_map.route("nyc", keys) == 1 - owner
+        # out-of-domain points key to all-ones: the other slot's leg
+        lngs = np.concatenate([[10.0, 10.5, 11.0], lngs[mine]])
+        lats = np.concatenate([[10.0, 10.5, 11.0], lats[mine]])
+        timed = front.metrics.histogram("shard.forward_seconds")
+        assert _same(_call(front, entry, lngs, lats, exact=exact),
+                     _call(plain, entry, lngs, lats, exact=exact))
+        assert timed.count == 1
+        assert _counter(front, "shard.forward_errors") == 0
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_remote_shed_is_not_a_forward_error(
@@ -311,11 +333,11 @@ class TestScatter:
         assert front.metrics.histogram("shard.forward_seconds").count == 0
         # the reply was an error *frame*: the stream is in sync, so the
         # connection went back to the pool instead of being torn down
-        (pooled,) = front._pool[1]
+        (pooled,) = front.router._pool[1]
         assert not pooled.owes_reply and pooled.reconnects == 0
         assert _same(_call(front, entry, lngs, lats),
                      _call(plain, entry, lngs, lats))
-        assert front._pool[1] == [pooled]
+        assert front.router._pool[1] == [pooled]
 
     def test_mismatched_join_columns_rejected_alike(self, sharded_pair,
                                                    plain):
@@ -341,7 +363,7 @@ class TestScatter:
         assert _counter(front, "shard.forward_errors") == 0
         # the forward was already out: its client owed a reply, so it
         # was closed, never pooled for the next borrower
-        assert not any(front._pool.values())
+        assert not any(front.router._pool.values())
         assert _same(_call(front, entry, lngs, lats),
                      _call(plain, entry, lngs, lats))
 
@@ -384,7 +406,67 @@ class TestScatter:
         with pytest.raises(ServeError):
             _call(front, entry, lngs, lats)
         assert _counter(front, "shard.forward_errors") == 1
-        assert not any(front._pool.values())
+        assert not any(front.router._pool.values())
+
+
+class TestRequestAccounting:
+    """A routed request's points are counted once fleet-wide: where a
+    leg runs them, else on the worker the client called, the way an
+    unsharded worker counts them."""
+
+    def test_admission_shed_counts_every_point(
+            self, nyc_index, query_points, sharded_service, monkeypatch):
+        monkeypatch.setattr(router, "SHED_INFLIGHT", 0)  # all saturated
+        front = sharded_service(
+            nyc_index, plan_shard_map({"nyc": nyc_index}, 2), 0,
+            snapshots={1: {"admission": {"inflight": 0,
+                                         "ts": time.time()}}})
+        lngs, lats = query_points
+        with pytest.raises(BudgetExceededError):
+            front.query_batch("nyc", lngs, lats)
+        assert [_counter(front, name) for name in (
+            "queries.total", "queries.shed", "shard.shed")] == [400] * 3
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_unreachable_owner_counts_the_points_as_errors(
+            self, nyc_index, query_points, entry, sharded_service):
+        front = sharded_service(
+            nyc_index, plan_shard_map({"nyc": nyc_index}, 2), 0)
+        lngs, lats = _spanning_from_slot0(front, query_points)
+        with pytest.raises(ServeError):
+            _call(front, entry, lngs, lats)
+        points = 1 if entry == "query" else len(lngs)
+        assert _counter(front, "queries.errors") == points
+        # a join counts no queries.total, sharded or not
+        assert _counter(front, "queries.total") == (
+            0 if entry == "join" else points)
+
+    def test_an_empty_request_is_a_local_plan(self, sharded_pair):
+        front = sharded_pair[0]
+        assert front.query_batch("nyc", [], []) == []
+        assert not front.join("nyc", [], []).any()
+        assert front.metrics.histogram("shard.forward_seconds").count == 0
+        assert front.metrics.histogram("queries.latency_seconds").count == 1
+        assert _counter(front, "joins.total") == 1
+
+    def test_spanning_points_are_counted_once_fleet_wide(
+            self, sharded_pair, query_points):
+        lngs, lats = _spanning_from_slot0(sharded_pair[0], query_points)
+        for service in sharded_pair:
+            service.query_batch("nyc", lngs, lats)
+            for lng, lat in zip(lngs[:5], lats[:5]):
+                service.query("nyc", lng, lat)
+        assert sum(_counter(service, "queries.total")
+                   for service in sharded_pair) == 2 * (len(lngs) + 5)
+
+    def test_a_traced_spanning_batch_stamps_route_and_gather(
+            self, sharded_pair, query_points):
+        trace = Trace("t", kind="query_batch")
+        sharded_pair[0].query_batch("nyc", *query_points, trace=trace)
+        stages = [name for name, _seconds in trace.stages]
+        # the local leg's own stages run between the two
+        assert stages[0] == "route" and stages[-1] == "gather"
+        assert "admission" in stages
 
 
 class TestRoutedFront:
@@ -456,26 +538,39 @@ class TestShardedServiceInProcess:
             expected = nyc_index.query(lng, lat)
             for service in sharded_pair:
                 assert service.query("nyc", lng, lat) == expected
+        keys = shard_keys(nyc_index.grid, lngs[:20], lats[:20],
+                          nyc_index.boundary_level)
+        for service in sharded_pair:
+            stage = service.router
+            owned = int((stage.shard_map.route("nyc", keys)
+                         == stage.slot).sum())
+            assert 0 < _counter(service, "shard.local") == owned
+            # a point this slot owns takes the scalar path: its misses
+            # are inline descents, not one-point batches
+            assert _counter(service, "queries.inline_miss") > 0
 
     def test_shed_needs_whole_owner_set(self, nyc_index, query_points,
-                                        sharded_service):
+                                        sharded_service, monkeypatch):
         """Admission sheds only on fresh saturation of EVERY owner."""
+        monkeypatch.setattr(router, "SHED_INFLIGHT", 1)
+        monkeypatch.setattr(router, "SHED_STALENESS_S", 5.0)
         snapshots = {}
         service = sharded_service(
             nyc_index, plan_shard_map({"nyc": nyc_index}, 2), 0,
-            snapshots=snapshots, shed_inflight=1, shed_staleness_s=5.0)
+            snapshots=snapshots)
+        stage = service.router
         try:
             lngs, lats = query_points
             # no snapshot from the remote owner: fail open on the
             # admission check (the forward itself then fails — there is
             # no address — which is the error path, not the shed path)
-            assert service._fleet_saturated([0, 1]) is False
+            assert stage._saturated([0, 1], service._inflight) is False
             service._inflight = 3  # own slot saturated
-            assert service._fleet_saturated([0, 1]) is False
+            assert stage._saturated([0, 1], service._inflight) is False
             snapshots[1] = {"admission": {"inflight": 99,
                                           "ts": time.time()}}
-            service._snap_cache = (0.0, {})  # drop the cached view
-            assert service._fleet_saturated([0, 1]) is True
+            stage._snap_cache = (0.0, {})  # drop the cached view
+            assert stage._saturated([0, 1], service._inflight) is True
             shed_before = service.metrics.counter("shard.shed").value
             with pytest.raises(BudgetExceededError):
                 service.query_batch("nyc", lngs, lats)
@@ -484,8 +579,8 @@ class TestShardedServiceInProcess:
             # a stale saturation report fails open again
             snapshots[1] = {"admission": {"inflight": 99,
                                           "ts": time.time() - 60.0}}
-            service._snap_cache = (0.0, {})
-            assert service._fleet_saturated([0, 1]) is False
+            stage._snap_cache = (0.0, {})
+            assert stage._saturated([0, 1], service._inflight) is False
         finally:
             service._inflight = 0
 
@@ -506,7 +601,7 @@ class TestShardedServiceInProcess:
         assert service.shard_info()["map_generation"] == 1
         paths = write_slices(nyc_index, map2, tmp_path, "nyc")
         service.adopt_generation("nyc", paths[0], 2)
-        service.route_by(map2)
+        service.router.route_by(map2)
         info = service.shard_info()
         assert info["map_generation"] == 2
         assert info["slice_path"] == {"nyc": str(paths[0])}

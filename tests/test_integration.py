@@ -115,15 +115,3 @@ class TestExportScenario:
         loaded = geojson.load_polygons(path)
         assert len(loaded) == len(features)
 
-
-class TestSerializationRoundtrip:
-    def test_polygons_survive_wkt(self, nyc_polygons, taxi_batch):
-        """Index built from WKT-roundtripped polygons behaves identically."""
-        from repro.geometry import wkt
-
-        polys = [wkt.loads(wkt.dumps(p)) for p in nyc_polygons[:6]]
-        lngs, lats = taxi_batch
-        a = ACTIndex.build(polys, precision_meters=150.0)
-        b = ACTIndex.build(nyc_polygons[:6], precision_meters=150.0)
-        assert a.count_points(lngs, lats, exact=True).tolist() == \
-            b.count_points(lngs, lats, exact=True).tolist()
