@@ -1,8 +1,9 @@
 """Public facade: the ACT approximate geospatial join index.
 
 :class:`ACTIndex` bundles the grid, the columnar :class:`~repro.act.core.
-ACTCore`, and the original polygons behind the interface a downstream
-user needs:
+ACTCore`, and the polygons (as flat ring columns, with :class:`~repro.
+geometry.polygon.Polygon` objects materialised on demand) behind the
+interface a downstream user needs:
 
 * :meth:`ACTIndex.build` — index a set of polygons at a precision bound
   (the build emits the core's flat arrays directly);
@@ -16,12 +17,13 @@ user needs:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import BuildError
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, PolygonColumns
 from ..grid.base import HierarchicalGrid
 from ..grid.planar import PlanarGrid
 from .builder import ACTBuilder, BuildResult
@@ -39,11 +41,16 @@ class ACTIndex:
     """Approximate point-in-polygon join index with a precision guarantee."""
 
     def __init__(self, grid: HierarchicalGrid, core: ACTCore,
-                 polygons: Sequence[Polygon], stats: IndexStats,
-                 boundary_level: int):
+                 polygons: Union[Sequence[Polygon], PolygonColumns],
+                 stats: IndexStats, boundary_level: int):
         self.grid = grid
         self.core = core
-        self.polygons = list(polygons)
+        self._polygons: Optional[List[Polygon]] = None
+        self._columns: Optional[PolygonColumns] = None
+        if isinstance(polygons, PolygonColumns):
+            self._columns = polygons
+        else:
+            self._polygons = list(polygons)
         self.stats = stats
         self.boundary_level = boundary_level
         self._executor: Optional["JoinExecutor"] = None
@@ -95,7 +102,27 @@ class ACTIndex:
 
     @property
     def num_polygons(self) -> int:
+        if self._columns is not None:
+            return len(self._columns)
         return len(self.polygons)
+
+    @property
+    def columns(self) -> PolygonColumns:
+        """The polygons as flat ring columns: what the edge table packs
+        from and the artifact stores (flattened once for a built index)."""
+        if self._columns is None:
+            self._columns = PolygonColumns.from_polygons(self.polygons)
+        return self._columns
+
+    @property
+    def polygons(self) -> List[Polygon]:
+        """The polygons as objects, materialised from :attr:`columns` on
+        first use for a loaded index. No query path reads them: build,
+        the baselines and brute-force oracles do."""
+        if self._polygons is None:
+            assert self._columns is not None
+            self._polygons = self._columns.to_polygons()
+        return self._polygons
 
     @property
     def lookup_table(self) -> LookupTable:
@@ -147,14 +174,19 @@ class ACTIndex:
         """Exact join: candidates are refined with point-in-polygon tests.
 
         True hits skip refinement entirely (the true-hit-filtering
-        speedup); only boundary-cell matches pay for a PIP test.
+        speedup); only boundary-cell matches pay for a PIP test, through
+        the packed-edge engine every exact path shares.
         """
         result = self.query(lng, lat)
-        refined = tuple(
-            pid for pid in result.candidates
-            if self.polygons[pid].contains(lng, lat)
-        )
-        return result.true_hits + refined
+        if not result.candidates:
+            return result.true_hits
+        ids = np.asarray(result.candidates, dtype=np.int64)
+        inside = self.executor.refine_pairs(
+            np.zeros(ids.shape[0], dtype=np.int64), ids,
+            np.asarray([lng], dtype=np.float64),
+            np.asarray([lat], dtype=np.float64))
+        return result.true_hits + tuple(compress(result.candidates,
+                                                 inside.tolist()))
 
     # ------------------------------------------------------------------
     # Vectorized queries

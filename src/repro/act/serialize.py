@@ -2,20 +2,38 @@
 
 The paper targets *static* polygon sets, so building once and shipping
 the index to query nodes is the natural deployment. The on-disk format
-is a single compressed ``.npz``:
+(version 2) is a single ``.npz`` whose every member is an array, so a
+load is array reads and nothing else:
 
-* the node pool (``(num_nodes, fanout)`` uint64) and face roots;
-* the lookup-table uint32 array;
-* grid parameters (kind, bounds, max level);
-* the original polygons (GeoJSON, needed for exact-mode refinement);
-* build stats (JSON) so Table-I metrics survive the roundtrip.
+============ ======= ================ ============================== =======
+member       dtype   shape            bytes                          zip
+============ ======= ================ ============================== =======
+nodes        uint64  ``(N, fanout)``  ``8 * N * fanout``             stored
+roots        uint64  ``(6,)``         48 (one per face)              deflate
+lookup       uint32  ``(W,)``         ``4 * W``                      deflate
+grid_params  float64 ``(5,)``/``(1,)`` 40 planar / 8 S2-like          deflate
+meta         uint8   ``(M,)``         ``M``: JSON (version, fanout,  deflate
+                                      boundary level, grid kind,
+                                      build stats)
+ring_xy      float64 ``(2, V)``       ``16 * V``: every ring's       deflate
+                                      vertices, x row then y row
+ring_ptr     int64   ``(R + 1,)``     ``8 * (R + 1)``: ring CSR      deflate
+poly_ptr     int64   ``(P + 1,)``     ``8 * (P + 1)``: polygon CSR   deflate
+============ ======= ================ ============================== =======
+
+``N`` pool rows, ``W`` lookup words, ``V`` vertices in ``R`` rings of
+``P`` polygons. The last three are a
+:class:`~repro.geometry.polygon.PolygonColumns`: rings stored already
+normalised (shell CCW, holes CW), shell first. The edge table behind
+exact refinement packs from them in one vectorized pass, and
+:attr:`ACTIndex.polygons <repro.act.index.ACTIndex.polygons>` builds
+``Polygon`` objects from them only when something asks.
 
 The stored arrays *are* the canonical :class:`~repro.act.core.ACTCore`
 representation, so :func:`load_index` materializes the core directly
-from the ``.npz`` buffers — nothing is rebuilt or re-laid-out, which
-keeps cold loads (e.g. the serve registry pinning an index on first
-request) at array-copy speed. Loading returns
-an :class:`~repro.act.index.ACTIndex` that answers identically to the
+from the ``.npz`` buffers — nothing is rebuilt or re-laid-out, and only
+``meta`` is parsed as JSON. Loading returns an
+:class:`~repro.act.index.ACTIndex` that answers identically to the
 original (tests assert bit-equal lookups).
 
 The archive is written member by member so the node pool — the one
@@ -33,19 +51,26 @@ starts on a 64-byte file offset: the mapped pool is an *aligned* array
 (``_descend`` 50 -> 39 ns/point) and never silently copies. Archives
 written without the padding load as before, just unaligned.
 
-**Integrity.** Every archive carries a ``manifest`` member written
-last: per-member CRC32 over the raw array bytes plus the dtype/shape/
-byte-count each member must decode to. :func:`load_index` verifies on
-open — the default ``verify="header"`` checks every *small* member's
-checksum and the node pool's declared geometry (so an mmap cold load
-stays lazy: the pool's pages are never faulted in just to hash them),
-while ``verify="full"`` also hashes the node pool (chunked, so even a
-memory-mapped pool is streamed rather than copied). Any mismatch — and
-any structurally unreadable archive — raises
+**Integrity.** Every archive carries a manifest in its zip comment
+(written with the central directory, after every member): per member,
+the CRC32 of its ``.npy`` stream plus the dtype/shape/byte count it
+must decode to — the byte cost of every member is stated when written
+and checked when read. The CRC is the one the zip layer computes as it
+writes a member and checks every byte against as it reads one, so a
+member read whole is hashed once, by the read; the comment is read
+with the central directory, so checking the manifest costs no member
+read. :func:`load_index` verifies on open — the default
+``verify="header"`` covers every member read (all but a mapped node
+pool, geometry included) and checks the pool's declared geometry and
+recorded CRC without touching its data (an mmap cold load stays lazy:
+the pool's pages are never faulted in just to hash them), while
+``verify="full"`` also streams the mapped pool through the zip layer's
+hash, 16 MiB at a time. Any mismatch, a missing manifest or member,
+and any structurally unreadable archive raises
 :class:`~repro.errors.ArtifactCorruptError`, which the serving
-lifecycle treats as a NACK (quarantine + rollback). Archives written
-before the manifest existed still load under ``verify="header"``;
-``verify="full"`` refuses them.
+lifecycle treats as a NACK (quarantine + rollback). A version-1
+archive (polygons as a GeoJSON member) raises
+:class:`~repro.errors.ACTError`: rebuild and save it again.
 """
 
 from __future__ import annotations
@@ -56,14 +81,14 @@ import struct
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
 from ..errors import (ACTError, ArtifactCorruptError, CapacityError,
                       ReproError)
-from ..geometry import geojson
 from ..geometry.bbox import Rect
+from ..geometry.polygon import PolygonColumns
 from ..grid.planar import PlanarGrid
 from ..grid.s2like import S2LikeGrid
 from .core import ACTCore
@@ -71,8 +96,14 @@ from .index import ACTIndex
 from .lookup_table import LookupTable
 from .stats import IndexStats
 
-#: On-disk format version (bump on layout changes).
-FORMAT_VERSION = 1
+#: On-disk format version (bump on layout changes). Version 1 stored
+#: the polygons as a GeoJSON member; it has no reader.
+FORMAT_VERSION = 2
+
+#: Members read whole on every load (all but ``meta``, which is read
+#: first, and the node pool, which may be mapped instead).
+_EAGER_MEMBERS = ("roots", "lookup", "grid_params",
+                  "ring_xy", "ring_ptr", "poly_ptr")
 
 #: Checksum algorithm recorded in the manifest (stdlib CRC32; the
 #: manifest names it so a future xxhash/CRC32C upgrade can coexist).
@@ -89,28 +120,11 @@ _PAD_EXTRA_ID = 0xD935
 _VERIFY_MODES = ("off", "header", "full")
 
 
-def _crc32_array(array: np.ndarray) -> int:
-    """CRC32 over an array's raw data bytes, streamed in chunks.
-
-    Chunking matters for memory-mapped pools: the bytes are hashed
-    16 MiB at a time straight off the buffer (pages fault in and can be
-    reclaimed), never copied wholesale with ``tobytes()``.
-    """
-    view = memoryview(np.ascontiguousarray(array)).cast("B")
-    crc = 0
-    step = 1 << 24
-    for start in range(0, len(view), step):
-        crc = zlib.crc32(view[start:start + step], crc)
-    return crc & 0xFFFFFFFF
-
-
 def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
     """Persist ``index`` to ``path`` (``.npz``; extension not enforced)."""
     core = index.core
-    polygons_doc = geojson.feature_collection(
-        geojson.feature(p, {"id": pid})
-        for pid, p in enumerate(index.polygons)
-    )
+    columns = index.columns
+    columns.check()  # never write geometry a reader would refuse
     grid = index.grid
     if isinstance(grid, PlanarGrid):
         grid_kind = "planar"
@@ -140,9 +154,9 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
         "grid_params": np.asarray(grid_params, dtype=np.float64),
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"),
                               dtype=np.uint8),
-        "polygons": np.frombuffer(
-            json.dumps(polygons_doc).encode("utf-8"), dtype=np.uint8
-        ),
+        "ring_xy": columns.xy,
+        "ring_ptr": columns.ring_ptr,
+        "poly_ptr": columns.poly_ptr,
     }
     # hand-rolled npz: the node pool is a STORED member so load_index
     # can memory-map it in place; everything else stays deflated
@@ -151,12 +165,6 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
     with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
         for name, array in members.items():
             array = np.ascontiguousarray(array)
-            manifest["members"][name] = {
-                "crc32": _crc32_array(array),
-                "bytes": int(array.nbytes),
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-            }
             info = zipfile.ZipInfo(f"{name}.npy",
                                    date_time=(1980, 1, 1, 0, 0, 0))
             if name == "nodes":
@@ -166,18 +174,17 @@ def save_index(index: ACTIndex, path: Union[str, Path]) -> None:
                 info.compress_type = zipfile.ZIP_DEFLATED
             with archive.open(info, "w") as fp:
                 np.lib.format.write_array(fp, array, allow_pickle=False)
-        # the manifest goes last so it covers every data member; a
-        # truncated write can therefore never produce an archive whose
-        # manifest vouches for members that were not fully written
-        info = zipfile.ZipInfo("manifest.npy",
-                               date_time=(1980, 1, 1, 0, 0, 0))
-        info.compress_type = zipfile.ZIP_DEFLATED
-        with archive.open(info, "w") as fp:
-            np.lib.format.write_array(
-                fp,
-                np.frombuffer(json.dumps(manifest).encode("utf-8"),
-                              dtype=np.uint8),
-                allow_pickle=False)
+            manifest["members"][name] = {
+                "crc32": info.CRC,  # the zip layer hashed the stream
+                "bytes": int(array.nbytes),
+                "dtype": str(array.dtype),
+                "shape": list(array.shape),
+            }
+        # the manifest rides in the archive comment, which the zip
+        # layer writes last (with the central directory, on close) and
+        # reads first: it covers every member, a truncated write cannot
+        # carry it, and checking it costs a reader no member read
+        archive.comment = json.dumps(manifest).encode("utf-8")
 
 
 def _aligning_extra(archive: zipfile.ZipFile,
@@ -218,39 +225,18 @@ def save_index_atomic(index: ACTIndex, path: Union[str, Path]) -> Path:
     return path
 
 
-def _npy_payload(raw: bytes) -> bytes:
-    """The data bytes of a v1/v2 ``.npy`` stream, without a numpy
-    array round-trip — the manifest is a tiny uint8 member, and going
-    through ``NpzFile.__getitem__`` for it costs as much as loading a
-    whole extra data member on every verified open."""
-    if raw[:6] != b"\x93NUMPY":
-        raise ValueError("not an npy stream")
-    if raw[6] == 1:
-        offset = 10 + int.from_bytes(raw[8:10], "little")
-    else:
-        offset = 12 + int.from_bytes(raw[8:12], "little")
-    if offset >= len(raw):
-        raise ValueError("npy stream truncated before its data")
-    return raw[offset:]
-
-
-def _read_manifest(data: Any, path: Union[str, Path]) -> Optional[dict]:
-    """The parsed integrity manifest, or ``None`` for pre-manifest
-    archives (written before this format carried one)."""
-    if "manifest" not in getattr(data, "files", ()):
-        return None
-    try:
-        archive = getattr(data, "zip", None)
-        if archive is not None:
-            payload = _npy_payload(archive.read("manifest.npy"))
-        else:  # NpzFile without an open zip handle (never numpy's own)
-            payload = bytes(data["manifest"].tobytes())
-        manifest = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, KeyError, OSError,
-            zipfile.BadZipFile) as exc:
+def _read_manifest(archive: zipfile.ZipFile,
+                   path: Union[str, Path]) -> dict:
+    """The parsed integrity manifest from the archive comment."""
+    if not archive.comment:
         raise ArtifactCorruptError(
-            f"{path}: integrity manifest is unreadable: {exc}"
-        ) from exc
+            f"{path}: archive carries no integrity manifest (its zip "
+            f"comment is empty); re-save it with this version")
+    try:
+        manifest = json.loads(archive.comment.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ArtifactCorruptError(
+            f"{path}: integrity manifest is unreadable: {exc}") from exc
     if not isinstance(manifest, dict) \
             or not isinstance(manifest.get("members"), dict):
         raise ArtifactCorruptError(
@@ -258,37 +244,62 @@ def _read_manifest(data: Any, path: Union[str, Path]) -> Optional[dict]:
     return manifest
 
 
-def _check_member(path: Union[str, Path], members: dict, name: str,
-                  array: np.ndarray, data: bool = True) -> None:
-    """One member against its manifest entry; ``data=False`` checks only
-    the decoded geometry (dtype/shape/bytes), never touching the data —
-    that is what keeps the mmap cold-load path lazy."""
+def _check_member(path: Union[str, Path], archive: zipfile.ZipFile,
+                  members: dict, name: str, array: np.ndarray) -> None:
+    """One member against its manifest entry: the dtype/shape/bytes it
+    decoded to, and the CRC32 of its ``.npy`` stream as the central
+    directory records it. That CRC is what the zip layer checks every
+    byte against as it reads a member (:func:`_read_member`), so a
+    read member is hashed exactly once; a mapped pool is not hashed
+    here at all (:func:`_hash_member` does that under ``"full"``)."""
     entry = members.get(name)
     if not isinstance(entry, dict):
         raise ArtifactCorruptError(
             f"{path}: member {name!r} is missing from the integrity "
             f"manifest")
-    array = np.asarray(array)
     try:  # np.dtype() lookup beats str(array.dtype) (a slow property)
-        dtype_ok = np.dtype(entry.get("dtype")) == array.dtype
+        ok = (entry.get("bytes") == array.nbytes
+              and entry.get("shape") == list(array.shape)
+              and np.dtype(entry.get("dtype")) == array.dtype)
     except TypeError:
-        dtype_ok = False
-    if (int(entry.get("bytes", -1)) != int(array.nbytes)
-            or not dtype_ok
-            or list(entry.get("shape", ())) != list(array.shape)):
+        ok = False
+    if not ok:
         raise ArtifactCorruptError(
             f"{path}: member {name!r} does not match its manifest "
             f"entry: manifest says {entry.get('dtype')}"
             f"{list(entry.get('shape', ()))} ({entry.get('bytes')} B), "
             f"archive decodes to {array.dtype}{list(array.shape)} "
             f"({array.nbytes} B)")
-    if data:
-        crc = _crc32_array(array)
-        want = int(entry.get("crc32", -1))
-        if crc != want:
-            raise ArtifactCorruptError(
-                f"{path}: member {name!r} checksum mismatch "
-                f"(crc32 {crc:#010x}, manifest {want:#010x})")
+    crc = archive.getinfo(f"{name}.npy").CRC
+    if crc != entry.get("crc32"):
+        raise ArtifactCorruptError(
+            f"{path}: member {name!r} checksum mismatch (crc32 "
+            f"{crc:#010x}, manifest {entry.get('crc32')!r})")
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One member read whole, into an array of its own. Reading to the
+    end is what makes the zip layer compare the CRC32 of every byte it
+    produced with the central directory's (``BadZipFile`` otherwise)."""
+    with archive.open(f"{name}.npy") as fp:
+        array = np.lib.format.read_array(fp, allow_pickle=False)
+        if fp.read(1):
+            raise ValueError(f"member {name!r} has bytes past its array")
+    return array
+
+
+def _hash_member(archive: zipfile.ZipFile, path: Union[str, Path],
+                 name: str) -> None:
+    """Stream a (mapped) member through the zip layer, 16 MiB at a
+    time, so it hashes every byte against the central directory's CRC
+    without the pool ever being copied whole."""
+    try:
+        with archive.open(f"{name}.npy") as fp:
+            while fp.read(1 << 24):
+                pass
+    except zipfile.BadZipFile as exc:
+        raise ArtifactCorruptError(
+            f"{path}: member {name!r} checksum mismatch: {exc}") from exc
 
 
 #: Exceptions that mean "the archive itself is unreadable" — wrapped
@@ -304,8 +315,11 @@ def load_index(path: Union[str, Path],
                verify: str = "header") -> ACTIndex:
     """Load an index written by :func:`save_index`.
 
-    The node pool, roots and lookup-table words feed
-    :class:`~repro.act.core.ACTCore` directly, as the arrays they are.
+    Every member is an array and goes to its owner as it is: the node
+    pool, roots and lookup-table words to
+    :class:`~repro.act.core.ACTCore`, the ring columns to the index as
+    a :class:`~repro.geometry.polygon.PolygonColumns`. Only ``meta`` is
+    JSON, and no :class:`~repro.geometry.polygon.Polygon` is built.
 
     ``mmap_mode`` (``"r"`` read-only or ``"c"`` copy-on-write) maps the
     node pool straight from the archive instead of reading it: the
@@ -313,14 +327,16 @@ def load_index(path: Union[str, Path],
     lazily on first access, and is shared (not duplicated) across
     processes forked after the load.
 
-    ``verify`` controls integrity checking against the embedded
-    manifest: ``"header"`` (default) checksums every small member and
-    validates the node pool's declared geometry without touching its
-    data (mmap loads stay lazy; eagerly read pools are still covered by
-    the zip layer's own CRC); ``"full"`` additionally hashes the node
-    pool bytes; ``"off"`` skips the manifest entirely. Failures — and
-    structurally unreadable archives under any mode — raise
-    :class:`~repro.errors.ArtifactCorruptError`.
+    ``verify`` controls integrity checking against the manifest in the
+    archive comment: ``"header"`` (default) checks every member's
+    dtype/shape/bytes and recorded CRC; every member read (all but a
+    mapped pool) was hashed against that CRC by the read itself, and a
+    mapped pool's data is not touched (mmap loads stay lazy);
+    ``"full"`` additionally hashes a mapped pool; ``"off"`` skips the
+    manifest (reads still check the zip layer's CRCs).
+    Failures — and structurally unreadable archives under any mode —
+    raise :class:`~repro.errors.ArtifactCorruptError`; an archive of
+    another format version raises :class:`~repro.errors.ACTError`.
     """
     if mmap_mode not in (None, "r", "c"):
         raise ACTError(
@@ -331,47 +347,37 @@ def load_index(path: Union[str, Path],
             f"verify must be one of {_VERIFY_MODES}, got {verify!r}"
         )
     try:
-        # np.load is handed an open file so that the file is closed here
-        # even when the zip parse inside np.load raises
-        with open(path, "rb") as handle, np.load(handle) as data:
-            meta_bytes = bytes(data["meta"].tobytes())
-            meta = json.loads(meta_bytes.decode("utf-8"))
+        # the zip is handed an open file so that the file is closed here
+        # even when the zip parse raises
+        with open(path, "rb") as handle, \
+                zipfile.ZipFile(handle) as archive:
+            meta_array = _read_member(archive, "meta")
+            meta = json.loads(bytes(meta_array.tobytes()).decode("utf-8"))
             if meta.get("version") != FORMAT_VERSION:
                 raise ACTError(
                     f"unsupported index format version "
-                    f"{meta.get('version')!r}"
+                    f"{meta.get('version')!r} (this reader reads "
+                    f"{FORMAT_VERSION}); rebuild the index and save it "
+                    f"again"
                 )
-            manifest = None
+            # a mapped pool's bytes are never even read here
+            nodes = (_mmap_npz_member(archive, handle, path, "nodes",
+                                      mmap_mode)
+                     if mmap_mode else _read_member(archive, "nodes"))
+            arrays = {name: _read_member(archive, name)
+                      for name in _EAGER_MEMBERS}
             if verify != "off":
-                manifest = _read_manifest(data, path)
-                if manifest is None and verify == "full":
-                    raise ArtifactCorruptError(
-                        f"{path}: archive carries no integrity manifest "
-                        f"(pre-manifest format); re-save to enable "
-                        f"verify='full'")
-            # NpzFile reads members lazily, so skipping data["nodes"] in
-            # mmap mode means the pool's bytes are never even read here
-            nodes = (_mmap_npz_member(path, "nodes.npy", mmap_mode)
-                     if mmap_mode else data["nodes"])
-            roots = data["roots"]
-            lookup_array = data["lookup"]
-            grid_params = data["grid_params"]
-            polygons_bytes = bytes(data["polygons"].tobytes())
-            polygons_doc = json.loads(polygons_bytes.decode("utf-8"))
-            if manifest is not None:
-                members = manifest["members"]
-                _check_member(path, members, "meta",
-                              np.frombuffer(meta_bytes, dtype=np.uint8))
-                _check_member(path, members, "polygons",
-                              np.frombuffer(polygons_bytes,
-                                            dtype=np.uint8))
-                _check_member(path, members, "roots", roots)
-                _check_member(path, members, "lookup", lookup_array)
-                _check_member(path, members, "grid_params", grid_params)
-                _check_member(path, members, "nodes", nodes,
-                              data=(verify == "full"))
+                members = _read_manifest(archive, path)["members"]
+                arrays["meta"], arrays["nodes"] = meta_array, nodes
+                for name, array in arrays.items():
+                    _check_member(path, archive, members, name, array)
+                if verify == "full" and mmap_mode:
+                    _hash_member(archive, path, "nodes")
             # walks the set headers: words that do not parse are damage
-            lookup_table = LookupTable(lookup_array)
+            lookup_table = LookupTable(arrays["lookup"])
+            columns = PolygonColumns(arrays["ring_xy"], arrays["ring_ptr"],
+                                     arrays["poly_ptr"])
+            columns.check()
     except CapacityError as exc:
         raise ArtifactCorruptError(
             f"index artifact {path} is corrupt: {exc}") from exc
@@ -383,6 +389,7 @@ def load_index(path: Union[str, Path],
             f"{type(exc).__name__}: {exc}"
         ) from exc
 
+    grid_params = arrays["grid_params"]
     grid: Union[PlanarGrid, S2LikeGrid]
     if meta["grid_kind"] == "planar":
         bounds = Rect(*grid_params[:4])
@@ -393,66 +400,62 @@ def load_index(path: Union[str, Path],
         raise ACTError(f"unknown grid kind {meta['grid_kind']!r}")
 
     core = ACTCore(
-        nodes, roots, lookup_table,
+        nodes, arrays["roots"], lookup_table,
         fanout=meta["fanout"], num_entries=meta["num_trie_entries"],
     )
-    polygons = []
-    for feat in polygons_doc["features"]:
-        geom = geojson.geometry_from_geojson(feat["geometry"])
-        polygons.append(geom)
     stats = _stats_from_dict(meta["stats"])
-    return ACTIndex(grid, core, polygons, stats, meta["boundary_level"])
+    return ACTIndex(grid, core, columns, stats, meta["boundary_level"])
 
 
-def _mmap_npz_member(path: Union[str, Path], member: str,
+def _mmap_npz_member(archive: zipfile.ZipFile, fp: BinaryIO,
+                     path: Union[str, Path], name: str,
                      mmap_mode: str) -> np.ndarray:
-    """Memory-map one *stored* ``.npy`` member of an ``.npz`` archive.
+    """Memory-map one *stored* ``.npy`` member of an open ``.npz``.
 
     A stored zip member is the raw ``.npy`` stream at
     ``local header offset + header size``, so after parsing the npy
     header the array data can be mapped directly from the archive file
-    — zero copies, lazy paging.
+    (``fp``, the file ``archive`` reads) — zero copies, lazy paging.
     """
-    with zipfile.ZipFile(path) as archive:
-        try:
-            info = archive.getinfo(member)
-        except KeyError:
-            raise ArtifactCorruptError(
-                f"archive {path} has no member {member!r}") from None
+    member = f"{name}.npy"
+    try:
+        info = archive.getinfo(member)
+    except KeyError:
+        raise ArtifactCorruptError(
+            f"archive {path} has no member {member!r}") from None
     if info.compress_type != zipfile.ZIP_STORED:
         raise ACTError(
             f"member {member!r} is compressed and cannot be memory-"
             f"mapped; re-save the index with this version to enable "
             f"mmap_mode"
         )
-    with open(path, "rb") as fp:
-        # the central directory's header_offset points at the local
-        # file header; its name/extra lengths give the data offset
-        fp.seek(info.header_offset)
-        local = fp.read(30)
-        if len(local) != 30 or local[:4] != b"PK\x03\x04":
-            raise ArtifactCorruptError(
-                f"{path}: corrupt local file header for {member!r}")
-        name_len, extra_len = struct.unpack("<HH", local[26:30])
-        fp.seek(info.header_offset + 30 + name_len + extra_len)
-        version = np.lib.format.read_magic(fp)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fp)
-        else:
-            raise ArtifactCorruptError(
-                f"unsupported npy format version {version} in {member!r}"
-            )
-        data_offset = fp.tell()
-        end = data_offset + int(
-            np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64)))
-        fp.seek(0, os.SEEK_END)
-        if fp.tell() < end:
-            raise ArtifactCorruptError(
-                f"{path}: member {member!r} is truncated (needs bytes "
-                f"up to offset {end}, file ends at {fp.tell()})")
-    return np.memmap(path, dtype=dtype,
+    # the central directory's header_offset points at the local
+    # file header; its name/extra lengths give the data offset
+    fp.seek(info.header_offset)
+    local = fp.read(30)
+    if len(local) != 30 or local[:4] != b"PK\x03\x04":
+        raise ArtifactCorruptError(
+            f"{path}: corrupt local file header for {member!r}")
+    name_len, extra_len = struct.unpack("<HH", local[26:30])
+    fp.seek(info.header_offset + 30 + name_len + extra_len)
+    version = np.lib.format.read_magic(fp)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(fp)
+    else:
+        raise ArtifactCorruptError(
+            f"unsupported npy format version {version} in {member!r}"
+        )
+    data_offset = fp.tell()
+    end = data_offset + int(
+        np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64)))
+    file_size = os.fstat(fp.fileno()).st_size
+    if file_size < end:
+        raise ArtifactCorruptError(
+            f"{path}: member {member!r} is truncated (needs bytes "
+            f"up to offset {end}, file ends at {file_size})")
+    return np.memmap(fp, dtype=dtype,
                      mode=mmap_mode,  # type: ignore[arg-type]
                      offset=data_offset, shape=shape,
                      order="F" if fortran else "C")
@@ -461,30 +464,29 @@ def _mmap_npz_member(path: Union[str, Path], member: str,
 def verify_artifact(path: Union[str, Path], full: bool = False) -> dict:
     """Standalone integrity check of a serialized index.
 
-    ``full=False`` mirrors ``load_index(verify="header")`` — every small
-    member is checksummed, the node pool only has its declared geometry
-    validated; ``full=True`` hashes the pool too. Returns the parsed
-    manifest on success; raises
+    ``full=False`` mirrors ``load_index(verify="header")`` — every
+    member but the node pool is read (and so hashed), the pool only has
+    its declared geometry and recorded CRC checked; ``full=True``
+    hashes the pool too. Returns the parsed manifest on success; raises
     :class:`~repro.errors.ArtifactCorruptError` on any mismatch, on a
-    structurally unreadable archive, or when the archive predates the
-    manifest format.
+    structurally unreadable archive, or when the archive carries no
+    manifest.
     """
     path = Path(path)
     try:
-        with open(path, "rb") as handle, np.load(handle) as data:
-            manifest = _read_manifest(data, path)
-            if manifest is None:
-                raise ArtifactCorruptError(
-                    f"{path}: archive carries no integrity manifest "
-                    f"(pre-manifest format); re-save to enable "
-                    f"verification")
+        with open(path, "rb") as handle, \
+                zipfile.ZipFile(handle) as archive:
+            manifest = _read_manifest(archive, path)
             members = manifest["members"]
             for name in members:
-                if name == "nodes" and not full:
-                    array = _mmap_npz_member(path, "nodes.npy", "r")
-                    _check_member(path, members, name, array, data=False)
+                if name == "nodes":
+                    array = _mmap_npz_member(archive, handle, path, name,
+                                             "r")
+                    if full:
+                        _hash_member(archive, path, name)
                 else:
-                    _check_member(path, members, name, data[name])
+                    array = _read_member(archive, name)
+                _check_member(path, archive, members, name, array)
     except CapacityError as exc:
         raise ArtifactCorruptError(
             f"index artifact {path} is corrupt: {exc}") from exc

@@ -3,6 +3,11 @@
 :class:`PackedEdgeTable` concatenates every polygon's edges (shell and
 holes, closing edges included) into four flat float64 arrays with a CSR
 ``indptr`` per polygon, plus the per-polygon bounding boxes as columns.
+It is packed from a :class:`~repro.geometry.polygon.PolygonColumns`
+(the ring columns an index stores) in one vectorized pass; a list of
+:class:`~repro.geometry.polygon.Polygon` is flattened to those columns
+first.
+
 Its :meth:`~PackedEdgeTable.refine` kernel evaluates the even/odd
 crossing-number test for an arbitrary batch of ``(point, polygon)``
 candidate pairs in one vectorized pass: pairs expand to per-pair edge
@@ -31,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polygon import Polygon
+from .polygon import Polygon, PolygonColumns
 
 #: Default cap on gathered (pair, edge) rows per refinement chunk.
 #: 1<<21 rows keep the working set around ~100 MB across the dozen
@@ -73,36 +78,34 @@ class PackedEdgeTable:
                       chunk_edges: int = DEFAULT_CHUNK_EDGES,
                       ) -> "PackedEdgeTable":
         """Pack a polygon set (holes included, even/odd semantics)."""
-        num = len(polygons)
-        indptr = np.zeros(num + 1, dtype=np.int64)
-        min_x = np.empty(num, dtype=np.float64)
-        min_y = np.empty(num, dtype=np.float64)
-        max_x = np.empty(num, dtype=np.float64)
-        max_y = np.empty(num, dtype=np.float64)
-        xs_parts = []
-        ys_parts = []
-        xe_parts = []
-        ye_parts = []
-        for pid, polygon in enumerate(polygons):
-            xs, ys, xe, ye = polygon.edge_arrays
-            xs_parts.append(xs)
-            ys_parts.append(ys)
-            xe_parts.append(xe)
-            ye_parts.append(ye)
-            indptr[pid + 1] = indptr[pid] + xs.shape[0]
-            box = polygon.bbox
-            min_x[pid] = box.min_x
-            min_y[pid] = box.min_y
-            max_x[pid] = box.max_x
-            max_y[pid] = box.max_y
-        empty = np.empty(0, dtype=np.float64)
-        return cls(
-            np.concatenate(xs_parts) if xs_parts else empty,
-            np.concatenate(ys_parts) if ys_parts else empty,
-            np.concatenate(xe_parts) if xe_parts else empty,
-            np.concatenate(ye_parts) if ye_parts else empty,
-            indptr, min_x, min_y, max_x, max_y, chunk_edges=chunk_edges,
-        )
+        return cls.from_columns(PolygonColumns.from_polygons(polygons),
+                                chunk_edges=chunk_edges)
+
+    @classmethod
+    def from_columns(cls, columns: PolygonColumns,
+                     chunk_edges: int = DEFAULT_CHUNK_EDGES,
+                     ) -> "PackedEdgeTable":
+        """Pack a polygon set straight from its ring columns, in one
+        vectorized pass: vertex ``k`` starts an edge that ends at the
+        next vertex of its ring (a ring's last wraps to its first), a
+        polygon's edges are its rings' vertices, and its box is its
+        shell's (the ring bounds ``reduceat`` gives)."""
+        xs, ys = np.ascontiguousarray(columns.xy)
+        ring_ptr = columns.ring_ptr
+        ring_starts = ring_ptr[:-1]
+        nxt = np.arange(1, xs.shape[0] + 1, dtype=np.int64)
+        nxt[ring_ptr[1:] - 1] = ring_starts
+        shells = columns.poly_ptr[:-1]
+        if ring_starts.size:
+            boxes = [reduce.reduceat(coords, ring_starts)[shells]
+                     for reduce, coords in ((np.minimum, xs),
+                                            (np.minimum, ys),
+                                            (np.maximum, xs),
+                                            (np.maximum, ys))]
+        else:
+            boxes = [np.empty(0, dtype=np.float64)] * 4
+        return cls(xs, ys, xs[nxt], ys[nxt], ring_ptr[columns.poly_ptr],
+                   *boxes, chunk_edges=chunk_edges)
 
     @property
     def num_edges(self) -> int:

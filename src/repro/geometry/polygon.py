@@ -3,7 +3,8 @@
 Rings store their vertices both as Python tuples (for exact iteration) and
 as cached numpy edge arrays (for vectorized point-in-polygon and covering
 classification). Coordinates are ``(x, y) = (lng, lat)`` in degrees unless a
-local projection is applied by the caller.
+local projection is applied by the caller. :class:`PolygonColumns` holds
+a whole polygon set as three flat arrays, the form an index stores.
 """
 
 from __future__ import annotations
@@ -270,6 +271,83 @@ class Polygon:
         if total == 0.0:
             return self.bbox.center
         return (cx / total + ox, cy / total + oy)
+
+
+class PolygonColumns:
+    """A polygon set as three flat arrays — the form an index stores,
+    loads, slices and packs its edge table from:
+
+    * ``xy`` — ``(2, V)`` float64, every ring's vertices (x row, y
+      row), rings back to back, no closing vertex repeated;
+    * ``ring_ptr`` — ``(R + 1,)`` int64 CSR: ring ``r`` is vertices
+      ``ring_ptr[r]:ring_ptr[r + 1]``;
+    * ``poly_ptr`` — ``(P + 1,)`` int64 CSR: polygon ``p`` is rings
+      ``poly_ptr[p]:poly_ptr[p + 1]``, shell first.
+
+    Rings are stored as :class:`Polygon` normalised them (shell CCW,
+    holes CW), so :meth:`to_polygons` rebuilds equal polygons without
+    re-checking orientation or re-validating a vertex.
+    """
+
+    __slots__ = ("xy", "ring_ptr", "poly_ptr")
+
+    def __init__(self, xy: np.ndarray, ring_ptr: np.ndarray,
+                 poly_ptr: np.ndarray):
+        self.xy = xy
+        self.ring_ptr = ring_ptr
+        self.poly_ptr = poly_ptr
+
+    @classmethod
+    def from_polygons(cls, polygons: Sequence[Polygon]) -> "PolygonColumns":
+        rings = [ring.vertices for polygon in polygons
+                 for ring in polygon.rings()]
+        ring_ptr = np.zeros(len(rings) + 1, dtype=np.int64)
+        np.cumsum([len(ring) for ring in rings], out=ring_ptr[1:])
+        poly_ptr = np.zeros(len(polygons) + 1, dtype=np.int64)
+        np.cumsum([1 + len(polygon.holes) for polygon in polygons],
+                  out=poly_ptr[1:])
+        xy = np.array([vertex for ring in rings for vertex in ring],
+                      dtype=np.float64).reshape(-1, 2).T.copy()
+        return cls(xy, ring_ptr, poly_ptr)
+
+    def __len__(self) -> int:
+        return self.poly_ptr.shape[0] - 1
+
+    def check(self) -> None:
+        """Raise :class:`ValueError` unless the arrays describe a polygon
+        set: both CSRs run from 0 to their target's length, every ring
+        has >= 3 vertices and every polygon a shell."""
+        xy, ring_ptr, poly_ptr = self.xy, self.ring_ptr, self.poly_ptr
+        if (xy.ndim != 2 or xy.shape[0] != 2 or xy.dtype != np.float64
+                or ring_ptr.ndim != 1 or poly_ptr.ndim != 1
+                or ring_ptr.dtype != np.int64 or poly_ptr.dtype != np.int64
+                or ring_ptr.shape[0] < 1 or poly_ptr.shape[0] < 1):
+            raise ValueError("polygon columns have the wrong dtype or shape")
+        if (ring_ptr[0] != 0 or ring_ptr[-1] != xy.shape[1]
+                or poly_ptr[0] != 0 or poly_ptr[-1] != ring_ptr.shape[0] - 1
+                or (np.diff(ring_ptr) < 3).any()
+                or (np.diff(poly_ptr) < 1).any()):
+            raise ValueError("polygon columns' ring/polygon offsets do not "
+                             "partition their vertices")
+
+    def to_polygons(self) -> List[Polygon]:
+        """The :class:`Polygon` objects, equal to the ones the columns
+        were made from."""
+        points = list(zip(self.xy[0].tolist(), self.xy[1].tolist()))
+        ring_ptr = self.ring_ptr.tolist()
+        rings = []
+        for start, stop in zip(ring_ptr, ring_ptr[1:]):
+            ring = Ring.__new__(Ring)
+            ring.vertices = points[start:stop]
+            rings.append(ring)
+        poly_ptr = self.poly_ptr.tolist()
+        polygons = []
+        for start, stop in zip(poly_ptr, poly_ptr[1:]):
+            polygon = Polygon.__new__(Polygon)
+            polygon.shell = rings[start]
+            polygon.holes = rings[start + 1:stop]
+            polygons.append(polygon)
+        return polygons
 
 
 class MultiPolygon:

@@ -1,7 +1,7 @@
 """The join: one operation, executed column by column.
 
 One :class:`JoinExecutor` binds an index's grid, :class:`~repro.act.core.
-ACTCore`, and polygons; :meth:`JoinExecutor.join` is the paper's whole
+ACTCore`, and ring columns; :meth:`JoinExecutor.join` is the paper's whole
 evaluation workload — join a point batch against the polygons and count
 points per polygon — in numpy:
 
@@ -100,23 +100,21 @@ class JoinExecutor:
     # no reference back to the index: it caches this executor, and a
     # cycle would leave a dropped index's memory-mapped pool to the
     # garbage collector instead of freeing it with the last reference
-    __slots__ = ("core", "grid", "polygons",
+    __slots__ = ("core", "grid", "columns", "num_polygons",
                  "_edge_table", "_edge_table_lock")
 
     def __init__(self, index: "ACTIndex"):
         self.core = index.core
         self.grid = index.grid
-        self.polygons = index.polygons
+        self.columns = index.columns
+        self.num_polygons = index.num_polygons
         self._edge_table: Optional[PackedEdgeTable] = None
         self._edge_table_lock = threading.Lock()
 
     @property
-    def num_polygons(self) -> int:
-        return len(self.polygons)
-
-    @property
     def edge_table(self) -> PackedEdgeTable:
-        """The packed refinement engine, built lazily from the polygons.
+        """The packed refinement engine, packed lazily from the index's
+        ring columns.
 
         Built once under a lock: the serve front is threaded, and an
         O(total-edges) build racing across concurrent first requests
@@ -126,8 +124,8 @@ class JoinExecutor:
         if self._edge_table is None:
             with self._edge_table_lock:
                 if self._edge_table is None:
-                    self._edge_table = PackedEdgeTable.from_polygons(
-                        self.polygons)
+                    self._edge_table = PackedEdgeTable.from_columns(
+                        self.columns)
         return self._edge_table
 
     def refine_pairs(self, point_idx: np.ndarray, polygon_ids: np.ndarray,  # repro-lint: hot

@@ -3,19 +3,19 @@
 from typing import List
 
 from .base import CrossFileRule, FileContext, Rule
-from .async_purity import AsyncPurityRule
 from .error_taxonomy import ErrorTaxonomyRule
 from .fork_safety import ForkSafetyRule
 from .hot_path import HotPathRule
 from .lock_discipline import LockDisciplineRule
 from .telemetry import TelemetryRegistrationRule
+from .thread_model import ThreadModelRule
 
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, in id order."""
     return [
         LockDisciplineRule(),
-        AsyncPurityRule(),
+        ThreadModelRule(),
         HotPathRule(),
         TelemetryRegistrationRule(),
         ErrorTaxonomyRule(),
@@ -25,6 +25,6 @@ def all_rules() -> List[Rule]:
 
 __all__ = [
     "Rule", "CrossFileRule", "FileContext", "all_rules",
-    "LockDisciplineRule", "AsyncPurityRule", "HotPathRule",
+    "LockDisciplineRule", "ThreadModelRule", "HotPathRule",
     "TelemetryRegistrationRule", "ErrorTaxonomyRule", "ForkSafetyRule",
 ]

@@ -442,7 +442,7 @@ def slice_index(index: ACTIndex, spans: Iterable[Tuple[int, int]],  # repro-lint
                     trie_nodes=sliced.num_nodes, trie_bytes=sliced.size_bytes,
                     lookup_table_bytes=table.size_bytes,
                     lookup_table_sets=int(used.size))
-    return ACTIndex(index.grid, sliced, index.polygons, stats,
+    return ACTIndex(index.grid, sliced, index.columns, stats,
                     index.boundary_level)
 
 

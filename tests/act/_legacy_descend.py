@@ -69,13 +69,16 @@ def refine_pairs(executor, point_idx: np.ndarray, polygon_ids: np.ndarray,  # re
     return executor.edge_table.refine(point_idx, polygon_ids, lngs, lats)
 
 
-def write_unpadded(source, target, skip=()) -> None:
+def write_unpadded(source, target, skip=(), comment=True) -> None:
     """Copy the archive ``source`` to ``target`` member by member
     (those named in ``skip`` left out) with no zip extra fields: same
     order and compression, but the stored node pool lands wherever the
-    headers before it leave it."""
+    headers before it leave it. ``comment=False`` drops the archive
+    comment, and with it the integrity manifest."""
     with zipfile.ZipFile(source) as src, \
             zipfile.ZipFile(target, "w", allowZip64=True) as dst:
+        if comment:
+            dst.comment = src.comment
         for info in src.infolist():
             if info.filename in skip:
                 continue

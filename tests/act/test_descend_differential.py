@@ -239,7 +239,7 @@ def test_refine_pairs_on_duplicated_pairs(overlap_index, taxi_batch):
     assert np.array_equal(inside, legacy.refine_pairs(
         executor, point_idx, polygon_ids, lngs, lats))
     assert inside.tolist() == [
-        executor.polygons[pid].contains(lngs[k], lats[k])
+        overlap_index.polygons[pid].contains(lngs[k], lats[k])
         for k, pid in zip(point_idx.tolist(), polygon_ids.tolist())]
 
 

@@ -68,6 +68,7 @@ class TestRoundtrip:
         assert len(loaded.polygons) == len(original.polygons)
         for a, b in zip(loaded.polygons, original.polygons):
             assert a.area == pytest.approx(b.area)
+        assert loaded.polygons == original.polygons
 
 
 def _forbidden_layout(*args, **kwargs):
@@ -253,9 +254,11 @@ class TestMmapLoad:
         with zipfile.ZipFile(path) as archive:
             assert archive.getinfo("nodes.npy").compress_type == \
                 zipfile.ZIP_STORED
-            # the small members still compress
-            assert archive.getinfo("polygons.npy").compress_type == \
-                zipfile.ZIP_DEFLATED
+            # the small members, geometry included, still compress
+            for member in archive.namelist():
+                if member != "nodes.npy":
+                    assert archive.getinfo(member).compress_type == \
+                        zipfile.ZIP_DEFLATED
 
 
 class TestVariants:
@@ -282,24 +285,42 @@ class TestVariants:
                               index.lookup_batch(lngs[:500], lats[:500]))
 
     def test_donut_polygon_roundtrip(self, tmp_path, donut):
-        # polygon with a hole survives the GeoJSON leg
+        # polygon with a hole survives the ring columns
         shifted = donut  # donut is in unit coordinates; grid fits to it
         index = ACTIndex.build([shifted], precision_meters=50_000.0)
         path = tmp_path / "donut.npz"
         save_index(index, path)
         loaded = load_index(path)
         assert len(loaded.polygons[0].holes) == 1
+        assert loaded.polygons == [donut]
 
     def test_bad_version_rejected(self, tmp_path, saved, monkeypatch):
         import repro.act.serialize as ser
 
         original, _ = saved
         path = tmp_path / "vx.npz"
+        current = ser.FORMAT_VERSION
         monkeypatch.setattr(ser, "FORMAT_VERSION", 999)
         save_index(original, path)
-        monkeypatch.setattr(ser, "FORMAT_VERSION", 1)
+        monkeypatch.setattr(ser, "FORMAT_VERSION", current)
         with pytest.raises(ACTError):
             load_index(path)
+
+    def test_version_1_archive_has_no_reader(self, tmp_path, saved,
+                                             monkeypatch):
+        """Format 1 kept the polygons as GeoJSON; nothing reads it, and
+        the refusal is the version error, not a corrupt artifact."""
+        import repro.act.serialize as ser
+
+        original, _ = saved
+        path = tmp_path / "v1.npz"
+        monkeypatch.setattr(ser, "FORMAT_VERSION", 1)
+        save_index(original, path)
+        monkeypatch.undo()
+        for verify in ("off", "header", "full"):
+            with pytest.raises(ACTError, match="version 1") as err:
+                load_index(path, mmap_mode="r", verify=verify)
+            assert not isinstance(err.value, ArtifactCorruptError)
 
 
 class TestAtomicWrites:
@@ -377,13 +398,24 @@ class TestIntegrity:
 
     def test_manifest_covers_every_member(self, saved):
         _, path = saved
-        with np.load(path) as data:
-            manifest = json.loads(bytes(data["manifest"].tobytes()))
+        with zipfile.ZipFile(path) as archive:
+            manifest = json.loads(archive.comment)
+            names = archive.namelist()
         assert manifest["algo"] == "crc32"
+        assert manifest["format"] == 2
         assert set(manifest["members"]) == {
-            "nodes", "roots", "lookup", "grid_params", "meta", "polygons"}
-        for entry in manifest["members"].values():
-            assert set(entry) == {"crc32", "bytes", "dtype", "shape"}
+            "nodes", "roots", "lookup", "grid_params", "meta",
+            "ring_xy", "ring_ptr", "poly_ptr"}
+        # the manifest is the comment, not a member
+        assert sorted(names) == sorted(
+            f"{name}.npy" for name in manifest["members"])
+        with np.load(path) as data:
+            for name, entry in manifest["members"].items():
+                assert set(entry) == {"crc32", "bytes", "dtype", "shape"}
+                array = data[name]
+                assert entry["bytes"] == array.nbytes
+                assert entry["dtype"] == str(array.dtype)
+                assert entry["shape"] == list(array.shape)
 
     def test_full_verify_roundtrip(self, saved, taxi_batch):
         original, path = saved
@@ -442,15 +474,17 @@ class TestIntegrity:
             load_index(path, verify="paranoid")
 
     def test_pre_manifest_archive(self, copy, tmp_path):
-        # archives written before the manifest existed: tolerated in
-        # header mode, refused under verify="full" and verify_artifact
-        old = tmp_path / "legacy.npz"
-        legacy.write_unpadded(copy, old, skip=("manifest.npy",))
-        load_index(old, mmap_mode="r", verify="header")
-        with pytest.raises(ArtifactCorruptError, match="pre-manifest"):
-            load_index(old, verify="full")
-        with pytest.raises(ArtifactCorruptError, match="pre-manifest"):
+        # an archive without a manifest: every format-2 writer puts one
+        # in the comment, so a missing one (a re-zip that dropped the
+        # comment) is damage to every verifying mode; "off" still loads
+        old = tmp_path / "stripped.npz"
+        legacy.write_unpadded(copy, old, comment=False)
+        for verify in ("header", "full"):
+            with pytest.raises(ArtifactCorruptError, match="no integrity"):
+                load_index(old, mmap_mode="r", verify=verify)
+        with pytest.raises(ArtifactCorruptError, match="no integrity"):
             verify_artifact(old)
+        load_index(old, mmap_mode="r", verify="off")
 
     def test_verify_artifact_returns_manifest_and_raises(self, copy):
         manifest = verify_artifact(copy, full=True)
@@ -472,3 +506,129 @@ class TestIntegrity:
         assert second.name == "copy.npz.1"
         assert second.parent == first.parent
         assert not copy.exists()
+
+
+GEOMETRY_MEMBERS = ("ring_xy", "ring_ptr", "poly_ptr")
+
+
+def _rewrite(source, target, replace=None, cut=None):
+    """Copy ``source`` to ``target`` member by member, comment (the
+    manifest) included, with ``replace`` giving some members other
+    ``.npy`` bytes and ``cut`` naming one member cut to half its bytes:
+    the zip layer's own CRCs all hold, only the content is wrong."""
+    replace = replace or {}
+    with zipfile.ZipFile(source) as src, \
+            zipfile.ZipFile(target, "w", allowZip64=True) as dst:
+        dst.comment = src.comment
+        for info in src.infolist():
+            raw = replace.get(info.filename, src.read(info.filename))
+            if info.filename == cut:
+                raw = raw[:len(raw) // 2]
+            out = zipfile.ZipInfo(info.filename, date_time=info.date_time)
+            out.compress_type = info.compress_type
+            with dst.open(out, "w") as fp:
+                fp.write(raw)
+
+
+def _npy_bytes(array):
+    import io
+
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
+class TestGeometryMembers:
+    """The ring columns are covered like every other member: a flip is
+    caught in header mode (mapped or eager), a cut or missing member is
+    a corrupt artifact, and columns that do not describe a polygon set
+    are refused even with verification off."""
+
+    @pytest.fixture
+    def copy(self, saved, tmp_path):
+        _, path = saved
+        target = tmp_path / "copy.npz"
+        shutil.copyfile(path, target)
+        return target
+
+    @pytest.mark.parametrize("member", GEOMETRY_MEMBERS)
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_bitflip_caught_in_header_mode(self, copy, member, mmap_mode):
+        start, size = _member_data_span(copy, f"{member}.npy")
+        _flip_byte(copy, start + size // 2)
+        with pytest.raises(ArtifactCorruptError):
+            load_index(copy, mmap_mode=mmap_mode, verify="header")
+
+    @pytest.mark.parametrize("member", GEOMETRY_MEMBERS)
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_changed_data_caught_by_the_manifest(self, saved, tmp_path,
+                                                 member, mmap_mode):
+        """One value changed and the member re-zipped: the zip CRC is
+        right, so only the manifest's checksum can see it."""
+        _, path = saved
+        with np.load(path) as data:
+            array = data[member].copy()
+        array.reshape(-1)[-1] += 1
+        bad = tmp_path / "bad.npz"
+        _rewrite(path, bad, replace={f"{member}.npy": _npy_bytes(array)})
+        with pytest.raises(ArtifactCorruptError, match="checksum"):
+            load_index(bad, mmap_mode=mmap_mode, verify="header")
+        with pytest.raises(ArtifactCorruptError, match="checksum"):
+            verify_artifact(bad)
+
+    @pytest.mark.parametrize("member", GEOMETRY_MEMBERS)
+    def test_truncated_member_rejected(self, saved, tmp_path, member):
+        _, path = saved
+        bad = tmp_path / "cut.npz"
+        _rewrite(path, bad, cut=f"{member}.npy")
+        for verify in ("off", "header", "full"):
+            with pytest.raises(ArtifactCorruptError):
+                load_index(bad, mmap_mode="r", verify=verify)
+
+    @pytest.mark.parametrize("member", GEOMETRY_MEMBERS)
+    def test_missing_member_rejected(self, copy, tmp_path, member):
+        bad = tmp_path / "missing.npz"
+        legacy.write_unpadded(copy, bad, skip=(f"{member}.npy",))
+        for mmap_mode in (None, "r"):
+            for verify in ("off", "header"):
+                with pytest.raises(ArtifactCorruptError):
+                    load_index(bad, mmap_mode=mmap_mode, verify=verify)
+
+    def test_offsets_that_do_not_partition_are_refused(self, saved,
+                                                       tmp_path):
+        """A ring of two vertices: every checksum can be right (a
+        writer bug, not a flip) and the load still refuses it."""
+        original, path = saved
+        with np.load(path) as data:
+            ring_ptr = data["ring_ptr"].copy()
+        ring_ptr[1] = 2
+        bad = tmp_path / "two.npz"
+        _rewrite(path, bad, replace={"ring_ptr.npy": _npy_bytes(ring_ptr)})
+        with pytest.raises(ArtifactCorruptError, match="partition"):
+            load_index(bad, verify="off")
+        columns = original.columns
+        bent = type(columns)(columns.xy, ring_ptr, columns.poly_ptr)
+        with pytest.raises(ValueError, match="partition"):
+            bent.check()
+
+    def test_header_mode_reads_no_member_beyond_off(self, saved,
+                                                    monkeypatch):
+        """The manifest is the archive comment: header verification
+        opens exactly the members an unverified load opens."""
+        _, path = saved
+        opened = []
+        real_open = zipfile.ZipFile.open
+
+        def recording_open(self, name, *args, **kwargs):
+            opened.append(getattr(name, "filename", name))
+            return real_open(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", recording_open)
+        reads = {}
+        for verify in ("off", "header"):
+            opened.clear()
+            load_index(path, mmap_mode="r", verify=verify)
+            reads[verify] = sorted(opened)
+        assert reads["header"] == reads["off"]
+        assert "nodes.npy" not in reads["off"]
+        assert {f"{m}.npy" for m in GEOMETRY_MEMBERS} <= set(reads["off"])

@@ -21,9 +21,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 VIOLATIONS = {
     "RL001": ("rl001_violation.py",
               {12: "error", 15: "error", 20: "error"}),
-    "RL002": ("rl002_violation.py",
-              {7: "error", 8: "error", 9: "error", 14: "error",
-               15: "error"}),
+    "RL002": ("src/repro/serve/rl002_violation.py",
+              {2: "error", 3: "error", 4: "error", 5: "error",
+               9: "error", 10: "error"}),
     "RL003": ("rl003_violation.py",
               {10: "error", 11: "error", 12: "error", 14: "error",
                16: "warning", 30: "error", 36: "error", 42: "error",
@@ -37,7 +37,7 @@ VIOLATIONS = {
 
 CLEAN = {
     "RL001": "rl001_clean.py",
-    "RL002": "rl002_clean.py",
+    "RL002": "src/repro/serve/rl002_clean.py",
     "RL003": "rl003_clean.py",
     "RL004": "rl004_clean.py",
     "RL005": "src/repro/serve/rl005_clean.py",
@@ -75,6 +75,12 @@ def test_rl006_flags_a_manager_anywhere_under_serve():
     assert {f.line: f.rule for f in result.findings} == {
         8: "RL006", 10: "RL006", 15: "RL006", 18: "RL006"}
     assert result.gate_failures(strict=True)
+
+
+def test_rl002_is_scoped_to_serve():
+    # the thread model is serve/'s; elsewhere asyncio is not flagged
+    result = lint(["rl002_outside_serve.py"])
+    assert result.findings == []
 
 
 def test_rl004_registration_in_another_file_satisfies_use():
