@@ -77,7 +77,7 @@ class FixedGridIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self, lng: float, lat: float) -> Tuple[List[int], List[int]]:  # repro-lint: hot
+    def query(self, lng: float, lat: float) -> Tuple[List[int], List[int]]:
         """``(true_hits, candidates)`` for a point."""
         if not self.bounds.contains_point(lng, lat):
             return [], []
@@ -93,7 +93,7 @@ class FixedGridIndex:
                          if self.polygons[pid].contains(lng, lat))
         return true_hits
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
                      exact: bool = True) -> np.ndarray:
         """Count points per polygon (true hits skip refinement)."""
         counts = np.zeros(len(self.polygons), dtype=np.int64)

@@ -73,7 +73,7 @@ class InteriorRectIndex:
             maximal_inscribed_rect(p) for p in self.polygons
         ]
 
-    def query(self, lng: float, lat: float) -> Tuple[List[int], List[int]]:  # repro-lint: hot
+    def query(self, lng: float, lat: float) -> Tuple[List[int], List[int]]:
         """``(true_hits, candidates)`` for a point."""
         true_hits: List[int] = []
         candidates: List[int] = []
@@ -91,7 +91,7 @@ class InteriorRectIndex:
                          if self.polygons[pid].contains(lng, lat))
         return true_hits
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
                      exact: bool = True) -> np.ndarray:
         counts = np.zeros(len(self.polygons), dtype=np.int64)
         contains = [p.contains for p in self.polygons]

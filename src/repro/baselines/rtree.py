@@ -133,7 +133,7 @@ class RStarTree:
                              if child.mbr.intersects(rect))
         return out
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
                      num_values: int) -> np.ndarray:
         """Per-value counts of candidate hits over a point batch.
 
@@ -360,7 +360,7 @@ class RTreeJoinBaseline:
         return [pid for pid in self.tree.query_point(lng, lat)
                 if self.polygons[pid].contains(lng, lat)]
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray,  # repro-lint: hot
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray,
                      exact: bool = False) -> np.ndarray:
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)

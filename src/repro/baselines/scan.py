@@ -20,12 +20,12 @@ class ScanJoin:
     def __init__(self, polygons: Sequence[Polygon]):
         self.polygons = list(polygons)
 
-    def query(self, lng: float, lat: float) -> List[int]:  # repro-lint: hot
+    def query(self, lng: float, lat: float) -> List[int]:
         """Ids of all polygons containing the point."""
         return [pid for pid, polygon in enumerate(self.polygons)
                 if polygon.contains(lng, lat)]
 
-    def count_points(self, lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:  # repro-lint: hot
+    def count_points(self, lngs: np.ndarray, lats: np.ndarray) -> np.ndarray:
         """Exact per-polygon counts (vectorized per polygon)."""
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)

@@ -137,9 +137,6 @@ def _serve_fleet(args, serve_config) -> int:
     if not fleet_available():
         raise SystemExit("--workers > 1 needs the 'fork' start method, "
                          "which this platform lacks; run --workers 1")
-    if args.lazy:
-        print("note: --lazy is ignored with --workers > 1 (the fleet "
-              "always materializes before forking)", file=sys.stderr)
     registry, name = _serve_registry(args)
     fleet = ServingFleet(registry, FleetConfig(
         workers=args.workers,
@@ -186,6 +183,8 @@ def _serve_fleet(args, serve_config) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
+
     from .serve import ACTService, ServeConfig, create_server
 
     serve_config = ServeConfig(
@@ -199,11 +198,10 @@ def cmd_serve(args) -> int:
         return _serve_fleet(args, serve_config)
     registry, name = _serve_registry(args)
     service = ACTService(registry=registry, config=serve_config)
-    if not args.lazy:
-        start = time.perf_counter()
-        index = service.registry.get(name)
-        print(f"materialized {index} in {time.perf_counter() - start:.1f} s",
-              file=sys.stderr)
+    start = time.perf_counter()
+    index = service.registry.get(name)
+    print(f"materialized {index} in {time.perf_counter() - start:.1f} s",
+          file=sys.stderr)
     server = create_server(service, host=args.host, port=args.port,
                            binary_port=args.binary_port)
     (host, port), *more = server.addresses
@@ -213,6 +211,8 @@ def cmd_serve(args) -> int:
     for bhost, bport in more:
         print(f"  binary data plane on {bhost}:{bport} "
               f"(repro.serve.binproto.Client)", file=sys.stderr)
+    # SIGTERM drains like Ctrl-C, so the state directory goes too
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -244,8 +244,6 @@ def cmd_admin(args) -> int:
         body = {"name": args.name}
         if args.path is not None:
             body["path"] = args.path
-        if args.mmap:
-            body["mmap_mode"] = "r"
         request = urllib.request.Request(
             f"{base}/admin/{command}",
             data=json.dumps(body).encode("utf-8"),
@@ -448,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "default: %(default)s)")
     p_serve.add_argument("--budget-ms", type=float, default=None,
                          help="default per-request latency budget")
-    p_serve.add_argument("--lazy", action="store_true",
-                         help="build/load the index on first query "
-                              "instead of at startup")
     p_serve.add_argument("--telemetry", default="full",
                          choices=("full", "counters", "off"),
                          help="full = counters + sampled tracing + slow-"
@@ -481,21 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--raw", action="store_true",
                          help="dump the raw Prometheus exposition text")
     p_reg = admin_sub.add_parser(
-        "register", help="register + materialize a serialized index")
+        "register", help="publish a serialized index as a new name")
     p_reg.add_argument("name")
     p_reg.add_argument("--path", required=True,
                        help="serialized .npz index to serve")
-    p_reg.add_argument("--mmap", action="store_true",
-                       help="memory-map the node pool")
     p_rel = admin_sub.add_parser(
         "reload", help="swap in a fresh generation with zero downtime "
-                       "(fleet-wide when workers > 1)")
+                       "(on every worker)")
     p_rel.add_argument("name")
     p_rel.add_argument("--path", default=None,
                        help="repoint the index at a new .npz (default: "
-                            "re-materialize from its current source)")
-    p_rel.add_argument("--mmap", action="store_true",
-                       help="memory-map the node pool")
+                            "re-read its current source)")
     p_unreg = admin_sub.add_parser(
         "unregister", help="retire an index from serving")
     p_unreg.add_argument("name")

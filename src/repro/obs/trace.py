@@ -200,7 +200,7 @@ class SlowQueryLog:
             self.recorded += 1
         return True
 
-    def entries(self) -> List[Dict]:  # repro-lint: hot
+    def entries(self) -> List[Dict]:
         """Newest-last copy of the retained entries."""
         with self._lock:
             return list(self._entries)

@@ -24,8 +24,9 @@ into N supervised worker processes sharing one listening address
 pages across workers through the page cache). Indexes are
 generation-tagged (:class:`IndexGeneration`) and operable at runtime
 through the loopback-only admin API (:mod:`repro.serve.lifecycle`,
-``repro-act admin``): register, reload, and retire indexes on a live
-server — or a whole fleet — with zero downtime. Fleets can run
+``repro-act admin``): register, reload, and retire indexes with zero
+downtime, the same way on every server — a single process is a fleet
+of one worker (:class:`FleetLifecycle`). Fleets can run
 **sharded** (``repro-act serve --shards``): a generation-tagged
 :class:`ShardMap` partitions the boundary-level cell-id keyspace
 across worker slots, each worker memory-maps only its slice file, and
@@ -52,12 +53,7 @@ from .server import ACTServer, create_server
 from .budget import Budget
 from .cache import CellResultCache
 from .fleet import FleetConfig, ServingFleet, fleet_available
-from .lifecycle import (
-    AdminOp,
-    FleetLifecycle,
-    apply_admin_op,
-    handle_admin_request,
-)
+from .lifecycle import AdminOp, FleetLifecycle
 from ..obs import SlowQueryLog, Trace, Tracer, mint_request_id
 from .fleet import aggregate_snapshots
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -91,12 +87,10 @@ __all__ = [
     "Trace",
     "Tracer",
     "aggregate_snapshots",
-    "apply_admin_op",
     "binproto",
     "chaos",
     "create_server",
     "fleet_available",
-    "handle_admin_request",
     "mint_request_id",
     "plan_shard_map",
     "prewarm_index",

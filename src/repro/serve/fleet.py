@@ -71,9 +71,9 @@ from .router import Router
 from .server import ACTServer, listen
 from .service import ACTService, ServeConfig
 from .shard import ShardMap, plan_shard_map
-from .statedir import (FULL, GENS, MANIFEST, DirMapping, generation_dir,
-                       read_current, read_json, replace_current,
-                       write_generation)
+from .statedir import (FULL, GENS, MANIFEST, DirMapping, first_generation,
+                       generation_dir, read_current, read_json,
+                       replace_current, write_generation)
 
 _log = logging.getLogger(__name__)
 
@@ -691,11 +691,7 @@ def _cutter_main(conn, records: Optional[Dict[str, IndexGeneration]],
                     full_from=full, source=manifest["source"],
                     data_generation=manifest["data_generation"])
         else:
-            # numbered after the records workers fork with: a worker
-            # keeps one whose generation is the directory's
-            inputs = {name: dict(index=record.index, full_from=record.path,
-                                 source=record.path,
-                                 first=record.generation)
+            inputs = {name: first_generation(record)
                       for name, record in records.items()}
         shard_map = None
         if num_slots:
@@ -755,14 +751,9 @@ def _worker_main(slot: int, sockets: List[socket.socket],
     # holds a slice while routing by other ranges, and a respawn
     # mid-reload maps the new generation
     lifecycle.poll()
-    server = ACTServer(service, sockets, worker_id=slot)
     # admin mutations arriving over HTTP at this worker coordinate the
-    # whole fleet
-    server.admin_hook = lifecycle.submit
-    # /readyz reflects this worker's convergence: a generation it cannot
-    # map, or an operation it coordinated that ended split, makes it
-    # not-ready until that clears
-    server.ready_extra = lifecycle.status
+    # whole fleet, and /readyz reports this worker's convergence
+    server = ACTServer(service, sockets, worker_id=slot, lifecycle=lifecycle)
     stopping = threading.Event()
 
     def publish(snap: Optional[dict] = None) -> None:

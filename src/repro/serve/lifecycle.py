@@ -1,15 +1,16 @@
-"""Index lifecycle: admin operations, and how a fleet publishes them.
+"""Index lifecycle: admin operations, published as generations.
 
 One vocabulary — ``register`` / ``reload`` / ``unregister`` — serves
 the HTTP admin surface (``POST /admin/register``, ``POST
 /admin/reload``, ``DELETE /admin/index/{name}``), the ``repro-act
-admin`` CLI and :meth:`repro.serve.fleet.ServingFleet.admin`. A single
-process applies an operation to its own service
-(:func:`handle_admin_request`).
+admin`` CLI and :meth:`repro.serve.fleet.ServingFleet.admin`, and one
+implementation answers it everywhere: a single process is a fleet of
+one worker (:func:`fleet_of_one`), with its state in a private
+directory.
 
-A fleet publishes it on an atomic rename (:mod:`repro.serve.statedir`
-has the layout): a generation is an immutable directory, and what the
-fleet serves is one file, ``current.json``. Under the fleet-wide
+An operation is published on an atomic rename (:mod:`repro.serve.
+statedir` has the layout): a generation is an immutable directory, and
+what is served is one file, ``current.json``. Under the fleet-wide
 ``flock`` whoever took the call — any worker, or the parent —
 coordinates it (:meth:`FleetLifecycle.submit`): it verifies the
 operator's bytes in full (a corrupt source is quarantined, nothing
@@ -21,7 +22,9 @@ every worker slot's snapshot reports it mapped, a NACK, or the timeout.
 Convergence is read, not acked: on its publisher tick, and before it
 first serves, a worker's :meth:`FleetLifecycle.poll` maps what
 ``current.json`` names and it does not hold, registers and unregisters
-names to match, and reports ``mapped`` / ``nack`` in its snapshot.
+names to match, and reports ``mapped`` / ``nack`` in its snapshot. A
+fleet of one has no publisher: the coordinator polls, and reads its own
+report.
 
 On a NACK ``current.json`` gets its old value back, the rejected
 directory is quarantined, and every worker maps the old one again.
@@ -43,15 +46,14 @@ from typing import Callable, Dict, Iterator, Optional
 
 from ..act import serialize
 from ..errors import (ArtifactCorruptError, ConflictError,
-                      InvalidRequestError, ServeError, UnknownIndexError)
+                      InvalidRequestError, UnknownIndexError)
 from . import chaos
-from .registry import _UNSET, IndexRegistry
 from .service import ACTService
 from .shard import ShardMap, slice_file
 from .statedir import (FULL, LOCK, MANIFEST, SHARD_MAP, DirMapping,
-                       FileLock, collect_generations, generation_dir,
-                       quarantine_generation, read_current, read_json,
-                       replace_current, write_generation)
+                       FileLock, collect_generations, first_generation,
+                       generation_dir, quarantine_generation, read_current,
+                       read_json, replace_current, write_generation)
 
 #: The admin operation kinds (the wire vocabulary).
 OP_REGISTER = "register"
@@ -72,61 +74,6 @@ class AdminOp:
     kind: str
     name: str
     source_path: Optional[str] = None
-    source_mmap_mode: object = _UNSET
-
-
-def apply_admin_op(op: AdminOp, service: Optional[ACTService] = None,
-                   registry: Optional[IndexRegistry] = None) -> dict:
-    """Apply one operation to this process: its ``service`` (hot view
-    and cache follow), or a bare ``registry``. Operator-shipped bytes
-    are hashed in full first: the lazy ``"header"`` mode never touches
-    an mmap-ed node pool, where a bit flip would otherwise load.
-    """
-    if registry is None:
-        if service is None:
-            raise ServeError("apply_admin_op needs a service or a registry")
-        registry = service.registry
-    result = {"op": op.kind, "name": op.name, "pid": os.getpid()}
-    if op.kind == OP_UNREGISTER:
-        result.update(service.unregister_index(op.name) if service
-                      else registry.unregister(op.name))
-        return result
-    if op.kind == OP_REGISTER:
-        serialize.verify_artifact(op.source_path, full=True)
-        mmap_mode = (None if op.source_mmap_mode is _UNSET
-                     else op.source_mmap_mode)
-        if service is not None:
-            record = service.register_index_path(
-                op.name, op.source_path, mmap_mode=mmap_mode)
-        else:
-            registry.register_path(op.name, op.source_path,
-                                   mmap_mode=mmap_mode)
-            record = registry.pin(op.name)
-    elif op.kind == OP_RELOAD:
-        reload = service.reload_index if service else registry.reload
-        record = reload(op.name, source_path=op.source_path,
-                        source_mmap_mode=op.source_mmap_mode,
-                        verify="full")
-    else:
-        raise InvalidRequestError(f"unknown admin op {op.kind!r}")
-    result["generation"] = record.generation
-    return result
-
-
-def _request_mmap_mode(request: dict):
-    """``"mmap_mode": "r"|"c"|null``, or the shorthand ``"mmap":
-    true``; ``_UNSET`` when the request says nothing (a reload then
-    keeps the registration's mode)."""
-    if "mmap_mode" in request:
-        mode = request["mmap_mode"]
-        if mode not in (None, "r", "c"):
-            raise InvalidRequestError(
-                f"mmap_mode must be null, 'r' or 'c', got {mode!r}"
-            )
-        return mode
-    if "mmap" in request:
-        return "r" if request["mmap"] else None
-    return _UNSET
 
 
 def request_to_op(request: dict) -> AdminOp:
@@ -151,32 +98,13 @@ def request_to_op(request: dict) -> AdminOp:
         raise InvalidRequestError(
             'register needs {"path": "/path/to/index.npz"}'
         )
-    mmap_mode = _request_mmap_mode(request)
-    return AdminOp(
-        kind=kind, name=name, source_path=path,
-        source_mmap_mode=mmap_mode,
-    )
-
-
-def handle_admin_request(service: ACTService, request: dict) -> dict:
-    """Single-process admin entry point: validate, apply, describe —
-    the HTTP server's route when no fleet hook is installed
-    (:meth:`FleetLifecycle.submit` has the same shapes)."""
-    op = request_to_op(request)
-    try:
-        result = apply_admin_op(op, service=service)
-    except ArtifactCorruptError:
-        service.metrics.counter("faults.artifact_corrupt").inc()
-        # a reload without a path failed on the registration's source
-        quarantined = _quarantine_artifact(
-            op.source_path or service.registry.describe(op.name).get("path"))
-        if quarantined is not None:
-            service.metrics.counter("faults.quarantined").inc()
-        raise
-    if op.kind != OP_UNREGISTER:
-        result["index"] = service.registry.describe(op.name)
-    result["complete"] = True
-    return result
+    # every generation is mapped read-only, by whichever process serves it
+    mode, mapped = request.get("mmap_mode", "r"), request.get("mmap", True)
+    if mode != "r" or mapped is not True:
+        raise InvalidRequestError(
+            f"every generation is mapped with mmap_mode 'r', got "
+            f"mmap_mode={mode!r}, mmap={mapped!r}")
+    return AdminOp(kind=kind, name=name, source_path=path)
 
 
 def _placement(directory: Path) -> Optional[ShardMap]:
@@ -187,14 +115,21 @@ def _placement(directory: Path) -> Optional[ShardMap]:
         return None
 
 
-def _quarantine_artifact(path: Optional[str]) -> Optional[str]:
-    """Move ``path`` into its ``*.quarantine/`` sibling, best-effort."""
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        return str(serialize.quarantine_artifact(path))
-    except OSError:  # pragma: no cover - fs race; nothing to do
-        return None
+def fleet_of_one(service: ACTService, root) -> "FleetLifecycle":
+    """A single process's lifecycle: a fleet of one worker over the empty
+    directory ``root``. Every registered index is materialized and its
+    first generation directory published, numbered after its record so
+    the process keeps serving it; admin operations then run through
+    :meth:`FleetLifecycle.submit`, as on any fleet worker (whose poll
+    drops a name registered on the registry directly afterwards)."""
+    registry = service.registry
+    registry.prewarm()
+    replace_current(root, {
+        name: write_generation(root, name, **first_generation(record))
+        for name, record in registry.materialized.items()})
+    lifecycle = FleetLifecycle(root, 1, service=service, slot=0)
+    lifecycle.poll()
+    return lifecycle
 
 
 class FleetLifecycle:
@@ -298,8 +233,9 @@ class FleetLifecycle:
                 route = _placement(directory)
                 held = service.registry.materialized.get(name)
                 if route is None and held is not None and held.generation == d:
-                    # the prewarmed record this worker was forked with:
-                    # the first directories are numbered after them
+                    # the prewarmed record this worker was forked with,
+                    # or a single process started with: the first
+                    # directories are numbered after them
                     mapped[name] = d
                     continue
                 if route is not None and not (name in mapped
@@ -359,14 +295,8 @@ class FleetLifecycle:
         returns once every worker maps the result (``complete``), after
         a rollback, or at the timeout, with per-slot ``acks`` and the
         ``generation`` served at the end. A corrupt source is a
-        structured failure with nothing published. Workers map every
-        generation read-only, so a request for another mmap mode is
-        refused."""
+        structured failure with nothing published."""
         op = request_to_op(request)
-        if op.source_mmap_mode not in (_UNSET, "r"):
-            raise InvalidRequestError(
-                f"a fleet maps every generation with mmap_mode 'r', got "
-                f"{op.source_mmap_mode!r}")
         with self.admin_lock():
             before = read_current(self.root)
             if op.kind == OP_REGISTER and op.name in before:
@@ -428,9 +358,13 @@ class FleetLifecycle:
         """Nothing was written or published: the corrupt source is
         quarantined so a blind retry cannot read the same bytes."""
         self._count("faults.artifact_corrupt")
-        quarantined = _quarantine_artifact(source)
-        if quarantined is not None:
-            self._count("faults.quarantined")
+        quarantined = None
+        if source and os.path.exists(source):
+            try:  # best-effort: a fs race leaves nothing to move
+                quarantined = str(serialize.quarantine_artifact(source))
+                self._count("faults.quarantined")
+            except OSError:  # pragma: no cover
+                pass
         error = f"{type(exc).__name__}: {exc}"
         with self._apply_lock:
             self.last_error = error

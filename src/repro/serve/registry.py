@@ -10,12 +10,13 @@ of distinct names can proceed concurrently, while concurrent ``get`` of
 the same name build exactly once (per-name locks).
 
 Materialized entries are immutable :class:`IndexGeneration` records.
-The generation number increments on every materialization of a name
-(first load, post-evict rebuild, :meth:`IndexRegistry.reload`; a fleet
-worker's :meth:`IndexRegistry.adopt` takes the directory's number), so
-a request that pins a record at admission keeps one coherent core,
-cache keyspace and refinement engine even if the index is swapped
-mid-request: the old record lives as long as requests reference it.
+A name's first materialization takes the number after the last one it
+had, and :meth:`IndexRegistry.adopt` — how every serving process,
+through :mod:`repro.serve.lifecycle`, swaps in a new generation — takes
+its directory's number, so a request that pins a record at admission
+keeps one coherent core, cache keyspace and refinement engine even if
+the index is swapped mid-request: the old record lives as long as
+requests reference it.
 A pinned index *is* its columnar :class:`~repro.act.core.ACTCore`, so
 there is no lazy freeze step to race.
 """
@@ -30,11 +31,8 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..act import serialize
 from ..act.index import ACTIndex
-from ..errors import ConflictError, ServeError, UnknownIndexError
+from ..errors import ConflictError, UnknownIndexError
 from . import chaos
-
-#: Distinguishes "argument not passed" from an explicit ``None``.
-_UNSET = object()
 
 
 def prewarm_index(index: ACTIndex, edge_table: bool = True) -> ACTIndex:
@@ -74,8 +72,7 @@ class _Registration:
     #: Integrity mode path loads use (see serialize.load_index).
     verify: str = "header"
     index: Optional[ACTIndex] = None
-    #: Generations handed out so far; survives evict() so a name's
-    #: generation numbers never repeat within a registry.
+    #: The generation of the pinned record (the last handed out).
     generation: int = 0
     record: Optional[IndexGeneration] = None
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -143,9 +140,9 @@ class IndexRegistry:
             registration.generation = self._last_generations.get(
                 registration.name, 0)
             # publish pre-built indexes to the hot-path view while still
-            # holding the registry lock: a concurrent evict() cannot even
-            # resolve the registration until we release it, so pinning
-            # and registration are one atomic step
+            # holding the registry lock: a concurrent unregister() cannot
+            # even resolve the registration until we release it, so
+            # pinning and registration are one atomic step
             if registration.index is not None:
                 registration.generation += 1
                 self._last_generations[registration.name] = \
@@ -204,28 +201,6 @@ class IndexRegistry:
                 self._materialize_locked(registration)
             return registration.record
 
-    def reload(self, name: str, *,
-               source_path: Optional[Union[str, Path]] = None,
-               source_mmap_mode=_UNSET,
-               verify: Optional[str] = None) -> IndexGeneration:
-        """Materialize a fresh generation and atomically swap it in.
-
-        The registration's own source is re-run unless ``source_path``
-        repoints it at new data for good; ``verify`` overrides the
-        integrity mode for this load only (the admin layer hashes
-        operator-shipped bytes in full). The swap is one dict
-        assignment: requests pin the old record or the new one.
-        """
-        registration = self._registration(name)
-        with registration.lock:
-            if source_path is not None:
-                registration.path = Path(source_path)
-                registration.builder = None
-                if source_mmap_mode is not _UNSET:
-                    registration.mmap_mode = source_mmap_mode
-            self._materialize_locked(registration, verify=verify)
-            return registration.record
-
     def adopt(self, name: str, path: Union[str, Path], generation: int,
               source: Optional[Union[str, Path]] = None) -> IndexGeneration:
         """Pin the archive at ``path`` — a fleet worker's file of a
@@ -233,7 +208,7 @@ class IndexRegistry:
         a new name by that path; a no-op when the pinned record was
         loaded from ``path``, so a worker maps a directory only once.
         ``source``, the operator's file the directory was published
-        from, becomes the registration's path, as a reload's does."""
+        from, becomes the registration's path."""
         with self._lock:
             registration = self._registrations.setdefault(name, _Registration(
                 name=name, path=Path(path), mmap_mode="r"))
@@ -248,13 +223,13 @@ class IndexRegistry:
 
     def _materialize_locked(self, registration: _Registration, *,
                             artifact_path=None,
-                            generation: Optional[int] = None,
-                            verify: Optional[str] = None) -> None:
+                            generation: Optional[int] = None) -> None:
         """Build/load a new generation; caller holds the registration
-        lock. An ``artifact_path`` is mapped whatever the own mode."""
+        lock. An ``artifact_path`` is mapped whatever the own mode (a
+        pre-built index is pinned when registered, so only a builder or
+        a path gets here)."""
         start = time.perf_counter()
         mmap_mode = registration.mmap_mode if artifact_path is None else "r"
-        verify_mode = registration.verify if verify is None else verify
         path = (registration.path if artifact_path is None
                 else Path(artifact_path))
         if path is not None:
@@ -263,19 +238,9 @@ class IndexRegistry:
             # failure (a worker's NACK, a materialization 500)
             chaos.fault("artifact.load")
             index = serialize.load_index(path, mmap_mode=mmap_mode,
-                                         verify=verify_mode)
-        elif registration.builder is not None:
-            index = registration.builder()
+                                         verify=registration.verify)
         else:
-            # an "index" registration has nothing to re-materialize
-            # from once evicted — unless the caller supplies an artifact
-            if registration.index is None:
-                raise ServeError(
-                    f"index {registration.name!r} was registered as a "
-                    f"pre-built object and cannot be re-materialized "
-                    f"without a path"
-                )
-            index = registration.index
+            index = registration.builder()
         # pre-warm the hot-path artifacts while we still hold the
         # materialization lock: the threaded serve front should never
         # pay the executor/edge-table build (or race it) inside a request
@@ -315,18 +280,6 @@ class IndexRegistry:
     def save(self, name: str, path: Union[str, Path]) -> None:
         """Persist the (materialized) index to ``path``."""
         serialize.save_index(self.get(name), path)
-
-    def evict(self, name: str) -> None:
-        """Drop the pinned record; the next ``get`` re-materializes.
-
-        The generation counter is kept, so the re-materialized index
-        gets a *new* generation number — stale caches keyed by the old
-        generation can never answer for the new one.
-        """
-        registration = self._registration(name)
-        with registration.lock:
-            self.materialized.pop(name, None)
-            registration.record = None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,20 +31,21 @@ client is attributable to one request in one process. ``?trace=1`` (or
 an ``X-Trace: 1`` header, or ``"trace": true`` in a POST body) forces a
 per-stage latency breakdown onto the response under ``"trace"``.
 
-The **admin surface** (index lifecycle; see :mod:`repro.serve.
-lifecycle`) is authenticated by loopback — requests from any
-non-loopback peer get 403 regardless of the bind address:
+The **admin surface** is authenticated by loopback — requests from any
+non-loopback peer get 403 regardless of the bind address. Every server
+runs it through one :class:`~repro.serve.lifecycle.FleetLifecycle`: a
+fleet worker's, or — a single process being a fleet of one — one over
+a private state directory the server writes at start and removes in
+:meth:`ACTServer.server_close`:
 
 * ``GET    /admin/indexes`` — inventory with name / generation / source
   / bytes / mmap mode (plus the answering pid+worker, so operators can
   watch a rollout land on each fleet worker);
 * ``POST   /admin/register`` — body ``{"name": NAME, "path":
-  "idx.npz"[, "mmap_mode": "r"]}`` — register + materialize a
-  serialized index;
-* ``POST   /admin/reload`` — body ``{"name": NAME[, "path": "new.npz"]
-  [, "mmap_mode": "r"]}`` — materialize a fresh generation and swap it
-  in with zero downtime (fleet-wide when a fleet is running: the
-  response returns after every worker acked);
+  "idx.npz"}`` — publish a serialized index as a new name;
+* ``POST   /admin/reload`` — body ``{"name": NAME[, "path": "new.npz"]}``
+  — publish a fresh generation and swap it in with zero downtime; the
+  response returns once every worker maps it;
 * ``DELETE /admin/index/NAME`` — retire an index;
 * ``GET    /admin/slowlog`` — the worker's slow-query ring (full
   per-stage traces for sampled requests, bare envelopes otherwise);
@@ -75,8 +76,10 @@ import os
 import re
 import select
 import selectors
+import shutil
 import socket
 import socketserver
+import tempfile
 import threading
 from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler
@@ -99,6 +102,7 @@ from . import chaos, lifecycle
 from .aserver import BinaryHandler
 from .binproto import MAX_FRAME_BYTES
 from .budget import Budget
+from .lifecycle import FleetLifecycle, fleet_of_one
 from .service import ACTService
 
 #: Client-supplied request ids longer than this are replaced (they are
@@ -338,11 +342,8 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
         names = self.service.registry.names()
         indexes = {name: self.service.registry.is_materialized(name)
                    for name in names}
-        ready_extra = getattr(self.server, "ready_extra", None)
-        lifecycle_state = (ready_extra() if ready_extra is not None
-                           else {"converged": True, "last_error": None})
-        ready = (all(indexes.values())
-                 and bool(lifecycle_state.get("converged", True)))
+        lifecycle_state = self.server.lifecycle.status()
+        ready = all(indexes.values()) and lifecycle_state["converged"]
         payload = {"ready": ready, "indexes": indexes, "pid": os.getpid()}
         payload.update(lifecycle_state)
         worker_id = getattr(self.server, "worker_id", None)
@@ -418,14 +419,13 @@ class ACTRequestHandler(BaseHTTPRequestHandler):
                     {"name": unquote(parsed.path[len(_INDEX_ROUTE):])})
 
     def _admin(self, op_kind: str, request: dict) -> None:
-        """Run one admin request: fleet-wide via the server's hook when a
-        fleet is attached, otherwise directly on this service."""
+        """Run one admin request through the server's lifecycle: it
+        returns once every worker of the fleet — of one, in a single
+        process — maps the result."""
         request["op"] = op_kind
         self.service.metrics.counter("admin.requests").inc()
-        hook = getattr(self.server, "admin_hook", None)
         try:
-            result = (hook(request) if hook is not None else
-                      lifecycle.handle_admin_request(self.service, request))
+            result = self.server.lifecycle.submit(request)
         except ServeError:
             raise
         except Exception as exc:  # an operator's file that fails to load
@@ -643,22 +643,25 @@ class ACTServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
     #: merged) view for ``/metrics``; ``None`` exposes this process's
     #: families only.
     metrics_extra: Optional[Callable[[], dict]] = None
-    #: Fleet workers install their :meth:`repro.serve.lifecycle.
-    #: FleetLifecycle.submit` here so admin mutations coordinate
-    #: fleet-wide; ``None`` applies them to this process's service only.
-    admin_hook: Optional[Callable[[dict], dict]] = None
-    #: Zero-arg callable returning this process's lifecycle convergence
-    #: state for ``/readyz`` (see :meth:`repro.serve.lifecycle.
-    #: FleetLifecycle.status`); ``None`` means no fleet — always
-    #: converged.
-    ready_extra: Optional[Callable[[], dict]] = None
 
     def __init__(self, service: ACTService,
                  sockets: Sequence[socket.socket],
-                 worker_id: Optional[int] = None):
+                 worker_id: Optional[int] = None,
+                 lifecycle: Optional[FleetLifecycle] = None):
         """Serve on ``sockets``, bound and listening (see :func:`listen`;
         a fleet's arrive through ``fork``). ``worker_id`` is the fleet
-        slot ``/healthz`` reports."""
+        slot ``/healthz`` reports; ``lifecycle`` runs the admin surface
+        and ``/readyz`` (a fleet worker's, or, by default, a fleet of
+        one over a state directory this server owns)."""
+        self._state_dir = None
+        if lifecycle is None:
+            self._state_dir = tempfile.mkdtemp(prefix="repro-serve-")
+            try:
+                lifecycle = fleet_of_one(service, self._state_dir)
+            except BaseException:
+                shutil.rmtree(self._state_dir, ignore_errors=True)
+                raise
+        self.lifecycle = lifecycle
         # not TCPServer's __init__: it would bind a socket of its own
         socketserver.BaseServer.__init__(
             self, sockets[0].getsockname()[:2], ACTRequestHandler)
@@ -729,14 +732,17 @@ class ACTServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
 
     def server_close(self) -> None:
         """Finish the drain: answer every request or frame whose first
-        byte has arrived, join every connection's thread, and close the
-        listening sockets (idempotent)."""
+        byte has arrived, join every connection's thread, close the
+        listening sockets and remove the state directory this server
+        owns (idempotent)."""
         self.shutdown()
         for sock in self.sockets:
             sock.close()
         super().server_close()  # joins the connection threads
         self._wake.close()
         self._waker.close()
+        if self._state_dir is not None:
+            shutil.rmtree(self._state_dir, ignore_errors=True)
 
     def finish_request(self, request, client_address) -> None:
         """Serve one connection in the protocol its first bytes name."""
@@ -772,11 +778,13 @@ def listen(host: str, port: int, reuseport: bool = False) -> socket.socket:
 def create_server(service: ACTService, host: str = "127.0.0.1",
                   port: int = 8080,
                   binary_port: Optional[int] = None) -> ACTServer:
-    """An :class:`ACTServer` on ``(host, port)`` and, given a
-    ``binary_port``, on that address too (both speak both protocols);
-    port 0 picks a free port (read them back from ``addresses``)."""
+    """A single process's :class:`ACTServer` — a fleet of one — on
+    ``(host, port)`` and, given a ``binary_port``, on that address too
+    (both speak both protocols); port 0 picks a free port (read them
+    back from ``addresses``)."""
     ports = [port] if binary_port is None else [port, binary_port]
     with ExitStack() as bound:
         sockets = [bound.enter_context(listen(host, p)) for p in ports]
+        server = ACTServer(service, sockets)
         bound.pop_all()
-    return ACTServer(service, sockets)
+    return server

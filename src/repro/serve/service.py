@@ -55,7 +55,7 @@ from . import binproto, chaos
 from .budget import Budget
 from .cache import DEFAULT_CAPACITY, CellResultCache
 from .metrics import MetricsRegistry
-from .registry import _UNSET, IndexGeneration, IndexRegistry
+from .registry import IndexGeneration, IndexRegistry
 from .router import Router, Sent, gather
 from .shard import shard_keys
 
@@ -281,8 +281,8 @@ class ACTService:
         """The pinned ``(generation record, boundary_level)`` for a name.
 
         The identity check keeps the pinned view coherent with the
-        registry: after an evict/reload the name maps to a different
-        record and the next request re-warms — the rule is shared by the
+        registry: once a new generation is adopted the name maps to a
+        different record and the next request re-warms — the rule is shared by the
         scalar, batch, and join paths. A request holds the record it was
         given for its whole lifetime, so a reload mid-batch never mixes
         cores or cache keyspaces.
@@ -301,8 +301,8 @@ class ACTService:
                       ) -> Tuple[IndexGeneration, int]:
         """Swap the hot view to ``record``, retiring the old generation.
 
-        Re-warming after the registry swapped the record (evict/reload)
-        reclaims the stale generation's cache entries so point queries,
+        Re-warming after the registry swapped the record (a new
+        generation) reclaims the stale generation's cache entries so point queries,
         joins, and the cache all agree on one generation. The sweep is
         memory hygiene, not correctness: old-generation entries live
         under old-generation keys that new requests never read.
@@ -582,7 +582,7 @@ class ACTService:
             if trace is not None:
                 trace.stamp("admission")
             # resolve through the pinned hot view, not the registry:
-            # after evict() + re-materialization joins must run against
+            # after a new generation is adopted joins must run against
             # the same generation as point queries and the cell cache
             record, _ = self._hot_view(index_name)
             counts = record.index.executor.join(
@@ -617,43 +617,15 @@ class ACTService:
     # ------------------------------------------------------------------
     # Index lifecycle (the admin surface)
     # ------------------------------------------------------------------
-    def reload_index(self, name: str, *,
-                     source_path=None, source_mmap_mode=_UNSET,
-                     verify: Optional[str] = None) -> IndexGeneration:
-        """Materialize a fresh generation and adopt it atomically.
-
-        Thin wrapper over :meth:`~repro.serve.registry.IndexRegistry.
-        reload` that also swaps this service's hot view and reclaims the
-        old generation's cache entries. In-flight
-        requests that pinned the old record finish on it; requests
-        admitted after the swap see only the new generation, so no
-        request ever observes a mix or an error during a reload.
-        """
-        record = self.registry.reload(
-            name, source_path=source_path, source_mmap_mode=source_mmap_mode,
-            verify=verify,
-        )
-        self._adopt_record(record)
-        self.metrics.counter("admin.reloads").inc()
-        return record
-
     def adopt_generation(self, name: str, path, generation: int,
                          source=None) -> IndexGeneration:
         """Serve ``name`` from a generation directory's file — what a
-        fleet worker does with each directory ``current`` names — with
-        the same hot-view swap and cache sweep as a reload (see
-        :meth:`~repro.serve.registry.IndexRegistry.adopt`)."""
+        fleet worker does with each directory ``current`` names: the
+        hot view swaps to the new record and the old generation's cache
+        entries go (see :meth:`~repro.serve.registry.IndexRegistry.
+        adopt`). Requests that pinned the old record finish on it."""
         record = self.registry.adopt(name, path, generation, source=source)
         self._adopt_record(record)
-        return record
-
-    def register_index_path(self, name: str, path, mmap_mode=None,
-                            ) -> IndexGeneration:
-        """Register and materialize a serialized index under ``name``."""
-        self.registry.register_path(name, path, mmap_mode=mmap_mode)
-        record = self.registry.pin(name)
-        self._adopt_record(record)
-        self.metrics.counter("admin.registers").inc()
         return record
 
     def unregister_index(self, name: str) -> dict:

@@ -138,6 +138,15 @@ def write_generation(root, name: str, *, index: Optional[ACTIndex] = None,
     return d
 
 
+def first_generation(record) -> dict:
+    """:func:`write_generation`'s arguments for a materialized record's
+    (an :class:`~repro.serve.registry.IndexGeneration`) first directory:
+    hard-linked from the file it was loaded from, or the index it built
+    saved, numbered after it — a process holding the record keeps it."""
+    return dict(index=record.index, full_from=record.path,
+                source=record.path, first=record.generation)
+
+
 def quarantine_generation(root, name: str, d: int) -> str:
     """Move a rejected directory aside for forensics; its number stays."""
     path = generation_dir(root, name, d)

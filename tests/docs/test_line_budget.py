@@ -11,7 +11,7 @@ from pathlib import Path
 SERVE = Path(__file__).resolve().parents[2] / "src" / "repro" / "serve"
 
 #: ``wc -l src/repro/serve/*.py`` at the last change to this number.
-CEILING = 6015
+CEILING = 5876
 
 
 def test_serve_stays_inside_its_line_budget():

@@ -67,6 +67,37 @@ def test_serving_never_imports_scipy():
         env=env, check=True, timeout=60.0)
 
 
+def test_sigterm_drains_and_removes_the_state_directory(tmp_path):
+    """A single process is a fleet of one: it keeps its generation
+    directories in a temp directory, which SIGTERM's drain removes."""
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--dataset", "neighborhoods", "--size", "12",
+         "--precision", "300", "--port", "0"],
+        env=env, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        port = None
+        for line in proc.stderr:
+            match = re.search(r"on http://[\d.]+:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        assert port is not None, "serve never announced its port"
+        (state,) = os.listdir(tmp_path)
+        assert state.startswith("repro-serve-")
+        assert _get(port, "/readyz")[0] == 200
+        proc.terminate()
+        assert proc.wait(timeout=60.0) == 0
+        assert os.listdir(tmp_path) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 @pytest.fixture(scope="module")
 def fleet_process():
     """The real ``repro-act serve --workers 2`` fleet."""

@@ -1,6 +1,8 @@
 """Index lifecycle tests: admin ops, the HTTP admin surface,
 zero-downtime reload under live traffic (single-process), and the
-fleet's generation directories driven by in-process workers.
+fleet's generation directories driven by in-process workers. A single
+process is a fleet of one (``fleet_of_one``), so every admin test here
+runs the one implementation.
 
 The forked fleet is exercised in ``test_fleet.py``; everything here
 runs in one process (the crash points fork one short-lived writer) so
@@ -22,22 +24,22 @@ import pytest
 from repro import ACTIndex
 from repro.act.serialize import load_index, save_index
 from repro.datasets.nyc import REGION
-from repro.errors import InvalidRequestError, ServeError, UnknownIndexError
+from repro.errors import (ConflictError, InvalidRequestError,
+                          UnknownIndexError)
 from repro.geometry import Polygon
 from repro.join.parallel import fork_available
 from repro.serve import (
     ACTService,
-    AdminOp,
     FleetLifecycle,
     IndexRegistry,
     ServeConfig,
-    apply_admin_op,
+    chaos,
     create_server,
-    handle_admin_request,
     statedir,
 )
-from repro.serve.statedir import (MANIFEST, generation_dir, read_current,
-                                  read_json, replace_current,
+from repro.serve.lifecycle import fleet_of_one
+from repro.serve.statedir import (MANIFEST, first_generation, generation_dir,
+                                  read_current, read_json, replace_current,
                                   write_generation)
 
 #: Probe point deep inside the eastern half of the region: a miss for
@@ -138,45 +140,28 @@ def _answer(service, name="n"):
     return service.query(name, *PROBE, exact=True).true_hits
 
 
-class TestAdminOpWire:
-    def test_unset_mmap_survives_roundtrip(self, index_pair):
-        """A request that names no mmap mode leaves the registration's:
-        request → op → reload."""
-        from repro.serve.lifecycle import request_to_op
-        from repro.serve.registry import _UNSET
-
-        west_path, east_path = index_pair
-        op = request_to_op({"op": "reload", "name": "w",
-                            "path": str(east_path)})
-        assert op.source_mmap_mode is _UNSET
-        service = ACTService()
-        with service:
-            service.register_index_path("w", west_path, mmap_mode="r")
-            apply_admin_op(op, service=service)
-            assert service.registry.describe("w")["mmap_mode"] == "r"
-            assert _answer(service, "w") == (0,)
-
-
 class TestApplyAdminOp:
-    def test_register_reload_unregister_cycle(self, index_pair):
+    """Admin operations applied through the one path,
+    :meth:`FleetLifecycle.submit`: a single process's fleet of one, or
+    in-process fleet workers."""
+
+    def test_register_reload_unregister_cycle(self, index_pair, tmp_path):
         west_path, east_path = index_pair
         service = ACTService()
         with service:
-            out = apply_admin_op(AdminOp("register", "halves",
-                                         source_path=str(west_path)),
-                                 service=service)
-            assert out["generation"] == 1
+            single = fleet_of_one(service, tmp_path)
+            out = single.submit({"op": "register", "name": "halves",
+                                 "path": str(west_path)})
+            assert out["generation"] == 1 and out["complete"] is True
             assert service.query("halves", *PROBE, exact=True).true_hits \
                 == ()
-            out = apply_admin_op(AdminOp("reload", "halves",
-                                         source_path=str(east_path)),
-                                 service=service)
+            out = single.submit({"op": "reload", "name": "halves",
+                                 "path": str(east_path)})
             assert out["generation"] == 2
             assert service.query("halves", *PROBE, exact=True).true_hits \
                 == (0,)
-            out = apply_admin_op(AdminOp("unregister", "halves"),
-                                 service=service)
-            assert out["name"] == "halves"
+            out = single.submit({"op": "unregister", "name": "halves"})
+            assert out["name"] == "halves" and out["complete"] is True
             with pytest.raises(UnknownIndexError):
                 service.query("halves", *PROBE)
 
@@ -208,9 +193,10 @@ class TestApplyAdminOp:
         registry = IndexRegistry()
         registry.register_path("n", west_path, mmap_mode="r")
         registry.pin("n")
-        record = registry.reload("n")
-        d = write_generation(tmp_path, "n", full_from=west_path,
-                             source=west_path, first=record.generation)
+        registry.unregister("n")
+        registry.register_path("n", west_path, mmap_mode="r")
+        record = registry.pin("n")
+        d = write_generation(tmp_path, "n", **first_generation(record))
         assert d == record.generation == 2
         replace_current(tmp_path, {"n": d})
         (service,), (worker,), _ = _workers(tmp_path, registry)
@@ -259,37 +245,30 @@ class TestApplyAdminOp:
             assert service.registry.names() == []
             # … but an operator deleting an unknown index sees the 404,
             # from one process or fleet-wide
-            with pytest.raises(UnknownIndexError):
-                apply_admin_op(AdminOp("unregister", "ghost"),
-                               service=service)
+            (tmp_path / "single").mkdir()
+            with ACTService() as alone:
+                with pytest.raises(UnknownIndexError):
+                    fleet_of_one(alone, tmp_path / "single").submit(
+                        {"op": "unregister", "name": "ghost"})
             with pytest.raises(UnknownIndexError):
                 worker.submit({"op": "unregister", "name": "n"})
 
-    def test_registry_only_application(self, index_pair):
-        # a bare registry applies ops without a service
-        west_path, east_path = index_pair
-        registry = IndexRegistry()
-        apply_admin_op(AdminOp("register", "h", source_path=str(west_path)),
-                       registry=registry)
-        assert registry.pin("h").generation == 1
-        out = apply_admin_op(
-            AdminOp("reload", "h", source_path=str(east_path)),
-            registry=registry)
-        assert out["generation"] == 2
-        assert registry.pin("h").index.query_exact(*PROBE) == (0,)
-
-    def test_generation_counter_survives_reregistration(self, index_pair):
+    def test_generation_counter_survives_reregistration(self, index_pair,
+                                                        tmp_path):
         # a request in flight across an unregister may still write
         # cache entries under the old name+generation; a re-registered
         # name must continue the sequence so those keys can never alias
         west_path, east_path = index_pair
         service = ACTService()
         with service:
-            service.register_index_path("n", west_path)
-            apply_admin_op(AdminOp("reload", "n"), service=service)
+            single = fleet_of_one(service, tmp_path)
+            single.submit({"op": "register", "name": "n",
+                           "path": str(west_path)})
+            single.submit({"op": "reload", "name": "n"})
             assert service.registry.pin("n").generation == 2
-            service.unregister_index("n")
-            service.register_index_path("n", east_path)
+            single.submit({"op": "unregister", "name": "n"})
+            single.submit({"op": "register", "name": "n",
+                           "path": str(east_path)})
             assert service.registry.pin("n").generation == 3
 
     def test_rollback_when_side_artifact_write_fails(
@@ -353,31 +332,27 @@ class TestApplyAdminOp:
         op = request_to_op({"op": "reload", "name": "ok-1.2_x"})
         assert op.name == "ok-1.2_x"
 
-    def test_request_validation(self):
+    def test_request_validation(self, tmp_path):
         service = ACTService()
         with service:
-            with pytest.raises(InvalidRequestError):
-                handle_admin_request(service, {"op": "explode", "name": "x"})
-            with pytest.raises(InvalidRequestError):
-                handle_admin_request(service, {"op": "reload"})
-            with pytest.raises(InvalidRequestError):
-                handle_admin_request(service, {"op": "register", "name": "x"})
-            with pytest.raises(InvalidRequestError):
-                handle_admin_request(service, {
-                    "op": "reload", "name": "x", "mmap_mode": "w",
-                })
+            single = fleet_of_one(service, tmp_path)
+            for request in ({"op": "explode", "name": "x"},
+                            {"op": "reload"},
+                            {"op": "register", "name": "x"},
+                            {"op": "reload", "name": "x", "mmap_mode": "w"}):
+                with pytest.raises(InvalidRequestError):
+                    single.submit(request)
 
-    def test_duplicate_register_rejected(self, index_pair):
+    def test_duplicate_register_rejected(self, index_pair, tmp_path):
         west_path, _ = index_pair
         service = ACTService()
         with service:
-            handle_admin_request(service, {
-                "op": "register", "name": "dup", "path": str(west_path),
-            })
-            with pytest.raises(ServeError):
-                handle_admin_request(service, {
-                    "op": "register", "name": "dup", "path": str(west_path),
-                })
+            single = fleet_of_one(service, tmp_path)
+            register = {"op": "register", "name": "dup",
+                        "path": str(west_path)}
+            single.submit(register)
+            with pytest.raises(ConflictError):
+                single.submit(register)
 
 
 class TestAdminHTTP:
@@ -501,7 +476,7 @@ class TestAdminCLI:
         with _running_server(service) as server:
             url = f"http://127.0.0.1:{server.server_address[1]}"
             assert main(["admin", "--url", url, "register", "halves",
-                         "--path", str(west_path), "--mmap"]) == 0
+                         "--path", str(west_path)]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["generation"] == 1
 
@@ -531,6 +506,100 @@ class TestAdminCLI:
         assert main(["admin", "--url", "http://127.0.0.1:1",
                      "--timeout", "2", "indexes"]) == 1
         assert "cannot reach" in capsys.readouterr().err
+
+
+def _over_http(server, request):
+    """``request`` sent to a server's admin surface; its JSON answer."""
+    if request["op"] == "unregister":
+        return _delete(server, f"/admin/index/{request['name']}")[1]
+    return _post(server, f"/admin/{request['op']}",
+                 {k: v for k, v in request.items() if k != "op"})[1]
+
+
+def _faults(*services):
+    """The ``faults.*`` counters, summed over ``services``."""
+    total = {}
+    for service in services:
+        for name, value in service.metrics.snapshot()["counters"].items():
+            if name.startswith("faults."):
+                total[name] = total.get(name, 0) + value
+    return total
+
+
+class TestAdminParity:
+    """One admin contract on every server: a single process over HTTP
+    and a two-worker fleet answer the same script with the same
+    response keys, generation numbers and fault counts."""
+
+    def test_single_process_answers_as_a_fleet(self, index_pair, tmp_path,
+                                               publishing):
+        import shutil
+
+        west_path, east_path = index_pair
+
+        def script(tag):
+            bad = tmp_path / f"bad-{tag}.npz"
+            shutil.copyfile(east_path, bad)
+            chaos.corrupt_artifact(bad, mode="bitflip")
+            return [
+                {"op": "register", "name": "n", "path": str(west_path)},
+                {"op": "reload", "name": "n", "path": str(east_path)},
+                {"op": "reload", "name": "n", "path": str(bad)},
+                {"op": "unregister", "name": "n"},
+                {"op": "register", "name": "n", "path": str(west_path)},
+            ]
+
+        service = ACTService()
+        with _running_server(service) as server:
+            single = [_over_http(server, request)
+                      for request in script("single")]
+            single_faults = _faults(service)
+            assert _answer(service) == ()
+        root = tmp_path / "fleet"
+        root.mkdir()
+        services, lifecycles, snapshots = _workers(
+            root, IndexRegistry(), IndexRegistry())
+        publishing(lifecycles[1:], snapshots)
+        fleet = [lifecycles[0].submit(request) for request in script("fleet")]
+        assert [sorted(out) for out in single] == [sorted(out)
+                                                   for out in fleet]
+        generations = [[out.get("generation") for out in outs]
+                       for outs in (single, fleet)]
+        assert generations == [[1, 2, None, None, 3]] * 2
+        assert [out["complete"] for out in single] == [
+            True, True, False, True, True]
+        # the corrupt source is quarantined, the old data kept serving
+        for outs in (single, fleet):
+            assert os.path.exists(outs[2]["quarantined"])
+            assert "ArtifactCorruptError" in outs[2]["error"]
+        assert single_faults == _faults(*services)
+        assert single_faults["faults.artifact_corrupt"] == 1
+        assert single_faults["faults.quarantined"] == 1
+        assert [_answer(worker) for worker in services] == [(), ()]
+        assert [worker.registry.pin("n").generation
+                for worker in services] == [3, 3]
+        for worker in services:
+            worker.close()
+
+    def test_server_close_leaves_nothing_behind(self, index_pair, tmp_path,
+                                                monkeypatch):
+        """The fleet of one's state directory — generations,
+        ``current.json``, the lock — goes with the server."""
+        import tempfile
+
+        west_path, east_path = index_pair
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        service = ACTService()
+        with _running_server(service) as server:
+            root = server.lifecycle.root
+            assert root.parent == tmp_path
+            _over_http(server, {"op": "register", "name": "n",
+                                "path": str(west_path)})
+            _over_http(server, {"op": "reload", "name": "n",
+                                "path": str(east_path)})
+            assert sorted(os.listdir(root)) == [
+                ".lock", "current.json", "gens"]
+        assert os.listdir(tmp_path) == []
 
 
 class TestReloadUnderTraffic:

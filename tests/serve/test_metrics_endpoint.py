@@ -14,8 +14,6 @@ from repro.serve import ACTService, create_server
 @pytest.fixture(scope="module")
 def metrics_server(nyc_index):
     service = ACTService()
-    # register via builder (not register_index) so reload_index can
-    # re-materialize and bump the generation
     service.registry.register("nyc", lambda: nyc_index)
     server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -106,7 +104,12 @@ class TestMetricsEndpoint:
             }
 
         before = generations(families)["nyc"]
-        service.reload_index("nyc")
+        port = server.server_address[1]
+        with urllib.request.urlopen(urllib.request.Request(
+                f"http://127.0.0.1:{port}/admin/reload",
+                data=json.dumps({"name": "nyc"}).encode("utf-8")),
+                timeout=30.0) as resp:
+            assert json.loads(resp.read())["complete"] is True
         _, text = _scrape(server)
         after = generations(parse_exposition(text))["nyc"]
         assert int(after) == int(before) + 1

@@ -48,21 +48,6 @@ class TestLazyMaterialization:
         with pytest.raises(UnknownIndexError):
             registry.describe("nope")
 
-    def test_evict_then_rebuild(self, nyc_polygons):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return ACTIndex.build(nyc_polygons, precision_meters=300.0)
-
-        registry = IndexRegistry()
-        registry.register("e", build)
-        registry.get("e")
-        registry.evict("e")
-        assert not registry.is_materialized("e")
-        registry.get("e")
-        assert len(calls) == 2
-
     def test_concurrent_get_builds_once(self, nyc_polygons):
         calls = []
         started = threading.Barrier(8)
@@ -91,21 +76,22 @@ class TestLazyMaterialization:
             self, nyc_index):
         # register_index publishes the hot-path view under the registry
         # lock: once the name resolves at all, the pinned view and the
-        # registration always agree (no window where evict() can observe
-        # a registered-but-unpinned or unregistered-but-pinned name)
+        # registration always agree (no window where unregister() can
+        # observe a registered-but-unpinned or unregistered-but-pinned
+        # name)
         registry = IndexRegistry()
         registry.register_index("atomic", nyc_index)
         assert registry.materialized["atomic"].index is nyc_index
         assert registry.materialized["atomic"].generation == 1
         assert registry.is_materialized("atomic")
-        registry.evict("atomic")
+        registry.unregister("atomic")
         assert "atomic" not in registry.materialized
-        assert not registry.is_materialized("atomic")
+        assert "atomic" not in registry.names()
 
-    def test_register_evict_hammering_stays_coherent(self, nyc_index):
-        # many threads registering fresh names while another evicts them
-        # as fast as it can: the lock-free view and the registrations
-        # must never disagree when the dust settles
+    def test_register_unregister_hammering_stays_coherent(self, nyc_index):
+        # many threads registering fresh names while another unregisters
+        # them as fast as it can: the lock-free view and the
+        # registrations must never disagree when the dust settles
         registry = IndexRegistry()
         names = [f"idx-{i}" for i in range(64)]
         start = threading.Barrier(3)
@@ -115,27 +101,29 @@ class TestLazyMaterialization:
             for name in chunk:
                 registry.register_index(name, nyc_index)
 
-        def evictor():
+        def unregisterer():
             start.wait()
             for name in names * 3:
                 try:
-                    registry.evict(name)
+                    registry.unregister(name)
                 except UnknownIndexError:
                     pass
 
         threads = [
             threading.Thread(target=register, args=(names[:32],)),
             threading.Thread(target=register, args=(names[32:],)),
-            threading.Thread(target=evictor),
+            threading.Thread(target=unregisterer),
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        registered = registry.names()
         for name in names:
             pinned = name in registry.materialized
-            assert pinned == registry.is_materialized(name)
+            assert pinned == (name in registered)
             if pinned:
+                assert registry.is_materialized(name)
                 assert registry.materialized[name].index is nyc_index
 
     def test_prewarm_materializes_and_builds_edge_tables(

@@ -103,46 +103,46 @@ class TestQueryPath:
         assert service.metrics.counter("queries.invalid").value == 2
         assert service.metrics.counter("queries.errors").value == 0
 
-    def test_registry_evict_rewarms_and_invalidates(self, nyc_polygons):
+    def test_adopted_generation_rewarms_and_invalidates(self, nyc_polygons,
+                                                         tmp_path):
         from repro import ACTIndex
+        from repro.act.serialize import save_index
 
+        old_index = ACTIndex.build(nyc_polygons, precision_meters=300.0)
+        save_index(old_index, tmp_path / "n.npz")
         svc = ACTService()
-        svc.registry.register(
-            "n", lambda: ACTIndex.build(nyc_polygons,
-                                        precision_meters=300.0))
+        svc.registry.register_index("n", old_index)
         with svc:
             first = svc.query("n", -73.97, 40.75)
-            old_index = svc.registry.get("n")
-            svc.registry.evict("n")
-            # next query re-materializes, drops stale cache entries, and
-            # pins the fresh instance
+            svc.registry.adopt("n", tmp_path / "n.npz", 2)
+            # the next query sees the registry's new record, drops stale
+            # cache entries, and pins the fresh instance
             assert svc.query("n", -73.97, 40.75) == first
             new_index = svc.registry.get("n")
             assert new_index is not old_index
             assert svc._hot["n"][0].index is new_index
-            # evict + re-materialize bumped the generation, rotating
-            # the cache keyspace
+            # the new generation rotates the cache keyspace
             assert svc._hot["n"][0].generation == 2
 
 
-    def test_join_follows_hot_view_after_evict(self, nyc_polygons,
-                                               query_points):
+    def test_join_follows_hot_view_after_adopt(self, nyc_polygons,
+                                               query_points, tmp_path):
         # joins must resolve through the same pinned view as point
-        # queries: after evict() + re-materialization both paths (and
-        # the cache) agree on one instance
+        # queries: after the registry adopts a new generation both paths
+        # (and the cache) agree on one instance
         import numpy as np
 
         from repro import ACTIndex
+        from repro.act.serialize import save_index
 
+        old_index = ACTIndex.build(nyc_polygons, precision_meters=300.0)
+        save_index(old_index, tmp_path / "n.npz")
         svc = ACTService()
-        svc.registry.register(
-            "n", lambda: ACTIndex.build(nyc_polygons,
-                                        precision_meters=300.0))
+        svc.registry.register_index("n", old_index)
         lngs, lats = query_points
         with svc:
             baseline = svc.join("n", lngs, lats)
-            old_index = svc.registry.get("n")
-            svc.registry.evict("n")
+            svc.registry.adopt("n", tmp_path / "n.npz", 2)
             counts = svc.join("n", lngs, lats)
             np.testing.assert_array_equal(counts, baseline)
             new_index = svc.registry.get("n")
